@@ -3,6 +3,7 @@ import pytest
 
 from degenpde.fields import Grid, ScalarField, sample
 from degenpde.operators import (
+    CoefficientField,
     TransportVelocity,
     apply_L,
     apply_L0,
@@ -39,6 +40,26 @@ def test_validate_ellipticity_margin():
         {"a11": "0.7", "a12": "0.3", "a22": "0.7", "b1": "1"},
         n=2, lam=0.5, nu=0.5)
     rep = validate_coefficients(coeffs, unit_grid(9))
+    assert not rep.passed
+    assert rep.margins["ellipticity"] == pytest.approx(-0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [model_coefficients(2.0, 3), random_coefficients(11, 3)],
+                         ids=["model", "random"])
+def test_static_validation_matches_the_full_spacetime_grid(coeffs):
+    g = Grid.uniform((0, 1, 9), [(-1, 1, 9), (-1, 1, 7)], (0, 1, 17))
+    full = CoefficientField(coeffs.n, coeffs.a, coeffs.b, coeffs.params,
+                            time_dependent=True)
+    one_slice = validate_coefficients(coeffs, g)
+    assert one_slice.margins == validate_coefficients(full, g).margins
+    assert one_slice.passed
+
+
+def test_late_loss_of_ellipticity_is_refused():
+    # a22 = 1 - 0.6 t drops below lambda = 0.5 only for t > 5/6
+    coeffs = coefficients_from_expressions({"a22": "1 - 0.6*t"}, n=2)
+    assert coeffs.time_dependent
+    rep = validate_coefficients(coeffs, unit_grid(13))
     assert not rep.passed
     assert rep.margins["ellipticity"] == pytest.approx(-0.1, abs=1e-12)
 
