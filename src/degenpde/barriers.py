@@ -631,36 +631,6 @@ def model_barrier_phi(v, b: float, point: Point) -> float:
     return 1.0 / ((point.x + b * S) * S)
 
 
-def wall_barrier(x, ys, t, a: float, b: float):
-    """Four-term wall barrier on the slab 0 <= x < 1, blowing up on its walls.
-
-    1/(t(x + a t)) + (1 + t)/(1 - x^2)^2 plus the two translated rational
-    terms centered at y_i = 1 and y_i = -1.  ys is a sequence of tangential
-    coordinate arrays.  The constant a of the initial-layer term is exposed
-    as a parameter.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ys = [np.asarray(yi, dtype=float) for yi in ys]
-    sm = sum((1.0 - yi) ** 2 for yi in ys)
-    sp = sum((1.0 + yi) ** 2 for yi in ys)
-    return (
-        1.0 / (t * (x + a * t))
-        + (1.0 + t) / (1.0 - x * x) ** 2
-        + 1.0 / ((x + b * sm) * sm)
-        + 1.0 / ((x + b * sp) * sp)
-    )
-
-
-def translated_barrier_phi(b: float, x, ys):
-    """Two translated rational terms, finite on 0 < y_i < 2 away from y = 1."""
-    x = np.asarray(x, dtype=float)
-    ys = [np.asarray(yi, dtype=float) for yi in ys]
-    sm = sum((1.0 - yi) ** 2 for yi in ys)
-    sp = sum((1.0 + yi) ** 2 for yi in ys)
-    return 1.0 / ((x + b * sm) * sm) + 1.0 / ((x + b * sp) * sp)
-
-
 def barrier_condition_residual(params: ModelBarrierParams, x, S, n: int):
     """Positive part requirement of the barrier inequality in (x, S = |y|^2).
 

@@ -3,7 +3,8 @@
 Reads a declarative experiment file (sectioned key = value text), solves
 the configured initial/boundary-value problem, runs the requested
 verification checks, and writes deterministic reports and two-column plot
-data. Exit status 0 means every configured check passed.
+data. Exit status 0 means every configured check passed, 1 that a check
+failed, 2 that the spec is malformed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import estimates
 from .estimates import EstimateReport, write_series
 from .expressions import compile_expression
 from .fields import Grid, ScalarField, sample
+from .geometry import Point
 from .operators import COEFFICIENT_PRESETS, parse_coefficient_preset
 from .solver import IVBProblem, solve_ivbp
 
@@ -30,100 +32,41 @@ class SpecError(ValueError):
     """Experiment-file parse or validation error."""
 
 
-def _get(section, key, cast=str, default=None, where=""):
-    if key not in section:
-        if default is not None:
-            return default
-        raise SpecError(f"missing key {key!r} in section [{where}]")
-    raw = section[key]
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise SpecError(f"bad value for {key!r} in [{where}]: {exc}") from exc
+REQUIRED = object()  # schema default of a key the spec must give
 
 
 def _floats(text: str):
     return [float(tok) for tok in text.split()]
 
 
-class ExperimentSpec:
-    """Parsed experiment file: problem, grid, and the checks to run."""
-
-    def __init__(self, path, seed_override=None):
-        parser = configparser.ConfigParser()
-        read = parser.read([str(path)])
-        if not read:
-            raise SpecError(f"cannot read experiment file {path}")
-        if "experiment" not in parser:
-            raise SpecError("missing [experiment] section")
-        exp = parser["experiment"]
-        self.name = _get(exp, "name", where="experiment")
-        self.seed = seed_override if seed_override is not None else \
-            _get(exp, "seed", int, 0, "experiment")
-        self.nu = _get(exp, "nu", float, where="experiment")
-        if not 0.0 < self.nu < 1.0:
-            raise SpecError(
-                f"nu = {self.nu:g} is outside the admissible open interval (0, 1)")
-        preset = _get(exp, "coefficients", where="experiment")
-        if preset.startswith("random:") and seed_override is not None:
-            preset = f"random:seed={self.seed}"
-        self.coefficient_preset = preset
-
-        if "grid" not in parser:
-            raise SpecError("missing [grid] section")
-        gsec = parser["grid"]
-        def triple(key):
-            vals = _floats(gsec[key])
-            if len(vals) != 3 or vals[2] < 3 or vals[2] != int(vals[2]):
-                raise SpecError(f"grid axis {key!r} needs 'lo hi count'")
-            return (vals[0], vals[1], int(vals[2]))
-        if "s" not in gsec or "t" not in gsec:
-            raise SpecError("[grid] needs axes 's' and 't'")
-        y_keys = sorted(k for k in gsec if k.startswith("y"))
-        if not y_keys:
-            raise SpecError("[grid] needs at least one tangential axis (y2, ...)")
-        self.grid = Grid.uniform(triple("s"), [triple(k) for k in y_keys],
-                                 triple("t"))
-        self.n = self.grid.n
-        self.coefficients = parse_coefficient_preset(preset, self.n)
-
-        if "problem" not in parser:
-            raise SpecError("missing [problem] section")
-        prob = parser["problem"]
-        self.solution = compile_expression(_get(prob, "solution", where="problem"))
-        self.forcing = compile_expression(_get(prob, "forcing", str, "0", "problem"))
-
-        self.checks = []
-        for sec in parser.sections():
-            if not sec.startswith("check "):
-                continue
-            name = sec[len("check "):].strip()
-            body = dict(parser[sec])
-            if "type" not in body:
-                raise SpecError(f"check {name!r} is missing its 'type'")
-            self.checks.append((name, body))
-        if not self.checks:
-            raise SpecError("experiment defines no checks")
-
-    def model_v(self) -> float:
-        desc = self.coefficient_preset
-        if desc.startswith("model:v="):
-            return float(desc[len("model:v="):])
-        if desc == "identity":
-            return 1.0
-        raise SpecError(
-            "this check needs a model-operator coefficient preset, "
-            f"got {desc!r}")
+def _axis(text: str):
+    vals = _floats(text)
+    if len(vals) != 3 or not vals[2].is_integer() or vals[2] < 3:
+        raise ValueError(f"needs 'lo hi count' with an integer count >= 3, got {text!r}")
+    return vals[0], vals[1], int(vals[2])
 
 
-def _solve(spec: ExperimentSpec) -> ScalarField:
-    problem = IVBProblem(coeffs=spec.coefficients, forcing=spec.forcing,
-                         initial=spec.solution, lateral=spec.solution)
-    return solve_ivbp(problem, spec.grid)
+def _read(section, where, keys):
+    """Cast each key of a spec section by its {key: (cast, default-or-REQUIRED)} schema."""
+    for key in section:
+        if key not in keys:
+            raise SpecError(f"[{where}] {key}: unknown key (known: {', '.join(keys)})")
+    values = {}
+    for key, (cast, default) in keys.items():
+        if key in section:
+            try:
+                values[key] = cast(section[key])
+            except ValueError as exc:
+                raise SpecError(f"[{where}] {key}: {exc}") from None
+        elif default is REQUIRED:
+            raise SpecError(f"[{where}] {key}: missing")
+        else:
+            values[key] = default
+    return values
 
 
-def _check_manufactured(spec, name, body, u, g_field):
-    tol = float(body.get("tol", 1e-10))
+def _manufactured(spec, a, u, g_field):
+    tol = a["tol"]
     exact = sample(spec.solution, spec.grid)
     err = np.max(np.abs(u.values - exact.values), axis=tuple(range(u.values.ndim - 1)))
     worst = float(np.max(err))
@@ -138,63 +81,143 @@ def _check_manufactured(spec, name, body, u, g_field):
     return report, (spec.grid.t, err)
 
 
-def _check_harnack(spec, name, body, u, g_field):
-    s0 = float(body["s0"])
-    y0 = _floats(body.get("y0", " ".join(["0"] * (spec.n - 1))))
-    t0 = float(body["t0"])
-    rho = float(body["rho"])
-    c_max = float(body.get("c_max", "inf"))
-    report = estimates.harnack_quotient(u, g_field, s0, y0, t0, rho,
-                                        spec.nu, c_max)
-    return report, None
+def _harnack(spec, a, u, g_field):
+    return estimates.harnack_quotient(u, g_field, a["s0"], a["y0"], a["t0"], a["rho"],
+                                      spec.nu, a["c_max"]), None
 
 
-def _check_oscillation(spec, name, body, u, g_field):
-    s0 = float(body["s0"])
-    y0 = _floats(body.get("y0", " ".join(["0"] * (spec.n - 1))))
-    t0 = float(body["t0"])
-    rho = float(body["rho"])
-    levels = int(body.get("levels", 2))
-    theta_max = float(body.get("theta_max", 0.95))
-    report = estimates.oscillation_decay(u, (s0, y0, t0), rho, levels,
-                                         g_field, spec.nu, theta_max)
-    radii = [rho / 2.0 ** j for j in range(levels)]
+def _oscillation(spec, a, u, g_field):
+    levels = a["levels"]
+    report = estimates.oscillation_decay(u, (a["s0"], a["y0"], a["t0"]), a["rho"], levels,
+                                         g_field, spec.nu, a["theta_max"])
+    radii = [a["rho"] / 2.0 ** j for j in range(levels)]
     oscs = [report.rhs_components.get(f"osc_{j}", 0.0) for j in range(levels)]
     return report, (radii, oscs)
 
 
-def _check_holder(spec, name, body, u, g_field):
-    s0 = float(body["s0"])
-    y0 = _floats(body.get("y0", " ".join(["0"] * (spec.n - 1))))
-    t0 = float(body["t0"])
-    r = float(body["r"])
-    rho = float(body["rho"])
-    alpha = float(body.get("alpha", 0.5))
-    report = estimates.holder_bound_check(u, g_field, (s0, y0, t0), r, rho,
-                                          spec.nu, alpha)
-    return report, None
+def _holder(spec, a, u, g_field):
+    return estimates.holder_bound_check(u, g_field, (a["s0"], a["y0"], a["t0"]), a["r"],
+                                        a["rho"], spec.nu, a["alpha"]), None
 
 
-def _check_schauder(spec, name, body, u, g_field):
-    from .geometry import Point
-
-    r = float(body.get("r", 0.5))
-    alpha = float(body.get("alpha", 0.5))
-    x0 = float(body.get("x0", 0.0))
-    y0 = _floats(body.get("y0", " ".join(["0"] * (spec.n - 1))))
-    t0 = float(body.get("t0", 1.0))
-    v = spec.model_v()
-    report = estimates.schauder_ratio(u, v, r, alpha, Point(x0, y0, t0))
-    return report, None
+def _schauder(spec, a, u, g_field):
+    return estimates.schauder_ratio(u, spec.model_v, a["r"], a["alpha"],
+                                    Point(a["x0"], a["y0"], a["t0"])), None
 
 
-_CHECK_TYPES = {
-    "manufactured_error": _check_manufactured,
-    "harnack_quotient": _check_harnack,
-    "oscillation_decay": _check_oscillation,
-    "holder_bound": _check_holder,
-    "schauder_ratio": _check_schauder,
+_BASE = {"s0": (float, REQUIRED), "y0": (_floats, None), "t0": (float, REQUIRED)}
+
+# check type -> (runner, keys, needs a model-operator preset).  A runner maps
+# (spec, values, u, g_field) to (report, series or None); y0 = None is the
+# origin, n - 1 zeros.
+CHECKS = {
+    "manufactured_error": (_manufactured, {"tol": (float, 1e-10)}, False),
+    "harnack_quotient": (_harnack, {**_BASE, "rho": (float, REQUIRED),
+                                    "c_max": (float, math.inf)}, False),
+    "oscillation_decay": (_oscillation, {**_BASE, "rho": (float, REQUIRED),
+                                         "levels": (int, 2),
+                                         "theta_max": (float, 0.95)}, False),
+    "holder_bound": (_holder, {**_BASE, "r": (float, REQUIRED), "rho": (float, REQUIRED),
+                               "alpha": (float, 0.5)}, False),
+    "schauder_ratio": (_schauder, {"r": (float, 0.5), "alpha": (float, 0.5),
+                                   "x0": (float, 0.0), "y0": (_floats, None),
+                                   "t0": (float, 1.0)}, True),
 }
+
+_EXPERIMENT = {"name": (str, REQUIRED), "seed": (int, 0), "nu": (float, REQUIRED),
+               "coefficients": (str, REQUIRED)}
+_PROBLEM = {"solution": (compile_expression, REQUIRED),
+            "forcing": (compile_expression, compile_expression("0"))}
+
+
+def _section(parser, name):
+    if name not in parser:
+        raise SpecError(f"missing [{name}] section")
+    return parser[name]
+
+
+class ExperimentSpec:
+    """Parsed experiment file: problem, grid, and the checks to run.
+
+    The whole file is validated here, before any solve: every malformed
+    spec raises SpecError with one line naming the section and the key.
+    Arguments only an estimate can judge (a cube with no nodes, r >= rho)
+    are refused when the check runs.
+    """
+
+    def __init__(self, path, seed_override=None):
+        parser = configparser.ConfigParser()
+        read = parser.read([str(path)])
+        if not read:
+            raise SpecError(f"cannot read experiment file {path}")
+        exp = _read(_section(parser, "experiment"), "experiment", _EXPERIMENT)
+        self.name = exp["name"]
+        self.seed = seed_override if seed_override is not None else exp["seed"]
+        self.nu = exp["nu"]
+        if not 0.0 < self.nu < 1.0:
+            raise SpecError(f"[experiment] nu: nu = {self.nu:g} is outside the "
+                            "admissible open interval (0, 1)")
+        preset = exp["coefficients"]
+        if preset.startswith("random:") and seed_override is not None:
+            preset = f"random:seed={self.seed}"
+        self.coefficient_preset = preset
+
+        gsec = _section(parser, "grid")
+        ys = [f"y{i}" for i in range(2, len(gsec))]
+        if not ys:
+            raise SpecError("[grid]: needs axes s, t and at least one tangential y2")
+        axes = _read(gsec, "grid", {k: (_axis, REQUIRED) for k in ["s", *ys, "t"]})
+        try:
+            self.grid = Grid.uniform(axes["s"], [axes[k] for k in ys], axes["t"])
+        except ValueError as exc:
+            raise SpecError(f"[grid]: {exc}") from None
+        self.n = self.grid.n
+        try:
+            self.coefficients = parse_coefficient_preset(preset, self.n)
+        except ValueError as exc:
+            raise SpecError(f"[experiment] coefficients: {exc}") from None
+        self.model_v = (float(preset[len("model:v="):]) if preset.startswith("model:v=")
+                        else 1.0 if preset == "identity" else None)
+
+        prob = _read(_section(parser, "problem"), "problem", _PROBLEM)
+        # one call at the grid's first node refuses variables the grid lacks
+        first = [ax[0] for ax in self.grid.axes]
+        first[0] = first[0] ** 2
+        for key in _PROBLEM:
+            try:
+                prob[key](*first)
+            except (ValueError, ArithmeticError) as exc:
+                raise SpecError(f"[problem] {key}: {exc}") from None
+        self.solution, self.forcing = prob["solution"], prob["forcing"]
+
+        self.checks = []
+        for sec in parser.sections():
+            if not sec.startswith("check "):
+                continue
+            kind = parser[sec].get("type", "").strip()
+            if kind not in CHECKS:
+                raise SpecError(f"[{sec}] type: unknown check type {kind!r} "
+                                f"(known: {', '.join(CHECKS)})")
+            run, keys, needs_model = CHECKS[kind]
+            if needs_model and self.model_v is None:
+                raise SpecError(f"[{sec}] type: {kind} needs a model-operator "
+                                f"coefficient preset, got {preset!r}")
+            values = _read(parser[sec], sec, {"type": (str, REQUIRED), **keys})
+            if "y0" in values:
+                if values["y0"] is None:
+                    values["y0"] = [0.0] * (self.n - 1)
+                elif len(values["y0"]) != self.n - 1:
+                    raise SpecError(f"[{sec}] y0: needs {self.n - 1} values, "
+                                    f"got {len(values['y0'])}")
+            self.checks.append((sec[len("check "):].strip(), run, values))
+        if not self.checks:
+            raise SpecError("experiment defines no checks")
+
+
+def _solve(spec: ExperimentSpec) -> ScalarField:
+    problem = IVBProblem(coeffs=spec.coefficients, forcing=spec.forcing,
+                         initial=spec.solution, lateral=spec.solution)
+    return solve_ivbp(problem, spec.grid)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, threads: int = 1) -> bool:
@@ -204,11 +227,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, threads: int = 1) -> bool:
     g_field = sample(spec.forcing, spec.grid)
 
     def run_one(item):
-        name, body = item
-        kind = body["type"].strip()
-        if kind not in _CHECK_TYPES:
-            raise SpecError(f"check {name!r} has unknown type {kind!r}")
-        return name, _CHECK_TYPES[kind](spec, name, body, u, g_field)
+        name, run, values = item
+        try:
+            return name, run(spec, values, u, g_field)
+        except ValueError as exc:  # arguments only the estimate can refuse
+            raise SpecError(f"[check {name}]: {exc}") from None
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:

@@ -29,7 +29,9 @@ from .geometry import (
     Point,
     SPoint,
     WeightedMeasure,
+    dual_edges,
     rho_nu,
+    weighted_volumes,
 )
 from .operators import TransportVelocity, apply_L0
 
@@ -376,13 +378,7 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
 
 def _node_measure(grid: Grid, mask: np.ndarray, nu: float) -> float:
     """Weighted node-dual measure of a masked node set."""
-    from .fields import _dual_s_weights, _dual_weights
-
-    w = _dual_s_weights(grid.s, nu).reshape((-1,) + (1,) * (len(grid.axes) - 1))
-    for k, ax in enumerate(grid.axes[1:], start=1):
-        shape = [1] * len(grid.axes)
-        shape[k] = -1
-        w = w * _dual_weights(ax).reshape(shape)
+    w = weighted_volumes([dual_edges(ax) for ax in grid.axes], nu)
     return float(np.sum(w * mask)) * nu / 2.0 ** grid.n
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ParabolicCube, WeightedMeasure, s_distance  # noqa: F401
+from .geometry import (ParabolicCube, WeightedMeasure, dual_edges,  # noqa: F401
+                       s_distance, weighted_volumes)
 
 
 def _uniform_spacing(nodes: np.ndarray, name: str) -> float:
@@ -291,24 +292,6 @@ def osc(field: ScalarField, cube: ParabolicCube) -> float:
     return float(np.max(vals) - np.min(vals))
 
 
-def _dual_weights(nodes: np.ndarray) -> np.ndarray:
-    """Lengths of node-centered dual cells, clipped to the axis extent."""
-    edges = np.empty(nodes.size + 1)
-    edges[1:-1] = (nodes[:-1] + nodes[1:]) / 2.0
-    edges[0] = nodes[0]
-    edges[-1] = nodes[-1]
-    return np.diff(edges)
-
-
-def _dual_s_weights(nodes: np.ndarray, nu: float) -> np.ndarray:
-    """Exact integrals of s^(nu-1) over node-centered dual cells."""
-    edges = np.empty(nodes.size + 1)
-    edges[1:-1] = (nodes[:-1] + nodes[1:]) / 2.0
-    edges[0] = nodes[0]
-    edges[-1] = nodes[-1]
-    return (edges[1:] ** nu - edges[:-1] ** nu) / nu
-
-
 def lp_norm_weighted(field: ScalarField, p: float, cube: ParabolicCube,
                      mu: WeightedMeasure) -> float:
     """(sum |u|^p s^(nu-1) d(cell))^(1/p) over nodes inside the cube.
@@ -324,11 +307,7 @@ def lp_norm_weighted(field: ScalarField, p: float, cube: ParabolicCube,
     mask = cube.node_mask(g)
     if not np.any(mask):
         raise ValueError("cube contains no grid nodes")
-    w = _dual_s_weights(g.s, mu.nu).reshape((-1,) + (1,) * (len(g.axes) - 1))
-    for k, ax in enumerate(g.axes[1:], start=1):
-        shape = [1] * len(g.axes)
-        shape[k] = -1
-        w = w * _dual_weights(ax).reshape(shape)
+    w = weighted_volumes([dual_edges(ax) for ax in g.axes], mu.nu)
     total = np.sum((np.abs(field.values) ** p) * w * mask)
     return float(total ** (1.0 / p))
 

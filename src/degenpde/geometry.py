@@ -233,6 +233,31 @@ class ParabolicCube:
         ).copy()
 
 
+def dual_edges(nodes: np.ndarray) -> np.ndarray:
+    """Edges of the node-centered dual cells, clipped to the axis extent."""
+    edges = np.empty(nodes.size + 1)
+    edges[1:-1] = (nodes[:-1] + nodes[1:]) / 2.0
+    edges[0] = nodes[0]
+    edges[-1] = nodes[-1]
+    return edges
+
+
+def weighted_volumes(edges, nu: float) -> np.ndarray:
+    """Unnormalized weighted volume of every cell of a tensor partition.
+
+    edges: per-axis cell edges, s first.  Each cell carries the exact
+    integral of s^(nu - 1) over its s-interval times its lengths along the
+    other axes; the result broadcasts against the cell array.
+    """
+    s = edges[0]
+    w = ((s[1:] ** nu - s[:-1] ** nu) / nu).reshape((-1,) + (1,) * (len(edges) - 1))
+    for k, e in enumerate(edges[1:], start=1):
+        shape = [1] * len(edges)
+        shape[k] = -1
+        w = w * np.diff(e).reshape(shape)
+    return w
+
+
 def measure_region(cube: ParabolicCube) -> tuple[tuple[float, float], list[tuple[float, float]], tuple[float, float]]:
     """Slab over which the weighted measure of a Q_rho cube is computed.
 
@@ -267,9 +292,8 @@ def cube_measure(cube: ParabolicCube, mu: WeightedMeasure, method: str = "analyt
     if method != "quadrature":
         raise ValueError("method must be 'analytic' or 'quadrature'")
     (s_lo, s_hi), y_ivs, (t_lo, t_hi) = measure_region(cube)
-    edges = np.linspace(s_lo, s_hi, cells + 1)
-    s_weight = float(np.sum((edges[1:] ** nu - edges[:-1] ** nu) / nu))
-    vol = s_weight
+    # the s-integral is summed before the other lengths multiply it
+    vol = float(np.sum(weighted_volumes([np.linspace(s_lo, s_hi, cells + 1)], nu)))
     for lo, hi in y_ivs:
         vol *= hi - lo
     vol *= t_hi - t_lo
@@ -292,18 +316,10 @@ def set_measure(indicator, grid, mu: WeightedMeasure) -> float:
     if any(len(ax) < 2 for ax in axes):
         raise ValueError("set_measure needs at least one cell per axis")
     n = len(axes) - 1  # spatial dimension (s plus tangential axes)
-    nu = mu.nu
-
-    s_nodes = axes[0]
     centers = [(ax[:-1] + ax[1:]) / 2.0 for ax in axes]
     meshes = np.meshgrid(*centers, indexing="ij", sparse=True)
     mask = np.asarray(indicator(meshes[0], meshes[1:-1], meshes[-1]))
     mask = np.broadcast_to(mask, tuple(len(c) for c in centers))
 
-    s_w = (s_nodes[1:] ** nu - s_nodes[:-1] ** nu) / nu
-    w = s_w.reshape((-1,) + (1,) * (len(axes) - 1))
-    for k, ax in enumerate(axes[1:], start=1):
-        shape = [1] * len(axes)
-        shape[k] = -1
-        w = w * np.diff(ax).reshape(shape)
-    return float(np.sum(w * mask)) * nu / 2.0 ** n
+    w = weighted_volumes(axes, mu.nu)
+    return float(np.sum(w * mask)) * mu.nu / 2.0 ** n

@@ -226,6 +226,21 @@ def identity_coefficients(n: int = 2) -> CoefficientField:
     return model_coefficients(1.0, n)
 
 
+def plane_waves(w, ph, c, wave):
+    """Time-independent f(x, y..., t) = sum_k c_k wave(w_k . (x, y) + ph_k)."""
+
+    def f(x, *coords):
+        out = 0.0
+        for wk, phk, ck in zip(w, ph, c):
+            phase = wk[0] * x + phk
+            for wi, yi in zip(wk[1:], coords[:-1]):
+                phase = phase + wi * yi
+            out = out + ck * wave(phase)
+        return out
+
+    return f
+
+
 def random_coefficients(seed: int, n: int = 2, lam: float = 0.5,
                         nu: float = 0.25) -> CoefficientField:
     """Smooth randomized coefficients satisfying the structure conditions.
@@ -242,19 +257,7 @@ def random_coefficients(seed: int, n: int = 2, lam: float = 0.5,
         w = rng.uniform(0.3, 1.5, size=(2, n))
         ph = rng.uniform(0, 2 * math.pi, size=2)
         c = rng.uniform(0.2, 1.0, size=2)
-        c = c / np.sum(c)
-
-        def f(x, *coords):
-            ys = coords[:-1]
-            out = 0.0
-            for k in range(2):
-                phase = w[k, 0] * x + ph[k]
-                for i, yi in enumerate(ys):
-                    phase = phase + w[k, 1 + i] * yi
-                out = out + c[k] * np.sin(phase)
-            return out
-
-        return f
+        return plane_waves(w, ph, c / np.sum(c), np.sin)
 
     def shifted(base, mid, amp):
         def f(x, *coords):

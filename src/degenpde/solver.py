@@ -44,7 +44,7 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .fields import Grid, ScalarField
 from .operators import (CoefficientField, TransportVelocity,
-                        model_coefficients, validate_coefficients)
+                        model_coefficients, plane_waves, validate_coefficients)
 
 COMPATIBILITY_TOL = 1e-8
 
@@ -514,16 +514,7 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
         w = rng.uniform(0.2, 0.9, size=(nmodes, grid.n))
         ph = rng.uniform(0, 2 * math.pi, size=nmodes)
         c = rng.uniform(0.3, 1.0, size=nmodes)
-
-        def raw(x, *coords):
-            ys = coords[:-1]
-            out = 0.0
-            for kk in range(nmodes):
-                phase = w[kk, 0] * x + ph[kk]
-                for i, yi in enumerate(ys):
-                    phase = phase + w[kk, 1 + i] * yi
-                out = out + c[kk] * np.cos(math.pi * phase)
-            return out
+        raw = plane_waves(w, ph, c, lambda phase: np.cos(math.pi * phase))
 
         sample0 = np.broadcast_to(raw(x_mesh, *meshes[1:], grid.t[0]),
                                   tuple(len(ax) for ax in [grid.s] + list(grid.y)))

@@ -149,14 +149,16 @@ def test_criterion_05_barrier_certification():
             + ", ".join(details))
 
 
-def _ensemble():
+@pytest.fixture(scope="module")
+def ensemble():
+    """The 20-member ensemble that criteria 06 and 07 both measure."""
     grid = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 0.5, 201))
     return grid, random_positive_solution_ensemble(
         20250823, 20, model_coefficients(1.0, 2), grid)
 
 
-def test_criterion_06_harnack_robustness():
-    grid, ensemble = _ensemble()
+def test_criterion_06_harnack_robustness(ensemble):
+    grid, ensemble = ensemble
     rhos = (0.1, 0.2, 0.4)
     max_const = {}
     for rho in rhos:
@@ -176,8 +178,8 @@ def test_criterion_06_harnack_robustness():
             f"{unit.measured_constant}")
 
 
-def test_criterion_07_hoelder_content():
-    grid, ensemble = _ensemble()
+def test_criterion_07_hoelder_content(ensemble):
+    grid, ensemble = ensemble
     worst_theta = -math.inf
     for u in ensemble:
         rep = oscillation_decay(u, (0.5, [0.0], 0.5), 0.4, 2, None, 0.5)

@@ -2,7 +2,35 @@ import filecmp
 
 import pytest
 
+import degenpde.cli
 from degenpde.cli import list_presets, main
+
+SMALL_SPEC = """\
+[experiment]
+name = small
+seed = 1
+nu = 0.5
+coefficients = model:v=1
+
+[grid]
+s = 0 1 9
+y2 = -1 1 9
+t = 0 1 9
+
+[problem]
+solution = x + t
+
+[check manufactured]
+type = manufactured_error
+tol = 1e-10
+
+[check harnack]
+type = harnack_quotient
+s0 = 0.5
+y0 = 0
+t0 = 1.0
+rho = 0.4
+"""
 
 
 def test_list_presets_contents(capsys):
@@ -67,3 +95,53 @@ def test_missing_checks_rejected(tmp_path):
 def test_list_presets_function():
     text = list_presets()
     assert "identity" in text
+
+
+@pytest.mark.parametrize("old, new, where, key", [
+    ("rho = 0.4\n", "", "[check harnack]", "rho"),
+    ("rho = 0.4", "rho = wide", "[check harnack]", "rho"),
+    ("x + t", "x + z", "[problem]", "solution"),
+    ("x + t", "x + y3", "[problem]", "solution"),
+    ("model:v=1", "model:v=-1", "[experiment]", "coefficients"),
+    ("s = 0 1 9", "s = 0 1", "[grid]", "s"),
+    ("y2 = -1 1 9", "z = -1 1 9", "[grid]", "z"),
+    ("tol = 1e-10", "tolerance = 1e-30", "[check manufactured]", "tolerance"),
+    ("y0 = 0", "y0 = 0 0", "[check harnack]", "y0"),
+    ("s0 = 0.5", "s0 = 5", "[check harnack]", "no grid nodes"),
+], ids=["missing_key", "non_numeric", "unknown_variable", "axis_beyond_n",
+        "bad_preset", "bad_grid_triple", "unknown_grid_axis", "misspelled_key",
+        "y0_length", "empty_cube"])
+def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
+                                                       old, new, where, key):
+    assert old in SMALL_SPEC
+    spec = tmp_path / "bad.spec"
+    spec.write_text(SMALL_SPEC.replace(old, new))
+    assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err and key in err
+
+
+@pytest.mark.parametrize("extra, where", [
+    ("", None),
+    ("\n[check odd]\ntype = no_such_check\n", "[check odd] type"),
+    ("\n[check schauder]\ntype = schauder_ratio\n", "[check schauder] type"),
+], ids=["well_formed", "unknown_type", "schauder_needs_model"])
+def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                     extra, where):
+    class SolveReached(Exception):
+        pass
+
+    def solve(*args, **kwargs):
+        raise SolveReached
+
+    monkeypatch.setattr(degenpde.cli, "solve_ivbp", solve)
+    spec = tmp_path / "checks.spec"
+    spec.write_text(SMALL_SPEC.replace("model:v=1", "random:seed=3") + extra)
+    argv = ["run", str(spec), "--out", str(tmp_path / "out")]
+    if where is None:  # a well-formed spec does reach the solve
+        with pytest.raises(SolveReached):
+            main(argv)
+        return
+    assert main(argv) == 2
+    assert where in capsys.readouterr().err
