@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import Grid, ScalarField, _d1, _d2
 from .geometry import ParabolicCube, Point, d_bar_sq
-from .operators import CoefficientField, TransportVelocity
+from .operators import CoefficientField
 
 CERT_TOL = 1e-12
 
@@ -621,8 +621,6 @@ class ModelBarrierParams:
 
 def model_barrier_phi(v, b: float, point: Point) -> float:
     """phi = 1/((x + b |y|^2) |y|^2); pole where |y| = 0."""
-    if isinstance(v, TransportVelocity):
-        v = v.v
     if v <= 0 or b <= 0:
         raise ValueError("need v > 0 and b > 0")
     S = float(point.y @ point.y)
@@ -674,8 +672,6 @@ def find_barrier_params(v, n: int = 2, nodes: int = 64,
     from 16/b until the residual is positive on the whole verification
     grid.  Total iteration budget `max_steps`.
     """
-    if isinstance(v, TransportVelocity):
-        v = v.v
     v = float(v)
     if v <= 0:
         raise ValueError("transport velocity must be positive")

@@ -65,10 +65,10 @@ def _read(section, where, keys):
     return values
 
 
-def _manufactured(spec, a, u, g_field):
+def _manufactured(spec, a, u):
     tol = a["tol"]
-    exact = sample(spec.solution, spec.grid)
-    err = np.max(np.abs(u.values - exact.values), axis=tuple(range(u.values.ndim - 1)))
+    err = np.max(np.abs(u.values - spec.exact.values),
+                 axis=tuple(range(u.values.ndim - 1)))
     worst = float(np.max(err))
     report = EstimateReport(
         name="manufactured_error", lhs=worst,
@@ -81,26 +81,26 @@ def _manufactured(spec, a, u, g_field):
     return report, (spec.grid.t, err)
 
 
-def _harnack(spec, a, u, g_field):
-    return estimates.harnack_quotient(u, g_field, a["s0"], a["y0"], a["t0"], a["rho"],
-                                      spec.nu, a["c_max"]), None
+def _harnack(spec, a, u):
+    return estimates.harnack_quotient(u, spec.g_field, a["s0"], a["y0"], a["t0"],
+                                      a["rho"], spec.nu, a["c_max"]), None
 
 
-def _oscillation(spec, a, u, g_field):
+def _oscillation(spec, a, u):
     levels = a["levels"]
     report = estimates.oscillation_decay(u, (a["s0"], a["y0"], a["t0"]), a["rho"], levels,
-                                         g_field, spec.nu, a["theta_max"])
+                                         spec.g_field, spec.nu, a["theta_max"])
     radii = [a["rho"] / 2.0 ** j for j in range(levels)]
     oscs = [report.rhs_components.get(f"osc_{j}", 0.0) for j in range(levels)]
     return report, (radii, oscs)
 
 
-def _holder(spec, a, u, g_field):
-    return estimates.holder_bound_check(u, g_field, (a["s0"], a["y0"], a["t0"]), a["r"],
-                                        a["rho"], spec.nu, a["alpha"]), None
+def _holder(spec, a, u):
+    return estimates.holder_bound_check(u, spec.g_field, (a["s0"], a["y0"], a["t0"]),
+                                        a["r"], a["rho"], spec.nu, a["alpha"]), None
 
 
-def _schauder(spec, a, u, g_field):
+def _schauder(spec, a, u):
     return estimates.schauder_ratio(u, spec.model_v, a["r"], a["alpha"],
                                     Point(a["x0"], a["y0"], a["t0"])), None
 
@@ -108,8 +108,8 @@ def _schauder(spec, a, u, g_field):
 _BASE = {"s0": (float, REQUIRED), "y0": (_floats, None), "t0": (float, REQUIRED)}
 
 # check type -> (runner, keys, needs a model-operator preset).  A runner maps
-# (spec, values, u, g_field) to (report, series or None); y0 = None is the
-# origin, n - 1 zeros.
+# (spec, values, u) to (report, series or None); y0 = None is the origin,
+# n - 1 zeros.
 CHECKS = {
     "manufactured_error": (_manufactured, {"tol": (float, 1e-10)}, False),
     "harnack_quotient": (_harnack, {**_BASE, "rho": (float, REQUIRED),
@@ -121,7 +121,7 @@ CHECKS = {
                                "alpha": (float, 0.5)}, False),
     "schauder_ratio": (_schauder, {"r": (float, 0.5), "alpha": (float, 0.5),
                                    "x0": (float, 0.0), "y0": (_floats, None),
-                                   "t0": (float, 1.0)}, True),
+                                   "t0": (float, REQUIRED)}, True),
 }
 
 _EXPERIMENT = {"name": (str, REQUIRED), "seed": (int, 0), "nu": (float, REQUIRED),
@@ -142,7 +142,9 @@ class ExperimentSpec:
     The whole file is validated here, before any solve: every malformed
     spec raises SpecError with one line naming the section and the key.
     Arguments only an estimate can judge (a cube with no nodes, r >= rho)
-    are refused when the check runs.
+    are refused when the check runs.  The solution and the forcing are
+    sampled on the whole grid (`exact`, `g_field`), which refuses variables
+    the grid lacks and non-finite values.
     """
 
     def __init__(self, path, seed_override=None):
@@ -180,15 +182,14 @@ class ExperimentSpec:
                         else 1.0 if preset == "identity" else None)
 
         prob = _read(_section(parser, "problem"), "problem", _PROBLEM)
-        # one call at the grid's first node refuses variables the grid lacks
-        first = [ax[0] for ax in self.grid.axes]
-        first[0] = first[0] ** 2
+        sampled = {}
         for key in _PROBLEM:
             try:
-                prob[key](*first)
+                sampled[key] = sample(prob[key], self.grid)
             except (ValueError, ArithmeticError) as exc:
                 raise SpecError(f"[problem] {key}: {exc}") from None
         self.solution, self.forcing = prob["solution"], prob["forcing"]
+        self.exact, self.g_field = sampled["solution"], sampled["forcing"]
 
         self.checks = []
         for sec in parser.sections():
@@ -224,12 +225,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, threads: int = 1) -> bool:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u = _solve(spec)
-    g_field = sample(spec.forcing, spec.grid)
 
     def run_one(item):
         name, run, values = item
         try:
-            return name, run(spec, values, u, g_field)
+            return name, run(spec, values, u)
         except ValueError as exc:  # arguments only the estimate can refuse
             raise SpecError(f"[check {name}]: {exc}") from None
 

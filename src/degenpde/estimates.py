@@ -10,7 +10,7 @@ budgets, refinement stability and scale robustness chosen by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,22 +18,23 @@ from .fields import (
     Grid,
     ScalarField,
     c0_norm,
+    cs_norm_2_alpha,
     fd_derivatives,
     holder_seminorm,
     lp_norm_weighted,
     osc,
 )
-from .fields import cs_norm_2_alpha
 from .geometry import (
     ParabolicCube,
     Point,
     SPoint,
     WeightedMeasure,
+    cube_nodes,
     dual_edges,
     rho_nu,
     weighted_volumes,
 )
-from .operators import TransportVelocity, apply_L0
+from .operators import apply_L0
 
 # tie tolerance for the closed contact-set conditions, applied relative to
 # the magnitude of each tested quantity so membership is scale invariant
@@ -95,10 +96,13 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _finish(name, lhs, rhs_components, constant, margins, provenance) -> EstimateReport:
+def _finish(name, lhs, rhs_components, constant, margins, provenance, grid,
+            *details) -> EstimateReport:
+    """The report; its provenance line is the caller's, the grid, then details."""
     passed = all(m >= 0 for m in margins.values())
+    prov = "; ".join(filter(None, [provenance, _grid_text(grid), *details]))
     return EstimateReport(name, float(lhs), rhs_components, float(constant),
-                          margins, passed, provenance)
+                          margins, passed, prov)
 
 
 def _cube_text(cube: ParabolicCube) -> str:
@@ -123,16 +127,28 @@ def write_series(path, xs, ys) -> None:
             fh.write(f"{xv:.17g} {yv:.17g}\n")
 
 
-def _zero_forcing(grid: Grid) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.shape))
-
-
-def _forcing_field(g, grid: Grid) -> ScalarField:
-    if g is None:
-        return _zero_forcing(grid)
+def _on_grid(g, grid: Grid):
+    """The forcing g, refused unless it lives on the solution's grid."""
     if not g.grid.same_axes(grid):
         raise ValueError("forcing must live on the solution's grid")
     return g
+
+
+def _forcing(g, grid: Grid, cube: ParabolicCube, nu: float, s0: float,
+             rho: float) -> tuple[float, float]:
+    """Scale and norm of the forcing term rho^(n/(n+1)) rho_nu^(1/(n+1)) ||g||.
+
+    rho_nu is the scaling factor of `geometry.rho_nu` at (s0, rho), and the
+    norm is the weighted L^(n+1) norm of g over the cube.  g = None is no
+    forcing: its norm is exactly 0.0, after the empty-cube refusal the norm
+    makes.
+    """
+    n = grid.n
+    scale = rho ** (n / (n + 1.0)) * rho_nu(s0, rho, nu) ** (1.0 / (n + 1.0))
+    if g is None:
+        cube_nodes(cube, grid)
+        return scale, 0.0
+    return scale, lp_norm_weighted(_on_grid(g, grid), n + 1, cube, WeightedMeasure(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +228,8 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     return ContactSetResult(gamma_plus, gamma_minus, z, u_z, d.u_t, excluded)
 
 
-def _spatial_boundary(cube: ParabolicCube, grid: Grid) -> np.ndarray:
+def _spatial_boundary(mask: np.ndarray, grid: Grid) -> np.ndarray:
     """In-cube nodes on the cube's lateral faces or earliest time slab."""
-    mask = cube.node_mask(grid)
     spat = mask.any(axis=-1)
     core = spat
     for ax in range(spat.ndim):
@@ -246,12 +261,10 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
     the singular weight.
     """
     grid = u.grid
-    n = grid.n
-    g_field = _forcing_field(g, grid)
-    mask = cube.node_mask(grid)
-    if not np.any(mask):
-        raise ValueError("cube contains no grid nodes")
-    boundary = _spatial_boundary(cube, grid)
+    if g is not None:
+        _on_grid(g, grid)
+    mask = cube_nodes(cube, grid)
+    boundary = _spatial_boundary(mask, grid)
     scale = float(np.max(np.abs(u.values[mask]), initial=0.0))
     btol = 1e-12 * max(1.0, scale)
     worst_boundary = float(np.max(u.values[boundary], initial=-math.inf))
@@ -262,12 +275,9 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
 
     lhs = float(np.max(np.clip(u.values[mask], 0.0, None), initial=0.0))
     contact = contact_sets(u, nu, cube)
-    g_minus = np.clip(-g_field.values, 0.0, None)
-    masked = ScalarField(grid, g_minus * contact.gamma_minus)
-    mu = WeightedMeasure(nu)
-    integral = lp_norm_weighted(masked, n + 1, cube, mu)
-    rho = cube.radius
-    prefac = rho ** (n / (n + 1.0)) * rho_nu(cube.base.s, rho, nu) ** (1.0 / (n + 1.0))
+    if g is not None:  # (g-)^(n+1) counts on the lower contact set only
+        g = ScalarField(grid, np.clip(-g.values, 0.0, None) * contact.gamma_minus)
+    prefac, integral = _forcing(g, grid, cube, nu, cube.base.s, cube.radius)
     rhs = prefac * integral
     constant = _ratio(lhs, rhs)
     margins = {"constant_budget": c_max - constant}
@@ -279,9 +289,8 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
         "gamma_minus_nodes": float(np.count_nonzero(contact.gamma_minus & mask)),
         "excluded_s_zero": float(contact.excluded_s_zero),
     }
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   _cube_text(cube), f"nu={nu:g}"]))
-    return _finish("abp", lhs, rhs_components, constant, margins, prov)
+    return _finish("abp", lhs, rhs_components, constant, margins, provenance, grid,
+                   _cube_text(cube), f"nu={nu:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,34 +302,28 @@ def harnack_quotient(u: ScalarField, g, s0: float, y0, t0: float, rho: float,
                      provenance: str = "") -> EstimateReport:
     """sup over the earlier half-cube against inf over the later one."""
     grid = u.grid
-    n = grid.n
-    g_field = _forcing_field(g, grid)
     later = ParabolicCube("Q_rho", SPoint(s0, y0, t0).to_x(), rho / 2.0)
     earlier = ParabolicCube(
         "Q_rho", SPoint(s0, y0, t0 - 3.0 * rho * rho / 4.0).to_x(), rho / 2.0)
-    norm_cube = later
+    on_cubes = []
     for cube in (earlier, later):
-        mask = cube.node_mask(grid)
-        if not np.any(mask):
-            raise ValueError("cube contains no grid nodes")
-        umin = float(np.min(u.values[mask]))
-        if umin < -1e-12 * max(1.0, float(np.max(np.abs(u.values[mask])))):
+        vals = u.values[cube_nodes(cube, grid)]
+        umin = float(np.min(vals))
+        if umin < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):
             raise ValueError(f"u must be nonnegative on the cubes (min {umin:g})")
-    sup_early = float(np.max(u.values[earlier.node_mask(grid)]))
-    inf_late = float(np.min(u.values[later.node_mask(grid)]))
-    mu = WeightedMeasure(nu)
-    g_norm = lp_norm_weighted(g_field, n + 1, norm_cube, mu)
-    prefac = rho ** (n / (n + 1.0)) * rho_nu(s0, rho, nu) ** (1.0 / (n + 1.0))
+        on_cubes.append(vals)
+    sup_early = float(np.max(on_cubes[0]))
+    inf_late = float(np.min(on_cubes[1]))
+    prefac, g_norm = _forcing(g, grid, later, nu, s0, rho)
     forcing = prefac * g_norm
     constant = _ratio(sup_early, inf_late + forcing)
     margins = {"constant_budget": c_max - constant}
     if math.isinf(constant):
         margins["counterexample"] = -1.0
     rhs_components = {"inf_later": inf_late, "forcing": forcing}
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"s0={s0:g} t0={t0:g} rho={rho:g} nu={nu:g}"]))
     return _finish("harnack_quotient", sup_early, rhs_components, constant,
-                   margins, prov)
+                   margins, provenance, grid,
+                   f"s0={s0:g} t0={t0:g} rho={rho:g} nu={nu:g}")
 
 
 def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
@@ -335,8 +338,6 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
     passes vacuously.
     """
     grid = u.grid
-    n = grid.n
-    g_field = _forcing_field(g, grid)
     s0, y0, t_anchor = base
     q2 = ParabolicCube(
         "Q_rho", SPoint(s0, y0, t_anchor + 10.0 * rho * rho / 4.0).to_x(),
@@ -346,14 +347,11 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
     norm_cube = ParabolicCube(
         "Q_rho", SPoint(s0, y0, t_anchor + 18.0 * rho * rho).to_x(),
         3.0 * math.sqrt(2.0) * rho)
-    mu = WeightedMeasure(nu)
-    inf_q2 = float(np.min(u.values[q2.node_mask(grid)]))
-    prefac = rho ** (n / (n + 1.0)) * rho_nu(s0, rho, nu) ** (1.0 / (n + 1.0))
-    forcing = prefac * lp_norm_weighted(g_field, n + 1, norm_cube, mu)
+    inf_q2 = float(np.min(u.values[cube_nodes(q2, grid, "comparison cube")]))
+    prefac, g_norm = _forcing(g, grid, norm_cube, nu, s0, rho)
+    forcing = prefac * g_norm
 
-    mask = sub_cube.node_mask(grid)
-    if not np.any(mask):
-        raise ValueError("sublevel cube contains no grid nodes")
+    mask = cube_nodes(sub_cube, grid, "sublevel cube")
     sub_mask = mask & (u.values <= K)
     denom = _node_measure(grid, mask, nu)
     fraction = _node_measure(grid, sub_mask, nu) / denom
@@ -363,17 +361,14 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
         "fraction": fraction,
         "level": K,
     }
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"rho={rho:g} K={K:g} nu={nu:g}"]))
     if inf_q2 > 1.0 or forcing > eps0:
         rhs_components["applicable"] = "no"
         margins = {"not_applicable": 0.0}
-        return _finish("growth_lemma", fraction, rhs_components,
-                       fraction / k_min, margins, prov)
-    rhs_components["applicable"] = "yes"
-    margins = {"fraction_budget": fraction - k_min}
-    return _finish("growth_lemma", fraction, rhs_components,
-                   fraction / k_min, margins, prov)
+    else:
+        rhs_components["applicable"] = "yes"
+        margins = {"fraction_budget": fraction - k_min}
+    return _finish("growth_lemma", fraction, rhs_components, fraction / k_min,
+                   margins, provenance, grid, f"rho={rho:g} K={K:g} nu={nu:g}")
 
 
 def _node_measure(grid: Grid, mask: np.ndarray, nu: float) -> float:
@@ -399,10 +394,7 @@ def oscillation_decay(u: ScalarField, base, rho: float, levels: int, g,
     if levels < 2:
         raise ValueError("need at least 2 levels")
     grid = u.grid
-    n = grid.n
-    g_field = _forcing_field(g, grid)
     s0, y0, t0 = base
-    mu = WeightedMeasure(nu)
     radii = [rho / 2.0 ** j for j in range(levels + 1)]
     cubes = [ParabolicCube("Q_rho", SPoint(s0, y0, t0).to_x(), r) for r in radii]
     oscs = [osc(u, c) for c in cubes]
@@ -414,25 +406,22 @@ def oscillation_decay(u: ScalarField, base, rho: float, levels: int, g,
         if oscs[j] == 0.0:
             sentinel = True
             break
-        prefac = (radii[j] ** (n / (n + 1.0))
-                  * rho_nu(s0, radii[j], nu) ** (1.0 / (n + 1.0)))
-        forcing = prefac * lp_norm_weighted(g_field, n + 1, cubes[j], mu)
+        prefac, g_norm = _forcing(g, grid, cubes[j], nu, s0, radii[j])
+        forcing = prefac * g_norm
         theta_j = (oscs[j + 1] - forcing) / oscs[j]
         theta_hats.append(theta_j)
         rhs_components[f"theta_hat_{j}"] = theta_j
         rhs_components[f"forcing_{j}"] = forcing
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"rho={rho:g} levels={levels} nu={nu:g}"]))
     if sentinel or not theta_hats:
         rhs_components["sentinel"] = "zero oscillation, exact constant"
+        theta_hat, alpha_hat = 0.0, math.inf
         margins = {"theta_budget": theta_max}
-        return _finish("oscillation_decay", 0.0, rhs_components, math.inf,
-                       margins, prov)
-    theta_hat = max(theta_hats)
-    alpha_hat = math.inf if theta_hat <= 0 else math.log2(1.0 / theta_hat)
-    margins = {"theta_budget": theta_max - theta_hat}
-    return _finish("oscillation_decay", theta_hat, rhs_components, alpha_hat,
-                   margins, prov)
+    else:
+        theta_hat = max(theta_hats)
+        alpha_hat = math.inf if theta_hat <= 0 else math.log2(1.0 / theta_hat)
+        margins = {"theta_budget": theta_max - theta_hat}
+    return _finish("oscillation_decay", theta_hat, rhs_components, alpha_hat, margins,
+                   provenance, grid, f"rho={rho:g} levels={levels} nu={nu:g}")
 
 
 def holder_bound_check(u: ScalarField, g, base, r: float, rho: float,
@@ -446,27 +435,23 @@ def holder_bound_check(u: ScalarField, g, base, r: float, rho: float,
     if not 0 < r < rho <= 1.0:
         raise ValueError("need 0 < r < rho <= 1")
     grid = u.grid
-    n = grid.n
-    g_field = _forcing_field(g, grid)
     s0, y0, t0 = base
     anchor = SPoint(s0, y0, t0).to_x()
     c_r = ParabolicCube("C_rho", anchor, r)
     c_rho = ParabolicCube("C_rho", anchor, rho)
     c_one = ParabolicCube("C_rho", anchor, 1.0)
-    mu = WeightedMeasure(nu)
     sup_inner = c0_norm(u, c_r)
     semi = holder_seminorm(u, alpha, c_r)
     lhs = sup_inner + semi
     sup_outer = c0_norm(u, c_one)
-    g_norm = lp_norm_weighted(g_field, n + 1, c_rho, mu)
+    _, g_norm = _forcing(g, grid, c_rho, nu, s0, rho)
     rhs = sup_outer + g_norm
     constant = _ratio(lhs, rhs)
     margins = {"finite": 0.0 if math.isfinite(constant) else -1.0}
     rhs_components = {"sup_outer": sup_outer, "forcing_integral": g_norm,
                       "seminorm": semi}
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"r={r:g} rho={rho:g} alpha={alpha:g} nu={nu:g}"]))
-    return _finish("holder_bound", lhs, rhs_components, constant, margins, prov)
+    return _finish("holder_bound", lhs, rhs_components, constant, margins, provenance,
+                   grid, f"r={r:g} rho={rho:g} alpha={alpha:g} nu={nu:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +462,6 @@ def gradient_bound_check(f: ScalarField, v, B: float, r: float,
                          gamma_frac: float, base=None,
                          provenance: str = "") -> EstimateReport:
     """Interior gradient bound |f_x|, |f_yi| <= C B / r^2 on the inner box."""
-    if isinstance(v, TransportVelocity):
-        v = v.v
     if not 0 < gamma_frac < 1:
         raise ValueError("gamma_frac must lie in (0, 1)")
     grid = f.grid
@@ -487,9 +470,7 @@ def gradient_bound_check(f: ScalarField, v, B: float, r: float,
     outer = ParabolicCube("B_eta", base, r)
     inner = ParabolicCube("B_eta", base, gamma_frac * r)
     outer_mask = outer.node_mask(grid)
-    inner_mask = inner.node_mask(grid)
-    if not np.any(inner_mask):
-        raise ValueError("inner box contains no grid nodes")
+    inner_mask = cube_nodes(inner, grid, "inner box")
     sup_f = float(np.max(np.abs(f.values[outer_mask])))
     if sup_f > B * (1.0 + 1e-12):
         raise ValueError(f"hypothesis |f| <= B fails: sup |f| = {sup_f:g} > {B:g}")
@@ -503,9 +484,8 @@ def gradient_bound_check(f: ScalarField, v, B: float, r: float,
         worst = max(worst, gi)
     constant = worst * r * r / B
     margins = {"bound_hypothesis": B - sup_f}
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"B={B:g} r={r:g} gamma={gamma_frac:g} v={v:g}"]))
-    return _finish("gradient_bound", worst, grads, constant, margins, prov)
+    return _finish("gradient_bound", worst, grads, constant, margins, provenance, grid,
+                   f"B={B:g} r={r:g} gamma={gamma_frac:g} v={v:g}")
 
 
 def _interior_mask(grid: Grid) -> np.ndarray:
@@ -529,8 +509,6 @@ def bernstein_quantity_check(f: ScalarField, v, A: float, tol: float = 1e-6,
     error; the check normalizes residuals by 1 plus the local derivative
     magnitudes and requires them below tol at interior nodes.
     """
-    if isinstance(v, TransportVelocity):
-        v = v.v
     if A < 8.0:
         raise ValueError("A must be >= 8")
     grid = f.grid
@@ -569,10 +547,8 @@ def bernstein_quantity_check(f: ScalarField, v, A: float, tol: float = 1e-6,
         margins[f"Y{i + 2}_inequality"] = tol - worst_y
         rhs_components[f"Y{i + 2}_residual"] = worst_y
         worst = max(worst, worst_y)
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"A={A:g} v={v:g} tol={tol:g}"]))
-    return _finish("bernstein_quantity", worst, rhs_components,
-                   _ratio(worst, tol), margins, prov)
+    return _finish("bernstein_quantity", worst, rhs_components, _ratio(worst, tol),
+                   margins, provenance, grid, f"A={A:g} v={v:g} tol={tol:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,32 +607,27 @@ def poly_approx_check(f: ScalarField, L0f: ScalarField, s_outer: float,
     remainder = np.abs(f.values - np.broadcast_to(p, grid.shape))
 
     anchor = Point(0.0, np.zeros(grid.n - 1), 1.0)
-    outer_mask = ParabolicCube("B_eta", anchor, s_outer).node_mask(grid)
+    outer_mask = cube_nodes(ParabolicCube("B_eta", anchor, s_outer), grid, "outer box")
     f_outer = float(np.max(np.abs(f.values[outer_mask])))
     l0_outer = float(np.max(np.abs(L0f.values[outer_mask])))
     rhs_components = {"f_norm_outer": f_outer, "L0f_norm_outer": l0_outer}
-    ratios = []
     worst = 0.0
     for r in r_list:
-        mask = ParabolicCube("B_eta", anchor, r).node_mask(grid)
+        mask = cube_nodes(ParabolicCube("B_eta", anchor, r), grid, "box")
         err = float(np.max(remainder[mask]))
         bound = (r / s_outer) ** 3 * f_outer + s_outer ** 2 * l0_outer
         ratio = _ratio(err, bound)
-        ratios.append(ratio)
         worst = max(worst, ratio)
         rhs_components[f"err_r={r:g}"] = err
         rhs_components[f"ratio_r={r:g}"] = ratio
     margins = {"ratio_budget": ratio_max - worst if math.isfinite(worst) else -1.0}
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"s={s_outer:g} radii=" + ",".join(f"{r:g}" for r in r_list)]))
-    return _finish("poly_approx", worst, rhs_components, worst, margins, prov)
+    return _finish("poly_approx", worst, rhs_components, worst, margins, provenance, grid,
+                   f"s={s_outer:g} radii=" + ",".join(f"{r:g}" for r in r_list))
 
 
 def schauder_ratio(f: ScalarField, v, r: float, alpha: float, base=None,
                    provenance: str = "") -> EstimateReport:
     """Second-order Hoelder norm on the inner box over data norms on the unit box."""
-    if isinstance(v, TransportVelocity):
-        v = v.v
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
     grid = f.grid
@@ -672,6 +643,5 @@ def schauder_ratio(f: ScalarField, v, r: float, alpha: float, base=None,
     constant = _ratio(lhs, rhs)
     margins = {"finite": 0.0 if math.isfinite(constant) else -1.0}
     rhs_components = {"sup_unit": rhs_sup, "data_norm": rhs_data}
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid),
-                                   f"r={r:g} alpha={alpha:g} v={v:g}"]))
-    return _finish("schauder_ratio", lhs, rhs_components, constant, margins, prov)
+    return _finish("schauder_ratio", lhs, rhs_components, constant, margins, provenance,
+                   grid, f"r={r:g} alpha={alpha:g} v={v:g}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ParabolicCube, WeightedMeasure, dual_edges,  # noqa: F401
-                       s_distance, weighted_volumes)
+from .geometry import (ParabolicCube, WeightedMeasure, cube_nodes,  # noqa: F401
+                       dual_edges, s_distance, weighted_volumes)
 
 
 def _uniform_spacing(nodes: np.ndarray, name: str) -> float:
@@ -116,15 +116,13 @@ class ScalarField:
             raise ValueError(f"non-finite value at node index {tuple(idx)}")
         object.__setattr__(self, "values", vals)
 
-    def slice_t(self, k: int) -> np.ndarray:
-        return self.values[..., k]
-
 
 def sample(f, grid: Grid) -> ScalarField:
     """Evaluate f(x, y..., t) at every node (x = s^2)."""
     meshes = grid.meshes()
     s, ys, t = meshes[0], meshes[1:-1], meshes[-1]
-    vals = np.asarray(f(s * s, *ys, t), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        vals = np.asarray(f(s * s, *ys, t), dtype=float)
     vals = np.broadcast_to(vals, grid.shape).copy()
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -285,10 +283,7 @@ def fd_derivatives(field: ScalarField) -> FieldDerivatives:
 
 def osc(field: ScalarField, cube: ParabolicCube) -> float:
     """max - min of the field over grid nodes inside the cube."""
-    mask = cube.node_mask(field.grid)
-    if not np.any(mask):
-        raise ValueError("cube contains no grid nodes")
-    vals = field.values[mask]
+    vals = field.values[cube_nodes(cube, field.grid)]
     return float(np.max(vals) - np.min(vals))
 
 
@@ -304,9 +299,7 @@ def lp_norm_weighted(field: ScalarField, p: float, cube: ParabolicCube,
     if not np.isfinite(p) or p < 1:
         raise ValueError("p must be a finite real >= 1")
     g = field.grid
-    mask = cube.node_mask(g)
-    if not np.any(mask):
-        raise ValueError("cube contains no grid nodes")
+    mask = cube_nodes(cube, g)
     w = weighted_volumes([dual_edges(ax) for ax in g.axes], mu.nu)
     total = np.sum((np.abs(field.values) ** p) * w * mask)
     return float(total ** (1.0 / p))
@@ -318,15 +311,10 @@ _HOLDER_ALL_PAIRS_LIMIT = 2000
 _HOLDER_SAMPLED_PAIRS = 1_000_000
 
 
-def _region_coords(field: ScalarField, region: ParabolicCube):
-    g = field.grid
-    mask = region.node_mask(g)
+def _region_coords(grid: Grid, mask: np.ndarray) -> list:
+    """Per-axis coordinates of the masked nodes, in mask order."""
     idx = np.argwhere(mask)
-    if idx.shape[0] < 2:
-        raise ValueError("region must contain at least 2 grid nodes")
-    coords = [g.axes[k][idx[:, k]] for k in range(len(g.axes))]
-    vals = field.values[mask]
-    return coords, vals
+    return [ax[idx[:, k]] for k, ax in enumerate(grid.axes)]
 
 
 def _pair_ratio_max(coords, vals, alpha: float) -> float:
@@ -356,17 +344,16 @@ def holder_seminorm(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     """sup |u(P)-u(Q)| / s_distance(P,Q)^alpha over node pairs in the region."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    coords, vals = _region_coords(field, region)
-    return _pair_ratio_max(coords, vals, alpha)
+    mask = cube_nodes(region, field.grid, "region")
+    if np.count_nonzero(mask) < 2:
+        raise ValueError("region must contain at least 2 grid nodes")
+    return _pair_ratio_max(_region_coords(field.grid, mask), field.values[mask], alpha)
 
 
 def c0_norm(field: ScalarField, region: ParabolicCube | None = None) -> float:
     if region is None:
         return float(np.max(np.abs(field.values)))
-    mask = region.node_mask(field.grid)
-    if not np.any(mask):
-        raise ValueError("region contains no grid nodes")
-    return float(np.max(np.abs(field.values[mask])))
+    return float(np.max(np.abs(field.values[cube_nodes(region, field.grid, "region")])))
 
 
 def _check_region_interior(grid: Grid, mask: np.ndarray):
@@ -408,9 +395,7 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     g = field.grid
-    mask = region.node_mask(g)
-    if not np.any(mask):
-        raise ValueError("region contains no grid nodes")
+    mask = cube_nodes(region, g, "region")
     _check_region_interior(g, mask)
     d = fd_derivatives(field)
     pieces = [d.u_t, d.x_times_u_xx(), d.u_x()]
@@ -418,12 +403,12 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     for i in range(len(g.y)):
         for j in range(i, len(g.y)):
             pieces.append(d.u_yy[i][j])
-    total = c0_norm(field, region)
-    idx_coords = [g.axes[k][np.argwhere(mask)[:, k]] for k in range(len(g.axes))]
+    total = float(np.max(np.abs(field.values[mask])))
+    coords = _region_coords(g, mask)
     for arr in pieces:
         vals = arr[mask]
         total += float(np.max(np.abs(vals)))
-        total += _pair_ratio_max(idx_coords, vals, alpha)
+        total += _pair_ratio_max(coords, vals, alpha)
     return total
 
 

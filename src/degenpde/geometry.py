@@ -16,7 +16,7 @@ for a given cube so quadrature and closed form integrate the same set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,19 +147,18 @@ class WeightedMeasure:
             raise ValueError("nu must lie in (0, 1)")
 
 
-_CUBE_KINDS = ("B_eta", "C_rho", "Q_rho", "B_r_gamma")
+_CUBE_KINDS = ("B_eta", "C_rho", "Q_rho")
 
 
 @dataclass(frozen=True)
 class ParabolicCube:
-    """One of the four cube flavors, all intersected with x >= 0.
+    """One of the three cube flavors, all intersected with x >= 0.
 
     kind        spatial membership (base x0, y0; radius r)
     ----        -------------------------------------------
     B_eta       |x - x0| <= r^2,  |y_i - y0_i| <= r per coordinate
     C_rho       |x - x0| <= r,    |y - y0|_2 <= r
     Q_rho       |s - s0| <= r,    |y - y0|_2 <= r
-    B_r_gamma   |s - s0| <= r,    gamma |y - y0|_2 <= r
 
     Time extent is r^2, looking backward from base.t by default
     (base.t - r^2 <= t <= base.t); orientation="forward" flips it.
@@ -170,7 +169,6 @@ class ParabolicCube:
     kind: str
     base: Point
     radius: float
-    gamma: float | None = None
     orientation: str = "backward"
 
     def __post_init__(self):
@@ -178,8 +176,6 @@ class ParabolicCube:
             raise ValueError(f"unknown cube kind {self.kind!r}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.kind == "B_r_gamma" and (self.gamma is None or self.gamma <= 0):
-            raise ValueError("B_r_gamma cube needs gamma > 0")
         if self.orientation not in ("backward", "forward"):
             raise ValueError("orientation must be 'backward' or 'forward'")
 
@@ -215,11 +211,8 @@ class ParabolicCube:
             dy2 = sum((yi - y0i) ** 2 for yi, y0i in zip(ys, y0))
             if self.kind == "C_rho":
                 spatial = (np.abs(x - x0) <= r + tol) & (dy2 <= r * r + tol)
-            elif self.kind == "Q_rho":
+            else:  # Q_rho
                 spatial = (np.abs(s - s0) <= r + tol) & (dy2 <= r * r + tol)
-            else:  # B_r_gamma
-                g = self.gamma
-                spatial = (np.abs(s - s0) <= r + tol) & (g * g * dy2 <= r * r + tol)
 
         t_lo, t_hi = self.time_interval()
         return spatial & (t >= t_lo - tol) & (t <= t_hi + tol)
@@ -231,6 +224,14 @@ class ParabolicCube:
         return np.broadcast_to(
             self.contains_s(s, ys, t), grid.shape
         ).copy()
+
+
+def cube_nodes(cube: ParabolicCube, grid, label: str = "cube") -> np.ndarray:
+    """The cube's node mask, refused when it selects no node of the grid."""
+    mask = cube.node_mask(grid)
+    if not np.any(mask):
+        raise ValueError(f"{label} contains no grid nodes")
+    return mask
 
 
 def dual_edges(nodes: np.ndarray) -> np.ndarray:

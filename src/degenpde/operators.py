@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +40,6 @@ class EllipticityParams:
             raise ValueError("lambda must lie in (0, 1)")
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class TransportVelocity:
-    v: float
-
-    def __post_init__(self):
-        if self.v <= 0:
-            raise ValueError("transport velocity must be positive")
 
 
 def _const(c: float):
@@ -210,8 +201,6 @@ def apply_Ls(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
 
 def model_coefficients(v, n: int = 2) -> CoefficientField:
     """a = I, b = (v, 0, ..., 0)."""
-    if isinstance(v, TransportVelocity):
-        v = v.v
     if v <= 0:
         raise ValueError("transport velocity must be positive")
     lam = min(0.5, 1.0 / max(1.0, v))
@@ -329,8 +318,6 @@ def parse_coefficient_preset(text: str, n: int = 2) -> CoefficientField:
 
 def apply_L0(v, field: ScalarField) -> ScalarField:
     """Model operator L0 f = f_t - (x f_xx + sum f_yiyi + v f_x)."""
-    if isinstance(v, TransportVelocity):
-        v = v.v
     d = fd_derivatives(field)
     lu = apply_L(model_coefficients(v, field.grid.n), field)
     return ScalarField(field.grid, d.u_t - lu.values)
@@ -348,8 +335,6 @@ def manufactured_solutions(v) -> list:
 
     Each pair is certified at construction by symbolic differentiation.
     """
-    if isinstance(v, TransportVelocity):
-        v = v.v
     import sympy as sp
 
     X, Y2, T = sp.symbols("x y2 t")

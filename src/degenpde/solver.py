@@ -23,7 +23,7 @@ maximum principle holds to rounding.
 Linear solves: with one tangential dimension the step matrix is factored
 once by sparse LU.  For n >= 3 the Dirichlet rows are eliminated and
 BiCGStab runs on the free-node system A_ff u_f = rhs_f - A_fd u_d, to the
-relative residual `SolverConfig.tol`.  Its preconditioner is a
+relative residual `KRYLOV_TOL`.  Its preconditioner is a
 fast-diagonalization solve of the same step with averaged coefficients:
 y-averaged a11(s), b1(s) on the s-axis and the means of a_jj, b_j on each
 y-axis, whose free-node matrix is a Kronecker sum.  It is exact for the
@@ -43,32 +43,30 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .fields import Grid, ScalarField
-from .operators import (CoefficientField, TransportVelocity,
-                        model_coefficients, plane_waves, validate_coefficients)
+from .operators import (CoefficientField, model_coefficients, plane_waves,
+                        validate_coefficients)
 
 COMPATIBILITY_TOL = 1e-8
+KRYLOV_TOL = 1e-10  # relative residual of the n >= 3 iterative step solve
 
 
 @dataclass
 class SolverConfig:
     dt: float | None = None  # substep size between output slices; None = slice spacing
-    tol: float = 1e-10       # iterative linear-solve relative residual
     max_iter: int = 5000
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.tol <= 1e-4:
-            raise ValueError("tolerance must lie in (0, 1e-4]")
 
 
 @dataclass
 class IVBProblem:
     """Initial/boundary-value problem for u_t = Lu + c u + g.
 
-    coeffs: CoefficientField, or TransportVelocity / positive float for the
-    model operator.  forcing/initial/lateral are callables f(x, y..., t)
-    (forcing may also be None or a ScalarField on the solve grid).
+    coeffs: CoefficientField, or a positive float v for the model operator.
+    forcing/initial/lateral are callables f(x, y..., t); forcing may also
+    be None (no forcing).
     """
 
     coeffs: object
@@ -80,8 +78,7 @@ class IVBProblem:
     def coefficient_field(self, n: int) -> CoefficientField:
         if isinstance(self.coeffs, CoefficientField):
             return self.coeffs
-        v = self.coeffs.v if isinstance(self.coeffs, TransportVelocity) else float(self.coeffs)
-        return model_coefficients(v, n)
+        return model_coefficients(float(self.coeffs), n)
 
 
 def _spatial_meshes(grid: Grid):
@@ -225,8 +222,7 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
     return apply
 
 
-def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond,
-                   tol: float, max_iter: int):
+def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond, max_iter: int):
     """BiCGStab on the free-node rows of M; Dirichlet values go to the right side.
 
     The Dirichlet rows of M are identity rows, so u_d = rhs_d and the free
@@ -241,7 +237,7 @@ def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond,
     def solve(rhs, x0):
         u = rhs.copy()
         b = rhs[inner] - A_fd @ rhs[fixed]
-        sol, info = bicgstab(A_ff, b, x0=x0[inner], rtol=tol, atol=0.0,
+        sol, info = bicgstab(A_ff, b, x0=x0[inner], rtol=KRYLOV_TOL, atol=0.0,
                              maxiter=max_iter, M=P)
         if info != 0:
             raise RuntimeError(f"iterative linear solve failed (info={info})")
@@ -391,7 +387,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
 
     if m >= 2:
         precond = _fast_diagonalization(A, B, grid, dt, problem.c)
-        solve = _krylov_solver(M, free_flat, precond, config.tol, config.max_iter)
+        solve = _krylov_solver(M, free_flat, precond, config.max_iter)
     else:
         lu = splu(M.tocsc())
 
@@ -400,25 +396,32 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     return StepMatrix(M, dirichlet.ravel(), dt, dominant, max_pos_off, solve)
 
 
+@dataclass(frozen=True)
+class SolvedField(ScalarField):
+    """A solved space-time field and the residuals of the solve.
+
+    step_residuals holds max |u_t - L_h u - c u - g| over the nodes of each
+    implicit-Euler substep, in time order.
+    """
+
+    step_residuals: tuple = ()
+
+
 def _forcing_evaluator(problem: IVBProblem, grid: Grid):
     g = problem.forcing
     if g is None:
         zero = np.zeros(tuple(len(ax) for ax in [grid.s] + list(grid.y)))
-        return lambda t, k: zero
-    if isinstance(g, ScalarField):
-        if not g.grid.same_axes(grid):
-            raise ValueError("forcing field lives on a different grid")
-        return lambda t, k: g.values[..., k]
-    return lambda t, k: _eval_spatial(g, grid, t)
+        return lambda t: zero
+    return lambda t: _eval_spatial(g, grid, t)
 
 
 def solve_ivbp(problem: IVBProblem, grid: Grid,
-               config: SolverConfig | None = None) -> ScalarField:
+               config: SolverConfig | None = None) -> SolvedField:
     """March implicit Euler over the grid's time axis.
 
-    Returns the full space-time field; the max residual
-    |u_t - L_h u - c u - g| of each accepted output step is attached as the
-    `step_residuals` attribute.
+    Returns the full space-time field with the residual of each substep
+    (`SolvedField.step_residuals`); a step between output slices takes
+    ceil(span / config.dt) substeps, one when config.dt is None.
     """
     config = config or SolverConfig()
     coeffs = problem.coefficient_field(grid.n)
@@ -439,7 +442,6 @@ def solve_ivbp(problem: IVBProblem, grid: Grid,
         )
 
     forcing_at = _forcing_evaluator(problem, grid)
-    substep_forcing_ok = not isinstance(problem.forcing, ScalarField)
 
     out = np.empty(grid.shape)
     out[..., 0] = u
@@ -465,13 +467,11 @@ def solve_ivbp(problem: IVBProblem, grid: Grid,
             nsub = 1
         else:
             nsub = max(1, int(math.ceil(span / config.dt - 1e-12)))
-            if nsub > 1 and not substep_forcing_ok:
-                raise ValueError("substepping needs a callable forcing, not a field")
         tau = span / nsub
         for j in range(1, nsub + 1):
             tn = T1 if j == nsub else T0 + j * tau
             sm = step_matrix(tau, tn)
-            g_slice = forcing_at(tn, k + 1)
+            g_slice = forcing_at(tn)
             rhs = u + tau * g_slice.ravel()
             rhs[dir_flat] = _eval_spatial(problem.lateral, grid, tn).ravel()[dir_flat]
             u = sm.solve(rhs, x0=u)
@@ -481,13 +481,11 @@ def solve_ivbp(problem: IVBProblem, grid: Grid,
             residuals.append(float(np.max(np.abs(res))) / tau)
         out[..., k + 1] = u.reshape(out.shape[:-1])
 
-    field = ScalarField(grid, out)
-    object.__setattr__(field, "step_residuals", residuals)
-    return field
+    return SolvedField(grid, out, tuple(residuals))
 
 
 def solve_model(v, g, f0, boundary, grid: Grid,
-                config: SolverConfig | None = None, c: float = 0.0) -> ScalarField:
+                config: SolverConfig | None = None, c: float = 0.0) -> SolvedField:
     """Model-operator specialization: a = I, b = (v, 0, ..., 0), optional c."""
     problem = IVBProblem(coeffs=v, forcing=g, initial=f0, lateral=boundary, c=c)
     return solve_ivbp(problem, grid, config)

@@ -108,9 +108,10 @@ def test_list_presets_function():
     ("tol = 1e-10", "tolerance = 1e-30", "[check manufactured]", "tolerance"),
     ("y0 = 0", "y0 = 0 0", "[check harnack]", "y0"),
     ("s0 = 0.5", "s0 = 5", "[check harnack]", "no grid nodes"),
+    ("x + t", "1/x", "[problem]", "solution: sampling produced non-finite value"),
 ], ids=["missing_key", "non_numeric", "unknown_variable", "axis_beyond_n",
         "bad_preset", "bad_grid_triple", "unknown_grid_axis", "misspelled_key",
-        "y0_length", "empty_cube"])
+        "y0_length", "empty_cube", "non_finite_solution"])
 def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
                                                        old, new, where, key):
     assert old in SMALL_SPEC
@@ -122,13 +123,16 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
     assert where in err and key in err
 
 
-@pytest.mark.parametrize("extra, where", [
-    ("", None),
-    ("\n[check odd]\ntype = no_such_check\n", "[check odd] type"),
-    ("\n[check schauder]\ntype = schauder_ratio\n", "[check schauder] type"),
-], ids=["well_formed", "unknown_type", "schauder_needs_model"])
+@pytest.mark.parametrize("preset, extra, where", [
+    ("random:seed=3", "", None),
+    ("random:seed=3", "\n[check odd]\ntype = no_such_check\n", "[check odd] type"),
+    ("random:seed=3", "\n[check schauder]\ntype = schauder_ratio\n",
+     "[check schauder] type"),
+    ("model:v=1", "\n[check schauder]\ntype = schauder_ratio\n",
+     "[check schauder] t0: missing"),
+], ids=["well_formed", "unknown_type", "schauder_needs_model", "schauder_needs_t0"])
 def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypatch,
-                                                     extra, where):
+                                                     preset, extra, where):
     class SolveReached(Exception):
         pass
 
@@ -137,7 +141,7 @@ def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(degenpde.cli, "solve_ivbp", solve)
     spec = tmp_path / "checks.spec"
-    spec.write_text(SMALL_SPEC.replace("model:v=1", "random:seed=3") + extra)
+    spec.write_text(SMALL_SPEC.replace("model:v=1", preset) + extra)
     argv = ["run", str(spec), "--out", str(tmp_path / "out")]
     if where is None:  # a well-formed spec does reach the solve
         with pytest.raises(SolveReached):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from degenpde.estimates import (
+    _forcing,
     abp_check,
     bernstein_quantity_check,
     contact_sets,
@@ -158,6 +159,46 @@ def test_holder_bound_constant_and_sqrt():
     rep = holder_bound_check(root, None, (0.5, [0.0], 1.0), 0.3, 0.6, 0.5, 1.0)
     assert math.isfinite(rep.lhs)
     assert rep.passed
+
+
+def _hump_below_zero(x, y, t):
+    """Positive inside Q_rho((0.5, 0, 1), 0.45), zero on its parabolic boundary."""
+    s = np.sqrt(x)
+    spatial = np.clip((0.09 - ((s - 0.5) ** 2 + y ** 2)) / 0.09, 0, None) ** 2
+    return spatial * np.clip(t - 0.8875, 0, None)
+
+
+FORCING_CHECKS = {
+    "abp": (_hump_below_zero, lambda u, g: abp_check(
+        u, g, ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.45), 0.5)),
+    "harnack": (None, lambda u, g: harnack_quotient(u, g, 0.5, [0.0], 1.0, 0.4, 0.5)),
+    "growth_lemma": (None, lambda u, g: growth_lemma_check(
+        u, g, (0.5, [0.0], 0.0), 0.2, 2.5, 0.5)),
+    "oscillation": (None, lambda u, g: oscillation_decay(
+        u, (0.5, [0.0], 1.0), 0.4, 2, g, 0.5)),
+    "holder_bound": (None, lambda u, g: holder_bound_check(
+        u, g, (0.5, [0.0], 1.0), 0.3, 0.6, 0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(FORCING_CHECKS))
+def test_missing_forcing_reports_like_a_zero_field(name):
+    field, check = FORCING_CHECKS[name]
+    g = Grid.uniform((0, 1, 25), [(-1, 1, 25)], (0, 1, 17))
+    u = sample(field or (lambda x, y, t: 0.5 + x + y * y + t), g)
+    zero = ScalarField(g, np.zeros(g.shape))
+    assert check(u, None).to_text() == check(u, zero).to_text()
+
+
+def test_missing_forcing_on_an_empty_cube_is_refused():
+    g = unit_grid()
+    u = sample(lambda x, y, t: 1.0 + 0 * x, g)
+    after_the_grid = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 3.0).to_x(), 0.4)
+    for forcing in (None, ScalarField(g, np.zeros(g.shape))):
+        with pytest.raises(ValueError, match="cube contains no grid nodes"):
+            _forcing(forcing, g, after_the_grid, 0.5, 0.5, 0.4)
+        with pytest.raises(ValueError, match="cube contains no grid nodes"):
+            harnack_quotient(u, forcing, 0.5, [0.0], 3.0, 0.4, 0.5)
 
 
 def test_gradient_bound_examples():

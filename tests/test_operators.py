@@ -4,7 +4,6 @@ import pytest
 from degenpde.fields import Grid, ScalarField, sample
 from degenpde.operators import (
     CoefficientField,
-    TransportVelocity,
     apply_L,
     apply_L0,
     apply_Ls,
@@ -129,5 +128,5 @@ def test_presets():
 
 
 def test_transport_velocity_positive():
-    with pytest.raises(ValueError):
-        TransportVelocity(0.0)
+    with pytest.raises(ValueError, match="transport velocity must be positive"):
+        model_coefficients(0.0, 2)

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -46,6 +48,17 @@ def test_manufactured_linear_exact():
         u = solve_model(v, None, f, f, g)
         exact = sample(f, g)
         assert np.max(np.abs(u.values - exact.values)) <= 1e-10
+
+
+def test_step_residuals_are_declared_one_per_substep():
+    g = unit_grid(17)  # 16 steps of 1/16 between output slices
+    v = 1.0
+    f = lambda x, y, t: x + v * t
+    u = solve_model(v, None, f, f, g, SolverConfig(dt=0.025))
+    assert "step_residuals" in {fld.name for fld in dataclasses.fields(u)}
+    assert len(u.step_residuals) == 3 * (len(g.t) - 1)  # ceil(0.0625 / 0.025)
+    assert all(math.isfinite(r) and r <= 1e-9 for r in u.step_residuals)
+    assert len(solve_model(v, None, f, f, g).step_residuals) == len(g.t) - 1
 
 
 def test_zeroth_order_term():
