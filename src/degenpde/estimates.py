@@ -40,6 +40,14 @@ from .operators import apply_L0
 # the magnitude of each tested quantity so membership is scale invariant
 CONTACT_TOL = 1e-10
 
+# selected nodes per block of the contact-set matrix tests; it bounds their
+# working memory to a few MB whatever the grid size
+CONTACT_CHUNK = 1 << 16
+
+# relative margin of the certified contact-set tests, far above the rounding
+# error of an (n, n) LDL^T factorization or of eigvalsh (a few n^2 ulps)
+CONTACT_MARGIN = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # reports
@@ -162,7 +170,9 @@ class ContactSetResult:
     gamma_plus / gamma_minus are full-grid boolean masks; z, u_z, u_t are
     the transformed coordinate and its derivatives per node. Nodes on the
     s = 0 line are excluded (the z-map is singular there); their count is
-    reported.
+    reported.  The masks are exactly those that `np.linalg.eigvalsh` at
+    every selected node would give; `contact_sets` says how they are found
+    without it.
     """
 
     gamma_plus: np.ndarray
@@ -179,16 +189,33 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     In the variable z = s^(2-nu)/(2-nu) the Hessian of u in (z, y) is
     congruent to the matrix E with entries E_11 = u_ss + ((nu-1)/s) u_s,
     E_1i = u_{s y_i}, E_ij = u_{y_i y_j}, so the sign conditions are
-    checked on E by symmetric eigenvalues. Conditions are closed: ties
-    within a relative tolerance count as membership.
+    conditions on the eigenvalues of E. Conditions are closed: ties
+    within a relative tolerance count as membership.  A node is in the
+    lower set when lambda_min(E) >= -tau, u_z >= -tol_z and u_t >= -tol_t,
+    and in the upper set when lambda_max(E) <= tau, u_z <= tol_z and
+    u_t >= -tol_t; each tolerance is CONTACT_TOL times the largest
+    magnitude of its quantity over the selected nodes.
+
+    The sets are those that `np.linalg.eigvalsh` at every node gives, bit
+    for bit, but eigvalsh runs on few nodes.  tau = CONTACT_TOL max |lambda|
+    comes from eigvalsh on the nodes whose spectral-radius bounds can reach
+    the largest one.  lambda_min(E) >= -tau is E + tau I >= 0, so a node whose
+    u_z and u_t conditions hold is tested by unpivoted LDL^T: it is in when
+    E + (tau - delta) I has positive pivots and out when E + (tau + delta) I
+    does not, with delta = CONTACT_MARGIN (||E||_inf + tau) + tiny far above
+    the rounding error of either factorization or of eigvalsh; the upper
+    set tests -E alike.  No margin settles an eigenvalue at exactly -tau,
+    such as E = 0 with tau = 0, so eigvalsh decides the nodes neither test
+    settles (those and non-finite pivots).  Everything runs on blocks of
+    CONTACT_CHUNK selected nodes, so no (..., n, n) array over the grid is
+    built.
     """
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0, 1)")
     grid = u.grid
     if any(k < 5 for k in grid.shape):
         raise ValueError("contact sets need at least 5 nodes per axis")
-    n = grid.n
-    mask = cube.node_mask(grid)
+    mask = cube_nodes(cube, grid, "contact-set cube")
     s_col = grid.s.reshape((-1,) + (1,) * (len(grid.axes) - 1))
     s_pos = np.broadcast_to(s_col > 0, grid.shape)
     excluded = int(np.count_nonzero(mask & ~s_pos))
@@ -200,32 +227,115 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     z = np.broadcast_to(safe_s ** (2.0 - nu) / (2.0 - nu), grid.shape).copy()
     z[~s_pos] = 0.0
 
-    e11 = d.u_ss + ((nu - 1.0) / safe_s) * d.u_s
-    m = n - 1
-    E = np.zeros(grid.shape + (n, n))
-    E[..., 0, 0] = e11
-    for i in range(m):
-        E[..., 0, 1 + i] = d.u_sy[i]
-        E[..., 1 + i, 0] = d.u_sy[i]
-        for j in range(m):
-            E[..., 1 + i, 1 + j] = d.u_yy[i][j]
-
     gamma_plus = np.zeros(grid.shape, dtype=bool)
     gamma_minus = np.zeros(grid.shape, dtype=bool)
     if np.any(sel):
-        eigs = np.linalg.eigvalsh(E[sel])
-        eig_lo = eigs[:, 0]
-        eig_hi = eigs[:, -1]
-        tol_e = CONTACT_TOL * float(np.max(np.abs(eigs), initial=0.0))
+        nodes = np.flatnonzero(sel)
+
+        def matrices(at):
+            """E at the selected nodes nodes[at], entry-major (n, n, k)."""
+            return _contact_matrices(d, grid, nu, nodes[at])
+
+        tol_e = CONTACT_TOL * _max_abs_eigenvalue(matrices, nodes.size)
         uz_sel = u_z[sel]
         ut_sel = d.u_t[sel]
         tol_z = CONTACT_TOL * float(np.max(np.abs(uz_sel), initial=0.0))
         tol_t = CONTACT_TOL * float(np.max(np.abs(ut_sel), initial=0.0))
-        minus = (eig_lo >= -tol_e) & (uz_sel >= -tol_z) & (ut_sel >= -tol_t)
-        plus = (eig_hi <= tol_e) & (uz_sel <= tol_z) & (ut_sel >= -tol_t)
+        minus = (uz_sel >= -tol_z) & (ut_sel >= -tol_t)
+        plus = (uz_sel <= tol_z) & (ut_sel >= -tol_t)
+        minus[minus] = _eigenvalues_above(matrices, np.flatnonzero(minus), tol_e, 1.0)
+        plus[plus] = _eigenvalues_above(matrices, np.flatnonzero(plus), tol_e, -1.0)
         gamma_minus[sel] = minus
         gamma_plus[sel] = plus
     return ContactSetResult(gamma_plus, gamma_minus, z, u_z, d.u_t, excluded)
+
+
+def _contact_matrices(d, grid: Grid, nu: float, flat: np.ndarray) -> np.ndarray:
+    """The matrices E of `contact_sets` at the flat node indices `flat`.
+
+    Entry-major: E[i, j] is a 1-D array over the nodes, shape (n, n, k).
+    """
+    n = grid.n
+    E = np.empty((n, n, flat.size))
+    s = grid.s[flat // math.prod(grid.shape[1:])]
+    E[0, 0] = d.u_ss.ravel()[flat] + ((nu - 1.0) / s) * d.u_s.ravel()[flat]
+    for i in range(n - 1):
+        E[0, 1 + i] = E[1 + i, 0] = d.u_sy[i].ravel()[flat]
+        for j in range(n - 1):
+            E[1 + i, 1 + j] = d.u_yy[i][j].ravel()[flat]
+    return E
+
+
+def _eigvalsh(E: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of entry-major matrices, shape (k, n)."""
+    return np.linalg.eigvalsh(np.moveaxis(E, -1, 0))
+
+
+def _row_norm(E: np.ndarray) -> np.ndarray:
+    """||E||_inf per matrix: for symmetric E it lies in [rho(E), sqrt(n) rho(E)]."""
+    return np.max(np.sum(np.abs(E), axis=1), axis=0)
+
+
+def _max_abs_eigenvalue(matrices, count: int) -> float:
+    """max |lambda| over matrices(0 .. count-1), as eigvalsh computes it.
+
+    ||E||_inf / sqrt(n) and max |E_ii| are lower bounds on the spectral
+    radius and ||E||_inf an upper bound; eigvalsh runs only where the upper
+    bound reaches the largest lower bound, up to a relative slack far above
+    the rounding of either bounds or eigvalsh, so the maximum it finds
+    there is the maximum over all the matrices.
+    """
+    upper = np.empty(count)
+    lower = 0.0
+    for start in range(0, count, CONTACT_CHUNK):
+        E = matrices(slice(start, start + CONTACT_CHUNK))
+        n = len(E)
+        row = _row_norm(E)
+        upper[start:start + row.size] = row
+        diag = np.max(np.abs(E[range(n), range(n)]), axis=0)
+        lower = np.maximum(lower, np.max(np.maximum(diag, row / math.sqrt(n))))
+    reach = ~(upper * (1.0 + CONTACT_MARGIN) < lower)
+    eigs = _eigvalsh(matrices(np.flatnonzero(reach)))
+    return float(np.max(np.abs(eigs), initial=0.0))
+
+
+def _eigenvalues_above(matrices, at: np.ndarray, tol: float, sign: float) -> np.ndarray:
+    """Whether every eigenvalue of sign * matrices(at) is >= -tol, as eigvalsh decides."""
+    inside = np.zeros(at.size, dtype=bool)
+    for start in range(0, at.size, CONTACT_CHUNK):
+        part = at[start:start + CONTACT_CHUNK]
+        E = sign * matrices(part)
+        delta = CONTACT_MARGIN * (_row_norm(E) + tol) + np.finfo(float).tiny
+        sure_in, _ = _pivot_signs(E, tol - delta)
+        _, sure_out = _pivot_signs(E, tol + delta)
+        open_ = ~(sure_in | sure_out)
+        if np.any(open_):
+            eigs = _eigvalsh(matrices(part[open_]))
+            sure_in[open_] = np.min(sign * eigs, axis=-1) >= -tol
+        inside[start:start + part.size] = sure_in
+    return inside
+
+
+def _pivot_signs(E: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unpivoted LDL^T of each entry-major E + shift I, reading the lower triangle.
+
+    Returns (positive, failed): every pivot finite and > 0, or a finite
+    pivot <= 0 after finite positive ones.  A matrix with neither flag set
+    met a non-finite pivot and is left to the caller.
+    """
+    A = E.copy()
+    n = len(A)
+    positive = np.ones(A.shape[-1], dtype=bool)
+    failed = np.zeros(A.shape[-1], dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            A[k, k] += shift
+            pivot = A[k, k]
+            failed |= positive & (pivot <= 0.0) & (pivot > -np.inf)
+            positive &= (pivot > 0.0) & (pivot < np.inf)
+            col = A[k + 1:, k]
+            A[k + 1:, k + 1:] -= col[:, None] * (col / pivot)[None, :]
+    return positive, failed
 
 
 def _spatial_boundary(mask: np.ndarray, grid: Grid) -> np.ndarray:
@@ -625,14 +735,16 @@ def poly_approx_check(f: ScalarField, L0f: ScalarField, s_outer: float,
                    f"s={s_outer:g} radii=" + ",".join(f"{r:g}" for r in r_list))
 
 
-def schauder_ratio(f: ScalarField, v, r: float, alpha: float, base=None,
+def schauder_ratio(f: ScalarField, v, r: float, alpha: float, base: Point,
                    provenance: str = "") -> EstimateReport:
-    """Second-order Hoelder norm on the inner box over data norms on the unit box."""
+    """Second-order Hoelder norm on the inner box over data norms on the unit box.
+
+    Both boxes sit at `base`, which has no default: the inner box needs two
+    grid cells of margin on every side but s = 0.
+    """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
     grid = f.grid
-    if base is None:
-        base = Point(0.0, np.zeros(grid.n - 1), 1.0)
     inner = ParabolicCube("B_eta", base, r)
     unit = ParabolicCube("B_eta", base, 1.0)
     lhs = cs_norm_2_alpha(f, alpha, inner)

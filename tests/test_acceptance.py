@@ -281,6 +281,35 @@ def test_criterion_11_measure_correctness():
             f"worst relative deviation {worst:.2e} <= 1e-6 over 18 cases")
 
 
+def test_criterion_11_disc_measure_converges():
+    """Companion to criterion 11 that can fail: a set that is not a box.
+
+    The Q_rho cube at n = 3 has a Euclidean y-disc, with closed-form measure
+    (integral of s^(nu-1) ds) * pi r^2 * r^2 * nu / 2^3.  The grid spans its
+    s- and t-extents exactly, where `set_measure` integrates each cell
+    exactly, so the error is the disc's cells alone.  It must shrink with
+    every refinement of the y-axes and stay below 2 sqrt(2) h / r, the
+    annulus that holds every cell the circle crosses.  Measured: relative
+    errors 6.7e-3, 1.6e-3, 1.2e-3 at 33, 65, 129 cells, order 1.28.
+    """
+    nu, s0, r, t0 = 0.5, 1.0, 0.5, 1.0
+    cube = ParabolicCube("Q_rho", SPoint(s0, [0.0, 0.0], t0).to_x(), r)
+    exact = ((s0 + r) ** nu - (s0 - r) ** nu) / nu * math.pi * r ** 4 * nu / 2 ** 3
+    cells = (33, 65, 129)
+    errs = []
+    for k in cells:
+        grid = Grid.uniform((s0 - r, s0 + r, 9), [(-r, r, k + 1)] * 2, (t0 - r * r, t0, 9))
+        quad = set_measure(cube.contains_s, grid, WeightedMeasure(nu))
+        errs.append(abs(quad - exact) / exact)
+    order = math.log(errs[0] / errs[-1]) / math.log(cells[-1] / cells[0])
+    bounded = all(e <= 2.0 * math.sqrt(2.0) * (2.0 * r / k) / r for e, k in zip(errs, cells))
+    ok = errs[0] > errs[1] > errs[2] and bounded
+    verdict(11, "disc measure convergence", ok,
+            "relative errors " + ", ".join(f"{e:.2e}" for e in errs)
+            + f" at {cells} cells per y-axis shrink, order {order:.2f}, "
+            "each below the annulus bound 2 sqrt(2) h / r")
+
+
 def test_criterion_12_cli_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from degenpde import estimates
 from degenpde.estimates import (
+    CONTACT_TOL,
     _forcing,
     abp_check,
     bernstein_quantity_check,
@@ -17,9 +19,10 @@ from degenpde.estimates import (
     schauder_ratio,
     write_series,
 )
-from degenpde.fields import Grid, ScalarField, sample
+from degenpde.fields import Grid, ScalarField, fd_derivatives, sample
 from degenpde.geometry import ParabolicCube, Point, SPoint
-from degenpde.operators import apply_L0
+from degenpde.operators import apply_L0, random_coefficients
+from degenpde.solver import IVBProblem, solve_ivbp
 
 
 def unit_grid(nodes=17):
@@ -60,6 +63,104 @@ def test_contact_sets_concave_peak_in_upper_set():
     peak = (16, 16, g.shape[-1] - 1)  # node at s = 1, y = 0, t = 1
     assert cube.node_mask(g)[peak]
     assert res.gamma_plus[peak]
+
+
+def _contact_sets_by_eigvalsh(u, nu, cube):
+    """Reference contact sets: eigvalsh of the full (n, n) matrix E at every node."""
+    grid = u.grid
+    n = grid.n
+    mask = cube.node_mask(grid)
+    s_col = grid.s.reshape((-1,) + (1,) * n)
+    s_pos = np.broadcast_to(s_col > 0, grid.shape)
+    sel = mask & s_pos
+    d = fd_derivatives(u)
+    safe_s = np.where(s_col > 0, s_col, 1.0)
+    u_z = np.where(s_pos, safe_s ** (nu - 1.0) * d.u_s, 0.0)
+    E = np.zeros(grid.shape + (n, n))
+    E[..., 0, 0] = d.u_ss + ((nu - 1.0) / safe_s) * d.u_s
+    for i in range(n - 1):
+        E[..., 0, 1 + i] = E[..., 1 + i, 0] = d.u_sy[i]
+        for j in range(n - 1):
+            E[..., 1 + i, 1 + j] = d.u_yy[i][j]
+    eigs = np.linalg.eigvalsh(E[sel])
+    uz, ut = u_z[sel], d.u_t[sel]
+    tol_e = CONTACT_TOL * np.max(np.abs(eigs))
+    tol_z = CONTACT_TOL * np.max(np.abs(uz))
+    tol_t = CONTACT_TOL * np.max(np.abs(ut))
+    plus = np.zeros(grid.shape, dtype=bool)
+    minus = np.zeros(grid.shape, dtype=bool)
+    minus[sel] = (eigs[:, 0] >= -tol_e) & (uz >= -tol_z) & (ut >= -tol_t)
+    plus[sel] = (eigs[:, -1] <= tol_e) & (uz <= tol_z) & (ut >= -tol_t)
+    return plus, minus, int(np.count_nonzero(mask & ~s_pos))
+
+
+def _sampled(f):
+    return lambda grid, rng: sample(f, grid)
+
+
+def _smooth(grid, rng):
+    a = rng.uniform(-2.0, 2.0, grid.n + 1)
+
+    def f(x, *rest):
+        arg = a[0] * x + sum(ak * c for ak, c in zip(a[1:], rest))
+        return np.sin(arg) * np.cos(rest[0] - x) + x * rest[-1]
+    return sample(f, grid)
+
+
+# fields of (x, y2, ..., yn, t) for every n
+CONTACT_FIELDS = {
+    "constant": _sampled(lambda x, *rest: 1.0 + 0 * x),
+    "t": _sampled(lambda x, *rest: rest[-1] + 0 * x),
+    "y2_squared": _sampled(lambda x, *rest: rest[0] ** 2 + 0 * x),
+    "minus_y2_squared_plus_t": _sampled(lambda x, *rest: rest[-1] - rest[0] ** 2),
+    # for n >= 3, lambda_min = -3e-10 sits just inside -tau = -1e-10 max (2 (1 + t))
+    "tau_edge": _sampled(lambda x, *rest: (1 + rest[-1]) * rest[0] ** 2
+                         - 1.5e-10 * rest[-2] ** 2),
+    "noise": lambda grid, rng: ScalarField(grid, rng.standard_normal(grid.shape)),
+    "smooth": _smooth,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("field", list(CONTACT_FIELDS))
+def test_contact_sets_match_eigvalsh_at_every_node(monkeypatch, field, n):
+    """Bitwise the sets of the brute-force reference, ties included.
+
+    A small block size makes every field span several blocks.
+    """
+    monkeypatch.setattr(estimates, "CONTACT_CHUNK", 97)
+    k = {2: 17, 3: 11, 4: 7}[n]
+    grid = Grid.uniform((0, 1, k), [(-1, 1, k)] * (n - 1), (0, 1, 5))
+    u = CONTACT_FIELDS[field](grid, np.random.default_rng(n))
+    cube = ParabolicCube("B_eta", Point(0.5, np.zeros(n - 1), 1.0), 1.0)
+    res = contact_sets(u, 0.5, cube)
+    plus, minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
+    assert np.array_equal(res.gamma_plus, plus)
+    assert np.array_equal(res.gamma_minus, minus)
+    assert res.excluded_s_zero == excluded > 0
+
+
+def test_contact_sets_match_eigvalsh_on_a_solved_field(monkeypatch):
+    monkeypatch.setattr(estimates, "CONTACT_CHUNK", 97)
+    grid = Grid.uniform((0, 1, 9), [(-1, 1, 9), (-1, 1, 9)], (0, 1, 5))
+    one = lambda x, y2, y3, t: 1.0 + 0 * x  # noqa: E731
+    zero = lambda x, y2, y3, t: 0 * x  # noqa: E731
+    u = solve_ivbp(IVBProblem(coeffs=random_coefficients(1, 3), forcing=one,
+                              initial=zero, lateral=zero), grid)
+    cube = ParabolicCube("B_eta", Point(0.5, [0.0, 0.0], 1.0), 1.0)
+    res = contact_sets(u, 0.5, cube)
+    plus, minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
+    assert np.array_equal(res.gamma_plus, plus) and np.any(plus)
+    assert np.array_equal(res.gamma_minus, minus) and np.any(minus)
+    assert res.excluded_s_zero == excluded
+
+
+def test_contact_sets_refuse_an_empty_cube():
+    g = unit_grid()
+    u = sample(lambda x, y, t: x + t, g)
+    cube = ParabolicCube("Q_rho", SPoint(3.0, [0.0], 1.0).to_x(), 0.4)
+    with pytest.raises(ValueError, match="contact-set cube contains no grid nodes"):
+        contact_sets(u, 0.5, cube)
 
 
 def test_abp_scale_invariance_and_boundary_check():
@@ -263,6 +364,13 @@ def test_schauder_ratio_constant():
     u = sample(lambda x, y, t: 1.0 + 0 * x, g)
     rep = schauder_ratio(u, 1.0, 0.5, 0.5, Point(0.0, [0.0], 0.9))
     assert rep.measured_constant == pytest.approx(1.0)
+
+
+def test_schauder_ratio_needs_a_base():
+    # a default base at t = 1 would put the inner box on the last slice of this grid
+    u = sample(lambda x, y, t: x + t, unit_grid())
+    with pytest.raises(TypeError):
+        schauder_ratio(u, 1.0, 0.5, 0.5)
 
 
 def test_write_series(tmp_path):
