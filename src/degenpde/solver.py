@@ -30,6 +30,15 @@ y-axis, whose free-node matrix is a Kronecker sum.  It is exact for the
 model operator; for variable coefficients BiCGStab typically needs under
 ten iterations per step.  Mixed and cross terms are left to the Krylov
 iteration.
+
+One march serves a batch of problems that share an operator (the same
+coefficients and c): `solve_ivbp` is a batch of one, and the random
+ensemble marches all its members at once.  The coefficients are validated
+once per batch, and the step matrix for each distinct substep size is
+assembled and factored once per batch and reused by every member.  Each
+member's data is evaluated where the march uses it: initial and forcing
+data on the full grid, lateral data on the Dirichlet nodes only.
+Non-finite data is refused by name.
 """
 
 from __future__ import annotations
@@ -86,12 +95,18 @@ def _spatial_meshes(grid: Grid):
     return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-def _eval_spatial(fn, grid: Grid, t: float) -> np.ndarray:
-    meshes = _spatial_meshes(grid)
-    x = meshes[0] ** 2
-    shape = tuple(len(ax) for ax in [grid.s] + list(grid.y))
-    val = fn(x, *meshes[1:], t)
+def _eval_spatial(fn, coords: list, shape: tuple, t: float) -> np.ndarray:
+    """fn(x, y..., t) on the nodes whose coordinates (x = s^2) broadcast to shape."""
+    val = fn(*coords, t)
     return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+
+
+def _non_finite(name: str, grid: Grid, flat: int, t: float) -> ValueError:
+    """Refusal naming the data and the node (s, y..., t); flat is its raveled spatial index."""
+    axes = [grid.s] + list(grid.y)
+    idx = np.unravel_index(flat, tuple(len(ax) for ax in axes))
+    node = tuple(float(ax[i]) for ax, i in zip(axes, idx)) + (float(t),)
+    return ValueError(f"{name} is non-finite at node {node}")
 
 
 def _free_box(grid: Grid) -> tuple:
@@ -407,47 +422,58 @@ class SolvedField(ScalarField):
     step_residuals: tuple = ()
 
 
-def _forcing_evaluator(problem: IVBProblem, grid: Grid):
-    g = problem.forcing
-    if g is None:
-        zero = np.zeros(tuple(len(ax) for ax in [grid.s] + list(grid.y)))
-        return lambda t: zero
-    return lambda t: _eval_spatial(g, grid, t)
+def _march(problems: list, grid: Grid,
+           config: SolverConfig | None = None) -> list:
+    """March implicit Euler for problems that share one operator (coeffs and c).
 
-
-def solve_ivbp(problem: IVBProblem, grid: Grid,
-               config: SolverConfig | None = None) -> SolvedField:
-    """March implicit Euler over the grid's time axis.
-
-    Returns the full space-time field with the residual of each substep
-    (`SolvedField.step_residuals`); a step between output slices takes
-    ceil(span / config.dt) substeps, one when config.dt is None.
+    The coefficients are validated once and each substep size tau is
+    assembled and factored once for the whole batch (once per substep when
+    the coefficients depend on t).  Initial and forcing data are evaluated on
+    spatial meshes built once, lateral data only at the Dirichlet nodes.
+    Each member takes the vector operations of a march of its own, so its
+    values and residuals do not depend on the batch.
     """
     config = config or SolverConfig()
-    coeffs = problem.coefficient_field(grid.n)
+    first = problems[0]
+    if any(p.coeffs != first.coeffs or p.c != first.c for p in problems[1:]):
+        raise ValueError("a batch march needs one operator: the same coeffs and c")
+    coeffs = first.coefficient_field(grid.n)
     report = validate_coefficients(coeffs, grid)
     if not report.passed:
         raise ValueError(f"coefficient conditions violated: {report.margins}")
-    if problem.initial is None or problem.lateral is None:
+    if any(p.initial is None or p.lateral is None for p in problems):
         raise ValueError("problem needs initial and lateral data")
 
-    dirichlet = _dirichlet_mask(grid)
+    shape = tuple(len(ax) for ax in [grid.s] + list(grid.y))
+    meshes = _spatial_meshes(grid)
+    everywhere = [meshes[0] ** 2, *meshes[1:]]
+    dir_flat = _dirichlet_mask(grid).ravel()
+    dir_index = np.flatnonzero(dir_flat)
+    idx = np.unravel_index(dir_index, shape)
+    on_dirichlet = [grid.s[idx[0]] ** 2, *(y[i] for y, i in zip(grid.y, idx[1:]))]
+    zero = np.zeros(dir_flat.size)
+
     t0 = float(grid.t[0])
-    u = _eval_spatial(problem.initial, grid, t0)
-    lateral0 = _eval_spatial(problem.lateral, grid, t0)
-    mismatch = float(np.max(np.abs(u[dirichlet] - lateral0[dirichlet])))
-    if mismatch > COMPATIBILITY_TOL:
-        raise ValueError(
-            f"initial and lateral data disagree on shared edges by {mismatch:g}"
-        )
-
-    forcing_at = _forcing_evaluator(problem, grid)
-
-    out = np.empty(grid.shape)
-    out[..., 0] = u
-    u = u.ravel()
-    dir_flat = dirichlet.ravel()
-    residuals = []
+    us, outs = [], []
+    for p in problems:
+        u = _eval_spatial(p.initial, everywhere, shape, t0).ravel()
+        lateral0 = _eval_spatial(p.lateral, on_dirichlet, dir_index.shape, t0)
+        bad = np.flatnonzero(~np.isfinite(u))
+        if len(bad):
+            raise _non_finite("initial data", grid, bad[0], t0)
+        bad = np.flatnonzero(~np.isfinite(lateral0))
+        if len(bad):
+            raise _non_finite("lateral data", grid, dir_index[bad[0]], t0)
+        mismatch = float(np.max(np.abs(u[dir_flat] - lateral0)))
+        if not mismatch <= COMPATIBILITY_TOL:
+            raise ValueError(
+                f"initial and lateral data disagree on shared edges by {mismatch:g}"
+            )
+        out = np.empty(grid.shape)
+        out[..., 0] = u.reshape(shape)
+        us.append(u)
+        outs.append(out)
+    residuals = [[] for _ in problems]
 
     static = not coeffs.time_dependent
     cache: dict[float, StepMatrix] = {}
@@ -455,7 +481,7 @@ def solve_ivbp(problem: IVBProblem, grid: Grid,
     def step_matrix(tau: float, t_next: float) -> StepMatrix:
         if static and tau in cache:
             return cache[tau]
-        sm = assemble_step_matrix(problem, grid, tau, t_next, config)
+        sm = assemble_step_matrix(first, grid, tau, t_next, config)
         if static:
             cache[tau] = sm
         return sm
@@ -471,17 +497,39 @@ def solve_ivbp(problem: IVBProblem, grid: Grid,
         for j in range(1, nsub + 1):
             tn = T1 if j == nsub else T0 + j * tau
             sm = step_matrix(tau, tn)
-            g_slice = forcing_at(tn)
-            rhs = u + tau * g_slice.ravel()
-            rhs[dir_flat] = _eval_spatial(problem.lateral, grid, tn).ravel()[dir_flat]
-            u = sm.solve(rhs, x0=u)
-            if not np.all(np.isfinite(u)):
-                raise RuntimeError(f"non-finite solution at step t={tn:g}")
-            res = sm.A @ u - rhs
-            residuals.append(float(np.max(np.abs(res))) / tau)
-        out[..., k + 1] = u.reshape(out.shape[:-1])
+            for i, p in enumerate(problems):
+                g = (zero if p.forcing is None
+                     else _eval_spatial(p.forcing, everywhere, shape, tn).ravel())
+                rhs = us[i] + tau * g
+                rhs[dir_index] = _eval_spatial(p.lateral, on_dirichlet, dir_index.shape, tn)
+                if not np.isfinite(rhs).all():
+                    bad = np.flatnonzero(~np.isfinite(rhs))[0]
+                    raise _non_finite("lateral data" if dir_flat[bad] else "forcing",
+                                      grid, bad, tn)
+                u = sm.solve(rhs, x0=us[i])
+                if not np.all(np.isfinite(u)):
+                    raise RuntimeError(f"non-finite solution at step t={tn:g}")
+                res = sm.A @ u - rhs
+                residuals[i].append(float(np.max(np.abs(res))) / tau)
+                us[i] = u
+        for out, u in zip(outs, us):
+            out[..., k + 1] = u.reshape(shape)
 
-    return SolvedField(grid, out, tuple(residuals))
+    return [SolvedField(grid, out, tuple(r)) for out, r in zip(outs, residuals)]
+
+
+def solve_ivbp(problem: IVBProblem, grid: Grid,
+               config: SolverConfig | None = None) -> SolvedField:
+    """March implicit Euler over the grid's time axis.
+
+    Returns the full space-time field with the residual of each substep
+    (`SolvedField.step_residuals`); a step between output slices takes
+    ceil(span / config.dt) substeps, one when config.dt is None.  Data that
+    is not finite where the march uses it is refused by name: initial data
+    anywhere and lateral data on the Dirichlet nodes at t0, forcing and
+    lateral data in each substep's right-hand side.
+    """
+    return _march([problem], grid, config)[0]
 
 
 def solve_model(v, g, f0, boundary, grid: Grid,
@@ -498,15 +546,19 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
     Each member solves g = 0 with strictly positive time-independent data: a
     low-frequency random trigonometric polynomial rescaled into [0.1, 1],
     used as both initial and lateral data (compatibility is automatic).  The
-    discrete maximum principle keeps every output >= 0; a negative value is
-    an internal error.
+    members share one operator, so they march together: one validation, one
+    assembly and factorization per substep size for the whole ensemble, and
+    lateral data evaluated on the Dirichlet nodes only.  Each member's
+    values are those of its own `solve_ivbp`, bit for bit.  The discrete
+    maximum principle keeps every output >= 0; a negative value is an
+    internal error.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     meshes = _spatial_meshes(grid)
     x_mesh = meshes[0] ** 2
-    fields = []
+    problems = []
     for _ in range(count):
         nmodes = 3
         w = rng.uniform(0.2, 0.9, size=(nmodes, grid.n))
@@ -522,11 +574,11 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
         def data(x, *coords, _raw=raw, _lo=lo, _span=span):
             return 0.1 + 0.9 * (_raw(x, *coords) - _lo) / _span
 
-        sol = solve_ivbp(IVBProblem(coeffs=coeffs, forcing=None,
-                                    initial=data, lateral=data), grid, config)
-        if float(np.min(sol.values)) < 0.0:
-            raise RuntimeError(
-                "maximum-principle violation in ensemble member (scheme bug)"
-            )
-        fields.append(sol)
+        problems.append(IVBProblem(coeffs=coeffs, forcing=None,
+                                   initial=data, lateral=data))
+    fields = _march(problems, grid, config)
+    if any(float(np.min(sol.values)) < 0.0 for sol in fields):
+        raise RuntimeError(
+            "maximum-principle violation in ensemble member (scheme bug)"
+        )
     return fields

@@ -1,18 +1,21 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from degenpde import solver
 from degenpde.fields import Grid, sample
 from degenpde.operators import (coefficients_from_expressions, model_coefficients,
                                 random_coefficients)
 from degenpde.solver import (
     IVBProblem,
     SolverConfig,
+    _march,
     assemble_step_matrix,
     random_positive_solution_ensemble,
     solve_ivbp,
@@ -199,3 +202,124 @@ def test_step_matrix_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def nan_at_t_above(t_cut):
+    return lambda x, y, t: (np.nan if t > t_cut else 0.0) + 0 * x
+
+
+def nan_at_interior_node(x, y, t):
+    return np.where((x == 0.25) & (y == 0.0), np.nan, 0.0 * x)
+
+
+NON_FINITE_DATA = {
+    # (initial, lateral, forcing): the refusal; nodes are (s, y, t)
+    "initial_one_over_x": (lambda x, y, t: 1 / x, lambda x, y, t: 1 / x, None,
+                           "initial data is non-finite at node (0.0, -1.0, 0.0)"),
+    "initial_interior_nan": (nan_at_interior_node, lambda x, y, t: 0 * x, None,
+                             "initial data is non-finite at node (0.5, 0.0, 0.0)"),
+    "lateral_nan_after_0.3": (lambda x, y, t: 0 * x, nan_at_t_above(0.3), None,
+                              "lateral data is non-finite at node (0.0, -1.0, 0.375)"),
+    "forcing_one_over_x": (lambda x, y, t: 0 * x, lambda x, y, t: 0 * x,
+                           lambda x, y, t: 1 / x,
+                           "forcing is non-finite at node (0.0, -0.75, 0.125)"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("case", sorted(NON_FINITE_DATA))
+def test_non_finite_data_is_refused_by_name(case):
+    initial, lateral, forcing, message = NON_FINITE_DATA[case]
+    prob = IVBProblem(coeffs=1.0, forcing=forcing, initial=initial, lateral=lateral)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_ivbp(prob, unit_grid(9))
+
+
+def members(n):
+    """Three compatible problems with different data; one has no forcing."""
+    def data(k):
+        return lambda x, *coords: k + x + np.sin(coords[0] + k * coords[-1])
+
+    def forcing(k):
+        return lambda x, *coords: k * np.cos(x - coords[-1]) + 0 * coords[0]
+
+    return [dict(initial=data(k), lateral=data(k), forcing=forcing(k) if k else None)
+            for k in range(3)]
+
+
+BATCH_CASES = {
+    "n2_lu": (random_coefficients(11, 2), unit_grid(13, horizon=0.5, t_nodes=9)),
+    "n3_krylov": (random_coefficients(12, 3),
+                  Grid.uniform((0, 1, 9), [(-1, 1, 9)] * 2, (0, 0.5, 9))),
+    "time_dependent": (coefficients_from_expressions(
+        {"a11": "1 + 0.5*t", "b1": "1 + t*y2"}, 2), unit_grid(13, horizon=0.5, t_nodes=9)),
+}
+
+
+@pytest.mark.parametrize("dt", [None, 0.03])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_march_equals_one_march_per_member(case, dt):
+    coeffs, grid = BATCH_CASES[case]
+    config = SolverConfig(dt=dt)
+    problems = [IVBProblem(coeffs=coeffs, c=-0.5, **data) for data in members(grid.n)]
+    batch = _march(problems, grid, config)
+    for prob, u in zip(problems, batch):
+        alone = solve_ivbp(prob, grid, config)
+        assert np.array_equal(u.values, alone.values)
+        assert u.step_residuals == alone.step_residuals
+    # dt = 0.03 splits each step of 1/16 into 3 substeps
+    assert len(batch[0].step_residuals) == (len(grid.t) - 1) * (1 if dt is None else 3)
+
+
+@pytest.mark.parametrize("other", [dict(coeffs=2.0), dict(c=-0.5),
+                                   dict(coeffs=model_coefficients(1.0, 2))])
+def test_batch_march_refuses_a_second_operator(other):
+    data = members(2)[0]
+    first = IVBProblem(coeffs=1.0, **data)
+    second = IVBProblem(**{"coeffs": 1.0, **data, **other})
+    with pytest.raises(ValueError, match="one operator"):
+        _march([first, second], unit_grid(9))
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def ensemble_counts(monkeypatch, name):
+    # linspace(0, 0.5, 201) has 9 distinct float spacings
+    grid = Grid.uniform((0, 1, 9), [(-1, 1, 9)], (0, 0.5, 201))
+    calls = counting(monkeypatch, name)
+    random_positive_solution_ensemble(1, 20, model_coefficients(1.0, 2), grid)
+    return len(calls)
+
+
+def test_ensemble_assembles_once_per_step_size(monkeypatch):
+    assert ensemble_counts(monkeypatch, "assemble_step_matrix") == 9
+
+
+def test_ensemble_validates_its_coefficients_once(monkeypatch):
+    assert ensemble_counts(monkeypatch, "validate_coefficients") == 1
+
+
+def test_lateral_data_is_evaluated_on_the_dirichlet_nodes_only():
+    grid = unit_grid(9)
+    dirichlet = 2 * 9 + (9 - 2)  # both y-faces and s = s_max; s = 0 is free
+    sizes = []
+
+    def lateral(x, y, t):
+        sizes.append(np.broadcast(x, y).size)
+        return x + t
+
+    f = lambda x, y, t: x + t
+    u = solve_ivbp(IVBProblem(coeffs=1.0, initial=f, lateral=lateral), grid,
+                   SolverConfig(dt=0.05))
+    assert sizes == [dirichlet] * (1 + len(u.step_residuals))
+    assert np.max(np.abs(u.values - sample(f, grid).values)) <= 1e-10
