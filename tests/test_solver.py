@@ -204,10 +204,6 @@ def test_step_matrix_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def nan_at_t_above(t_cut):
-    return lambda x, y, t: (np.nan if t > t_cut else 0.0) + 0 * x
-
-
 def nan_at_interior_node(x, y, t):
     return np.where((x == 0.25) & (y == 0.0), np.nan, 0.0 * x)
 
@@ -218,7 +214,8 @@ NON_FINITE_DATA = {
                            "initial data is non-finite at node (0.0, -1.0, 0.0)"),
     "initial_interior_nan": (nan_at_interior_node, lambda x, y, t: 0 * x, None,
                              "initial data is non-finite at node (0.5, 0.0, 0.0)"),
-    "lateral_nan_after_0.3": (lambda x, y, t: 0 * x, nan_at_t_above(0.3), None,
+    "lateral_nan_after_0.3": (lambda x, y, t: 0 * x,
+                              lambda x, y, t: (np.nan if t > 0.3 else 0.0) + 0 * x, None,
                               "lateral data is non-finite at node (0.0, -1.0, 0.375)"),
     "forcing_one_over_x": (lambda x, y, t: 0 * x, lambda x, y, t: 0 * x,
                            lambda x, y, t: 1 / x,
@@ -235,7 +232,7 @@ def test_non_finite_data_is_refused_by_name(case):
         solve_ivbp(prob, unit_grid(9))
 
 
-def members(n):
+def members():
     """Three compatible problems with different data; one has no forcing."""
     def data(k):
         return lambda x, *coords: k + x + np.sin(coords[0] + k * coords[-1])
@@ -261,7 +258,7 @@ BATCH_CASES = {
 def test_batch_march_equals_one_march_per_member(case, dt):
     coeffs, grid = BATCH_CASES[case]
     config = SolverConfig(dt=dt)
-    problems = [IVBProblem(coeffs=coeffs, c=-0.5, **data) for data in members(grid.n)]
+    problems = [IVBProblem(coeffs=coeffs, c=-0.5, **data) for data in members()]
     batch = _march(problems, grid, config)
     for prob, u in zip(problems, batch):
         alone = solve_ivbp(prob, grid, config)
@@ -274,7 +271,7 @@ def test_batch_march_equals_one_march_per_member(case, dt):
 @pytest.mark.parametrize("other", [dict(coeffs=2.0), dict(c=-0.5),
                                    dict(coeffs=model_coefficients(1.0, 2))])
 def test_batch_march_refuses_a_second_operator(other):
-    data = members(2)[0]
+    data = members()[0]
     first = IVBProblem(coeffs=1.0, **data)
     second = IVBProblem(**{"coeffs": 1.0, **data, **other})
     with pytest.raises(ValueError, match="one operator"):
