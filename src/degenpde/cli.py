@@ -46,6 +46,18 @@ def _axis(text: str):
     return vals[0], vals[1], int(vals[2])
 
 
+def _between(lo, hi, closed_hi=False):
+    """A float cast refusing values outside (lo, hi), or (lo, hi] if closed_hi."""
+    interval = f"({lo:g}, {hi:g}{']' if closed_hi else ')'}"
+
+    def cast(text):
+        value = float(text)
+        if not (lo < value < hi or (closed_hi and value == hi)):
+            raise ValueError(f"must lie in {interval}, got {text.strip()}")
+        return value
+    return cast
+
+
 def _read(section, where, keys):
     """Cast each key of a spec section by its {key: (cast, default-or-REQUIRED)} schema."""
     for key in section:
@@ -118,8 +130,9 @@ CHECKS = {
                                          "levels": (int, 2),
                                          "theta_max": (float, 0.95)}, False),
     "holder_bound": (_holder, {**_BASE, "r": (float, REQUIRED), "rho": (float, REQUIRED),
-                               "alpha": (float, 0.5)}, False),
-    "schauder_ratio": (_schauder, {"r": (float, 0.5), "alpha": (float, 0.5),
+                               "alpha": (_between(0, 1, closed_hi=True), 0.5)}, False),
+    "schauder_ratio": (_schauder, {"r": (_between(0, 1), 0.5),
+                                   "alpha": (_between(0, 1), 0.5),
                                    "x0": (float, 0.0), "y0": (_floats, None),
                                    "t0": (float, REQUIRED)}, True),
 }

@@ -130,7 +130,16 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
      "[check schauder] type"),
     ("model:v=1", "\n[check schauder]\ntype = schauder_ratio\n",
      "[check schauder] t0: missing"),
-], ids=["well_formed", "unknown_type", "schauder_needs_model", "schauder_needs_t0"])
+    ("model:v=1", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\nalpha = 1.0\n",
+     "[check schauder] alpha: must lie in (0, 1), got 1.0"),
+    ("model:v=1", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\nr = 1\n",
+     "[check schauder] r: must lie in (0, 1), got 1"),
+    ("random:seed=3", "\n[check holder]\ntype = holder_bound\ns0 = 0.5\nt0 = 1.0\n"
+     "r = 0.2\nrho = 0.4\nalpha = nan\n", "[check holder] alpha: must lie in (0, 1], got nan"),
+    ("random:seed=3", "\n[check holder]\ntype = holder_bound\ns0 = 0.5\nt0 = 1.0\n"
+     "r = 0.2\nrho = 0.4\nalpha = 0\n", "[check holder] alpha: must lie in (0, 1], got 0"),
+], ids=["well_formed", "unknown_type", "schauder_needs_model", "schauder_needs_t0",
+        "schauder_alpha_one", "schauder_r_one", "holder_alpha_nan", "holder_alpha_zero"])
 def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypatch,
                                                      preset, extra, where):
     class SolveReached(Exception):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from degenpde import estimates, fields
 from degenpde.fields import (
     Grid,
     ScalarField,
@@ -14,7 +15,7 @@ from degenpde.fields import (
     sample,
     save_field,
 )
-from degenpde.geometry import ParabolicCube, Point, SPoint, WeightedMeasure
+from degenpde.geometry import ParabolicCube, Point, SPoint, WeightedMeasure, cube_nodes
 
 
 def unit_grid(nodes=17):
@@ -128,6 +129,119 @@ def test_cs_norm_examples():
     g2 = unit_grid(65)
     v65 = cs_norm_2_alpha(sample(lambda x, y, t: x + 1.0 * t, g2), 0.5, region)
     assert abs(v65 - v33) / v33 <= 0.05
+
+
+def reference_pair_ratio_max(coords, vals, alpha):
+    """The per-field Hoelder search: draws its own pairs for every field."""
+    npts = vals.size
+    if npts <= fields._HOLDER_ALL_PAIRS_LIMIT:
+        ii, jj = np.triu_indices(npts, k=1)
+    else:
+        rng = np.random.default_rng(0)
+        ii = rng.integers(0, npts, fields._HOLDER_SAMPLED_PAIRS)
+        jj = rng.integers(0, npts, fields._HOLDER_SAMPLED_PAIRS)
+        keep = ii != jj
+        ii, jj = ii[keep], jj[keep]
+    s, t = coords[0], coords[-1]
+    dist = np.abs(s[ii] - s[jj])
+    dy2 = np.zeros_like(dist)
+    for yk in coords[1:-1]:
+        dy2 += (yk[ii] - yk[jj]) ** 2
+    dist = dist + np.sqrt(dy2) + np.sqrt(np.abs(t[ii] - t[jj]))
+    du = np.abs(vals[ii] - vals[jj])
+    pos = dist > 0
+    if not np.any(pos):
+        return 0.0
+    return float(np.max(du[pos] / dist[pos] ** alpha))
+
+
+def _reference_region(field, region):
+    mask = cube_nodes(region, field.grid, "region")
+    idx = np.argwhere(mask)
+    return mask, [ax[idx[:, k]] for k, ax in enumerate(field.grid.axes)]
+
+
+def reference_holder_seminorm(field, alpha, region):
+    mask, coords = _reference_region(field, region)
+    return reference_pair_ratio_max(coords, field.values[mask], alpha)
+
+
+def reference_cs_norm(field, alpha, region):
+    mask, coords = _reference_region(field, region)
+    d = fd_derivatives(field)
+    m = len(field.grid.y)
+    pieces = [d.u_t, d.x_times_u_xx(), d.u_x(), *d.u_y]
+    pieces += [d.u_yy[i][j] for i in range(m) for j in range(i, m)]
+    total = float(np.max(np.abs(field.values[mask])))
+    for arr in pieces:
+        vals = arr[mask]
+        total += float(np.max(np.abs(vals)))
+        total += reference_pair_ratio_max(coords, vals, alpha)
+    return total
+
+
+def trig_field(grid, seed):
+    """A smooth random sum of cosines in (x, y..., t); no two pieces coincide."""
+    rng = np.random.default_rng(seed)
+    waves = [(rng.uniform(-3, 3, grid.n + 1), rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 1))
+             for _ in range(4)]
+
+    def f(x, *coords):
+        return sum(c * np.cos(w[0] * x + sum(wi * ci for wi, ci in zip(w[1:], coords)) + ph)
+                   for w, ph, c in waves)
+
+    return sample(f, grid)
+
+
+# (n, nodes per axis, nodes in the B_eta box of radius 0.5 at t0 = 0.9)
+HOLDER_REGIONS = [(2, 33, 2312), (2, 17, 324), (3, 17, 2916), (3, 13, 1029)]
+
+
+def holder_case(n, nodes):
+    g = Grid.uniform((0, 1, nodes), [(-1, 1, nodes)] * (n - 1), (0, 1, nodes))
+    region = ParabolicCube("B_eta", Point(0.0, [0.0] * (n - 1), 0.9), 0.5)
+    return trig_field(g, 10 * n + nodes), region
+
+
+@pytest.mark.parametrize("n, nodes, count", HOLDER_REGIONS,
+                         ids=["n2_sampled", "n2_all_pairs", "n3_sampled", "n3_all_pairs"])
+def test_hoelder_values_equal_the_per_field_search_bitwise(n, nodes, count):
+    f, region = holder_case(n, nodes)
+    assert np.count_nonzero(cube_nodes(region, f.grid)) == count
+    assert holder_seminorm(f, 0.5, region) == reference_holder_seminorm(f, 0.5, region)
+    assert holder_seminorm(f, 1.0, region) == reference_holder_seminorm(f, 1.0, region)
+    assert cs_norm_2_alpha(f, 0.3, region) == reference_cs_norm(f, 0.3, region)
+
+
+def test_schauder_report_equals_the_per_field_search(monkeypatch):
+    f, _ = holder_case(2, 33)
+    base = Point(0.0, [0.0], 0.9)
+    text = estimates.schauder_ratio(f, 1.0, 0.5, 0.5, base).to_text()
+    monkeypatch.setattr(estimates, "cs_norm_2_alpha", reference_cs_norm)
+    monkeypatch.setattr(estimates, "holder_seminorm", reference_holder_seminorm)
+    assert text == estimates.schauder_ratio(f, 1.0, 0.5, 0.5, base).to_text()
+
+
+@pytest.mark.parametrize("n, nodes, count", HOLDER_REGIONS,
+                         ids=["n2_sampled", "n2_all_pairs", "n3_sampled", "n3_all_pairs"])
+def test_cs_norm_builds_one_pair_set_per_region(monkeypatch, n, nodes, count):
+    f, region = holder_case(n, nodes)
+    calls = []
+    if count > fields._HOLDER_ALL_PAIRS_LIMIT:
+        module, name = np.random, "default_rng"
+    else:
+        module, name = np, "triu_indices"
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    cs_norm_2_alpha(f, 0.5, region)
+    assert len(calls) == 1
+    cs_norm_2_alpha(f, 0.5, region)
+    assert len(calls) == 2
 
 
 def test_cs_norm_rejects_edge_region():
