@@ -313,19 +313,15 @@ _HOLDER_ALL_PAIRS_LIMIT = 2000
 _HOLDER_SAMPLED_PAIRS = 1_000_000
 
 
-def _region_coords(grid: Grid, mask: np.ndarray) -> list:
-    """Per-axis coordinates of the masked nodes, in mask order."""
-    idx = np.argwhere(mask)
-    return [ax[idx[:, k]] for k, ax in enumerate(grid.axes)]
+def _region_pairs(grid: Grid, mask: np.ndarray, alpha: float):
+    """Node pairs (ii, jj) of the region at positive distance, and w = dist^alpha.
 
-
-def _region_pairs(coords, alpha: float):
-    """The region's node pairs (ii, jj) at positive distance and w = dist^alpha.
-
-    The pairs depend on the region alone, so every field measured on it
-    shares one set.
+    Indices count the masked nodes in mask order.  The pairs depend on the
+    region alone, so every field measured on it shares one set.
     """
-    npts = coords[0].size
+    idx = np.argwhere(mask)
+    coords = [ax[idx[:, k]] for k, ax in enumerate(grid.axes)]
+    npts = idx.shape[0]
     if npts <= _HOLDER_ALL_PAIRS_LIMIT:
         ii, jj = np.triu_indices(npts, k=1)
     else:
@@ -364,7 +360,7 @@ def holder_seminorm(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     mask = cube_nodes(region, field.grid, "region")
     if np.count_nonzero(mask) < 2:
         raise ValueError("region must contain at least 2 grid nodes")
-    pairs = _region_pairs(_region_coords(field.grid, mask), alpha)
+    pairs = _region_pairs(field.grid, mask, alpha)
     return _ratio_max(pairs, field.values[mask])
 
 
@@ -424,7 +420,7 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
         for j in range(i, len(g.y)):
             pieces.append(d.u_yy[i][j])
     total = float(np.max(np.abs(field.values[mask])))
-    pairs = _region_pairs(_region_coords(g, mask), alpha)
+    pairs = _region_pairs(g, mask, alpha)
     for arr in pieces:
         vals = arr[mask]
         total += float(np.max(np.abs(vals)))
