@@ -319,9 +319,8 @@ def _region_pairs(grid: Grid, mask: np.ndarray, alpha: float):
     Indices count the masked nodes in mask order.  The pairs depend on the
     region alone, so every field measured on it shares one set.
     """
-    idx = np.argwhere(mask)
-    coords = [ax[idx[:, k]] for k, ax in enumerate(grid.axes)]
-    npts = idx.shape[0]
+    coords = [ax[k] for ax, k in zip(grid.axes, np.nonzero(mask))]
+    npts = coords[0].size
     if npts <= _HOLDER_ALL_PAIRS_LIMIT:
         ii, jj = np.triu_indices(npts, k=1)
     else:
