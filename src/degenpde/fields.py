@@ -359,8 +359,7 @@ def holder_seminorm(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     mask = cube_nodes(region, field.grid, "region")
     if np.count_nonzero(mask) < 2:
         raise ValueError("region must contain at least 2 grid nodes")
-    pairs = _region_pairs(field.grid, mask, alpha)
-    return _ratio_max(pairs, field.values[mask])
+    return _ratio_max(_region_pairs(field.grid, mask, alpha), field.values[mask])
 
 
 def c0_norm(field: ScalarField, region: ParabolicCube | None = None) -> float:
