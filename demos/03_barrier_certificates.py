@@ -1,20 +1,21 @@
 """Search barrier parameters and certify their differential inequalities.
 
-Two barrier families are certified on dense grids. The Gaussian-kernel
-barrier drives the Harnack growth lemma: it is >= 1 on a later comparison
-cube, <= 0 on the parabolic boundary of the enclosing region, and a
-supersolution of the adjoint inequality away from an inner cube. The
+Two barrier families are certified. The Gaussian-kernel barrier, checked
+on a dense grid, drives the Harnack growth lemma: it is >= 1 on a later
+comparison cube, <= 0 on the parabolic boundary of the enclosing region,
+and a supersolution of the adjoint inequality away from an inner cube. The
 rational wall barrier phi = 1/((x + b|y|^2)|y|^2) satisfies a nonlinear
 differential inequality that makes it a gradient-blocking wall for the
-model equation.
+model equation; its polynomial residual is a quadratic form in (x, |y|^2)
+whose positivity is decided exactly.
 """
 
 from degenpde.barriers import (
     ModelBarrierParams,
     certify_barrier_inequality,
+    certify_barrier_residual,
     certify_harnack_barrier,
     find_barrier_params,
-    min_condition_residual,
     search_harnack_barrier_params,
 )
 from degenpde.operators import model_coefficients
@@ -43,12 +44,11 @@ print()
 print("rational wall barrier per transport velocity")
 for v in (0.25, 1.0, 4.0):
     p = find_barrier_params(v, n=2)
-    r64, _ = min_condition_residual(p, 2, 64)
-    r128, _ = min_condition_residual(p, 2, 128)
-    r0, _ = min_condition_residual(ModelBarrierParams(p.v, p.b, p.c, 0.0), 2, 64)
+    m = certify_barrier_residual(p, 2).margins
+    control = certify_barrier_residual(ModelBarrierParams(p.v, p.b, p.c, 0.0), 2)
     print(f"v={v:<5g} b={p.b:<10g} c={p.c:<10g} C={p.C:<6g} "
-          f"residual {r64:.2e} (64/axis) {r128:.2e} (128/axis), "
-          f"C=0 control residual {r0:.2e}")
+          f"alpha {m['alpha']:.3e} gamma {m['gamma']:.3e} cross {m['cross']:.3e}, "
+          f"C=0 control alpha {control.margins['alpha']:.3e}")
 
 print()
 print("full certificate for v = 1 (translated form):")

@@ -58,6 +58,16 @@ def _between(lo, hi, closed_hi=False):
     return cast
 
 
+def _int_at_least(lo):
+    """An int cast refusing values below lo."""
+    def cast(text):
+        value = int(text)
+        if value < lo:
+            raise ValueError(f"must be an integer >= {lo}, got {text.strip()}")
+        return value
+    return cast
+
+
 def _read(section, where, keys):
     """Cast each key of a spec section by its {key: (cast, default-or-REQUIRED)} schema."""
     for key in section:
@@ -85,7 +95,7 @@ def _manufactured(spec, a, u):
     report = EstimateReport(
         name="manufactured_error", lhs=worst,
         rhs_components={"tolerance": tol},
-        measured_constant=worst / tol if tol > 0 else math.inf,
+        measured_constant=worst / tol,
         margins={"tolerance": tol - worst},
         passed=worst <= tol,
         provenance=f"solution '{spec.solution.text}' on "
@@ -123,13 +133,14 @@ _BASE = {"s0": (float, REQUIRED), "y0": (_floats, None), "t0": (float, REQUIRED)
 # (spec, values, u) to (report, series or None); y0 = None is the origin,
 # n - 1 zeros.
 CHECKS = {
-    "manufactured_error": (_manufactured, {"tol": (float, 1e-10)}, False),
-    "harnack_quotient": (_harnack, {**_BASE, "rho": (float, REQUIRED),
+    "manufactured_error": (_manufactured, {"tol": (_between(0, math.inf), 1e-10)}, False),
+    "harnack_quotient": (_harnack, {**_BASE, "rho": (_between(0, math.inf), REQUIRED),
                                     "c_max": (float, math.inf)}, False),
-    "oscillation_decay": (_oscillation, {**_BASE, "rho": (float, REQUIRED),
-                                         "levels": (int, 2),
+    "oscillation_decay": (_oscillation, {**_BASE, "rho": (_between(0, math.inf), REQUIRED),
+                                         "levels": (_int_at_least(2), 2),
                                          "theta_max": (float, 0.95)}, False),
-    "holder_bound": (_holder, {**_BASE, "r": (float, REQUIRED), "rho": (float, REQUIRED),
+    "holder_bound": (_holder, {**_BASE, "r": (_between(0, 1), REQUIRED),
+                               "rho": (_between(0, 1, closed_hi=True), REQUIRED),
                                "alpha": (_between(0, 1, closed_hi=True), 0.5)}, False),
     "schauder_ratio": (_schauder, {"r": (_between(0, 1), 0.5),
                                    "alpha": (_between(0, 1), 0.5),

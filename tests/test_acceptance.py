@@ -13,8 +13,9 @@ import pytest
 
 from degenpde.barriers import (
     ModelBarrierParams,
+    barrier_condition_residual,
+    certify_barrier_residual,
     find_barrier_params,
-    min_condition_residual,
 )
 from degenpde.cli import main as cli_main
 from degenpde.estimates import (
@@ -129,24 +130,37 @@ def test_criterion_04_abp_scale_invariance():
             f"{drift:.3f}x < 2x")
 
 
+def _grid_min_residual(params, n, nodes):
+    """Minimum residual on {0 <= x <= 4, 0 < |y|^2 <= 4n}, nodes per axis."""
+    x = np.linspace(0.0, 4.0, nodes)
+    S = np.linspace(0.0, 4.0 * n, nodes + 1)[1:]
+    X, S = np.meshgrid(x, S, indexing="ij")
+    return float(np.min(barrier_condition_residual(params, X, S, n)))
+
+
 def test_criterion_05_barrier_certification():
     details = []
     ok = True
     for v in (0.25, 1.0, 4.0):
         start = time.time()
         for n in (2, 3):
-            params = find_barrier_params(v, n, nodes=64)
-            r64, _ = min_condition_residual(params, n, 64)
-            r128, _ = min_condition_residual(params, n, 128)
+            params = find_barrier_params(v, n)
+            b = v / 32.0  # the b rule halves v/16 once, and the first C = 16/b passes
+            ok = ok and params == ModelBarrierParams(v, b, v * math.sqrt(b) / 8.0, 16.0 / b)
             control = ModelBarrierParams(params.v, params.b, params.c, 0.0)
-            r0, _ = min_condition_residual(control, n, 64)
-            ok = ok and r64 > 0 and r128 > 0 and r0 <= 0
+            exact, exact0 = (certify_barrier_residual(p, n) for p in (params, control))
+            # the C = 0 control has alpha = -K, negative while K = 10 - 2n + c/sqrt(b) > 0
+            ok = (ok and exact.passed and not exact0.passed
+                  and exact0.margins["alpha"] < 0
+                  and _grid_min_residual(params, n, 64) > 0
+                  and _grid_min_residual(params, n, 128) > 0
+                  and _grid_min_residual(control, n, 64) <= 0)
         elapsed = time.time() - start
         ok = ok and elapsed < 60.0
         details.append(f"v={v:g}: {elapsed:.1f}s")
     verdict(5, "barrier certification", ok,
-            "residuals > 0 at 64 and 128 nodes, C=0 control fails, "
-            + ", ".join(details))
+            "exact certificate passes and agrees with 64- and 128-node grids, "
+            "C=0 control fails (alpha < 0), " + ", ".join(details))
 
 
 @pytest.fixture(scope="module")

@@ -1,19 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import degenpde
 from degenpde.barriers import (
     HarnackBarrierParams,
     ModelBarrierParams,
+    barrier_condition_residual,
     certify_barrier_inequality,
+    certify_barrier_residual,
     certify_harnack_barrier,
     compute_sup_offset,
     find_barrier_params,
     harnack_barrier_v,
     harnack_region_grid,
     lambda_kernel,
-    min_condition_residual,
     model_barrier_phi,
     omega,
     search_harnack_barrier_params,
@@ -66,7 +74,7 @@ def test_harnack_search_returns_certifiable_params():
     assert params.m == 24.0
     cert = certify_harnack_barrier(params, coeffs, nodes=33)
     assert cert.passed
-    assert cert.info["fd_derivative_deviation"] <= 1e-6
+    assert cert.info["fd_derivative_deviation"] == float.fromhex("0x1.b3109baafa916p-23")
     # refinement does not flip the certificate
     finer = certify_harnack_barrier(params, coeffs, nodes=65,
                                     measure_c11=False, fd_check=False)
@@ -99,6 +107,7 @@ def test_harnack_n3_regime():
     assert params.m == 48.0
     cert = certify_harnack_barrier(params, coeffs, nodes=33, measure_c11=False)
     assert cert.passed
+    assert cert.info["fd_derivative_deviation"] == float.fromhex("0x1.b53a961e42a63p-23")
 
 
 def test_harnack_region_grid_shape():
@@ -119,11 +128,22 @@ def test_model_barrier_phi_examples():
 
 def test_find_barrier_params_and_certify():
     p1 = find_barrier_params(1.0, n=2)
-    res, _ = min_condition_residual(p1, 2, 64)
-    assert res > 0
+    assert certify_barrier_residual(p1, 2).passed
     cert = certify_barrier_inequality("translated", p1, n=2)
     assert cert.passed
     assert cert.info["fd_derivative_deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize("form, n, deviation", [
+    ("centered", 2, "0x1.d2b122bcc3da2p-26"),
+    ("centered", 3, "0x1.16dd04996b436p-25"),
+    ("translated", 2, "0x1.8288f350d21b9p-26"),
+    ("translated", 3, "0x1.06ebeb63b829ap-25"),
+])
+def test_wall_barrier_fd_deviation_is_pinned(form, n, deviation):
+    cert = certify_barrier_inequality(form, find_barrier_params(1.0, n), n)
+    assert cert.passed
+    assert cert.info["fd_derivative_deviation"] == float.fromhex(deviation)
 
 
 def test_barrier_monotone_in_velocity():
@@ -134,5 +154,112 @@ def test_barrier_monotone_in_velocity():
 
 def test_barrier_zero_forcing_negative_control():
     p = find_barrier_params(1.0, n=2)
-    res, _ = min_condition_residual(ModelBarrierParams(p.v, p.b, p.c, 0.0), 2, 64)
-    assert res <= 0
+    cert = certify_barrier_residual(ModelBarrierParams(p.v, p.b, p.c, 0.0), 2)
+    assert not cert.passed
+    # alpha = C - K = -(10 - 2n + c/sqrt(b)) at C = 0
+    assert cert.margins["alpha"] == pytest.approx(-(6.0 + p.c / math.sqrt(p.b)))
+
+
+@pytest.mark.parametrize("v, n, C", [(50.0, 3, 20.48), (50.0, 5, 10.24), (100.0, 6, 20.48)])
+def test_velocities_a_grid_would_miscertify(v, n, C):
+    # C/2 passes a 64-node grid, but its residual is negative at (x, |y|^2) = (4, 1e-8)
+    p = find_barrier_params(v, n)
+    assert p.C == pytest.approx(C, rel=1e-15)
+    assert certify_barrier_residual(p, n).passed
+    assert barrier_condition_residual(p, 4.0, 1e-8, n) > 0
+
+
+def test_rounded_tie_in_the_b_rule_is_refused():
+    # v - b(28 - 4n) - c sqrt(b) is +9e-13 in floats here but -3e-14 exactly, so
+    # gamma <= 0 and no C can make the residual positive
+    with pytest.raises(ValueError, match=r"gamma = .* <= 0 in exact arithmetic"):
+        find_barrier_params(float.fromhex("0x1.f600000000001p+12"), 2)
+
+
+def test_residual_margins_beyond_the_float_range_saturate():
+    cert = certify_barrier_residual(ModelBarrierParams(1.0, 1.0, 1e300, 1.0), 2)
+    assert not cert.passed
+    assert cert.margins["cross"] == math.inf and cert.info["beta"] < -1e300
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: ModelBarrierParams(math.nan, 0.1, 0.0, 1.0), "v"),
+    (lambda: ModelBarrierParams(1.0, math.nan, 0.0, 1.0), "b"),
+    (lambda: ModelBarrierParams(1.0, 0.1, 0.0, math.inf), "C"),
+    (lambda: find_barrier_params(math.nan), "transport velocity"),
+    (lambda: find_barrier_params(math.inf), "transport velocity"),
+    (lambda: HarnackBarrierParams(math.nan, 0.005, 24.0, 3.0, 1.0, (0.0, (0.0,))), "gamma"),
+    (lambda: HarnackBarrierParams(1.0, 0.005, math.nan, 3.0, 1.0, (0.0, (0.0,))), "m"),
+    (lambda: HarnackBarrierParams(1.0, 0.005, 24.0, 3.0, math.nan, (0.0, (0.0,))), "M_tau0"),
+], ids=["model_v", "model_b", "model_C_inf", "search_v_nan", "search_v_inf",
+        "harnack_gamma", "harnack_m", "harnack_M_tau0"])
+def test_non_finite_barrier_parameters_are_refused(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make()
+
+
+@st.composite
+def wall_params(draw):
+    """Admissible (params, n), scaled so that every verdict branch occurs."""
+    v = draw(st.floats(1e-2, 1e2))
+    b = v * 2.0 ** -draw(st.integers(0, 12))
+    c = draw(st.floats(0.0, 2.0)) * v * math.sqrt(b) / 8.0
+    C = draw(st.floats(0.0, 2.0)) * 16.0 / b
+    return ModelBarrierParams(v, b, c, C), draw(st.integers(2, 6))
+
+
+def _term_scale(p, x, S, n):
+    """Sum of the residual's term magnitudes, the scale of its rounding."""
+    P = x + p.b * S
+    return (p.v * P * S + p.C * x * P + 2.0 * x * S
+            + abs(10.0 - 2.0 * n + p.c / math.sqrt(p.b)) * P * P
+            + abs(10.0 - 2.0 * n) * p.b * P * S + 8.0 * p.b * p.b * S * S)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(wall_params(), st.floats(0.0, 10.0), st.floats(1e-6, 10.0))
+def test_residual_is_the_certified_quadratic_form(params_n, x, S):
+    p, n = params_n
+    cert = certify_barrier_residual(p, n)
+    form = (cert.margins["alpha"] * x * x + cert.info["beta"] * x * S
+            + cert.margins["gamma"] * S * S)
+    residual = barrier_condition_residual(p, x, S, n)
+    assert abs(form - residual) <= 1e-12 * _term_scale(p, x, S, n)
+
+
+_RAYS = np.array([(1.0, 0.0), (0.0, 1.0)] + [(1.0, r) for r in np.logspace(-8, 8, 161)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(wall_params())
+def test_certificate_verdict_matches_the_residual_on_rays(params_n):
+    p, n = params_n
+    cert = certify_barrier_residual(p, n)
+    alpha, beta, gamma = cert.margins["alpha"], cert.info["beta"], cert.margins["gamma"]
+    if cert.passed:
+        rays = _RAYS
+    elif alpha <= 0:
+        rays = np.array([(1.0, 0.0)])  # S -> 0, where the residual tends to alpha x^2
+    elif gamma <= 0:
+        rays = np.array([(0.0, 1.0)])  # x = 0, residual gamma S^2
+    else:
+        rays = np.array([(1.0, -beta / (2.0 * gamma))])  # the form's minimizing ray
+    x, S = rays[:, 0], rays[:, 1]
+    residual = barrier_condition_residual(p, x, S, n)
+    # a residual within rounding of zero cannot tell the verdict
+    assume(np.all(np.abs(residual) > 1e-9 * _term_scale(p, x, S, n)))
+    if cert.passed:
+        assert np.all(residual > 0)
+    else:
+        assert residual[0] <= 0
+
+
+def test_barrier_demo_runs(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "03_barrier_certificates.py"
+    src = str(Path(degenpde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "C=0 control alpha -" in done.stdout

@@ -138,8 +138,25 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
      "r = 0.2\nrho = 0.4\nalpha = nan\n", "[check holder] alpha: must lie in (0, 1], got nan"),
     ("random:seed=3", "\n[check holder]\ntype = holder_bound\ns0 = 0.5\nt0 = 1.0\n"
      "r = 0.2\nrho = 0.4\nalpha = 0\n", "[check holder] alpha: must lie in (0, 1], got 0"),
+    ("random:seed=3", "\n[check holder]\ntype = holder_bound\ns0 = 0.5\nt0 = 1.0\n"
+     "r = 1\nrho = 1\n", "[check holder] r: must lie in (0, 1), got 1"),
+    ("random:seed=3", "\n[check holder]\ntype = holder_bound\ns0 = 0.5\nt0 = 1.0\n"
+     "r = 0.2\nrho = 1.5\n", "[check holder] rho: must lie in (0, 1], got 1.5"),
+    ("random:seed=3", "\n[check tight]\ntype = manufactured_error\ntol = nan\n",
+     "[check tight] tol: must lie in (0, inf), got nan"),
+    ("random:seed=3", "\n[check tight]\ntype = manufactured_error\ntol = -1\n",
+     "[check tight] tol: must lie in (0, inf), got -1"),
+    ("random:seed=3", "\n[check early]\ntype = harnack_quotient\ns0 = 0.5\nt0 = 1.0\n"
+     "rho = -0.4\n", "[check early] rho: must lie in (0, inf), got -0.4"),
+    ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
+     "rho = 0.4\nlevels = 0\n", "[check osc] levels: must be an integer >= 2, got 0"),
+    ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
+     "rho = 0.4\nlevels = 2.5\n", "[check osc] levels: invalid literal for int()"),
 ], ids=["well_formed", "unknown_type", "schauder_needs_model", "schauder_needs_t0",
-        "schauder_alpha_one", "schauder_r_one", "holder_alpha_nan", "holder_alpha_zero"])
+        "schauder_alpha_one", "schauder_r_one", "holder_alpha_nan", "holder_alpha_zero",
+        "holder_r_one", "holder_rho_above_one", "manufactured_tol_nan",
+        "manufactured_tol_negative", "harnack_rho_negative", "oscillation_levels_zero",
+        "oscillation_levels_fraction"])
 def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypatch,
                                                      preset, extra, where):
     class SolveReached(Exception):
