@@ -630,10 +630,10 @@ class ModelBarrierParams:
         return f"v={self.v:g} b={self.b:.17g} c={self.c:.17g} C={self.C:.17g}"
 
 
-def model_barrier_phi(v, b: float, point: Point) -> float:
+def model_barrier_phi(b: float, point: Point) -> float:
     """phi = 1/((x + b |y|^2) |y|^2); pole where |y| = 0."""
-    if v <= 0 or b <= 0:
-        raise ValueError("need v > 0 and b > 0")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"b must be finite and positive, got {b!r}")
     S = float(point.y @ point.y)
     if S <= 0:
         raise ValueError("model barrier has a pole at y = 0")
@@ -708,7 +708,8 @@ def find_barrier_params(v, n: int = 2) -> ModelBarrierParams:
     at x = 0; c is then fixed small relative to v and sqrt(b); C doubles
     from 16/b until certify_barrier_residual passes.  gamma does not depend
     on C, and alpha and beta grow with it, so the doubling ends; a b whose
-    float test rounds past a tie, leaving gamma <= 0 exactly, is refused.
+    float test rounds past a tie, leaving gamma <= 0 exactly, is refused,
+    and so is a v so small that 16/b leaves the float range.
     """
     v = float(v)
     if not (math.isfinite(v) and v > 0):
@@ -721,6 +722,9 @@ def find_barrier_params(v, n: int = 2) -> ModelBarrierParams:
     while v - b * (28.0 - 4.0 * n) - c * math.sqrt(b) <= 0:
         b /= 2.0
         c = v * math.sqrt(b) / 8.0
+    if b < 16.0 / sys.float_info.max:
+        raise ValueError(f"transport velocity {v!r} is too small: b = {b!r} "
+                         "puts C = 16/b beyond the float range")
     params = ModelBarrierParams(v, b, c, 16.0 / b)
     cert = certify_barrier_residual(params, n)
     while not cert.passed:

@@ -10,7 +10,6 @@ failed, 2 that the spec is malformed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import math
 import sys
@@ -245,23 +244,17 @@ def _solve(spec: ExperimentSpec) -> ScalarField:
     return solve_ivbp(problem, spec.grid)
 
 
-def run_experiment(spec: ExperimentSpec, out_dir, threads: int = 1) -> bool:
+def run_experiment(spec: ExperimentSpec, out_dir) -> bool:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u = _solve(spec)
 
-    def run_one(item):
-        name, run, values = item
+    results = []
+    for name, run, values in spec.checks:
         try:
-            return name, run(spec, values, u)
+            results.append((name, run(spec, values, u)))
         except ValueError as exc:  # arguments only the estimate can refuse
             raise SpecError(f"[check {name}]: {exc}") from None
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, spec.checks))
-    else:
-        results = [run_one(item) for item in spec.checks]
 
     summary_lines = [f"experiment = {spec.name}",
                      f"seed = {spec.seed}",
@@ -316,8 +309,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run an experiment file or bundled preset")
     run_p.add_argument("spec", help="path to an experiment file, or a bundled name")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent checks")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the experiment seed")
     sub.add_parser("list-presets", help="list coefficient and experiment presets")
@@ -327,15 +318,13 @@ def main(argv=None) -> int:
         sys.stdout.write(list_presets())
         return 0
 
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     path = Path(args.spec)
     try:
         if not path.is_file():
             path = bundled_spec_path(args.spec)
         spec = ExperimentSpec(path, seed_override=args.seed)
         out_dir = args.out if args.out is not None else f"{spec.name}_out"
-        ok = run_experiment(spec, out_dir, threads=args.threads)
+        ok = run_experiment(spec, out_dir)
     except (SpecError, configparser.Error) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -167,19 +167,15 @@ def _forcing(g, grid: Grid, cube: ParabolicCube, nu: float, s0: float,
 class ContactSetResult:
     """Upper/lower contact sets of a field over a cube.
 
-    gamma_plus / gamma_minus are full-grid boolean masks; z, u_z, u_t are
-    the transformed coordinate and its derivatives per node. Nodes on the
-    s = 0 line are excluded (the z-map is singular there); their count is
-    reported.  The masks are exactly those that `np.linalg.eigvalsh` at
-    every selected node would give; `contact_sets` says how they are found
-    without it.
+    gamma_plus / gamma_minus are full-grid boolean masks.  Nodes on the
+    s = 0 line are excluded (the map to z = s^(2-nu)/(2-nu) is singular
+    there); their count is reported.  The masks are exactly those that
+    `np.linalg.eigvalsh` at every selected node would give; `contact_sets`
+    says how they are found without it.
     """
 
     gamma_plus: np.ndarray
     gamma_minus: np.ndarray
-    z: np.ndarray
-    u_z: np.ndarray
-    u_t: np.ndarray
     excluded_s_zero: int
 
 
@@ -207,8 +203,9 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     set tests -E alike.  No margin settles an eigenvalue at exactly -tau,
     such as E = 0 with tau = 0, so eigvalsh decides the nodes neither test
     settles (those and non-finite pivots).  Everything runs on blocks of
-    CONTACT_CHUNK selected nodes, so no (..., n, n) array over the grid is
-    built.
+    CONTACT_CHUNK selected nodes and u_z = s^(nu-1) u_s is formed on the
+    selected nodes only, so no (..., n, n) array and no z or u_z over the
+    grid is built.
     """
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0, 1)")
@@ -222,11 +219,6 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     sel = mask & s_pos
 
     d = fd_derivatives(u)
-    safe_s = np.where(s_col > 0, s_col, 1.0)
-    u_z = np.where(s_pos, safe_s ** (nu - 1.0) * d.u_s, 0.0)
-    z = np.broadcast_to(safe_s ** (2.0 - nu) / (2.0 - nu), grid.shape).copy()
-    z[~s_pos] = 0.0
-
     gamma_plus = np.zeros(grid.shape, dtype=bool)
     gamma_minus = np.zeros(grid.shape, dtype=bool)
     if np.any(sel):
@@ -237,7 +229,8 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
             return _contact_matrices(d, grid, nu, nodes[at])
 
         tol_e = CONTACT_TOL * _max_abs_eigenvalue(matrices, nodes.size)
-        uz_sel = u_z[sel]
+        safe_s = np.where(s_col > 0, s_col, 1.0)
+        uz_sel = np.broadcast_to(safe_s ** (nu - 1.0), grid.shape)[sel] * d.u_s[sel]
         ut_sel = d.u_t[sel]
         tol_z = CONTACT_TOL * float(np.max(np.abs(uz_sel), initial=0.0))
         tol_t = CONTACT_TOL * float(np.max(np.abs(ut_sel), initial=0.0))
@@ -247,7 +240,7 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
         plus[plus] = _eigenvalues_above(matrices, np.flatnonzero(plus), tol_e, -1.0)
         gamma_minus[sel] = minus
         gamma_plus[sel] = plus
-    return ContactSetResult(gamma_plus, gamma_minus, z, u_z, d.u_t, excluded)
+    return ContactSetResult(gamma_plus, gamma_minus, excluded)
 
 
 def _contact_matrices(d, grid: Grid, nu: float, flat: np.ndarray) -> np.ndarray:

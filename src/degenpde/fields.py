@@ -84,11 +84,6 @@ class Grid:
     def hy(self, i: int) -> float:
         return _uniform_spacing(self.y[i], f"y{i + 2}")
 
-    @property
-    def s_floor(self) -> float:
-        """Below this s the chain rule to x-derivatives is refused."""
-        return 0.5 * float(self.s[1]) if self.s[0] == 0.0 else 0.0
-
     def meshes(self, sparse: bool = True) -> list:
         return np.meshgrid(*self.axes, indexing="ij", sparse=sparse)
 
@@ -199,9 +194,9 @@ class FieldDerivatives:
 
     s-form derivatives (u_s, u_ss, u_sy, u_y, u_yy, u_t) are defined
     everywhere.  x-form derivatives use the chain rule u_x = u_s/(2s),
-    u_xx = (u_ss - u_s/s)/(4 s^2) where s exceeds the grid's s_floor; at
-    s = 0 the limits are used instead: x*u_xx -> 0 and u_x from a one-sided
-    stencil in x built from the first s-nodes (x-values 0, h^2, 4h^2).
+    u_xx = (u_ss - u_s/s)/(4 s^2) where s > 0; at s = 0 the limits are
+    used instead: x*u_xx -> 0 and u_x from a one-sided stencil in x built
+    from the first s-nodes (x-values 0, h^2, 4h^2).
     """
 
     def __init__(self, field: ScalarField):
@@ -266,13 +261,10 @@ class FieldDerivatives:
         return _apply_stencil(self.field.values, idx, c2)
 
     def u_xx(self) -> np.ndarray:
-        """d2u/dx2 by the chain rule; refused if the grid reaches below s_floor."""
+        """d2u/dx2 by the chain rule; refused if the grid reaches s = 0."""
         g = self.field.grid
-        if g.s[0] < g.s_floor or g.s[0] == 0.0:
-            raise ValueError(
-                "u_xx is not available at s below the floor "
-                f"{g.s_floor:g}; use the s-form operators there"
-            )
+        if g.s[0] == 0.0:
+            raise ValueError("u_xx is not available at s = 0; use the s-form operators there")
         s = self._s_col()
         return (self.u_ss - self.u_s / s) / (4 * s * s)
 

@@ -272,8 +272,6 @@ class StepMatrix:
     """
 
     A: sparse.csr_matrix
-    dirichlet: np.ndarray  # boolean, raveled spatial shape
-    dt: float
     diagonally_dominant: bool
     max_positive_offdiag: float
     _solve: Callable = dc_field(repr=False)
@@ -307,8 +305,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     hy = [grid.hy(i) for i in range(m)]
     strides = [int(np.prod(sp_shape[k + 1:])) for k in range(len(sp_shape))]
     lin = np.arange(N).reshape(sp_shape)
-    dirichlet = _dirichlet_mask(grid)
-    free = ~dirichlet
+    free = ~_dirichlet_mask(grid)
 
     s_idx = np.arange(sp_shape[0]).reshape((-1,) + (1,) * m)
     interior_s = free & np.broadcast_to(s_idx >= 1, sp_shape)
@@ -408,7 +405,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
 
         def solve(rhs, x0):
             return lu.solve(rhs)
-    return StepMatrix(M, dirichlet.ravel(), dt, dominant, max_pos_off, solve)
+    return StepMatrix(M, dominant, max_pos_off, solve)
 
 
 @dataclass(frozen=True)

@@ -118,12 +118,12 @@ def test_harnack_region_grid_shape():
 
 
 def test_model_barrier_phi_examples():
-    assert model_barrier_phi(1.0, 0.25, Point(0.0, [1.0])) == pytest.approx(4.0)
-    assert model_barrier_phi(1.0, 0.25, Point(100.0, [1.0])) < 0.01
-    assert model_barrier_phi(1.0, 0.25, Point(2.0, [0.5])) == pytest.approx(
-        model_barrier_phi(1.0, 0.25, Point(2.0, [-0.5])))
+    assert model_barrier_phi(0.25, Point(0.0, [1.0])) == pytest.approx(4.0)
+    assert model_barrier_phi(0.25, Point(100.0, [1.0])) < 0.01
+    assert model_barrier_phi(0.25, Point(2.0, [0.5])) == pytest.approx(
+        model_barrier_phi(0.25, Point(2.0, [-0.5])))
     with pytest.raises(ValueError):
-        model_barrier_phi(1.0, 0.25, Point(1.0, [0.0]))
+        model_barrier_phi(0.25, Point(1.0, [0.0]))
 
 
 def test_find_barrier_params_and_certify():
@@ -176,6 +176,13 @@ def test_rounded_tie_in_the_b_rule_is_refused():
         find_barrier_params(float.fromhex("0x1.f600000000001p+12"), 2)
 
 
+@pytest.mark.parametrize("v", [1e-323, 1e-320])
+def test_subnormal_velocity_is_refused_by_name(v):
+    # b = v/16/2^k underflows, so C = 16/b would divide by zero or overflow
+    with pytest.raises(ValueError, match="transport velocity .* is too small"):
+        find_barrier_params(v)
+
+
 def test_residual_margins_beyond_the_float_range_saturate():
     cert = certify_barrier_residual(ModelBarrierParams(1.0, 1.0, 1e300, 1.0), 2)
     assert not cert.passed
@@ -188,10 +195,14 @@ def test_residual_margins_beyond_the_float_range_saturate():
     (lambda: ModelBarrierParams(1.0, 0.1, 0.0, math.inf), "C"),
     (lambda: find_barrier_params(math.nan), "transport velocity"),
     (lambda: find_barrier_params(math.inf), "transport velocity"),
+    (lambda: model_barrier_phi(math.nan, Point(1.0, [1.0])), "b"),
+    (lambda: model_barrier_phi(math.inf, Point(1.0, [1.0])), "b"),
+    (lambda: model_barrier_phi(0.0, Point(1.0, [1.0])), "b"),
     (lambda: HarnackBarrierParams(math.nan, 0.005, 24.0, 3.0, 1.0, (0.0, (0.0,))), "gamma"),
     (lambda: HarnackBarrierParams(1.0, 0.005, math.nan, 3.0, 1.0, (0.0, (0.0,))), "m"),
     (lambda: HarnackBarrierParams(1.0, 0.005, 24.0, 3.0, math.nan, (0.0, (0.0,))), "M_tau0"),
 ], ids=["model_v", "model_b", "model_C_inf", "search_v_nan", "search_v_inf",
+        "phi_b_nan", "phi_b_inf", "phi_b_zero",
         "harnack_gamma", "harnack_m", "harnack_M_tau0"])
 def test_non_finite_barrier_parameters_are_refused(make, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -46,8 +46,7 @@ def test_bundled_experiment_runs_and_is_deterministic(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert main(["run", "model_manufactured", "--out", str(out1)]) == 0
-    assert main(["run", "model_manufactured", "--out", str(out2),
-                 "--threads", "2"]) == 0
+    assert main(["run", "model_manufactured", "--out", str(out2)]) == 0
     names = sorted(p.name for p in out1.iterdir())
     assert "summary.txt" in names
     assert "manufactured.report.txt" in names
@@ -58,6 +57,14 @@ def test_bundled_experiment_runs_and_is_deterministic(tmp_path):
     summary = (out1 / "summary.txt").read_text()
     assert "result = PASS" in summary
     assert "failed = 0" in summary
+
+
+def test_threads_option_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "model_manufactured", "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_nu_rejected(tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_fd_second_order_in_s():
 def test_u_x_refused_near_degenerate_edge():
     g = unit_grid(9)
     d = fd_derivatives(sample(lambda x, y, t: x + 0 * y, g))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at s = 0"):
         d.u_xx()
     ux = d.u_x_xgrid()
     assert np.max(np.abs(ux - 1.0)) <= 1e-10
