@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,45 @@ def test_cs_norm_rejects_edge_region():
     f = sample(lambda x, y, t: x + 0 * y, g)
     with pytest.raises(ValueError):
         cs_norm_2_alpha(f, 0.5, region)
+
+
+EDGE_GRIDS = {"s0": 0.0, "clipped": 0.5}
+
+# (s, y2, t) node indices of a Q_rho region's base -> the edges it touches on
+# the s = 0 grid and on the clipped grid; None = accepted
+EDGE_CASES = {
+    "two_cells_in_at_the_top": ((15, 15, 28), None, None),
+    "two_cells_in_at_the_bottom": ((5, 5, 5), None, None),
+    "s_top": ((16, 10, 15), "s-top", "s-top"),
+    "s_bottom": ((4, 10, 15), None, "s-bottom"),
+    "at_s0": ((0, 10, 15), None, "s-bottom"),
+    "y_low": ((10, 4, 15), "y2", "y2"),
+    "y_high": ((10, 16, 15), "y2", "y2"),
+    "t_late": ((10, 10, 29), "t", "t"),
+    "t_early": ((10, 10, 4), "t", "t"),
+    "top_corner": ((16, 16, 29), "s-top, y2, t", "s-top, y2, t"),
+    "bottom_corner": ((4, 4, 4), "y2, t", "s-bottom, y2, t"),
+}
+
+
+@pytest.mark.parametrize("grid_kind", sorted(EDGE_GRIDS))
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_cs_norm_names_exactly_the_edges_a_region_touches(grid_kind, case):
+    s_lo = EDGE_GRIDS[grid_kind]
+    # spacings 0.1 in s and y, 0.03 in t: a radius-0.3 Q_rho spans 3 cells
+    g = Grid.uniform((s_lo, s_lo + 2.0, 21), [(-1, 1, 21)], (0, 0.9, 31))
+    (i, j, k), on_s0, on_clipped = EDGE_CASES[case]
+    region = ParabolicCube("Q_rho", Point(g.s[i] ** 2, [g.y[0][j]], g.t[k]), 0.3)
+    idx = np.argwhere(cube_nodes(region, g))
+    lo, hi = [max(i - 3, 0), j - 3, k - 3], [i + 3, j + 3, k]
+    assert idx.min(axis=0).tolist() == lo and idx.max(axis=0).tolist() == hi
+    f = sample(lambda x, y, t: x * y + t, g)
+    edges = on_s0 if s_lo == 0.0 else on_clipped
+    if edges is None:
+        assert np.isfinite(cs_norm_2_alpha(f, 0.5, region))
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"region touches grid edges ({edges})")):
+            cs_norm_2_alpha(f, 0.5, region)
 
 
 def test_c0_norm():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from degenpde import solver
+from degenpde import barriers, solver
 from degenpde.fields import Grid, sample
 from degenpde.operators import (coefficients_from_expressions, model_coefficients,
                                 random_coefficients)
@@ -320,3 +320,19 @@ def test_lateral_data_is_evaluated_on_the_dirichlet_nodes_only():
                    SolverConfig(dt=0.05))
     assert sizes == [dirichlet] * (1 + len(u.step_residuals))
     assert np.max(np.abs(u.values - sample(f, grid).values)) <= 1e-10
+
+
+@pytest.mark.parametrize("s_lo", [0.0, 0.5], ids=["s0", "clipped"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_dirichlet_nodes_are_the_barrier_parabolic_boundary_after_t0(n, s_lo):
+    g = Grid.uniform((s_lo, 1, 7), [(-1, 1, 6)] * (n - 1), (0, 1, 4))
+    A = assemble_step_matrix(IVBProblem(coeffs=1.0), g, 0.1).A.toarray()
+    dirichlet = solver._dirichlet_mask(g)
+    identity_rows = np.all(A == np.eye(A.shape[0]), axis=1)
+    assert np.array_equal(identity_rows.reshape(dirichlet.shape), dirichlet)
+    boundary = barriers._boundary_mask(g)
+    assert boundary[..., 0].all()
+    assert np.array_equal(boundary[..., 1:],
+                          np.broadcast_to(dirichlet[..., None], boundary[..., 1:].shape))
+    # the degenerate edge s = 0 is free; a clipped box's low-s face is not
+    assert np.count_nonzero(~dirichlet[0]) == (0 if s_lo > 0 else 4 ** (n - 1))
