@@ -315,9 +315,8 @@ def harnack_phi_field(params: HarnackBarrierParams, rho: float, grid: Grid):
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
     x0, y0 = params.base
-    meshes = grid.meshes()
-    s, ys, t = meshes[0], meshes[1:-1], meshes[-1]
-    theta = d_bar_sq(s * s, ys, x0, y0, params.gamma)
+    x, *ys, t = grid.x_meshes()
+    theta = d_bar_sq(x, ys, x0, y0, params.gamma)
     num = _v_from_theta(theta / (rho * rho), t / (rho * rho), params)
     num = np.broadcast_to(num, grid.shape).copy()
     _, q2 = _inner_outer_cubes(params.base, rho)
@@ -334,23 +333,9 @@ def harnack_phi_field(params: HarnackBarrierParams, rho: float, grid: Grid):
 
 
 def _boundary_mask(grid: Grid) -> np.ndarray:
-    """Parabolic boundary of the box: t = 0 slice plus lateral faces.
-
-    The degenerate edge s = 0 is not part of the parabolic boundary; a
-    positive low-s face (clipped box) is.
-    """
-    shape = grid.shape
-    mask = np.zeros(shape, dtype=bool)
-    mask[..., 0] = True
-    mask[-1, ...] = True
-    if grid.s[0] > 0:
-        mask[0, ...] = True
-    for k in range(1, len(shape) - 1):
-        sl = [slice(None)] * len(shape)
-        sl[k] = 0
-        mask[tuple(sl)] = True
-        sl[k] = shape[k] - 1
-        mask[tuple(sl)] = True
+    """Parabolic boundary of the box: the t = 0 slice and the lateral edges."""
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[grid.interior_box(1) + (slice(1, None),)] = False
     return mask
 
 
@@ -410,9 +395,7 @@ def harnack_supersolution_residual(params: HarnackBarrierParams,
     """
     x0, y0 = params.base
     up = _scaled_params(params, rho)
-    meshes = grid.meshes()
-    s, ys, t = meshes[0], meshes[1:-1], meshes[-1]
-    x = s * s
+    x, *ys, t = grid.x_meshes()
     r2 = rho * rho
     ys_scaled = [y0i + (yi - y0i) / rho for yi, y0i in zip(ys, y0)]
     d = harnack_v_derivatives(x / r2, ys_scaled, t / r2, up)

@@ -201,8 +201,7 @@ class ExperimentSpec:
             self.coefficients = parse_coefficient_preset(preset, self.n)
         except ValueError as exc:
             raise SpecError(f"[experiment] coefficients: {exc}") from None
-        self.model_v = (float(preset[len("model:v="):]) if preset.startswith("model:v=")
-                        else 1.0 if preset == "identity" else None)
+        self.model_v = self.coefficients.velocity
 
         prob = _read(_section(parser, "problem"), "problem", _PROBLEM)
         sampled = {}

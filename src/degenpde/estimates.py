@@ -213,7 +213,7 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     if any(k < 5 for k in grid.shape):
         raise ValueError("contact sets need at least 5 nodes per axis")
     mask = cube_nodes(cube, grid, "contact-set cube")
-    s_col = grid.s.reshape((-1,) + (1,) * (len(grid.axes) - 1))
+    s_col = grid.meshes()[0]
     s_pos = np.broadcast_to(s_col > 0, grid.shape)
     excluded = int(np.count_nonzero(mask & ~s_pos))
     sel = mask & s_pos
@@ -593,17 +593,6 @@ def gradient_bound_check(f: ScalarField, v, B: float, r: float,
                    f"B={B:g} r={r:g} gamma={gamma_frac:g} v={v:g}")
 
 
-def _interior_mask(grid: Grid) -> np.ndarray:
-    """Nodes at least 2 cells from every nondegenerate grid edge."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    sl = []
-    for k in range(len(grid.axes)):
-        lo = 0 if (k == 0 and grid.s[0] == 0.0) else 2
-        sl.append(slice(lo, grid.shape[k] - 2))
-    mask[tuple(sl)] = True
-    return mask
-
-
 def bernstein_quantity_check(f: ScalarField, v, A: float, tol: float = 1e-6,
                              provenance: str = "") -> EstimateReport:
     """Differential inequalities of X = (A+f^2) f_x^2 and Y = (A+f^2) f_yi^2.
@@ -618,7 +607,7 @@ def bernstein_quantity_check(f: ScalarField, v, A: float, tol: float = 1e-6,
         raise ValueError("A must be >= 8")
     grid = f.grid
     residual_l0 = apply_L0(v, f)
-    interior = _interior_mask(grid)
+    interior = grid.interior_box(2, t_margin=2)
     l0_max = float(np.max(np.abs(residual_l0.values[interior])))
     f_scale = 1.0 + c0_norm(f)
     if l0_max > tol * 100.0 * f_scale:
@@ -700,10 +689,7 @@ def poly_approx_check(f: ScalarField, L0f: ScalarField, s_outer: float,
     fyy = [[float(d.u_yy[i][j][point]) for j in range(len(grid.y))]
            for i in range(len(grid.y))]
 
-    meshes = grid.meshes()
-    x = meshes[0] ** 2
-    ys = meshes[1:-1]
-    t = meshes[-1]
+    x, *ys, t = grid.x_meshes()
     p = f0 + fx * x + ft * (t - 1.0)
     for i, yi in enumerate(ys):
         p = p + fy[i] * yi

@@ -42,6 +42,8 @@ class Grid:
         for name, ax in zip(self.axis_names, self.axes):
             if ax.size < 3:
                 raise ValueError(f"axis {name} needs at least 3 nodes")
+            if not np.all(np.isfinite(ax)):
+                raise ValueError(f"axis {name} must be finite")
             if np.any(np.diff(ax) <= 0):
                 raise ValueError(f"axis {name} must be strictly increasing")
         if self.s[0] < 0:
@@ -53,7 +55,8 @@ class Grid:
 
         def ax(triple):
             lo, hi, count = triple
-            return np.linspace(lo, hi, int(count))
+            with np.errstate(invalid="ignore"):  # a non-finite axis is refused below
+                return np.linspace(lo, hi, int(count))
 
         return cls(ax(s_extent), tuple(ax(e) for e in y_extents), ax(t_extent))
 
@@ -84,8 +87,41 @@ class Grid:
     def hy(self, i: int) -> float:
         return _uniform_spacing(self.y[i], f"y{i + 2}")
 
-    def meshes(self, sparse: bool = True) -> list:
-        return np.meshgrid(*self.axes, indexing="ij", sparse=sparse)
+    @property
+    def x(self) -> np.ndarray:
+        """The x-coordinates x = s^2 of the s-nodes."""
+        return self.s * self.s
+
+    def meshes(self) -> tuple:
+        """Sparse (s, y..., t) node meshes."""
+        return np.meshgrid(*self.axes, indexing="ij", sparse=True)
+
+    def x_meshes(self) -> tuple:
+        """Sparse (x, y..., t) node meshes."""
+        return np.meshgrid(self.x, *self.y, self.t, indexing="ij", sparse=True)
+
+    def spatial_x_meshes(self) -> tuple:
+        """Sparse (x, y...) meshes of the spatial nodes."""
+        return np.meshgrid(self.x, *self.y, indexing="ij", sparse=True)
+
+    def node(self, idx) -> tuple:
+        """Coordinates (s, y..., t) of the node at idx; (s, y...) for a spatial idx."""
+        return tuple(float(ax[i]) for ax, i in zip(self.axes, idx))
+
+    def interior_box(self, margin: int, t_margin: int | None = None) -> tuple:
+        """Index box of the nodes `margin` cells inside every lateral edge.
+
+        The lateral edges are both ends of each y-axis, s = s_max, and
+        s = s[0] when s[0] > 0 (a clipped box).  The degenerate edge s = 0 is
+        not one: the transport condition makes it need no boundary data, so
+        it is not part of the parabolic boundary.  The box is spatial unless
+        t_margin is given, which trims both ends of the time axis.
+        """
+        box = (slice(margin if self.s[0] > 0 else 0, len(self.s) - margin),
+               *(slice(margin, len(y) - margin) for y in self.y))
+        if t_margin is None:
+            return box
+        return box + (slice(t_margin, len(self.t) - t_margin),)
 
     def same_axes(self, other: "Grid") -> bool:
         return (
@@ -114,16 +150,13 @@ class ScalarField:
 
 def sample(f, grid: Grid) -> ScalarField:
     """Evaluate f(x, y..., t) at every node (x = s^2)."""
-    meshes = grid.meshes()
-    s, ys, t = meshes[0], meshes[1:-1], meshes[-1]
     with np.errstate(all="ignore"):  # a non-finite value is refused below
-        vals = np.asarray(f(s * s, *ys, t), dtype=float)
+        vals = np.asarray(f(*grid.x_meshes()), dtype=float)
     vals = np.broadcast_to(vals, grid.shape).copy()
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        idx = tuple(np.argwhere(bad)[0])
-        coords = tuple(float(grid.axes[k][idx[k]]) for k in range(len(idx)))
-        raise ValueError(f"sampling produced non-finite value at node {coords}")
+        node = grid.node(np.argwhere(bad)[0])
+        raise ValueError(f"sampling produced non-finite value at node {node}")
     return ScalarField(grid, vals)
 
 
@@ -218,14 +251,10 @@ class FieldDerivatives:
                 else:
                     self.u_yy[i][j] = self.u_yy[j][i]
 
-    def _s_col(self) -> np.ndarray:
-        g = self.field.grid
-        return g.s.reshape((-1,) + (1,) * (len(g.axes) - 1))
-
     def u_x(self) -> np.ndarray:
         """du/dx everywhere; at s = 0 a one-sided x-stencil replaces the chain rule."""
         g = self.field.grid
-        s = self._s_col()
+        s = g.meshes()[0]
         safe = np.where(s > 0, s, 1.0)
         out = self.u_s / (2 * safe)
         if g.s[0] == 0.0:
@@ -238,7 +267,7 @@ class FieldDerivatives:
     def x_times_u_xx(self) -> np.ndarray:
         """x * d2u/dx2 = (u_ss - u_s/s)/4, with limit value 0 at s = 0."""
         g = self.field.grid
-        s = self._s_col()
+        s = g.meshes()[0]
         safe = np.where(s > 0, s, 1.0)
         out = (self.u_ss - self.u_s / safe) / 4.0
         if g.s[0] == 0.0:
@@ -251,13 +280,13 @@ class FieldDerivatives:
         Exact for fields polynomial of degree <= 2 in x; defined at s = 0.
         """
         g = self.field.grid
-        idx, c1, _ = _nonuniform_coeffs(g.s ** 2)
+        idx, c1, _ = _nonuniform_coeffs(g.x)
         return _apply_stencil(self.field.values, idx, c1)
 
     def u_xx_xgrid(self) -> np.ndarray:
         """d2u/dx2 by 3-point stencils on the nonuniform x-nodes."""
         g = self.field.grid
-        idx, _, c2 = _nonuniform_coeffs(g.s ** 2)
+        idx, _, c2 = _nonuniform_coeffs(g.x)
         return _apply_stencil(self.field.values, idx, c2)
 
     def u_xx(self) -> np.ndarray:
@@ -265,7 +294,7 @@ class FieldDerivatives:
         g = self.field.grid
         if g.s[0] == 0.0:
             raise ValueError("u_xx is not available at s = 0; use the s-form operators there")
-        s = self._s_col()
+        s = g.meshes()[0]
         return (self.u_ss - self.u_s / s) / (4 * s * s)
 
 
@@ -361,26 +390,18 @@ def c0_norm(field: ScalarField, region: ParabolicCube | None = None) -> float:
 
 
 def _check_region_interior(grid: Grid, mask: np.ndarray):
-    """Require 2-cell margins against every nondegenerate grid edge.
+    """Require 2-cell margins against every lateral grid edge and both ends of t.
 
     The degenerate edge s = 0 is exempt: the scaled derivatives used by the
     second-order norm have well-defined limit stencils there.
     """
     idx = np.argwhere(mask)
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    shape = grid.shape
-    k_t = len(shape) - 1
-    problems = []
-    if hi[0] > shape[0] - 3:
-        problems.append("s-top")
-    if grid.s[0] > 0 and lo[0] < 2:
-        problems.append("s-bottom")
-    for k in range(1, k_t):
-        if lo[k] < 2 or hi[k] > shape[k] - 3:
-            problems.append(grid.axis_names[k])
-    if lo[k_t] < 2 or hi[k_t] > shape[k_t] - 3:
-        problems.append("t")
+    lo, hi = idx.min(axis=0), idx.max(axis=0)
+    box = grid.interior_box(2, t_margin=2)
+    edges = [("s-top", hi[0] >= box[0].stop), ("s-bottom", lo[0] < box[0].start)]
+    edges += [(name, lo[k] < box[k].start or hi[k] >= box[k].stop)
+              for k, name in enumerate(grid.axis_names[1:], start=1)]
+    problems = [name for name, hit in edges if hit]
     if problems:
         raise ValueError(
             "region touches grid edges (" + ", ".join(problems) +
@@ -394,9 +415,10 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     C0 norm of u plus C0 norms and Hoelder-alpha seminorms of the scaled
     derivatives that enter the model operator: u_t, x*u_xx, u_{y_i y_j},
     u_x, u_{y_i}.  The region must sit at least 2 cells inside every
-    nondegenerate grid edge.  One set of node pairs serves every piece;
-    above 2000 region nodes the seminorms are maxima over a fixed sample of
-    pairs, so the norm is a lower bound of the supremum-based norm.
+    lateral grid edge and both ends of the time axis.  One set of node pairs
+    serves every piece; above 2000 region nodes the seminorms are maxima
+    over a fixed sample of pairs, so the norm is a lower bound of the
+    supremum-based norm.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")

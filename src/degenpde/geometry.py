@@ -219,11 +219,8 @@ class ParabolicCube:
 
     def node_mask(self, grid) -> np.ndarray:
         """Boolean mask of grid nodes inside the cube, full grid shape."""
-        coords = np.meshgrid(*grid.axes, indexing="ij", sparse=True)
-        s, ys, t = coords[0], coords[1:-1], coords[-1]
-        return np.broadcast_to(
-            self.contains_s(s, ys, t), grid.shape
-        ).copy()
+        s, *ys, t = grid.meshes()
+        return np.broadcast_to(self.contains_s(s, ys, t), grid.shape).copy()
 
 
 def cube_nodes(cube: ParabolicCube, grid, label: str = "cube") -> np.ndarray:

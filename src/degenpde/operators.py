@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import compile_expression
-from .fields import Grid, ScalarField, fd_derivatives
+from .fields import Grid, ScalarField, _d1, fd_derivatives
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ def _const(c: float):
     def f(x, *coords):
         return np.full(np.broadcast(x, *coords).shape, c) if np.ndim(x) or coords else c
 
-    f.constant_value = c
     return f
 
 
@@ -56,11 +55,12 @@ class CoefficientField:
     """Coefficient functions a_ij(x, y, t), b_i(x, y, t) with (1.2)-style bounds.
 
     a and b entries are callables f(x, y2, ..., t) broadcasting over meshes.
-    Index 1 is the degenerate (x) direction.
+    Index 1 is the degenerate (x) direction.  velocity is the transport
+    velocity v of a model operator (a = I, b = (v, 0, ...)), None otherwise.
     """
 
     def __init__(self, n: int, a, b, params: EllipticityParams,
-                 time_dependent: bool = False, description: str = "custom"):
+                 time_dependent: bool = False, velocity: float | None = None):
         if n < 2:
             raise ValueError("dimension n must be >= 2")
         self.n = n
@@ -68,7 +68,7 @@ class CoefficientField:
         self.b = b
         self.params = params
         self.time_dependent = time_dependent
-        self.description = description
+        self.velocity = velocity
         if len(a) != n or any(len(row) != n for row in a):
             raise ValueError("a must be n x n")
         if len(b) != n:
@@ -95,12 +95,6 @@ class CoefficientValidation:
     passed: bool
 
 
-def _spacetime_meshes(grid: Grid):
-    meshes = grid.meshes()
-    s, rest = meshes[0], meshes[1:]
-    return (s * s, *rest)
-
-
 def validate_coefficients(coeffs: CoefficientField, grid: Grid) -> CoefficientValidation:
     """Worst-case margins of the ellipticity/bound/transport conditions on grid samples.
 
@@ -109,10 +103,11 @@ def validate_coefficients(coeffs: CoefficientField, grid: Grid) -> CoefficientVa
     contract the solver's step-matrix cache relies on, so the margins are
     those of the full space-time grid.
     """
-    t = grid.t if coeffs.time_dependent else grid.t[:1]
-    s, *rest = np.meshgrid(grid.s, *grid.y, t, indexing="ij", sparse=True)
-    meshes = (s * s, *rest)
-    shape = grid.shape[:-1] + (len(t),)
+    *space, t = grid.x_meshes()
+    if not coeffs.time_dependent:
+        t = t[..., :1]
+    meshes = (*space, t)
+    shape = grid.shape[:-1] + t.shape[-1:]
     A = coeffs.eval_a(meshes, shape)
     B = coeffs.eval_b(meshes, shape)
     asym = float(np.max(np.abs(A - np.swapaxes(A, 0, 1))))
@@ -143,10 +138,8 @@ def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     g = field.grid
     if coeffs.n != g.n:
         raise ValueError("coefficient dimension does not match grid")
-    from .fields import _d1
-
     d = fd_derivatives(field)
-    meshes = _spacetime_meshes(g)
+    meshes = g.x_meshes()
     shape = g.shape
     A = coeffs.eval_a(meshes, shape)
     B = coeffs.eval_b(meshes, shape)
@@ -177,7 +170,7 @@ def apply_Ls(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     if coeffs.n != g.n:
         raise ValueError("coefficient dimension does not match grid")
     d = fd_derivatives(field)
-    meshes = _spacetime_meshes(g)
+    meshes = g.x_meshes()
     shape = g.shape
     A = coeffs.eval_a(meshes, shape)
     B = coeffs.eval_b(meshes, shape)
@@ -188,7 +181,7 @@ def apply_Ls(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     for i in range(m):
         for j in range(m):
             out += A[1 + i, 1 + j] * d.u_yy[i][j]
-    s = g.s.reshape((-1,) + (1,) * (len(g.axes) - 1))
+    s = g.meshes()[0]
     safe = np.where(s > 0, s, 1.0)
     drift = (B[0] / 2.0 - A[0, 0]) * (d.u_s / safe)
     if g.s[0] == 0.0:
@@ -207,8 +200,7 @@ def model_coefficients(v, n: int = 2) -> CoefficientField:
     nu = min(0.5, v)
     a = [[_const(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     b = [_const(v)] + [_const(0.0) for _ in range(n - 1)]
-    return CoefficientField(n, a, b, EllipticityParams(lam, nu),
-                            description=f"model:v={v:g}")
+    return CoefficientField(n, a, b, EllipticityParams(lam, nu), velocity=v)
 
 
 def identity_coefficients(n: int = 2) -> CoefficientField:
@@ -260,8 +252,7 @@ def random_coefficients(seed: int, n: int = 2, lam: float = 0.5,
     b = [shifted(smooth_unit(), 0.8, 0.3)]
     for _ in range(n - 1):
         b.append(shifted(smooth_unit(), 0.0, 0.5))
-    return CoefficientField(n, a, b, EllipticityParams(lam, nu),
-                            description=f"random:seed={seed}")
+    return CoefficientField(n, a, b, EllipticityParams(lam, nu))
 
 
 def coefficients_from_expressions(entries: dict, n: int = 2,
@@ -292,8 +283,7 @@ def coefficients_from_expressions(entries: dict, n: int = 2,
     for i in range(1, n + 1):
         key = f"b{i}"
         b.append(exprs[key] if key in entries else _const(0.0))
-    return CoefficientField(n, a, b, EllipticityParams(lam, nu),
-                            time_dependent=time_dep, description="expressions")
+    return CoefficientField(n, a, b, EllipticityParams(lam, nu), time_dependent=time_dep)
 
 
 COEFFICIENT_PRESETS = {
@@ -318,9 +308,9 @@ def parse_coefficient_preset(text: str, n: int = 2) -> CoefficientField:
 
 def apply_L0(v, field: ScalarField) -> ScalarField:
     """Model operator L0 f = f_t - (x f_xx + sum f_yiyi + v f_x)."""
-    d = fd_derivatives(field)
-    lu = apply_L(model_coefficients(v, field.grid.n), field)
-    return ScalarField(field.grid, d.u_t - lu.values)
+    g = field.grid
+    u_t = _d1(field.values, g.ht, len(g.axes) - 1)
+    return ScalarField(g, u_t - apply_L(model_coefficients(v, g.n), field).values)
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,7 @@ def smooth_field(h, eps: float, kernel: BumpKernel, grid: Grid) -> ScalarField:
         raise ValueError("eps must be positive")
     if kernel.n != grid.n:
         raise ValueError("kernel dimension does not match the grid")
-    meshes = grid.meshes()
-    x = meshes[0] ** 2
-    ys = meshes[1:-1]
-    t = meshes[-1]
+    x, *ys, t = grid.x_meshes()
     nodes = kernel.nodes
     weights = kernel.weights
     sq = np.sqrt(eps)

@@ -4,12 +4,10 @@ Space is a uniform-s tensor grid; time marches by implicit Euler,
 
     (I - dt (L_h + c)) u^{m+1} = u^m + dt g^{m+1},
 
-with Dirichlet rows on the lateral (nondegenerate) boundaries -- the y-faces,
-s = s_max, and s = s[0] when a clipped box starts at s[0] > 0 -- and an
-interior-like limit row at s = 0: the equation there degenerates to
-u_t = b1 u_x + sum a_ij u_{y_i y_j} + sum b_j u_{y_j}, so no boundary
-condition is imposed at the degenerate edge; the transport term b1 > 0
-carries information outward.
+with Dirichlet rows on the lateral edges that `fields.Grid.interior_box`
+defines, and an interior-like limit row at s = 0 when the grid reaches it:
+the equation there degenerates to u_t = b1 u_x + sum a_ij u_{y_i y_j} +
+sum b_j u_{y_j}, and the transport term b1 > 0 carries information outward.
 
 The x-direction terms are discretized on the nonuniform x-nodes x_i = s_i^2
 with 3-point stencils that are exact for data quadratic in x.  The transport
@@ -65,8 +63,8 @@ class SolverConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclass
@@ -90,11 +88,6 @@ class IVBProblem:
         return model_coefficients(float(self.coeffs), n)
 
 
-def _spatial_meshes(grid: Grid):
-    axes = [grid.s] + list(grid.y)
-    return np.meshgrid(*axes, indexing="ij", sparse=True)
-
-
 def _eval_spatial(fn, coords: list, shape: tuple, t: float) -> np.ndarray:
     """fn(x, y..., t) on the nodes whose coordinates (x = s^2) broadcast to shape."""
     val = fn(*coords, t)
@@ -103,31 +96,19 @@ def _eval_spatial(fn, coords: list, shape: tuple, t: float) -> np.ndarray:
 
 def _non_finite(name: str, grid: Grid, flat: int, t: float) -> ValueError:
     """Refusal naming the data and the node (s, y..., t); flat is its raveled spatial index."""
-    axes = [grid.s] + list(grid.y)
-    idx = np.unravel_index(flat, tuple(len(ax) for ax in axes))
-    node = tuple(float(ax[i]) for ax, i in zip(axes, idx)) + (float(t),)
+    node = grid.node(np.unravel_index(flat, grid.shape[:-1])) + (float(t),)
     return ValueError(f"{name} is non-finite at node {node}")
 
 
-def _free_box(grid: Grid) -> tuple:
-    """Index box of the free nodes: every spatial node off a Dirichlet face.
-
-    The Dirichlet faces are both ends of every y-axis, s = s_max, and
-    s = s[0] when s[0] > 0 (a clipped box).  The degenerate edge s = 0 is
-    free: the equation needs no boundary condition there.
-    """
-    s_lo = 1 if grid.s[0] > 0 else 0
-    return (slice(s_lo, len(grid.s) - 1), *(slice(1, len(y) - 1) for y in grid.y))
-
-
 def _dirichlet_mask(grid: Grid) -> np.ndarray:
-    mask = np.ones(tuple(len(ax) for ax in [grid.s] + list(grid.y)), dtype=bool)
-    mask[_free_box(grid)] = False
+    """The spatial nodes on a lateral edge (`Grid.interior_box`)."""
+    mask = np.ones(grid.shape[:-1], dtype=bool)
+    mask[grid.interior_box(1)] = False
     return mask
 
 
-def _x_stencils(s: np.ndarray):
-    """3-point stencils on the nonuniform x-nodes x_i = s_i^2, per s-node.
+def _x_stencils(xv: np.ndarray):
+    """3-point stencils on the nonuniform x-nodes xv, per s-node.
 
     Returns (xx, x1, fwd, w).  xx and x1 are (minus, centre, plus) weight
     vectors, zero at both s-ends: x times the central second difference
@@ -135,10 +116,8 @@ def _x_stencils(s: np.ndarray):
     the plus weight of the forward first difference (its centre weight is
     -fwd).  The transport stencil is w x1 + (1 - w) fwd.
     """
-    xv = s ** 2
-
     def vec(interior):
-        full = np.zeros(len(s))
+        full = np.zeros(len(xv))
         full[1:-1] = interior
         return full
 
@@ -151,7 +130,7 @@ def _x_stencils(s: np.ndarray):
           vec(dm / (dp * (dm + dp))))
     # forward difference near x = 0 (monotone, exact on x-linear data),
     # blended to the central stencil beyond 4 cells
-    w = np.clip((np.arange(len(s)) - 1) / 4.0, 0.0, 1.0)
+    w = np.clip((np.arange(len(xv)) - 1) / 4.0, 0.0, 1.0)
     return xx, x1, vec(1.0 / dp), w
 
 
@@ -169,7 +148,7 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
     and cross terms are left out.  Returns r -> P^-1 r on raveled free-box
     vectors, for use as a Krylov preconditioner (Concus & Golub 1973).
     """
-    box = _free_box(grid)
+    box = grid.interior_box(1)
     m = len(grid.y)
     shape = tuple(sl.stop - sl.start for sl in box)
     y_axes = tuple(range(1, m + 1))
@@ -177,14 +156,14 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
     # tridiagonal L_s on the free s-nodes; couplings to Dirichlet nodes drop
     a_s = A[0, 0][box].mean(axis=y_axes)
     b_s = B[0][box].mean(axis=y_axes)
-    xx, x1, fwd, w = _x_stencils(grid.s)
+    xx, x1, fwd, w = _x_stencils(grid.x)
     ns = shape[0]
     i = np.arange(box[0].start, box[0].stop)
     sub = a_s * xx[0][i] + w[i] * b_s * x1[0][i]
     mid = a_s * xx[1][i] + w[i] * b_s * x1[1][i] - (1 - w[i]) * b_s * fwd[i]
     sup = a_s * xx[2][i] + w[i] * b_s * x1[2][i] + (1 - w[i]) * b_s * fwd[i]
     if box[0].start == 0:  # the s = 0 limit row: b1 u_x, two-point stencil
-        x_1 = grid.s[1] ** 2
+        x_1 = grid.x[1]
         mid[0], sup[0] = -b_s[0] / x_1, b_s[0] / x_1
 
     lam = np.zeros(())
@@ -284,17 +263,16 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
                          t_eval: float | None = None,
                          config: SolverConfig | None = None) -> StepMatrix:
     """Assemble (I - dt (L_h + c)) with Dirichlet rows on lateral boundaries."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     config = config or SolverConfig()
     coeffs = problem.coefficient_field(grid.n)
     if t_eval is None:
         t_eval = float(grid.t[-1])
 
-    meshes = _spatial_meshes(grid)
-    sp_shape = tuple(len(ax) for ax in [grid.s] + list(grid.y))
+    xm = [*grid.spatial_x_meshes(), t_eval]
+    sp_shape = grid.shape[:-1]
     N = int(np.prod(sp_shape))
-    xm = [meshes[0] ** 2, *meshes[1:], t_eval]
     A = coeffs.eval_a(xm, sp_shape)
     B = coeffs.eval_b(xm, sp_shape)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
@@ -329,7 +307,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     def on_s(v):
         return v.reshape((-1,) + (1,) * m)
 
-    xx, x1, fwd, w_s = _x_stencils(grid.s)
+    xx, x1, fwd, w_s = _x_stencils(grid.x)
     c2m, c20, c2p = map(on_s, xx)
     c1m, c10, c1p = map(on_s, x1)
     fwd = on_s(fwd)
@@ -347,7 +325,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
 
     # s = 0 limit row: b1 u_x with the monotone two-point x-stencil
     if grid.s[0] == 0.0:
-        x1_node = grid.s[1] ** 2
+        x1_node = grid.x[1]
         add(zero_s, unit(0, +1), B[0] / x1_node)
         add(zero_s, unit(0, 0), -B[0] / x1_node)
 
@@ -362,7 +340,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
         add(free, unit(1 + j, -1), -drift)
         # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for the bundled presets)
         if np.any(A[0, 1 + j] != 0):
-            sqx = on_s(np.sqrt(grid.s ** 2))
+            sqx = np.sqrt(xm[0])
             base = 2.0 * A[0, 1 + j] * sqx / (2 * hy[j])
             for ss, cx in ((-1, c1m), (0, c10), (+1, c1p)):
                 for sy in (+1, -1):
@@ -442,13 +420,12 @@ def _march(problems: list, grid: Grid,
     if any(p.initial is None or p.lateral is None for p in problems):
         raise ValueError("problem needs initial and lateral data")
 
-    shape = tuple(len(ax) for ax in [grid.s] + list(grid.y))
-    meshes = _spatial_meshes(grid)
-    everywhere = [meshes[0] ** 2, *meshes[1:]]
-    dir_flat = _dirichlet_mask(grid).ravel()
+    shape = grid.shape[:-1]
+    everywhere = grid.spatial_x_meshes()
+    dirichlet = _dirichlet_mask(grid)
+    dir_flat = dirichlet.ravel()
     dir_index = np.flatnonzero(dir_flat)
-    idx = np.unravel_index(dir_index, shape)
-    on_dirichlet = [grid.s[idx[0]] ** 2, *(y[i] for y, i in zip(grid.y, idx[1:]))]
+    on_dirichlet = [np.broadcast_to(m, shape)[dirichlet] for m in everywhere]
     zero = np.zeros(dir_flat.size)
 
     t0 = float(grid.t[0])
@@ -555,8 +532,7 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    meshes = _spatial_meshes(grid)
-    x_mesh = meshes[0] ** 2
+    meshes = grid.spatial_x_meshes()
     problems = []
     for _ in range(count):
         nmodes = 3
@@ -565,8 +541,7 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
         c = rng.uniform(0.3, 1.0, size=nmodes)
         raw = plane_waves(w, ph, c, lambda phase: np.cos(math.pi * phase))
 
-        sample0 = np.broadcast_to(raw(x_mesh, *meshes[1:], grid.t[0]),
-                                  tuple(len(ax) for ax in [grid.s] + list(grid.y)))
+        sample0 = np.broadcast_to(raw(*meshes, grid.t[0]), grid.shape[:-1])
         lo, hi = float(np.min(sample0)), float(np.max(sample0))
         span = hi - lo if hi > lo else 1.0
 

@@ -116,9 +116,11 @@ def test_list_presets_function():
     ("y0 = 0", "y0 = 0 0", "[check harnack]", "y0"),
     ("s0 = 0.5", "s0 = 5", "[check harnack]", "no grid nodes"),
     ("x + t", "1/x", "[problem]", "solution: sampling produced non-finite value"),
+    ("s = 0 1 9", "s = 0 nan 9", "[grid]", "axis s must be finite"),
+    ("t = 0 1 9", "t = 0 inf 9", "[grid]", "axis t must be finite"),
 ], ids=["missing_key", "non_numeric", "unknown_variable", "axis_beyond_n",
         "bad_preset", "bad_grid_triple", "unknown_grid_axis", "misspelled_key",
-        "y0_length", "empty_cube", "non_finite_solution"])
+        "y0_length", "empty_cube", "non_finite_solution", "nan_axis", "inf_axis"])
 def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
                                                        old, new, where, key):
     assert old in SMALL_SPEC
@@ -159,11 +161,12 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
      "rho = 0.4\nlevels = 0\n", "[check osc] levels: must be an integer >= 2, got 0"),
     ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
      "rho = 0.4\nlevels = 2.5\n", "[check osc] levels: invalid literal for int()"),
+    ("identity", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\n", None),
 ], ids=["well_formed", "unknown_type", "schauder_needs_model", "schauder_needs_t0",
         "schauder_alpha_one", "schauder_r_one", "holder_alpha_nan", "holder_alpha_zero",
         "holder_r_one", "holder_rho_above_one", "manufactured_tol_nan",
         "manufactured_tol_negative", "harnack_rho_negative", "oscillation_levels_zero",
-        "oscillation_levels_fraction"])
+        "oscillation_levels_fraction", "schauder_identity"])
 def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypatch,
                                                      preset, extra, where):
     class SolveReached(Exception):

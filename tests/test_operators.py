@@ -127,6 +127,13 @@ def test_presets():
         parse_coefficient_preset("nonsense", 2)
 
 
+def test_only_model_operators_carry_a_velocity():
+    assert parse_coefficient_preset("model:v=2.5", 2).velocity == 2.5
+    assert parse_coefficient_preset("identity", 3).velocity == 1.0
+    assert parse_coefficient_preset("random:seed=11", 2).velocity is None
+    assert coefficients_from_expressions({"b1": "2"}, 2).velocity is None
+
+
 def test_transport_velocity_positive():
     with pytest.raises(ValueError, match="transport velocity must be positive"):
         model_coefficients(0.0, 2)

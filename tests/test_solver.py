@@ -28,6 +28,14 @@ def unit_grid(nodes=17, horizon=1.0, t_nodes=None):
                         (0, horizon, t_nodes or nodes))
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+def test_a_step_size_that_is_not_finite_and_positive_is_refused(dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        SolverConfig(dt=dt)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        assemble_step_matrix(IVBProblem(coeffs=1.0), unit_grid(5), dt)
+
+
 def test_constant_is_fixed_point():
     g = unit_grid(17)
     one = lambda x, y, t: 1.0 + 0 * x
