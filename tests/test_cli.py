@@ -59,6 +59,16 @@ def test_bundled_experiment_runs_and_is_deterministic(tmp_path):
     assert "failed = 0" in summary
 
 
+def test_bundled_schauder_values_are_pinned(tmp_path):
+    assert main(["run", "model_manufactured", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "schauder.report.txt").read_text().splitlines()
+    values = dict(line.split(" = ", 1) for line in lines)
+    assert values["lhs"] == "3.1250000000079274"
+    assert values["rhs.sup_unit"] == "1.8750000000000078"
+    assert values["rhs.data_norm"] == "6.2561511526837421e-11"
+    assert values["measured_constant"] == "1.6666666666152774"
+
+
 def test_threads_option_is_refused(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "model_manufactured", "--out", str(tmp_path / "out"), "--threads", "2"])
