@@ -122,29 +122,29 @@ def _holder(spec, a, u):
 
 
 def _schauder(spec, a, u):
-    return estimates.schauder_ratio(u, spec.model_v, a["r"], a["alpha"],
+    return estimates.schauder_ratio(u, spec.coefficients, a["r"], a["alpha"],
                                     Point(a["x0"], a["y0"], a["t0"])), None
 
 
 _BASE = {"s0": (float, REQUIRED), "y0": (_floats, None), "t0": (float, REQUIRED)}
 
-# check type -> (runner, keys, needs a model-operator preset).  A runner maps
-# (spec, values, u) to (report, series or None); y0 = None is the origin,
-# n - 1 zeros.
+# check type -> (runner, keys).  A runner maps (spec, values, u) to
+# (report, series or None); y0 = None is the origin, n - 1 zeros.
 CHECKS = {
-    "manufactured_error": (_manufactured, {"tol": (_between(0, math.inf), 1e-10)}, False),
+    "manufactured_error": (_manufactured, {"tol": (_between(0, math.inf), 1e-10)}),
     "harnack_quotient": (_harnack, {**_BASE, "rho": (_between(0, math.inf), REQUIRED),
-                                    "c_max": (float, math.inf)}, False),
+                                    "c_max": (_between(0, math.inf, closed_hi=True),
+                                              math.inf)}),
     "oscillation_decay": (_oscillation, {**_BASE, "rho": (_between(0, math.inf), REQUIRED),
                                          "levels": (_int_at_least(2), 2),
-                                         "theta_max": (float, 0.95)}, False),
+                                         "theta_max": (_between(0, 1, closed_hi=True), 0.95)}),
     "holder_bound": (_holder, {**_BASE, "r": (_between(0, 1), REQUIRED),
                                "rho": (_between(0, 1, closed_hi=True), REQUIRED),
-                               "alpha": (_between(0, 1, closed_hi=True), 0.5)}, False),
+                               "alpha": (_between(0, 1, closed_hi=True), 0.5)}),
     "schauder_ratio": (_schauder, {"r": (_between(0, 1), 0.5),
                                    "alpha": (_between(0, 1), 0.5),
                                    "x0": (float, 0.0), "y0": (_floats, None),
-                                   "t0": (float, REQUIRED)}, True),
+                                   "t0": (float, REQUIRED)}),
 }
 
 _EXPERIMENT = {"name": (str, REQUIRED), "seed": (int, 0), "nu": (float, REQUIRED),
@@ -201,7 +201,6 @@ class ExperimentSpec:
             self.coefficients = parse_coefficient_preset(preset, self.n)
         except ValueError as exc:
             raise SpecError(f"[experiment] coefficients: {exc}") from None
-        self.model_v = self.coefficients.velocity
 
         prob = _read(_section(parser, "problem"), "problem", _PROBLEM)
         sampled = {}
@@ -221,10 +220,7 @@ class ExperimentSpec:
             if kind not in CHECKS:
                 raise SpecError(f"[{sec}] type: unknown check type {kind!r} "
                                 f"(known: {', '.join(CHECKS)})")
-            run, keys, needs_model = CHECKS[kind]
-            if needs_model and self.model_v is None:
-                raise SpecError(f"[{sec}] type: {kind} needs a model-operator "
-                                f"coefficient preset, got {preset!r}")
+            run, keys = CHECKS[kind]
             values = _read(parser[sec], sec, {"type": (str, REQUIRED), **keys})
             if "y0" in values:
                 if values["y0"] is None:

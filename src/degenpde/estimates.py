@@ -17,6 +17,9 @@ import numpy as np
 from .fields import (
     Grid,
     ScalarField,
+    _d1,
+    _ratio_max,
+    _region_pairs,
     c0_norm,
     cs_norm_2_alpha,
     fd_derivatives,
@@ -34,7 +37,7 @@ from .geometry import (
     rho_nu,
     weighted_volumes,
 )
-from .operators import apply_L0
+from .operators import CoefficientField, apply_L, apply_L0
 
 # tie tolerance for the closed contact-set conditions, applied relative to
 # the magnitude of each tested quantity so membership is scale invariant
@@ -716,28 +719,48 @@ def poly_approx_check(f: ScalarField, L0f: ScalarField, s_outer: float,
                    f"s={s_outer:g} radii=" + ",".join(f"{r:g}" for r in r_list))
 
 
-def schauder_ratio(f: ScalarField, v, r: float, alpha: float, base: Point,
-                   provenance: str = "") -> EstimateReport:
+def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: float,
+                   base: Point, provenance: str = "") -> EstimateReport:
     """Second-order Hoelder norm on the inner box over data norms on the unit box.
 
-    Both boxes sit at `base`, which has no default: the inner box needs two
-    grid cells of margin on every side but s = 0.  Above 2000 nodes in a box
-    its Hoelder seminorms are maxima over a fixed sample of node pairs, so
-    the inner norm and the data norm are lower bounds of their suprema (up to
-    2.2% low at 33^3) and the ratio is not a bound in either direction.
+    The data term is f_t - L f for the coefficients' operator L, so any
+    member of the class is measured, the model operator L0 among them.  The
+    right side is the sup of f plus the C^alpha norm (sup plus seminorm) of
+    the data term on the unit box.  The coefficients' size, the largest
+    C^alpha norm of an entry a_ij (i <= j) or b_i on the unit box, is
+    reported as `coefficient_norm` but not summed into the right side.  Both
+    boxes sit at `base`, which has no default: the inner box needs two grid
+    cells of margin on every side but s = 0.  Above 2000 nodes in a box its
+    Hoelder seminorms are maxima over a fixed sample of node pairs, so the
+    inner norm and the unit-box norms are lower bounds of their suprema (up
+    to 2.2% low at 33^3) and the ratio is not a bound in either direction.
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
     grid = f.grid
-    inner = ParabolicCube("B_eta", base, r)
-    unit = ParabolicCube("B_eta", base, 1.0)
-    lhs = cs_norm_2_alpha(f, alpha, inner)
-    l0f = apply_L0(v, f)
-    rhs_sup = c0_norm(f, unit)
-    rhs_data = c0_norm(l0f, unit) + holder_seminorm(l0f, alpha, unit)
+    lhs = cs_norm_2_alpha(f, alpha, ParabolicCube("B_eta", base, r))
+    unit = cube_nodes(ParabolicCube("B_eta", base, 1.0), grid, "region")
+    if np.count_nonzero(unit) < 2:
+        raise ValueError("region must contain at least 2 grid nodes")
+    pairs = _region_pairs(grid, unit, alpha)
+    data = _d1(f.values, grid.ht, len(grid.axes) - 1) - apply_L(coeffs, f).values
+    rhs_sup = float(np.max(np.abs(f.values[unit])))
+    rhs_data = _holder_norm(pairs, data[unit])
+    meshes = grid.x_meshes()
+    A = coeffs.eval_a(meshes, grid.shape)
+    entries = [A[i, j] for i in range(grid.n) for j in range(i, grid.n)]
+    entries.extend(coeffs.eval_b(meshes, grid.shape))
+    coeff_norm = max(_holder_norm(pairs, e[unit]) for e in entries)
     rhs = rhs_sup + rhs_data
     constant = _ratio(lhs, rhs)
     margins = {"finite": 0.0 if math.isfinite(constant) else -1.0}
-    rhs_components = {"sup_unit": rhs_sup, "data_norm": rhs_data}
+    rhs_components = {"sup_unit": rhs_sup, "data_norm": rhs_data,
+                      "coefficient_norm": coeff_norm}
     return _finish("schauder_ratio", lhs, rhs_components, constant, margins, provenance,
-                   grid, f"r={r:g} alpha={alpha:g} v={v:g}")
+                   grid, f"r={r:g} alpha={alpha:g}")
+
+
+def _holder_norm(pairs, vals: np.ndarray) -> float:
+    """Sup plus Hoelder seminorm of a region's values; a constant's seminorm is 0.0."""
+    sup = float(np.max(np.abs(vals)))
+    return sup if np.ptp(vals) == 0 else sup + _ratio_max(pairs, vals)

@@ -29,6 +29,12 @@ def _as_y(y) -> np.ndarray:
     return arr
 
 
+def _require_finite(**coords):
+    for name, value in coords.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Point:
     """Point in the half-space, x-coordinates: x >= 0, y in R^(n-1), time t."""
@@ -39,6 +45,7 @@ class Point:
 
     def __post_init__(self):
         object.__setattr__(self, "y", _as_y(self.y))
+        _require_finite(x=self.x, y=self.y, t=self.t)
         if self.x < 0:
             raise ValueError(f"x must be nonnegative, got {self.x}")
 
@@ -64,6 +71,7 @@ class SPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "y", _as_y(self.y))
+        _require_finite(s=self.s, y=self.y, t=self.t)
         if self.s < 0:
             raise ValueError(f"s must be nonnegative, got {self.s}")
 

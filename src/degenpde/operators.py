@@ -55,12 +55,11 @@ class CoefficientField:
     """Coefficient functions a_ij(x, y, t), b_i(x, y, t) with (1.2)-style bounds.
 
     a and b entries are callables f(x, y2, ..., t) broadcasting over meshes.
-    Index 1 is the degenerate (x) direction.  velocity is the transport
-    velocity v of a model operator (a = I, b = (v, 0, ...)), None otherwise.
+    Index 1 is the degenerate (x) direction.
     """
 
     def __init__(self, n: int, a, b, params: EllipticityParams,
-                 time_dependent: bool = False, velocity: float | None = None):
+                 time_dependent: bool = False):
         if n < 2:
             raise ValueError("dimension n must be >= 2")
         self.n = n
@@ -68,7 +67,6 @@ class CoefficientField:
         self.b = b
         self.params = params
         self.time_dependent = time_dependent
-        self.velocity = velocity
         if len(a) != n or any(len(row) != n for row in a):
             raise ValueError("a must be n x n")
         if len(b) != n:
@@ -194,13 +192,13 @@ def apply_Ls(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
 
 def model_coefficients(v, n: int = 2) -> CoefficientField:
     """a = I, b = (v, 0, ..., 0)."""
-    if v <= 0:
-        raise ValueError("transport velocity must be positive")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"transport velocity must be positive and finite, got {v!r}")
     lam = min(0.5, 1.0 / max(1.0, v))
     nu = min(0.5, v)
     a = [[_const(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     b = [_const(v)] + [_const(0.0) for _ in range(n - 1)]
-    return CoefficientField(n, a, b, EllipticityParams(lam, nu), velocity=v)
+    return CoefficientField(n, a, b, EllipticityParams(lam, nu))
 
 
 def identity_coefficients(n: int = 2) -> CoefficientField:

@@ -249,7 +249,7 @@ def test_criterion_09_schauder_stability():
     vals = []
     for nodes in (33, 65):
         grid = Grid.uniform((0, 1, nodes), [(-1, 1, nodes)], (0, 1, nodes))
-        rep = schauder_ratio(sample(caloric(v), grid), v, 0.5, 0.5,
+        rep = schauder_ratio(sample(caloric(v), grid), model_coefficients(v, 2), 0.5, 0.5,
                              Point(0.0, [0.0], 0.9))
         vals.append(rep.measured_constant)
     drift = abs(vals[1] - vals[0]) / vals[0]

@@ -69,6 +69,20 @@ def test_bundled_schauder_values_are_pinned(tmp_path):
     assert values["measured_constant"] == "1.6666666666152774"
 
 
+def test_schauder_runs_on_random_coefficients(tmp_path):
+    spec = tmp_path / "random.spec"
+    spec.write_text(
+        "[experiment]\nname = random\nnu = 0.5\ncoefficients = random:seed=3\n"
+        "\n[grid]\ns = 0 1 9\ny2 = -1 1 9\nt = 0 1 9\n"
+        "\n[problem]\nsolution = x + t\n"
+        "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.75\n")
+    assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "schauder.report.txt").read_text().splitlines()
+    values = dict(line.split(" = ", 1) for line in lines)
+    assert float(values["rhs.coefficient_norm"]) > 1.0
+    assert values["provenance"] == "grid 9x9x9; r=0.5 alpha=0.5"
+
+
 def test_threads_option_is_refused(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "model_manufactured", "--out", str(tmp_path / "out"), "--threads", "2"])
@@ -128,9 +142,13 @@ def test_list_presets_function():
     ("x + t", "1/x", "[problem]", "solution: sampling produced non-finite value"),
     ("s = 0 1 9", "s = 0 nan 9", "[grid]", "axis s must be finite"),
     ("t = 0 1 9", "t = 0 inf 9", "[grid]", "axis t must be finite"),
+    ("model:v=1", "model:v=1e999", "[experiment]",
+     "coefficients: transport velocity must be positive and finite, got inf"),
+    ("t0 = 1.0", "t0 = nan", "[check harnack]", "t must be finite, got nan"),
 ], ids=["missing_key", "non_numeric", "unknown_variable", "axis_beyond_n",
         "bad_preset", "bad_grid_triple", "unknown_grid_axis", "misspelled_key",
-        "y0_length", "empty_cube", "non_finite_solution", "nan_axis", "inf_axis"])
+        "y0_length", "empty_cube", "non_finite_solution", "nan_axis", "inf_axis",
+        "infinite_velocity", "nan_t0"])
 def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
                                                        old, new, where, key):
     assert old in SMALL_SPEC
@@ -145,8 +163,7 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
 @pytest.mark.parametrize("preset, extra, where", [
     ("random:seed=3", "", None),
     ("random:seed=3", "\n[check odd]\ntype = no_such_check\n", "[check odd] type"),
-    ("random:seed=3", "\n[check schauder]\ntype = schauder_ratio\n",
-     "[check schauder] type"),
+    ("random:seed=3", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\n", None),
     ("model:v=1", "\n[check schauder]\ntype = schauder_ratio\n",
      "[check schauder] t0: missing"),
     ("model:v=1", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\nalpha = 1.0\n",
@@ -172,11 +189,18 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
     ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
      "rho = 0.4\nlevels = 2.5\n", "[check osc] levels: invalid literal for int()"),
     ("identity", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\n", None),
-], ids=["well_formed", "unknown_type", "schauder_needs_model", "schauder_needs_t0",
+    ("random:seed=3", "\n[check early]\ntype = harnack_quotient\ns0 = 0.5\nt0 = 1.0\n"
+     "rho = 0.4\nc_max = nan\n", "[check early] c_max: must lie in (0, inf], got nan"),
+    ("random:seed=3", "\n[check early]\ntype = harnack_quotient\ns0 = 0.5\nt0 = 1.0\n"
+     "rho = 0.4\nc_max = -1\n", "[check early] c_max: must lie in (0, inf], got -1"),
+    ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
+     "rho = 0.4\ntheta_max = nan\n", "[check osc] theta_max: must lie in (0, 1], got nan"),
+], ids=["well_formed", "unknown_type", "schauder_random", "schauder_needs_t0",
         "schauder_alpha_one", "schauder_r_one", "holder_alpha_nan", "holder_alpha_zero",
         "holder_r_one", "holder_rho_above_one", "manufactured_tol_nan",
         "manufactured_tol_negative", "harnack_rho_negative", "oscillation_levels_zero",
-        "oscillation_levels_fraction", "schauder_identity"])
+        "oscillation_levels_fraction", "schauder_identity", "harnack_c_max_nan",
+        "harnack_c_max_negative", "oscillation_theta_max_nan"])
 def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypatch,
                                                      preset, extra, where):
     class SolveReached(Exception):

@@ -21,7 +21,7 @@ from degenpde.estimates import (
 )
 from degenpde.fields import Grid, ScalarField, fd_derivatives, sample
 from degenpde.geometry import ParabolicCube, Point, SPoint
-from degenpde.operators import apply_L0, random_coefficients
+from degenpde.operators import apply_L0, model_coefficients, random_coefficients
 from degenpde.solver import IVBProblem, solve_ivbp
 
 
@@ -362,7 +362,7 @@ def test_poly_approx_caloric_remainder():
 def test_schauder_ratio_constant():
     g = unit_grid(33)
     u = sample(lambda x, y, t: 1.0 + 0 * x, g)
-    rep = schauder_ratio(u, 1.0, 0.5, 0.5, Point(0.0, [0.0], 0.9))
+    rep = schauder_ratio(u, model_coefficients(1.0, 2), 0.5, 0.5, Point(0.0, [0.0], 0.9))
     assert rep.measured_constant == pytest.approx(1.0)
 
 
@@ -370,7 +370,20 @@ def test_schauder_ratio_needs_a_base():
     # a default base at t = 1 would put the inner box on the last slice of this grid
     u = sample(lambda x, y, t: x + t, unit_grid())
     with pytest.raises(TypeError):
-        schauder_ratio(u, 1.0, 0.5, 0.5)
+        schauder_ratio(u, model_coefficients(1.0, 2), 0.5, 0.5)
+
+
+def test_schauder_ratio_on_random_coefficients_is_stable_under_refinement():
+    coeffs = random_coefficients(3, 2)
+    constants, norms = [], []
+    for nodes in (33, 65):
+        u = sample(lambda x, y, t: x + t, unit_grid(nodes))
+        rep = schauder_ratio(u, coeffs, 0.5, 0.5, Point(0.0, [0.0], 0.9))
+        constants.append(rep.measured_constant)
+        norms.append(rep.rhs_components["coefficient_norm"])
+    assert constants == pytest.approx([1.17488, 1.17479], abs=5e-6)
+    assert norms == pytest.approx([1.756, 1.746], abs=5e-4)
+    assert abs(constants[1] - constants[0]) / constants[0] < 0.01
 
 
 def test_write_series(tmp_path):

@@ -18,6 +18,7 @@ from degenpde.fields import (
     save_field,
 )
 from degenpde.geometry import ParabolicCube, Point, SPoint, WeightedMeasure, cube_nodes
+from degenpde.operators import apply_L, model_coefficients, random_coefficients
 
 
 def unit_grid(nodes=17):
@@ -224,13 +225,39 @@ def test_hoelder_values_equal_the_per_field_search_bitwise(n, nodes, count):
     assert cs_norm_2_alpha(f, 0.3, region) == reference_cs_norm(f, 0.3, region)
 
 
-def test_schauder_report_equals_the_per_field_search(monkeypatch):
-    f, _ = holder_case(2, 33)
-    base = Point(0.0, [0.0], 0.9)
-    text = estimates.schauder_ratio(f, 1.0, 0.5, 0.5, base).to_text()
-    monkeypatch.setattr(estimates, "cs_norm_2_alpha", reference_cs_norm)
-    monkeypatch.setattr(estimates, "holder_seminorm", reference_holder_seminorm)
-    assert text == estimates.schauder_ratio(f, 1.0, 0.5, 0.5, base).to_text()
+def test_schauder_report_equals_the_per_field_search():
+    f, inner = holder_case(2, 33)
+    unit = ParabolicCube("B_eta", inner.base, 1.0)
+
+    def norm(values):
+        field = ScalarField(f.grid, np.broadcast_to(values, f.grid.shape))
+        return c0_norm(field, unit) + reference_holder_seminorm(field, 0.5, unit)
+
+    for coeffs in (model_coefficients(1.0, 2), random_coefficients(3, 2)):
+        rep = estimates.schauder_ratio(f, coeffs, 0.5, 0.5, inner.base)
+        assert rep.lhs == reference_cs_norm(f, 0.5, inner)
+        assert rep.rhs_components["sup_unit"] == c0_norm(f, unit)
+        data = fd_derivatives(f).u_t - apply_L(coeffs, f).values
+        assert rep.rhs_components["data_norm"] == norm(data)
+        entries = [coeffs.a[0][0], coeffs.a[0][1], coeffs.a[1][1], *coeffs.b]
+        assert rep.rhs_components["coefficient_norm"] == max(
+            norm(e(*f.grid.x_meshes())) for e in entries)
+
+
+def test_schauder_builds_one_pair_set_per_box(monkeypatch):
+    f, inner = holder_case(2, 17)
+    unit = ParabolicCube("B_eta", inner.base, 1.0)
+    sizes = []
+
+    def spy(grid, mask, alpha):
+        sizes.append(np.count_nonzero(mask))
+        return original(grid, mask, alpha)
+
+    original = fields._region_pairs
+    monkeypatch.setattr(fields, "_region_pairs", spy)
+    monkeypatch.setattr(estimates, "_region_pairs", spy)
+    estimates.schauder_ratio(f, random_coefficients(3, 2), 0.5, 0.5, inner.base)
+    assert sizes == [np.count_nonzero(cube_nodes(box, f.grid)) for box in (inner, unit)]
 
 
 @pytest.mark.parametrize("n, nodes, count", HOLDER_REGIONS,

@@ -23,6 +23,19 @@ def test_point_rejects_negative_x():
         Point(-1.0, [0.0])
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: Point(math.nan, [0.0], 1.0), "x"),
+    (lambda: Point(1.0, [0.0, math.inf], 1.0), "y"),
+    (lambda: Point(1.0, [0.0], -math.inf), "t"),
+    (lambda: SPoint(math.inf, [0.0], 1.0), "s"),
+    (lambda: SPoint(1.0, [math.nan], 1.0), "y"),
+    (lambda: SPoint(1.0, [0.0], math.nan), "t"),
+], ids=["point_x", "point_y", "point_t", "spoint_s", "spoint_y", "spoint_t"])
+def test_points_refuse_non_finite_coordinates_by_name(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        make()
+
+
 def test_spoint_round_trip():
     p = SPoint(1.7, [0.3], 2.0)
     q = p.to_x()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,13 +129,13 @@ def test_presets():
         parse_coefficient_preset("nonsense", 2)
 
 
-def test_only_model_operators_carry_a_velocity():
-    assert parse_coefficient_preset("model:v=2.5", 2).velocity == 2.5
-    assert parse_coefficient_preset("identity", 3).velocity == 1.0
-    assert parse_coefficient_preset("random:seed=11", 2).velocity is None
-    assert coefficients_from_expressions({"b1": "2"}, 2).velocity is None
-
-
 def test_transport_velocity_positive():
     with pytest.raises(ValueError, match="transport velocity must be positive"):
         model_coefficients(0.0, 2)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_non_finite_velocity_is_refused_by_name(v):
+    with pytest.raises(ValueError, match=f"transport velocity must be positive and finite, "
+                                         f"got {v!r}"):
+        model_coefficients(v, 2)
