@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -67,9 +68,27 @@ def test_harnack_barrier_v_basic_properties():
         -params.M_tau0, abs=1e-280)
 
 
+# what the search returns for the model operator with v = 1
+SEARCHED = {
+    2: "gamma=1 tau0=0.005 m=24 l=3 M_tau0=1.2067369998163818e-58 base=(0;0)",
+    3: "gamma=1 tau0=0.005 m=48 l=3 M_tau0=1.2067369998164594e-58 base=(0;0,0)",
+}
+
+
+@functools.cache
+def searched(n):
+    """The search's parameters for the model operator with v = 1, run once per n."""
+    return search_harnack_barrier_params(model_coefficients(1.0, n))
+
+
+@pytest.mark.parametrize("n", sorted(SEARCHED))
+def test_harnack_search_is_pinned(n):
+    assert searched(n).describe() == SEARCHED[n]
+
+
 def test_harnack_search_returns_certifiable_params():
     coeffs = model_coefficients(1.0, 2)
-    params = search_harnack_barrier_params(coeffs)
+    params = searched(2)
     assert params.l == 3.0
     assert params.m == 24.0
     cert = certify_harnack_barrier(params, coeffs, nodes=33)
@@ -103,7 +122,7 @@ def test_harnack_small_m_negative_control():
 
 def test_harnack_n3_regime():
     coeffs = model_coefficients(1.0, 3)
-    params = search_harnack_barrier_params(coeffs)
+    params = searched(3)
     assert params.m == 48.0
     cert = certify_harnack_barrier(params, coeffs, nodes=33, measure_c11=False)
     assert cert.passed

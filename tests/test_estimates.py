@@ -386,6 +386,53 @@ def test_schauder_ratio_on_random_coefficients_is_stable_under_refinement():
     assert abs(constants[1] - constants[0]) / constants[0] < 0.01
 
 
+def _constant(grid, value):
+    return sample(lambda x, y, t: value + 0 * x, grid)
+
+
+# each check's provenance line on a field the tests above build
+PROVENANCE = {
+    "abp": (lambda: abp_check(
+        _constant(unit_grid(), -1.0), None,
+        ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4), 0.5),
+        "grid 17x17x17; Q_rho(r=0.4, base s=0.5 y=(0) t=1, backward); nu=0.5"),
+    "harnack": (lambda: harnack_quotient(
+        _constant(unit_grid(33), 7.0), None, 0.5, [0.0], 1.0, 0.4, 0.5),
+        "grid 33x33x33; s0=0.5 t0=1 rho=0.4 nu=0.5"),
+    "growth_lemma": (lambda: growth_lemma_check(
+        _constant(Grid.uniform((0, 2.5, 41), [(-4, 4, 41)], (0, 10, 41)), 0.5),
+        None, (0.5, [0.0], 0.0), 0.5, 64.0, 0.5),
+        "grid 41x41x41; rho=0.5 K=64 nu=0.5"),
+    "oscillation": (lambda: oscillation_decay(
+        _constant(unit_grid(33), 2.0), (0.5, [0.0], 1.0), 0.4, 2, None, 0.5),
+        "grid 33x33x33; rho=0.4 levels=2 nu=0.5"),
+    "holder_bound": (lambda: holder_bound_check(
+        _constant(unit_grid(33), 1.0), None, (0.5, [0.0], 1.0), 0.3, 0.6, 0.5, 0.5),
+        "grid 33x33x33; r=0.3 rho=0.6 alpha=0.5 nu=0.5"),
+    "gradient_bound": (lambda: gradient_bound_check(
+        _constant(Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 17)), 2.0),
+        1.0, 2.0, 0.9, 0.5, Point(0.0, [0.0], 0.81)),
+        "grid 33x33x17; B=2 r=0.9 gamma=0.5 v=1"),
+    "bernstein": (lambda: bernstein_quantity_check(
+        _constant(Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 17)), 3.0), 1.0, 8.0),
+        "grid 33x33x17; A=8 v=1 tol=1e-06"),
+    "poly_approx": (lambda: poly_approx_check(
+        _constant(poly_grid(), 2.0), apply_L0(1.0, _constant(poly_grid(), 2.0)),
+        0.8, [0.8, 0.4, 0.2, 0.1]),
+        "grid 33x33x33; s=0.8 radii=0.8,0.4,0.2,0.1"),
+    "schauder": (lambda: schauder_ratio(
+        _constant(unit_grid(33), 1.0), model_coefficients(1.0, 2), 0.5, 0.5,
+        Point(0.0, [0.0], 0.9)),
+        "grid 33x33x33; r=0.5 alpha=0.5"),
+}
+
+
+@pytest.mark.parametrize("name", list(PROVENANCE))
+def test_report_provenance_is_pinned(name):
+    check, expected = PROVENANCE[name]
+    assert check().to_text().splitlines()[-1] == f"provenance = {expected}"
+
+
 def test_write_series(tmp_path):
     path = tmp_path / "series.dat"
     write_series(path, [1.0, 2.0], [3.0, 4.5])
