@@ -102,8 +102,6 @@ def omega(point: Point, t: float, base, gamma: float):
 
 
 def _base_pair(base):
-    if isinstance(base, Point):
-        return base.x, base.y
     x0, y0 = base
     return float(x0), np.atleast_1d(np.asarray(y0, dtype=float))
 
@@ -166,18 +164,18 @@ class HarnackBarrierParams:
 
 
 def compute_sup_offset(gamma: float, tau0: float, l: float, base,
-                       n: int = 2, nodes: int = 129) -> float:
+                       n: int = 2) -> float:
     """sup of omega^l(., tau0) over {d_bar >= 1/2} within the unit-scale box K.
 
-    Discretized on `nodes` points per spatial axis.  Overestimating this sup
+    Discretized on 129 points per spatial axis.  Overestimating this sup
     only strengthens the boundary sign property, so a fine fixed grid is
     used regardless of the certification grid.
     """
     x0, y0 = _base_pair(base)
     if y0.size != n - 1:
         raise ValueError("base dimension does not match n")
-    x_ax = np.linspace(max(x0 - 18.0, 0.0), x0 + 18.0, nodes)
-    y_axes = [np.linspace(y0i - 3.0 * math.sqrt(2.0), y0i + 3.0 * math.sqrt(2.0), nodes)
+    x_ax = np.linspace(max(x0 - 18.0, 0.0), x0 + 18.0, 129)
+    y_axes = [np.linspace(y0i - 3.0 * math.sqrt(2.0), y0i + 3.0 * math.sqrt(2.0), 129)
               for y0i in y0]
     meshes = np.meshgrid(x_ax, *y_axes, indexing="ij", sparse=True)
     theta = d_bar_sq(meshes[0], meshes[1:], x0, y0, gamma)
@@ -538,51 +536,45 @@ def certify_harnack_barrier(params: HarnackBarrierParams, coeffs: CoefficientFie
     )
 
 
-def search_harnack_barrier_params(coeffs: CoefficientField, base=None,
-                                  gamma: float = 1.0, l: float = 3.0,
-                                  tau0_grid=(0.005,),
-                                  m_grid=(16.0, 24.0, 32.0, 48.0, 64.0),
-                                  nodes: int = 33) -> HarnackBarrierParams:
-    """Scan (tau0, m) until a parameter set certifies on a verification grid.
+def search_harnack_barrier_params(coeffs: CoefficientField) -> HarnackBarrierParams:
+    """Scan m until a parameter set certifies on a verification grid.
 
-    Odd integer powers l keep the barrier negative on the lateral faces of
-    the region, where the distance squared exceeds 18 and the kernel factor
-    turns negative; even powers there are positive and only beat the sup
-    offset by accident of the grid. The returned parameters should still be
-    re-certified at the caller's resolution; the certificate, not the search
-    path, is the contract.
+    The base is the origin, gamma = 1, l = 3 and tau0 = 0.005; m runs
+    through 16, 24, 32, 48, 64 and each candidate is certified at rho = 1 on
+    33 nodes per axis.  Odd integer powers l keep the barrier negative on
+    the lateral faces of the region, where the distance squared exceeds 18
+    and the kernel factor turns negative; even powers there are positive and
+    only beat the sup offset by accident of the grid. The returned
+    parameters should still be re-certified at the caller's resolution; the
+    certificate, not the search path, is the contract.
     """
     n = coeffs.n
-    if base is None:
-        base = (0.0, (0.0,) * (n - 1))
+    base = (0.0, (0.0,) * (n - 1))
+    gamma, tau0, l = 1.0, 0.005, 3.0
     # At the spatial base point the residual sign for times past the excluded
     # cube needs roughly m/l >= 2 gamma^2 (n-1)/(1/4 + tau0) + (2 gamma^2
     # (n-1) + 1)/18; values far below that floor cannot certify on any grid
     # that samples near the base point, so skip them (with slack for the
     # roughness of the estimate).
+    g2 = 2.0 * gamma * gamma * (n - 1)
+    m_floor = 0.95 * l * (g2 / (0.25 + tau0) + (g2 + 1.0) / 18.0)
+    offset = compute_sup_offset(gamma, tau0, l, base, n=n)
     failures = []
-    for tau0 in tau0_grid:
-        g2 = 2.0 * gamma * gamma * (n - 1)
-        m_floor = 0.95 * l * (g2 / (0.25 + tau0) + (g2 + 1.0) / 18.0)
-        offset = compute_sup_offset(gamma, tau0, l, base, n=n)
-        for m in m_grid:
-            if m < m_floor:
-                failures.append(f"tau0={tau0:g} m={m:g}: below floor "
-                                f"{m_floor:g}, skipped")
-                continue
-            params = HarnackBarrierParams(gamma, tau0, m, l, offset, base)
-            try:
-                cert = certify_harnack_barrier(params, coeffs, rho=1.0,
-                                               nodes=nodes, measure_c11=False,
-                                               fd_check=False)
-            except ValueError as exc:
-                failures.append(f"tau0={tau0:g} m={m:g}: {exc}")
-                continue
-            if cert.passed:
-                return params
-            worst = min(cert.margins, key=lambda k: cert.margins[k])
-            failures.append(
-                f"tau0={tau0:g} m={m:g}: {worst}={cert.margins[worst]:g}")
+    for m in (16.0, 24.0, 32.0, 48.0, 64.0):
+        if m < m_floor:
+            failures.append(f"tau0={tau0:g} m={m:g}: below floor {m_floor:g}, skipped")
+            continue
+        params = HarnackBarrierParams(gamma, tau0, m, l, offset, base)
+        try:
+            cert = certify_harnack_barrier(params, coeffs, rho=1.0, nodes=33,
+                                           measure_c11=False, fd_check=False)
+        except ValueError as exc:
+            failures.append(f"tau0={tau0:g} m={m:g}: {exc}")
+            continue
+        if cert.passed:
+            return params
+        worst = min(cert.margins, key=lambda k: cert.margins[k])
+        failures.append(f"tau0={tau0:g} m={m:g}: {worst}={cert.margins[worst]:g}")
     raise ValueError(
         "no parameter set certified on the verification grid; attempts:\n  "
         + "\n  ".join(failures)
@@ -803,18 +795,18 @@ def _fd_derivative_check(phi_form: str, b: float, n: int) -> float:
 
 
 def certify_barrier_inequality(phi_form: str, params: ModelBarrierParams,
-                               n: int = 2, nodes: int = 33) -> BarrierCertificate:
+                               n: int = 2) -> BarrierCertificate:
     """Grid check of phi_t > x phi_xx + sum phi_yy + v phi_x - C x phi^2 + c phi^(3/2).
 
     phi is time-independent, so the requirement is that the right side is
     strictly negative on the region {0 <= x <= 4, 0 < y_i < 2} (off the
-    poles), sampled on a grid.  Both sides use the closed-form derivatives,
-    which are cross-checked against central finite differences at random
-    pole-free points.
+    poles), sampled on 33 nodes per axis.  Both sides use the closed-form
+    derivatives, which are cross-checked against central finite differences
+    at random pole-free points.
     """
     v, b, c, C = params.v, params.b, params.c, params.C
-    x_ax = np.linspace(0.0, 4.0, nodes)
-    y_ax = np.linspace(0.0, 2.0, nodes + 1)[1:]  # open at 0
+    x_ax = np.linspace(0.0, 4.0, 33)
+    y_ax = np.linspace(0.0, 2.0, 34)[1:]  # open at 0
     if phi_form == "translated":
         # keep clear of the interior pole at y_i = 1
         y_ax = y_ax[np.abs(y_ax - 1.0) > 1e-9]
@@ -829,7 +821,7 @@ def certify_barrier_inequality(phi_form: str, params: ModelBarrierParams,
     margins = {"inequality": margin}
     info = {"fd_derivative_deviation": fd_dev, "min_phi": float(np.min(phi))}
     passed = margin > 0 and fd_dev <= 1e-6
-    grid_text = f"x in [0,4], y_i in (0,2], {nodes} nodes/axis, n={n}"
+    grid_text = f"x in [0,4], y_i in (0,2], 33 nodes/axis, n={n}"
     return BarrierCertificate(
         f"rational wall barrier ({phi_form})", params.describe(), grid_text,
         margins, info, passed,

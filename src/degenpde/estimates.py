@@ -107,11 +107,11 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _finish(name, lhs, rhs_components, constant, margins, provenance, grid,
+def _finish(name, lhs, rhs_components, constant, margins, grid,
             *details) -> EstimateReport:
-    """The report; its provenance line is the caller's, the grid, then details."""
+    """The report; its provenance line is the grid, then the details."""
     passed = all(m >= 0 for m in margins.values())
-    prov = "; ".join(filter(None, [provenance, _grid_text(grid), *details]))
+    prov = "; ".join([_grid_text(grid), *details])
     return EstimateReport(name, float(lhs), rhs_components, float(constant),
                           margins, passed, prov)
 
@@ -359,7 +359,7 @@ def _spatial_boundary(mask: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
-              c_max: float = math.inf, provenance: str = "") -> EstimateReport:
+              c_max: float = math.inf) -> EstimateReport:
     """Measured constant of the maximum bound sup u+ <= C * forcing term.
 
     Hypothesis u <= 0 on the cube's parabolic boundary is checked first;
@@ -395,7 +395,7 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
         "gamma_minus_nodes": float(np.count_nonzero(contact.gamma_minus & mask)),
         "excluded_s_zero": float(contact.excluded_s_zero),
     }
-    return _finish("abp", lhs, rhs_components, constant, margins, provenance, grid,
+    return _finish("abp", lhs, rhs_components, constant, margins, grid,
                    _cube_text(cube), f"nu={nu:g}")
 
 
@@ -404,8 +404,7 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
 
 
 def harnack_quotient(u: ScalarField, g, s0: float, y0, t0: float, rho: float,
-                     nu: float, c_max: float = math.inf,
-                     provenance: str = "") -> EstimateReport:
+                     nu: float, c_max: float = math.inf) -> EstimateReport:
     """sup over the earlier half-cube against inf over the later one."""
     grid = u.grid
     later = ParabolicCube("Q_rho", SPoint(s0, y0, t0).to_x(), rho / 2.0)
@@ -428,21 +427,27 @@ def harnack_quotient(u: ScalarField, g, s0: float, y0, t0: float, rho: float,
         margins["counterexample"] = -1.0
     rhs_components = {"inf_later": inf_late, "forcing": forcing}
     return _finish("harnack_quotient", sup_early, rhs_components, constant,
-                   margins, provenance, grid,
-                   f"s0={s0:g} t0={t0:g} rho={rho:g} nu={nu:g}")
+                   margins, grid, f"s0={s0:g} t0={t0:g} rho={rho:g} nu={nu:g}")
 
 
 def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
-                       nu: float, k_min: float = 0.1, eps0: float = 0.1,
-                       provenance: str = "") -> EstimateReport:
+                       nu: float, k_min: float = 0.1,
+                       eps0: float = 0.1) -> EstimateReport:
     """Measure fraction of the sublevel set {u <= K} in the base cube.
 
     base is the (s0, y0, t_anchor) anchor of the region B x (0, 18 rho^2);
     the comparison cube sits at time anchor + 10 rho^2/4, the sublevel cube
     at anchor + rho^2/4. If the hypotheses (inf over the comparison cube
-    <= 1 and small forcing) fail, the report is marked not applicable and
-    passes vacuously.
+    <= 1 and forcing at most eps0) fail, the report is marked not applicable
+    and passes vacuously.  The budget k_min must lie in (0, 1], the level K
+    must be finite and eps0 finite and nonnegative.
     """
+    if not 0 < k_min <= 1:
+        raise ValueError(f"k_min must lie in (0, 1], got {k_min:g}")
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite, got {K:g}")
+    if not 0 <= eps0 < math.inf:
+        raise ValueError(f"eps0 must be finite and nonnegative, got {eps0:g}")
     grid = u.grid
     s0, y0, t_anchor = base
     q2 = ParabolicCube(
@@ -474,7 +479,7 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
         rhs_components["applicable"] = "yes"
         margins = {"fraction_budget": fraction - k_min}
     return _finish("growth_lemma", fraction, rhs_components, fraction / k_min,
-                   margins, provenance, grid, f"rho={rho:g} K={K:g} nu={nu:g}")
+                   margins, grid, f"rho={rho:g} K={K:g} nu={nu:g}")
 
 
 def _node_measure(grid: Grid, mask: np.ndarray, nu: float) -> float:
@@ -488,8 +493,7 @@ def _node_measure(grid: Grid, mask: np.ndarray, nu: float) -> float:
 
 
 def oscillation_decay(u: ScalarField, base, rho: float, levels: int, g,
-                      nu: float, theta_max: float = 0.95,
-                      provenance: str = "") -> EstimateReport:
+                      nu: float, theta_max: float = 0.95) -> EstimateReport:
     """Per-halving oscillation ratios and the implied Hoelder exponent.
 
     theta_hat_j = [osc over Q at radius rho/2^(j+1) minus the level's
@@ -527,12 +531,11 @@ def oscillation_decay(u: ScalarField, base, rho: float, levels: int, g,
         alpha_hat = math.inf if theta_hat <= 0 else math.log2(1.0 / theta_hat)
         margins = {"theta_budget": theta_max - theta_hat}
     return _finish("oscillation_decay", theta_hat, rhs_components, alpha_hat, margins,
-                   provenance, grid, f"rho={rho:g} levels={levels} nu={nu:g}")
+                   grid, f"rho={rho:g} levels={levels} nu={nu:g}")
 
 
 def holder_bound_check(u: ScalarField, g, base, r: float, rho: float,
-                       nu: float, alpha: float,
-                       provenance: str = "") -> EstimateReport:
+                       nu: float, alpha: float) -> EstimateReport:
     """Hoelder norm on the inner cube against sup norm plus forcing.
 
     Nested cubes C_r in C_rho in C_1 share the base point; the left side
@@ -558,7 +561,7 @@ def holder_bound_check(u: ScalarField, g, base, r: float, rho: float,
     margins = {"finite": 0.0 if math.isfinite(constant) else -1.0}
     rhs_components = {"sup_outer": sup_outer, "forcing_integral": g_norm,
                       "seminorm": semi}
-    return _finish("holder_bound", lhs, rhs_components, constant, margins, provenance,
+    return _finish("holder_bound", lhs, rhs_components, constant, margins,
                    grid, f"r={r:g} rho={rho:g} alpha={alpha:g} nu={nu:g}")
 
 
@@ -567,8 +570,7 @@ def holder_bound_check(u: ScalarField, g, base, r: float, rho: float,
 
 
 def gradient_bound_check(f: ScalarField, v, B: float, r: float,
-                         gamma_frac: float, base=None,
-                         provenance: str = "") -> EstimateReport:
+                         gamma_frac: float, base=None) -> EstimateReport:
     """Interior gradient bound |f_x|, |f_yi| <= C B / r^2 on the inner box."""
     if not 0 < gamma_frac < 1:
         raise ValueError("gamma_frac must lie in (0, 1)")
@@ -592,12 +594,12 @@ def gradient_bound_check(f: ScalarField, v, B: float, r: float,
         worst = max(worst, gi)
     constant = worst * r * r / B
     margins = {"bound_hypothesis": B - sup_f}
-    return _finish("gradient_bound", worst, grads, constant, margins, provenance, grid,
+    return _finish("gradient_bound", worst, grads, constant, margins, grid,
                    f"B={B:g} r={r:g} gamma={gamma_frac:g} v={v:g}")
 
 
-def bernstein_quantity_check(f: ScalarField, v, A: float, tol: float = 1e-6,
-                             provenance: str = "") -> EstimateReport:
+def bernstein_quantity_check(f: ScalarField, v, A: float,
+                             tol: float = 1e-6) -> EstimateReport:
     """Differential inequalities of X = (A+f^2) f_x^2 and Y = (A+f^2) f_yi^2.
 
     For solutions of the homogeneous model equation, X satisfies
@@ -645,7 +647,7 @@ def bernstein_quantity_check(f: ScalarField, v, A: float, tol: float = 1e-6,
         rhs_components[f"Y{i + 2}_residual"] = worst_y
         worst = max(worst, worst_y)
     return _finish("bernstein_quantity", worst, rhs_components, _ratio(worst, tol),
-                   margins, provenance, grid, f"A={A:g} v={v:g} tol={tol:g}")
+                   margins, grid, f"A={A:g} v={v:g} tol={tol:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +662,7 @@ def _axis_index(ax: np.ndarray, value: float, name: str) -> int:
 
 
 def poly_approx_check(f: ScalarField, L0f: ScalarField, s_outer: float,
-                      r_list, ratio_max: float = math.inf,
-                      provenance: str = "") -> EstimateReport:
+                      r_list, ratio_max: float = math.inf) -> EstimateReport:
     """Taylor-polynomial remainder against the cube-shrinking bound.
 
     The polynomial has degree 1 in x and t and degree 2 in y with
@@ -715,12 +716,12 @@ def poly_approx_check(f: ScalarField, L0f: ScalarField, s_outer: float,
         rhs_components[f"err_r={r:g}"] = err
         rhs_components[f"ratio_r={r:g}"] = ratio
     margins = {"ratio_budget": ratio_max - worst if math.isfinite(worst) else -1.0}
-    return _finish("poly_approx", worst, rhs_components, worst, margins, provenance, grid,
+    return _finish("poly_approx", worst, rhs_components, worst, margins, grid,
                    f"s={s_outer:g} radii=" + ",".join(f"{r:g}" for r in r_list))
 
 
 def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: float,
-                   base: Point, provenance: str = "") -> EstimateReport:
+                   base: Point) -> EstimateReport:
     """Second-order Hoelder norm on the inner box over data norms on the unit box.
 
     The data term is f_t - L f for the coefficients' operator L, so any
@@ -756,7 +757,7 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     margins = {"finite": 0.0 if math.isfinite(constant) else -1.0}
     rhs_components = {"sup_unit": rhs_sup, "data_norm": rhs_data,
                       "coefficient_norm": coeff_norm}
-    return _finish("schauder_ratio", lhs, rhs_components, constant, margins, provenance,
+    return _finish("schauder_ratio", lhs, rhs_components, constant, margins,
                    grid, f"r={r:g} alpha={alpha:g}")
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ParabolicCube, WeightedMeasure, cube_nodes,  # noqa: F401
-                       dual_edges, s_distance, weighted_volumes)
+from .geometry import (ParabolicCube, WeightedMeasure, cube_nodes, dual_edges,
+                       weighted_volumes)
 
 
 def _uniform_spacing(nodes: np.ndarray, name: str) -> float:

@@ -137,8 +137,8 @@ def s_distance(p: Point, q: Point) -> float:
 
 def rho_nu(s0: float, rho: float, nu: float) -> float:
     """The scaling factor (s0 + rho)^(2 - nu) - s0^(2 - nu)."""
-    if s0 < 0 or rho <= 0:
-        raise ValueError("need s0 >= 0, rho > 0")
+    if not (0 <= s0 < math.inf and 0 < rho < math.inf):
+        raise ValueError(f"need finite s0 >= 0 and rho > 0, got s0={s0:g}, rho={rho:g}")
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0, 1)")
     return (s0 + rho) ** (2.0 - nu) - s0 ** (2.0 - nu)
@@ -182,8 +182,8 @@ class ParabolicCube:
     def __post_init__(self):
         if self.kind not in _CUBE_KINDS:
             raise ValueError(f"unknown cube kind {self.kind!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius:g}")
         if self.orientation not in ("backward", "forward"):
             raise ValueError("orientation must be 'backward' or 'forward'")
 
@@ -281,13 +281,13 @@ def measure_region(cube: ParabolicCube) -> tuple[tuple[float, float], list[tuple
     return s_iv, y_ivs, t_iv
 
 
-def cube_measure(cube: ParabolicCube, mu: WeightedMeasure, method: str = "analytic",
-                 cells: int = 64) -> float:
+def cube_measure(cube: ParabolicCube, mu: WeightedMeasure,
+                 method: str = "analytic") -> float:
     """Weighted measure of a Q_rho cube.
 
     Analytic path: [(s0 + rho)^nu - max(s0 - rho, 0)^nu] * rho^n.
     Quadrature path: cell-decomposed integration of the normalized density
-    over `measure_region(cube)` with `cells` cells per axis; the singular
+    over `measure_region(cube)` with 64 cells along s; the singular
     s-factor is integrated exactly per cell.
     """
     nu, n = mu.nu, cube.n
@@ -299,7 +299,7 @@ def cube_measure(cube: ParabolicCube, mu: WeightedMeasure, method: str = "analyt
         raise ValueError("method must be 'analytic' or 'quadrature'")
     (s_lo, s_hi), y_ivs, (t_lo, t_hi) = measure_region(cube)
     # the s-integral is summed before the other lengths multiply it
-    vol = float(np.sum(weighted_volumes([np.linspace(s_lo, s_hi, cells + 1)], nu)))
+    vol = float(np.sum(weighted_volumes([np.linspace(s_lo, s_hi, 65)], nu)))
     for lo, hi in y_ivs:
         vol *= hi - lo
     vol *= t_hi - t_lo

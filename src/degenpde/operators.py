@@ -220,13 +220,13 @@ def plane_waves(w, ph, c, wave):
     return f
 
 
-def random_coefficients(seed: int, n: int = 2, lam: float = 0.5,
-                        nu: float = 0.25) -> CoefficientField:
+def random_coefficients(seed: int, n: int = 2) -> CoefficientField:
     """Smooth randomized coefficients satisfying the structure conditions.
 
     Diagonal a with entries in [0.6, 1.5], b1 in [0.5, 1.1] (so
     2 b1/a11 >= 2*0.5/1.5 > nu), tangential drifts in [-0.5, 0.5]; all
     low-frequency trigonometric functions of (x, y), time-independent.
+    The ellipticity parameters are lambda = 0.5 and nu = 0.25.
     Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
@@ -250,7 +250,7 @@ def random_coefficients(seed: int, n: int = 2, lam: float = 0.5,
     b = [shifted(smooth_unit(), 0.8, 0.3)]
     for _ in range(n - 1):
         b.append(shifted(smooth_unit(), 0.0, 0.5))
-    return CoefficientField(n, a, b, EllipticityParams(lam, nu))
+    return CoefficientField(n, a, b, EllipticityParams(0.5, 0.25))
 
 
 def coefficients_from_expressions(entries: dict, n: int = 2,

@@ -8,6 +8,8 @@ in the sup norm while staying evaluable on x >= 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fields import Grid, ScalarField
@@ -18,18 +20,15 @@ class BumpKernel:
 
     n is the total spatial dimension (1 + number of tangential directions);
     the kernel has one normal variable u and n - 1 tangential variables v.
-    The normalization is computed with the same Gauss-Legendre rule that
-    smooth_field uses, so constants are exact fixed points of smoothing.
+    The normalization is computed with the same 8-point Gauss-Legendre rule
+    that smooth_field uses, so constants are exact fixed points of smoothing.
     """
 
-    def __init__(self, n: int, degree: int = 8):
+    def __init__(self, n: int):
         if n < 2:
             raise ValueError("dimension n must be >= 2")
-        if degree < 8:
-            raise ValueError("quadrature degree must be >= 8")
         self.n = n
-        self.degree = degree
-        nodes, weights = np.polynomial.legendre.leggauss(degree)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
         self.nodes = nodes
         self.weights = weights
         one_d = float(np.sum(weights * _bump_1d(nodes)))
@@ -64,15 +63,15 @@ def _bump_1d(r: np.ndarray) -> np.ndarray:
 def m_epsilon(P, Q, eps: float):
     """Displaced evaluation point ((sqrt(x+2 eps) + sqrt(eps) u)^2, y + sqrt(eps) v).
 
-    P = (x, y_tuple), Q = (u, v_tuple) in the unit box, eps > 0. The first
-    output coordinate is always nonnegative because sqrt(x + 2 eps) >
-    sqrt(eps) >= sqrt(eps)|u|, and the displacement in the singular metric
-    satisfies |sqrt(xi) - sqrt(x + 2 eps)| = sqrt(eps)|u|.
+    P = (x, y_tuple), Q = (u, v_tuple) in the unit box, eps finite and
+    positive. The first output coordinate is always nonnegative because
+    sqrt(x + 2 eps) > sqrt(eps) >= sqrt(eps)|u|, and the displacement in the
+    singular metric satisfies |sqrt(xi) - sqrt(x + 2 eps)| = sqrt(eps)|u|.
     """
     x, y = P
     u, v = Q
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps:g}")
     if x < 0:
         raise ValueError("x must be nonnegative")
     if abs(u) > 1.0:
@@ -90,8 +89,8 @@ def smooth_field(h, eps: float, kernel: BumpKernel, grid: Grid) -> ScalarField:
     m_epsilon(P, (u, v), eps) over the unit box, computed with a tensor
     Gauss-Legendre rule. h takes (x, y..., t) array arguments.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps:g}")
     if kernel.n != grid.n:
         raise ValueError("kernel dimension does not match the grid")
     x, *ys, t = grid.x_meshes()

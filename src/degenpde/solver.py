@@ -515,8 +515,7 @@ def solve_model(v, g, f0, boundary, grid: Grid,
     return solve_ivbp(problem, grid, config)
 
 
-def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
-                                      config: SolverConfig | None = None) -> list:
+def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid) -> list:
     """Seeded ensemble of nonnegative solutions of the homogeneous equation.
 
     Each member solves g = 0 with strictly positive time-independent data: a
@@ -524,7 +523,8 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
     used as both initial and lateral data (compatibility is automatic).  The
     members share one operator, so they march together: one validation, one
     assembly and factorization per substep size for the whole ensemble, and
-    lateral data evaluated on the Dirichlet nodes only.  Each member's
+    lateral data evaluated on the Dirichlet nodes only.  The march takes
+    one step per output slice, the default `SolverConfig`, and each member's
     values are those of its own `solve_ivbp`, bit for bit.  The discrete
     maximum principle keeps every output >= 0; a negative value is an
     internal error.
@@ -550,7 +550,7 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid,
 
         problems.append(IVBProblem(coeffs=coeffs, forcing=None,
                                    initial=data, lateral=data))
-    fields = _march(problems, grid, config)
+    fields = _march(problems, grid)
     if any(float(np.min(sol.values)) < 0.0 for sol in fields):
         raise RuntimeError(
             "maximum-principle violation in ensemble member (scheme bug)"

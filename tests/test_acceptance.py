@@ -25,7 +25,7 @@ from degenpde.estimates import (
     poly_approx_check,
     schauder_ratio,
 )
-from degenpde.fields import Grid, ScalarField, sample
+from degenpde.fields import Grid, sample
 from degenpde.geometry import (
     ParabolicCube,
     Point,

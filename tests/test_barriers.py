@@ -284,12 +284,21 @@ def test_certificate_verdict_matches_the_residual_on_rays(params_n):
         assert residual[0] <= 0
 
 
-def test_barrier_demo_runs(tmp_path):
-    demo = Path(__file__).resolve().parents[1] / "demos" / "03_barrier_certificates.py"
+# each demo script and a line its last section prints
+DEMOS = {
+    "01_manufactured_solutions": "dt = 0.0125",
+    "02_harnack_and_hoelder": "worst theta",
+    "03_barrier_certificates": "C=0 control alpha -",
+}
+
+
+@pytest.mark.parametrize("name", list(DEMOS))
+def test_demo_runs(tmp_path, name):
+    demo = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
     src = str(Path(degenpde.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "C=0 control alpha -" in done.stdout
+    assert DEMOS[name] in done.stdout

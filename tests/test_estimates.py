@@ -233,6 +233,28 @@ def test_growth_lemma_constant_and_not_applicable():
     assert rep.passed
 
 
+@pytest.mark.parametrize("name, value", [
+    ("k_min", 0.0), ("k_min", -0.1), ("k_min", 1.5), ("k_min", math.nan),
+    ("K", math.nan), ("K", -math.inf),
+    ("eps0", math.nan), ("eps0", math.inf), ("eps0", -0.1),
+])
+def test_growth_lemma_refuses_a_bad_budget_or_level(name, value):
+    g = Grid.uniform((0, 1, 25), [(-1, 1, 25)], (0, 1, 17))
+    u = sample(lambda x, y, t: 0.5 + 0 * x, g)
+    args = {"K": 2.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        growth_lemma_check(u, None, (0.5, [0.0], 0.0), 0.2, nu=0.5, **args)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_a_non_finite_radius_is_refused_by_name(rho):
+    u = sample(lambda x, y, t: 1.0 + 0 * x, unit_grid())
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        harnack_quotient(u, None, 0.5, [0.0], 1.0, rho, 0.5)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        oscillation_decay(u, (0.5, [0.0], 1.0), rho, 2, None, 0.5)
+
+
 def test_oscillation_decay_linear_is_half():
     g = Grid.uniform((0, 1, 33), [(-1, 1, 65)], (0, 1, 17))
     u = sample(lambda x, y, t: y + 0 * x, g)

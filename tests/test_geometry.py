@@ -82,6 +82,19 @@ def test_rho_nu_examples():
     assert rho_nu(1.0, 0.5, 0.5) < rho_nu(1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("s0, rho", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.5),
+                                     (math.inf, 0.5), (0.5, 0.0), (-0.1, 0.5)])
+def test_rho_nu_refuses_a_bad_base_or_radius(s0, rho):
+    with pytest.raises(ValueError, match="need finite s0 >= 0 and rho > 0"):
+        rho_nu(s0, rho, 0.5)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.5])
+def test_cube_refuses_a_bad_radius_by_name(radius):
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        ParabolicCube("Q_rho", Point(0.25, [0.0], 1.0), radius)
+
+
 def test_cube_measure_examples():
     mu = WeightedMeasure(0.5)
     c = ParabolicCube("Q_rho", SPoint(0.0, [0.0], 0.0).to_x(), 1.0)

@@ -21,8 +21,6 @@ def test_kernel_normalization():
 def test_kernel_validation():
     with pytest.raises(ValueError):
         BumpKernel(1)
-    with pytest.raises(ValueError):
-        BumpKernel(2, degree=4)
 
 
 def test_m_epsilon_examples():
@@ -51,6 +49,14 @@ def test_displacement_identity():
 
 def smoothing_grid():
     return Grid.uniform((0, 1, 21), [(-1, 1, 21)], (0, 1, 3))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.01])
+def test_bad_eps_is_refused_by_name(eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        m_epsilon((0.1, (0.0,)), (0.0, (0.0,)), eps)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        smooth_field(lambda x, y, t: 1.0 + 0 * x, eps, BumpKernel(2), smoothing_grid())
 
 
 def test_constants_are_fixed_points():
