@@ -13,11 +13,13 @@ seed r + 1 on both sides.  Step-matrix assemblies, LU factorizations, step
 solves and coefficient validations are counted by wrapping
 `solver.assemble_step_matrix`, `solver.splu`, `StepMatrix.solve` and
 `solver.validate_coefficients`, and data evaluation is timed by wrapping
-`solver._eval_spatial`.  Times are medians over runs; the accuracy figures
-travel with them: the largest |u_after - u_before| over every member's
-space-time grid, the largest step residual, whether the Harnack and
-oscillation report texts are identical, and each process's peak resident
-memory.
+`solver._eval_spatial`.  `lu_solves` counts `StepMatrix.solve` calls: a
+march that solves for all members in one call makes 200 per op, one that
+solves member by member 4000.  Times are medians over runs; the accuracy
+figures travel with them: the largest |u_after - u_before| over every
+member's space-time grid, the largest step residual, whether the Harnack
+and oscillation report texts are identical, and each process's peak
+resident memory.
 """
 
 from __future__ import annotations

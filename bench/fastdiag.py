@@ -11,8 +11,8 @@ u_t = Lu + 1 with `random_coefficients(7, 3)`, zero data, 33^3, 49^3 and
 Krylov iterations are counted through the `callback` of the module-level
 `solver.bicgstab`.  Times are medians over runs (step solves: over every
 step of every run); the accuracy figures (Krylov iterations per step, max
-step residual, and max |u_after - u_before| over the space-time grid)
-travel with them.
+step residual, max |u_after - u_before| over the space-time grid, and
+whether the solutions are bitwise equal) travel with them.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ def measure(src: str, run: int, work: Path) -> dict:
 
 def compare(run: int, before: dict, after: dict, work: Path) -> dict:
     b, a = (np.load(work / side / "values.npz") for side in ab.SIDES)
-    return {k: float(np.max(np.abs(a[k] - b[k]))) for k in b.files}
+    return {"max_abs_du": {k: float(np.max(np.abs(a[k] - b[k]))) for k in b.files},
+            "bitwise_equal": all(np.array_equal(a[k], b[k]) for k in b.files)}
 
 
 def summarize(results: dict, rows: list) -> dict:
@@ -96,7 +97,9 @@ def summarize(results: dict, rows: list) -> dict:
                 "iterations_per_step": {"median": statistics.median(iters), "max": max(iters)},
                 "residual_max": max(run[k]["residual_max"] for run in runs),
             }
-    report["max_abs_du"] = {k: max(row[k] for row in rows) for k in map(str, SIZES)}
+    report["max_abs_du"] = {k: max(row["max_abs_du"][k] for row in rows)
+                            for k in map(str, SIZES)}
+    report["all_values_bitwise_equal"] = all(row["bitwise_equal"] for row in rows)
     report["speedup"] = {
         k: {metric: report["before"][k][metric] / report["after"][k][metric]
             for metric in ("full_solve_s", "step_solve_s")}

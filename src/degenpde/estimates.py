@@ -107,6 +107,12 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
+def _budget(name: str, value: float, hi: float = math.inf) -> None:
+    """Refuse a pass budget outside (0, hi], NaN included, naming it."""
+    if not 0 < value <= hi:
+        raise ValueError(f"{name} must lie in (0, {hi:g}], got {value:g}")
+
+
 def _finish(name, lhs, rhs_components, constant, margins, grid,
             *details) -> EstimateReport:
     """The report; its provenance line is the grid, then the details."""
@@ -364,8 +370,9 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
 
     Hypothesis u <= 0 on the cube's parabolic boundary is checked first;
     the right side integrates (g-)^(n+1) over the lower contact set with
-    the singular weight.
+    the singular weight.  The budget c_max must lie in (0, inf].
     """
+    _budget("c_max", c_max)
     grid = u.grid
     if g is not None:
         _on_grid(g, grid)
@@ -405,7 +412,11 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
 
 def harnack_quotient(u: ScalarField, g, s0: float, y0, t0: float, rho: float,
                      nu: float, c_max: float = math.inf) -> EstimateReport:
-    """sup over the earlier half-cube against inf over the later one."""
+    """sup over the earlier half-cube against inf over the later one.
+
+    The budget c_max must lie in (0, inf].
+    """
+    _budget("c_max", c_max)
     grid = u.grid
     later = ParabolicCube("Q_rho", SPoint(s0, y0, t0).to_x(), rho / 2.0)
     earlier = ParabolicCube(
@@ -499,8 +510,10 @@ def oscillation_decay(u: ScalarField, base, rho: float, levels: int, g,
     theta_hat_j = [osc over Q at radius rho/2^(j+1) minus the level's
     forcing term] / osc at radius rho/2^j; the summary ratio is the max
     over levels and alpha_hat = log2(1/theta_hat). Zero oscillation at any
-    level reports the exact-constant sentinel and passes.
+    level reports the exact-constant sentinel and passes.  The budget
+    theta_max must lie in (0, 1].
     """
+    _budget("theta_max", theta_max, 1.0)
     if levels < 2:
         raise ValueError("need at least 2 levels")
     grid = u.grid
@@ -668,8 +681,10 @@ def poly_approx_check(f: ScalarField, L0f: ScalarField, s_outer: float,
     The polynomial has degree 1 in x and t and degree 2 in y with
     coefficients from finite differences at (x, y, t) = (0, 0, 1); for each
     r the remainder sup over the parabolic box of size r is compared with
-    (r/s)^3 |f|_s + s^2 |L0 f|_s.
+    (r/s)^3 |f|_s + s^2 |L0 f|_s.  The budget ratio_max must lie in
+    (0, inf].
     """
+    _budget("ratio_max", ratio_max)
     grid = f.grid
     if not L0f.grid.same_axes(grid):
         raise ValueError("L0f must live on f's grid")

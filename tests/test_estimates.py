@@ -246,6 +246,40 @@ def test_growth_lemma_refuses_a_bad_budget_or_level(name, value):
         growth_lemma_check(u, None, (0.5, [0.0], 0.0), 0.2, nu=0.5, **args)
 
 
+def constant_on(grid, value=1.0):
+    return sample(lambda x, y, t: value + 0 * x, grid)
+
+
+BUDGETS = {
+    # check: (budget, its largest accepted value, the check called with it)
+    "abp_check": ("c_max", math.inf, lambda **budget: abp_check(
+        constant_on(unit_grid(33), -1.0), None,
+        ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4), 0.5, **budget)),
+    "harnack_quotient": ("c_max", math.inf, lambda **budget: harnack_quotient(
+        constant_on(unit_grid(33)), None, 0.5, [0.0], 1.0, 0.4, 0.5, **budget)),
+    "oscillation_decay": ("theta_max", 1.0, lambda **budget: oscillation_decay(
+        constant_on(unit_grid(33)), (0.5, [0.0], 1.0), 0.4, 2, None, 0.5, **budget)),
+    "poly_approx_check": ("ratio_max", math.inf, lambda **budget: poly_approx_check(
+        constant_on(poly_grid()), constant_on(poly_grid(), 0.0), 0.8, [0.8, 0.4], **budget)),
+}
+
+
+@pytest.mark.parametrize("check, value", [
+    *[(check, v) for check in sorted(BUDGETS) for v in (math.nan, 0.0, -1.0, -math.inf)],
+    ("oscillation_decay", 1.5), ("oscillation_decay", math.inf),
+])
+def test_a_budget_out_of_range_is_refused_by_name(check, value):
+    name, _, run = BUDGETS[check]
+    with pytest.raises(ValueError, match=f"^{name} must lie in "):
+        run(**{name: value})
+
+
+@pytest.mark.parametrize("check", sorted(BUDGETS))
+def test_the_largest_budget_is_accepted(check):
+    name, top, run = BUDGETS[check]
+    assert run(**{name: top}).passed
+
+
 @pytest.mark.parametrize("rho", [math.nan, math.inf])
 def test_a_non_finite_radius_is_refused_by_name(rho):
     u = sample(lambda x, y, t: 1.0 + 0 * x, unit_grid())

@@ -286,6 +286,14 @@ def test_batch_march_refuses_a_second_operator(other):
         _march([first, second], unit_grid(9))
 
 
+def test_batch_march_refuses_non_finite_data_of_a_later_member():
+    initial, lateral, forcing, message = NON_FINITE_DATA["lateral_nan_after_0.3"]
+    good = IVBProblem(coeffs=1.0, initial=initial, lateral=initial)
+    bad = IVBProblem(coeffs=1.0, initial=initial, lateral=lateral, forcing=forcing)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _march([good, bad, good], unit_grid(9))
+
+
 def counting(monkeypatch, name):
     calls = []
     original = getattr(solver, name)
@@ -299,7 +307,8 @@ def counting(monkeypatch, name):
 
 
 def ensemble_counts(monkeypatch, name):
-    # linspace(0, 0.5, 201) has 9 distinct float spacings
+    # linspace(0, 0.5, 201) has 9 distinct float spacings, all equal to
+    # 12 significant digits
     grid = Grid.uniform((0, 1, 9), [(-1, 1, 9)], (0, 0.5, 201))
     calls = counting(monkeypatch, name)
     random_positive_solution_ensemble(1, 20, model_coefficients(1.0, 2), grid)
@@ -307,11 +316,36 @@ def ensemble_counts(monkeypatch, name):
 
 
 def test_ensemble_assembles_once_per_step_size(monkeypatch):
-    assert ensemble_counts(monkeypatch, "assemble_step_matrix") == 9
+    assert ensemble_counts(monkeypatch, "assemble_step_matrix") == 1
 
 
 def test_ensemble_validates_its_coefficients_once(monkeypatch):
     assert ensemble_counts(monkeypatch, "validate_coefficients") == 1
+
+
+def test_batched_ensemble_matches_each_member_marched_alone(monkeypatch):
+    # the multi-column LU solve rounds differently from one solve per
+    # member: measured 1.1e-16 in values and 0 in residuals at this seed
+    grid = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 0.5, 201))
+    batches = counting(monkeypatch, "_march")
+    ensemble = random_positive_solution_ensemble(7, 20, model_coefficients(1.0, 2), grid)
+    (problems, *_), = batches
+    for prob, u in zip(problems, ensemble, strict=True):
+        alone = solve_ivbp(prob, grid)
+        assert np.max(np.abs(u.values - alone.values)) <= 1e-13
+        assert np.max(np.abs(np.subtract(u.step_residuals, alone.step_residuals))) <= 1e-12
+
+
+def test_step_sizes_share_a_matrix_only_to_12_significant_digits(monkeypatch):
+    # spacings 1e-13, 4e-13 and 4e-13 (up to rounding): two matrices, so
+    # the key is relative, not round(tau, 12)
+    grid = Grid(np.linspace(0, 1, 9), (np.linspace(-1, 1, 9),),
+                np.array([0.0, 1e-13, 5e-13, 9.000000000000001e-13]))
+    assert np.diff(grid.t)[1] != np.diff(grid.t)[2]
+    calls = counting(monkeypatch, "assemble_step_matrix")
+    f = lambda x, y, t: x + y
+    solve_ivbp(IVBProblem(coeffs=1.0, initial=f, lateral=f), grid)
+    assert [tau for _, _, tau, *_ in calls] == pytest.approx([1e-13, 4e-13], rel=1e-12)
 
 
 def test_lateral_data_is_evaluated_on_the_dirichlet_nodes_only():
