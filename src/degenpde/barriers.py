@@ -94,13 +94,6 @@ def omega_from_theta(theta, t):
     return (18.0 - theta) * lambda_kernel(theta, t)
 
 
-def omega(point: Point, t: float, base, gamma: float):
-    """The kernel factor at a half-space point, distance taken to `base`."""
-    x0, y0 = _base_pair(base)
-    theta = d_bar_sq(point.x, list(point.y), x0, y0, gamma)
-    return float(omega_from_theta(theta, t))
-
-
 def _base_pair(base):
     x0, y0 = base
     return float(x0), np.atleast_1d(np.asarray(y0, dtype=float))
@@ -603,16 +596,6 @@ class ModelBarrierParams:
 
     def describe(self) -> str:
         return f"v={self.v:g} b={self.b:.17g} c={self.c:.17g} C={self.C:.17g}"
-
-
-def model_barrier_phi(b: float, point: Point) -> float:
-    """phi = 1/((x + b |y|^2) |y|^2); pole where |y| = 0."""
-    if not (math.isfinite(b) and b > 0):
-        raise ValueError(f"b must be finite and positive, got {b!r}")
-    S = float(point.y @ point.y)
-    if S <= 0:
-        raise ValueError("model barrier has a pole at y = 0")
-    return 1.0 / ((point.x + b * S) * S)
 
 
 def barrier_condition_residual(params: ModelBarrierParams, x, S, n: int):

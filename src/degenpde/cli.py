@@ -241,7 +241,10 @@ def _solve(spec: ExperimentSpec) -> ScalarField:
 
 def run_experiment(spec: ExperimentSpec, out_dir) -> bool:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. an existing file; refused before the solve
+        raise SpecError(f"--out: {exc}") from None
     u = _solve(spec)
 
     results = []

@@ -17,7 +17,6 @@ import numpy as np
 from .fields import (
     Grid,
     ScalarField,
-    _d1,
     _ratio_max,
     _region_pairs,
     c0_norm,
@@ -37,7 +36,7 @@ from .geometry import (
     rho_nu,
     weighted_volumes,
 )
-from .operators import CoefficientField, apply_L, apply_L0
+from .operators import CoefficientField, apply_L0, apply_parabolic
 
 # tie tolerance for the closed contact-set conditions, applied relative to
 # the magnitude of each tested quantity so membership is scale invariant
@@ -514,8 +513,8 @@ def oscillation_decay(u: ScalarField, base, rho: float, levels: int, g,
     theta_max must lie in (0, 1].
     """
     _budget("theta_max", theta_max, 1.0)
-    if levels < 2:
-        raise ValueError("need at least 2 levels")
+    if not isinstance(levels, (int, np.integer)) or levels < 2:
+        raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
     grid = u.grid
     s0, y0, t0 = base
     radii = [rho / 2.0 ** j for j in range(levels + 1)]
@@ -759,7 +758,7 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     if np.count_nonzero(unit) < 2:
         raise ValueError("region must contain at least 2 grid nodes")
     pairs = _region_pairs(grid, unit, alpha)
-    data = _d1(f.values, grid.ht, len(grid.axes) - 1) - apply_L(coeffs, f).values
+    data = apply_parabolic(coeffs, f).values
     rhs_sup = float(np.max(np.abs(f.values[unit])))
     rhs_data = _holder_norm(pairs, data[unit])
     meshes = grid.x_meshes()

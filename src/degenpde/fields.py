@@ -293,7 +293,8 @@ class FieldDerivatives:
         """d2u/dx2 by the chain rule; refused if the grid reaches s = 0."""
         g = self.field.grid
         if g.s[0] == 0.0:
-            raise ValueError("u_xx is not available at s = 0; use the s-form operators there")
+            raise ValueError("u_xx is not available at s = 0; "
+                             "use u_xx_xgrid or x_times_u_xx there")
         s = g.meshes()[0]
         return (self.u_ss - self.u_s / s) / (4 * s * s)
 
@@ -438,37 +439,3 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
         total += float(np.max(np.abs(vals)))
         total += _ratio_max(pairs, vals)
     return total
-
-
-def save_field(field: ScalarField, path) -> None:
-    """Plain-text dump: header with grid metadata, one node per line."""
-    g = field.grid
-    shape = ",".join(str(k) for k in g.shape)
-    meshes = np.meshgrid(*g.axes, indexing="ij")
-    cols = [m.ravel() for m in meshes] + [field.values.ravel()]
-    with open(path, "w") as fh:
-        fh.write(f"# degenpde scalarfield n={g.n} shape={shape}\n")
-        fh.write("# columns: s " + " ".join(f"y{i + 2}" for i in range(len(g.y)))
-                 + " t value\n")
-        for row in zip(*cols):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_field(path) -> ScalarField:
-    """Inverse of save_field; bit-exact round trip."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# degenpde scalarfield"):
-            raise ValueError(f"{path}: not a scalar field dump")
-        meta = dict(tok.split("=") for tok in header.split()[3:])
-        shape = tuple(int(k) for k in meta["shape"].split(","))
-        fh.readline()  # column names
-        data = np.loadtxt(fh)
-    if data.shape[0] != int(np.prod(shape)):
-        raise ValueError(f"{path}: expected {np.prod(shape)} rows, got {data.shape[0]}")
-    axes = []
-    for k, size in enumerate(shape):
-        stride = int(np.prod(shape[k + 1:]))
-        axes.append(data[:: stride, k][:size].copy())
-    grid = Grid(axes[0], tuple(axes[1:-1]), axes[-1])
-    return ScalarField(grid, data[:, -1].reshape(shape))

@@ -291,13 +291,11 @@ def cube_measure(cube: ParabolicCube, mu: WeightedMeasure,
     s-factor is integrated exactly per cell.
     """
     nu, n = mu.nu, cube.n
-    s0, r = cube.base.s, cube.radius
+    (s_lo, s_hi), y_ivs, (t_lo, t_hi) = measure_region(cube)
     if method == "analytic":
-        s_bar = max(s0 - r, 0.0)
-        return ((s0 + r) ** nu - s_bar ** nu) * r ** n
+        return (s_hi ** nu - s_lo ** nu) * cube.radius ** n
     if method != "quadrature":
         raise ValueError("method must be 'analytic' or 'quadrature'")
-    (s_lo, s_hi), y_ivs, (t_lo, t_hi) = measure_region(cube)
     # the s-integral is summed before the other lengths multiply it
     vol = float(np.sum(weighted_volumes([np.linspace(s_lo, s_hi, 65)], nu)))
     for lo, hi in y_ivs:

@@ -1,20 +1,19 @@
-"""The three operator forms and coefficient machinery.
+"""The operator L in x-form, the parabolic operator u_t - Lu, and coefficients.
 
-L in x-coordinates acts on the half-space x >= 0:
+L acts on the half-space x >= 0:
 
     Lu = x a11 u_xx + 2 sqrt(x) sum_j a1j u_{x y_j}
          + sum_{ij} a_ij u_{y_i y_j} + b1 u_x + sum_j b_j u_{y_j},
 
 with ellipticity a xi.xi >= lambda |xi|^2, bounds |a_ij|, |b_i| <= 1/lambda,
 and the transport condition 2 b1 / a11 >= nu > 0 that makes x = 0 an
-outflow characteristic (no boundary condition needed there).
+outflow characteristic (no boundary condition needed there).  Every
+estimate is stated for the parabolic operator (script L in the paper)
 
-L_s is the companion form in s = sqrt(x) used by the contact-set analysis:
+    LLu = u_t - Lu,
 
-    L_s u = a11 u_ss + 2 sum a1i u_{y_i s} + sum a_ij u_{y_i y_j}
-            + (a11/s)(b1/(2 a11) - 1) u_s + sum b_i u_{y_i}.
-
-L0 is the constant-coefficient model: L0 f = f_t - (x f_xx + sum f_{y_i y_i}
+which `apply_parabolic` evaluates.  L0 is LL for the constant-coefficient
+model `model_coefficients(v, n)`: L0 f = f_t - (x f_xx + sum f_{y_i y_i}
 + v f_x) with transport velocity v > 0.
 """
 
@@ -157,39 +156,6 @@ def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def apply_Ls(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
-    """The s-coordinate operator used by the contact-set analysis.
-
-    At s = 0 the singular drift (a11/s)(b1/(2a11) - 1) u_s is replaced by its
-    limit for data smooth in x (u_s(0) = 0, u_s/s -> u_ss):
-    (b1/2 - a11) u_ss.
-    """
-    g = field.grid
-    if coeffs.n != g.n:
-        raise ValueError("coefficient dimension does not match grid")
-    d = fd_derivatives(field)
-    meshes = g.x_meshes()
-    shape = g.shape
-    A = coeffs.eval_a(meshes, shape)
-    B = coeffs.eval_b(meshes, shape)
-    m = len(g.y)
-    out = A[0, 0] * d.u_ss
-    for i in range(m):
-        out += 2.0 * A[0, 1 + i] * d.u_sy[i]
-    for i in range(m):
-        for j in range(m):
-            out += A[1 + i, 1 + j] * d.u_yy[i][j]
-    s = g.meshes()[0]
-    safe = np.where(s > 0, s, 1.0)
-    drift = (B[0] / 2.0 - A[0, 0]) * (d.u_s / safe)
-    if g.s[0] == 0.0:
-        drift[0] = (B[0][0] / 2.0 - A[0, 0][0]) * d.u_ss[0]
-    out += drift
-    for j in range(m):
-        out += B[1 + j] * d.u_y[j]
-    return ScalarField(g, out)
-
-
 def model_coefficients(v, n: int = 2) -> CoefficientField:
     """a = I, b = (v, 0, ..., 0)."""
     if not (math.isfinite(v) and v > 0):
@@ -199,10 +165,6 @@ def model_coefficients(v, n: int = 2) -> CoefficientField:
     a = [[_const(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     b = [_const(v)] + [_const(0.0) for _ in range(n - 1)]
     return CoefficientField(n, a, b, EllipticityParams(lam, nu))
-
-
-def identity_coefficients(n: int = 2) -> CoefficientField:
-    return model_coefficients(1.0, n)
 
 
 def plane_waves(w, ph, c, wave):
@@ -294,7 +256,7 @@ COEFFICIENT_PRESETS = {
 def parse_coefficient_preset(text: str, n: int = 2) -> CoefficientField:
     text = text.strip()
     if text == "identity":
-        return identity_coefficients(n)
+        return model_coefficients(1.0, n)
     m = re.fullmatch(r"model:v=([0-9.eE+-]+)", text)
     if m:
         return model_coefficients(float(m.group(1)), n)
@@ -304,11 +266,16 @@ def parse_coefficient_preset(text: str, n: int = 2) -> CoefficientField:
     raise ValueError(f"unknown coefficient preset {text!r}")
 
 
-def apply_L0(v, field: ScalarField) -> ScalarField:
-    """Model operator L0 f = f_t - (x f_xx + sum f_yiyi + v f_x)."""
+def apply_parabolic(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
+    """The parabolic operator LLu = u_t - Lu on the field's grid."""
     g = field.grid
     u_t = _d1(field.values, g.ht, len(g.axes) - 1)
-    return ScalarField(g, u_t - apply_L(model_coefficients(v, g.n), field).values)
+    return ScalarField(g, u_t - apply_L(coeffs, field).values)
+
+
+def apply_L0(v, field: ScalarField) -> ScalarField:
+    """Model operator L0 f = f_t - (x f_xx + sum f_yiyi + v f_x)."""
+    return apply_parabolic(model_coefficients(v, field.grid.n), field)
 
 
 @dataclass(frozen=True)

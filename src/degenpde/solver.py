@@ -68,27 +68,29 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
 class IVBProblem:
     """Initial/boundary-value problem for u_t = Lu + c u + g.
 
-    coeffs: CoefficientField, or a positive float v for the model operator.
-    forcing/initial/lateral are callables f(x, y..., t); forcing may also
-    be None (no forcing).
+    coeffs is the CoefficientField of L; the model operator with velocity v
+    is `model_coefficients(v, n)`.  forcing/initial/lateral are callables
+    f(x, y..., t); forcing may also be None (no forcing).
     """
 
-    coeffs: object
+    coeffs: CoefficientField
     forcing: object = None
     initial: object = None
     lateral: object = None
     c: float = 0.0
 
-    def coefficient_field(self, n: int) -> CoefficientField:
-        if isinstance(self.coeffs, CoefficientField):
-            return self.coeffs
-        return model_coefficients(float(self.coeffs), n)
+    def __post_init__(self):
+        if not isinstance(self.coeffs, CoefficientField):
+            raise TypeError(f"coeffs must be a CoefficientField, got "
+                            f"{type(self.coeffs).__name__}; use model_coefficients(v, n)")
 
 
 def _eval_spatial(fn, coords: list, shape: tuple, t: float) -> np.ndarray:
@@ -288,7 +290,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     config = config or SolverConfig()
-    coeffs = problem.coefficient_field(grid.n)
+    coeffs = problem.coeffs
     if t_eval is None:
         t_eval = float(grid.t[-1])
 
@@ -438,9 +440,9 @@ def _march(problems: list, grid: Grid,
     """
     config = config or SolverConfig()
     first = problems[0]
-    if any(p.coeffs != first.coeffs or p.c != first.c for p in problems[1:]):
+    if any(p.coeffs is not first.coeffs or p.c != first.c for p in problems[1:]):
         raise ValueError("a batch march needs one operator: the same coeffs and c")
-    coeffs = first.coefficient_field(grid.n)
+    coeffs = first.coeffs
     report = validate_coefficients(coeffs, grid)
     if not report.passed:
         raise ValueError(f"coefficient conditions violated: {report.margins}")
@@ -538,12 +540,17 @@ def solve_ivbp(problem: IVBProblem, grid: Grid,
 
 def solve_model(v, g, f0, boundary, grid: Grid,
                 config: SolverConfig | None = None, c: float = 0.0) -> SolvedField:
-    """Model-operator specialization: a = I, b = (v, 0, ..., 0), optional c."""
-    problem = IVBProblem(coeffs=v, forcing=g, initial=f0, lateral=boundary, c=c)
+    """`solve_ivbp` for the model operator, coeffs = `model_coefficients(v, grid.n)`.
+
+    The model operator has a = I and b = (v, 0, ..., 0); c is optional.
+    """
+    problem = IVBProblem(coeffs=model_coefficients(v, grid.n), forcing=g,
+                         initial=f0, lateral=boundary, c=c)
     return solve_ivbp(problem, grid, config)
 
 
-def random_positive_solution_ensemble(seed: int, count: int, coeffs, grid: Grid) -> list:
+def random_positive_solution_ensemble(seed: int, count: int, coeffs: CoefficientField,
+                                      grid: Grid) -> list:
     """Seeded ensemble of nonnegative solutions of the homogeneous equation.
 
     Each member solves g = 0 with strictly positive time-independent data: a

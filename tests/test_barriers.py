@@ -23,8 +23,8 @@ from degenpde.barriers import (
     harnack_barrier_v,
     harnack_region_grid,
     lambda_kernel,
-    model_barrier_phi,
-    omega,
+    model_barrier_derivatives,
+    omega_from_theta,
     search_harnack_barrier_params,
 )
 from degenpde.geometry import Point
@@ -49,12 +49,10 @@ def test_lambda_kernel_examples():
 
 
 def test_omega_examples():
-    base = (0.0, (0.0,))
-    p0 = Point(0.0, [0.0])
-    assert omega(p0, 2.0, base, 1.0) == pytest.approx(18.0 / (8.0 * math.pi))
-    # theta = x + |y|^2 at gamma = 1 and base 0; theta = 18 zeroes omega
-    assert omega(Point(18.0, [0.0]), 1.0, base, 1.0) == pytest.approx(0.0, abs=1e-300)
-    assert omega(Point(20.0, [0.0]), 1.0, base, 1.0) < 0.0
+    assert omega_from_theta(0.0, 2.0) == pytest.approx(18.0 / (8.0 * math.pi))
+    # theta = 18 zeroes omega
+    assert omega_from_theta(18.0, 1.0) == pytest.approx(0.0, abs=1e-300)
+    assert omega_from_theta(20.0, 1.0) < 0.0
 
 
 def test_harnack_barrier_v_basic_properties():
@@ -137,12 +135,12 @@ def test_harnack_region_grid_shape():
 
 
 def test_model_barrier_phi_examples():
-    assert model_barrier_phi(0.25, Point(0.0, [1.0])) == pytest.approx(4.0)
-    assert model_barrier_phi(0.25, Point(100.0, [1.0])) < 0.01
-    assert model_barrier_phi(0.25, Point(2.0, [0.5])) == pytest.approx(
-        model_barrier_phi(0.25, Point(2.0, [-0.5])))
-    with pytest.raises(ValueError):
-        model_barrier_phi(0.25, Point(1.0, [0.0]))
+    def phi(x, y):
+        return model_barrier_derivatives(0.25, x, [y])["phi"]
+
+    assert phi(0.0, 1.0) == pytest.approx(4.0)
+    assert phi(100.0, 1.0) < 0.01
+    assert phi(2.0, 0.5) == pytest.approx(phi(2.0, -0.5))
 
 
 def test_find_barrier_params_and_certify():
@@ -214,14 +212,10 @@ def test_residual_margins_beyond_the_float_range_saturate():
     (lambda: ModelBarrierParams(1.0, 0.1, 0.0, math.inf), "C"),
     (lambda: find_barrier_params(math.nan), "transport velocity"),
     (lambda: find_barrier_params(math.inf), "transport velocity"),
-    (lambda: model_barrier_phi(math.nan, Point(1.0, [1.0])), "b"),
-    (lambda: model_barrier_phi(math.inf, Point(1.0, [1.0])), "b"),
-    (lambda: model_barrier_phi(0.0, Point(1.0, [1.0])), "b"),
     (lambda: HarnackBarrierParams(math.nan, 0.005, 24.0, 3.0, 1.0, (0.0, (0.0,))), "gamma"),
     (lambda: HarnackBarrierParams(1.0, 0.005, math.nan, 3.0, 1.0, (0.0, (0.0,))), "m"),
     (lambda: HarnackBarrierParams(1.0, 0.005, 24.0, 3.0, math.nan, (0.0, (0.0,))), "M_tau0"),
 ], ids=["model_v", "model_b", "model_C_inf", "search_v_nan", "search_v_inf",
-        "phi_b_nan", "phi_b_inf", "phi_b_zero",
         "harnack_gamma", "harnack_m", "harnack_M_tau0"])
 def test_non_finite_barrier_parameters_are_refused(make, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

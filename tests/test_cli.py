@@ -91,6 +91,19 @@ def test_threads_option_is_refused(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_out_path_that_is_a_file_exits_2_before_the_solve(tmp_path, capsys,
+                                                             monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solve was reached")
+
+    monkeypatch.setattr(degenpde.cli, "solve_ivbp", solve)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["run", "model_manufactured", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert taken.read_text() == "a file, not a directory\n"
+
+
 def test_invalid_nu_rejected(tmp_path, capsys):
     spec = tmp_path / "bad.spec"
     spec.write_text(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,14 @@ def test_a_non_finite_radius_is_refused_by_name(rho):
         harnack_quotient(u, None, 0.5, [0.0], 1.0, rho, 0.5)
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         oscillation_decay(u, (0.5, [0.0], 1.0), rho, 2, None, 0.5)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2.5, math.nan])
+def test_a_level_count_that_is_not_an_integer_above_one_is_refused(levels):
+    u = sample(lambda x, y, t: 1.0 + 0 * x, unit_grid())
+    with pytest.raises(ValueError, match=re.escape(
+            f"levels must be an integer >= 2, got {levels!r}")):
+        oscillation_decay(u, (0.5, [0.0], 1.0), 0.4, levels, None, 0.5)
 
 
 def test_oscillation_decay_linear_is_half():

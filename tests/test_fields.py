@@ -11,11 +11,9 @@ from degenpde.fields import (
     cs_norm_2_alpha,
     fd_derivatives,
     holder_seminorm,
-    load_field,
     lp_norm_weighted,
     osc,
     sample,
-    save_field,
 )
 from degenpde.geometry import ParabolicCube, Point, SPoint, WeightedMeasure, cube_nodes
 from degenpde.operators import apply_L, model_coefficients, random_coefficients
@@ -333,14 +331,3 @@ def test_c0_norm():
     g = unit_grid(9)
     f = sample(lambda x, y, t: -3.0 + 0 * x, g)
     assert c0_norm(f) == pytest.approx(3.0)
-
-
-def test_save_load_round_trip(tmp_path):
-    g = Grid.uniform((0, 1, 7), [(-1, 1, 5)], (0, 1, 4))
-    rng = np.random.default_rng(3)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    path = tmp_path / "field.txt"
-    save_field(f, path)
-    back = load_field(path)
-    assert back.grid.same_axes(g)
-    assert np.array_equal(back.values, f.values)

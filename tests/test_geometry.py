@@ -113,6 +113,14 @@ def test_cube_measure_quadrature_agrees():
     assert abs(quad - analytic) <= 1e-6 * analytic
 
 
+@pytest.mark.parametrize("method", ["analytic", "quadrature"])
+def test_cube_measure_refuses_a_cube_that_is_not_q_rho(method):
+    # the analytic path once applied the Q_rho formula to it (0.25 here)
+    cube = ParabolicCube("B_eta", Point(0.25, [0.0], 1.0), 0.5)
+    with pytest.raises(ValueError, match="defined for Q_rho cubes"):
+        cube_measure(cube, WeightedMeasure(0.5), method=method)
+
+
 def test_set_measure_full_cube_and_symmetry():
     mu = WeightedMeasure(0.5)
     cube = ParabolicCube("Q_rho", SPoint(1.0, [0.0], 0.0).to_x(), 0.5)

@@ -8,7 +8,7 @@ from degenpde.operators import (
     CoefficientField,
     apply_L,
     apply_L0,
-    apply_Ls,
+    apply_parabolic,
     coefficients_from_expressions,
     manufactured_solutions,
     model_coefficients,
@@ -77,18 +77,6 @@ def test_apply_L_examples():
     assert np.max(np.abs(lu.values - 2.0 * (1.0 + 2.0) * x)) <= 1e-9
 
 
-def test_apply_Ls_consistency():
-    g = Grid.uniform((0.2, 1, 17), [(-1, 1, 17)], (0, 1, 5))
-    coeffs = model_coefficients(1.5, 2)
-    f = sample(lambda x, y, t: x + 0 * y, g)
-    ls = apply_Ls(coeffs, f)
-    assert np.max(np.abs(ls.values - 1.5)) <= 1e-8
-    const = sample(lambda x, y, t: 4.0 + 0 * x, g)
-    assert np.max(np.abs(apply_Ls(coeffs, const).values)) <= 1e-10
-    quad = sample(lambda x, y, t: y * y + 0 * x, g)
-    assert np.max(np.abs(apply_Ls(coeffs, quad).values - 2.0)) <= 1e-8
-
-
 def test_apply_L_linearity():
     g = unit_grid(13)
     coeffs = random_coefficients(5, 2)
@@ -109,6 +97,20 @@ def test_apply_L0_annihilates_manufactured():
             res = apply_L0(v, f).values - gg.values
             interior = res[1:-1, 2:-2, 2:-2]
             assert np.max(np.abs(interior)) <= 1e-10, ms.name
+
+
+def test_apply_parabolic_is_u_t_minus_L():
+    g = unit_grid(13)
+    f = sample(lambda x, y, t: np.sin(x + y) * (1 + t * t), g)
+    for v in (0.25, 4.0):
+        assert np.array_equal(apply_parabolic(model_coefficients(v, 2), f).values,
+                              apply_L0(v, f).values)
+    # L annihilates a field constant in space; the second-order time
+    # difference of t^2 is exact
+    t_only = sample(lambda x, y, t: t * t + 0 * x, g)
+    t = np.broadcast_to(g.t, g.shape)
+    lu = apply_parabolic(random_coefficients(5, 2), t_only).values
+    assert np.max(np.abs(lu - 2 * t)) <= 1e-12
 
 
 def test_manufactured_catalog_contents():

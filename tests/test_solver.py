@@ -33,7 +33,23 @@ def test_a_step_size_that_is_not_finite_and_positive_is_refused(dt):
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         SolverConfig(dt=dt)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
-        assemble_step_matrix(IVBProblem(coeffs=1.0), unit_grid(5), dt)
+        assemble_step_matrix(IVBProblem(coeffs=model_coefficients(1.0, 2)), unit_grid(5), dt)
+
+
+@pytest.mark.parametrize("max_iter", [0, 2.5, math.nan, -1])
+def test_a_krylov_budget_that_is_not_a_positive_integer_is_refused(max_iter):
+    # before the refusal, 0 returned an unconverged n = 3 solve without an
+    # error, 2.5 and nan died in scipy and -1 as info=-1
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_iter must be an integer >= 1, got {max_iter!r}")):
+        SolverConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("coeffs, kind", [(1.0, "float"), (2, "int"), ("model:v=1", "str")])
+def test_a_problem_refuses_coefficients_that_are_not_a_field(coeffs, kind):
+    with pytest.raises(TypeError, match=re.escape(
+            f"coeffs must be a CoefficientField, got {kind}; use model_coefficients(v, n)")):
+        IVBProblem(coeffs=coeffs)
 
 
 def test_constant_is_fixed_point():
@@ -45,7 +61,7 @@ def test_constant_is_fixed_point():
 
 def test_step_matrix_rows_sum_to_one_on_constants():
     g = unit_grid(9)
-    prob = IVBProblem(coeffs=1.0)
+    prob = IVBProblem(coeffs=model_coefficients(1.0, 2))
     step = assemble_step_matrix(prob, g, dt=0.01)
     ones = np.ones(step.A.shape[0])
     assert np.max(np.abs(step.A @ ones - 1.0)) <= 1e-12
@@ -192,7 +208,7 @@ def test_preconditioner_is_exact_for_the_model_operator():
     # coefficients stay within 15
     g = cube_grid(17)
     rhs = np.random.default_rng(3).uniform(-1, 1, 17 ** 3)
-    for coeffs, max_iter in ((2.0, 1), (random_coefficients(7, 3), 15)):
+    for coeffs, max_iter in ((model_coefficients(2.0, 3), 1), (random_coefficients(7, 3), 15)):
         step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=-0.5), g, dt=1 / 16,
                                     config=SolverConfig(max_iter=max_iter))
         u = step.solve(rhs, x0=np.zeros_like(rhs))
@@ -204,7 +220,8 @@ def test_step_matrix_is_freed_without_the_cycle_collector():
     # sparse blocks it holds outlive the solve until a gc pass
     gc.disable()
     try:
-        step = assemble_step_matrix(IVBProblem(coeffs=2.0), cube_grid(9), dt=0.1)
+        step = assemble_step_matrix(IVBProblem(coeffs=model_coefficients(2.0, 3)),
+                                    cube_grid(9), dt=0.1)
         ref = weakref.ref(step)
         del step
         assert ref() is None
@@ -235,7 +252,8 @@ NON_FINITE_DATA = {
 @pytest.mark.parametrize("case", sorted(NON_FINITE_DATA))
 def test_non_finite_data_is_refused_by_name(case):
     initial, lateral, forcing, message = NON_FINITE_DATA[case]
-    prob = IVBProblem(coeffs=1.0, forcing=forcing, initial=initial, lateral=lateral)
+    prob = IVBProblem(coeffs=model_coefficients(1.0, 2), forcing=forcing, initial=initial,
+                      lateral=lateral)
     with pytest.raises(ValueError, match=re.escape(message)):
         solve_ivbp(prob, unit_grid(9))
 
@@ -276,20 +294,23 @@ def test_batch_march_equals_one_march_per_member(case, dt):
     assert len(batch[0].step_residuals) == (len(grid.t) - 1) * (1 if dt is None else 3)
 
 
-@pytest.mark.parametrize("other", [dict(coeffs=2.0), dict(c=-0.5),
+@pytest.mark.parametrize("other", [dict(coeffs=model_coefficients(2.0, 2)), dict(c=-0.5),
                                    dict(coeffs=model_coefficients(1.0, 2))])
 def test_batch_march_refuses_a_second_operator(other):
+    # one operator is one CoefficientField object: an equal copy is refused too
     data = members()[0]
-    first = IVBProblem(coeffs=1.0, **data)
-    second = IVBProblem(**{"coeffs": 1.0, **data, **other})
+    coeffs = model_coefficients(1.0, 2)
+    first = IVBProblem(coeffs=coeffs, **data)
+    second = IVBProblem(**{"coeffs": coeffs, **data, **other})
     with pytest.raises(ValueError, match="one operator"):
         _march([first, second], unit_grid(9))
 
 
 def test_batch_march_refuses_non_finite_data_of_a_later_member():
     initial, lateral, forcing, message = NON_FINITE_DATA["lateral_nan_after_0.3"]
-    good = IVBProblem(coeffs=1.0, initial=initial, lateral=initial)
-    bad = IVBProblem(coeffs=1.0, initial=initial, lateral=lateral, forcing=forcing)
+    coeffs = model_coefficients(1.0, 2)
+    good = IVBProblem(coeffs=coeffs, initial=initial, lateral=initial)
+    bad = IVBProblem(coeffs=coeffs, initial=initial, lateral=lateral, forcing=forcing)
     with pytest.raises(ValueError, match=re.escape(message)):
         _march([good, bad, good], unit_grid(9))
 
@@ -344,7 +365,7 @@ def test_step_sizes_share_a_matrix_only_to_12_significant_digits(monkeypatch):
     assert np.diff(grid.t)[1] != np.diff(grid.t)[2]
     calls = counting(monkeypatch, "assemble_step_matrix")
     f = lambda x, y, t: x + y
-    solve_ivbp(IVBProblem(coeffs=1.0, initial=f, lateral=f), grid)
+    solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), initial=f, lateral=f), grid)
     assert [tau for _, _, tau, *_ in calls] == pytest.approx([1e-13, 4e-13], rel=1e-12)
 
 
@@ -358,8 +379,8 @@ def test_lateral_data_is_evaluated_on_the_dirichlet_nodes_only():
         return x + t
 
     f = lambda x, y, t: x + t
-    u = solve_ivbp(IVBProblem(coeffs=1.0, initial=f, lateral=lateral), grid,
-                   SolverConfig(dt=0.05))
+    u = solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), initial=f, lateral=lateral),
+                   grid, SolverConfig(dt=0.05))
     assert sizes == [dirichlet] * (1 + len(u.step_residuals))
     assert np.max(np.abs(u.values - sample(f, grid).values)) <= 1e-10
 
@@ -368,7 +389,7 @@ def test_lateral_data_is_evaluated_on_the_dirichlet_nodes_only():
 @pytest.mark.parametrize("n", [2, 3])
 def test_dirichlet_nodes_are_the_barrier_parabolic_boundary_after_t0(n, s_lo):
     g = Grid.uniform((s_lo, 1, 7), [(-1, 1, 6)] * (n - 1), (0, 1, 4))
-    A = assemble_step_matrix(IVBProblem(coeffs=1.0), g, 0.1).A.toarray()
+    A = assemble_step_matrix(IVBProblem(coeffs=model_coefficients(1.0, n)), g, 0.1).A.toarray()
     dirichlet = solver._dirichlet_mask(g)
     identity_rows = np.all(A == np.eye(A.shape[0]), axis=1)
     assert np.array_equal(identity_rows.reshape(dirichlet.shape), dirichlet)
