@@ -12,14 +12,17 @@ rho = 0.1, 0.2, 0.4 and `oscillation_decay` on every member.  Run r uses
 seed r + 1 on both sides.  Step-matrix assemblies, LU factorizations, step
 solves and coefficient validations are counted by wrapping
 `solver.assemble_step_matrix`, `solver.splu`, `StepMatrix.solve` and
-`solver.validate_coefficients`, and data evaluation is timed by wrapping
-`solver._eval_spatial`.  `lu_solves` counts `StepMatrix.solve` calls: a
-march that solves for all members in one call makes 200 per op, one that
-solves member by member 4000.  Times are medians over runs; the accuracy
-figures travel with them: the largest |u_after - u_before| over every
-member's space-time grid, the largest step residual, whether the Harnack
-and oscillation report texts are identical, and each process's peak
-resident memory.
+`solver.validate_coefficients`, and the march's data reads are counted
+(`data_evals`) and timed (`data_eval_s`) by wrapping `solver._eval_spatial`.
+`lu_solves` counts `StepMatrix.solve` calls: a march that solves for all
+members in one call makes 200 per op, one that solves member by member
+4000.  `data_evals` is 2 per member when the march reads each member's
+initial and lateral data once, 202 per member when it evaluates the lateral
+data again at each of the 200 steps.  Times are medians over runs; the
+accuracy figures travel with them: the largest |u_after - u_before| over
+every member's space-time grid, the largest step residual, whether the
+Harnack and oscillation report texts are identical, and each process's
+peak resident memory.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import ab
 
 MEMBERS, NODES, HARNACK_RADII = 20, 33, (0.1, 0.2, 0.4)
 COUNTED = ("assemble_step_matrix", "splu", "validate_coefficients")
-KEYS = ("op_s", "ensemble_s", "estimates_s", "data_eval_s", "assemblies",
+KEYS = ("op_s", "ensemble_s", "estimates_s", "data_eval_s", "data_evals", "assemblies",
         "factorizations", "lu_solves", "validations", "residual_max", "peak_rss_mb")
 
 
@@ -47,7 +50,7 @@ def measure(src: str, run: int, work: Path) -> dict:
     from degenpde.fields import Grid
     from degenpde.operators import model_coefficients
 
-    seen = {name: 0 for name in COUNTED + ("solve",)}
+    seen = {name: 0 for name in COUNTED + ("solve", "data_evals")}
     seen["data_eval_s"] = 0.0
 
     def counted(name):
@@ -70,6 +73,7 @@ def measure(src: str, run: int, work: Path) -> dict:
         start = perf_counter()
         out = eval_spatial(*args, **kwargs)
         seen["data_eval_s"] += perf_counter() - start
+        seen["data_evals"] += 1
         return out
 
     solver.StepMatrix.solve, solver._eval_spatial = counted_solve, timed_eval
@@ -88,7 +92,7 @@ def measure(src: str, run: int, work: Path) -> dict:
     np.savez(work / "values.npz", *(u.values for u in members))
     return {
         "op_s": done - start, "ensemble_s": solved - start, "estimates_s": done - solved,
-        "data_eval_s": seen["data_eval_s"],
+        "data_eval_s": seen["data_eval_s"], "data_evals": seen["data_evals"],
         "assemblies": seen["assemble_step_matrix"], "factorizations": seen["splu"],
         "lu_solves": seen["solve"], "validations": seen["validate_coefficients"],
         "residual_max": max(max(u.step_residuals) for u in members),

@@ -58,10 +58,13 @@ def _between(lo, hi, closed_hi=False):
 
 
 def _int_at_least(lo):
-    """An int cast refusing values below lo."""
+    """An int cast refusing values below lo and text that is not an integer literal."""
     def cast(text):
-        value = int(text)
-        if value < lo:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
             raise ValueError(f"must be an integer >= {lo}, got {text.strip()}")
         return value
     return cast

@@ -38,8 +38,10 @@ coefficients there is one step matrix per substep size up to relative
 rounding (12 significant digits), assembled and factored once and reused
 by every member and every step of that size.  Each member's data is
 evaluated where the march uses it: initial and forcing data on the full
-grid, lateral data on the Dirichlet nodes only.  Non-finite data is
-refused by name.
+grid, lateral data on the Dirichlet nodes only.  Data given as an array of
+values on the spatial nodes is time-independent and is read once, before
+the first step; only callable data is evaluated at every step.  Non-finite
+data is refused by name.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -77,8 +80,10 @@ class IVBProblem:
     """Initial/boundary-value problem for u_t = Lu + c u + g.
 
     coeffs is the CoefficientField of L; the model operator with velocity v
-    is `model_coefficients(v, n)`.  forcing/initial/lateral are callables
-    f(x, y..., t); forcing may also be None (no forcing).
+    is `model_coefficients(v, n)`.  forcing/initial/lateral are each a
+    callable f(x, y..., t) or an array of values on the spatial nodes
+    (shape `grid.shape[:-1]`), which is time-independent data; forcing may
+    also be None (no forcing).
     """
 
     coeffs: CoefficientField
@@ -93,10 +98,28 @@ class IVBProblem:
                             f"{type(self.coeffs).__name__}; use model_coefficients(v, n)")
 
 
-def _eval_spatial(fn, coords: list, shape: tuple, t: float) -> np.ndarray:
-    """fn(x, y..., t) on the nodes whose coordinates (x = s^2) broadcast to shape."""
-    val = fn(*coords, t)
-    return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+def _eval_spatial(data, name: str, coords: list, nodes, shape: tuple,
+                  t: float) -> np.ndarray:
+    """The named data at time t on some spatial nodes, as a flat array.
+
+    shape is the spatial grid's shape; nodes is None for all of its nodes
+    in C order, or the flat indices of some; coords are those nodes'
+    coordinates (x = s^2, y...).  A callable is evaluated as
+    data(*coords, t); anything else must be an array of values on the
+    spatial grid, which is time-independent data, and is read at nodes.
+    """
+    if callable(data):
+        val = np.asarray(data(*coords, t), dtype=float)
+        return np.broadcast_to(val, shape if nodes is None else nodes.shape).ravel()
+    try:
+        values = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise TypeError(f"{name} must be a callable f(x, y..., t) or an array of values "
+                        f"on the spatial nodes, got {type(data).__name__}") from None
+    if values.shape != shape:
+        raise ValueError(f"{name} has shape {values.shape}, but the spatial grid has "
+                         f"shape {shape}")
+    return values.ravel() if nodes is None else values.ravel()[nodes]
 
 
 def _non_finite(name: str, grid: Grid, flat: int, t: float) -> ValueError:
@@ -432,7 +455,9 @@ def _march(problems: list, grid: Grid,
     substep size tau up to relative rounding (tau to 12 significant
     digits), assembled and factored with the first such tau; time-dependent
     ones get one per substep.  Initial and forcing data are evaluated on
-    spatial meshes built once, lateral data only at the Dirichlet nodes.
+    spatial meshes built once, lateral data only at the Dirichlet nodes;
+    array data is read once before the first step, so a substep evaluates
+    only the callable members' lateral and forcing data.
     A batch of one is the march `solve_ivbp` takes; in a larger batch the
     multi-column LU solve rounds differently from one solve per member, by
     a few units in the last place.  The members' values are slices of one
@@ -461,24 +486,31 @@ def _march(problems: list, grid: Grid,
     # the heap across back-to-back ensembles and raised their peak RSS 13%
     outs = np.empty((len(problems),) + grid.shape)
     U = np.empty((dir_flat.size, len(problems)), order="F")
-    for p, u in zip(problems, U.T):
-        u[:] = _eval_spatial(p.initial, everywhere, shape, t0).ravel()
-        lateral0 = _eval_spatial(p.lateral, on_dirichlet, dir_index.shape, t0)
+    forcing = np.zeros_like(U)  # columns without forcing stay zero
+    lateral = np.empty((len(dir_index), len(problems)), order="F")
+    for i, p in enumerate(problems):
+        u = U[:, i]
+        u[:] = _eval_spatial(p.initial, "initial data", everywhere, None, shape, t0)
+        lateral[:, i] = _eval_spatial(p.lateral, "lateral data", on_dirichlet, dir_index,
+                                      shape, t0)
+        if p.forcing is not None and not callable(p.forcing):
+            forcing[:, i] = _eval_spatial(p.forcing, "forcing", everywhere, None, shape, t0)
         bad = np.flatnonzero(~np.isfinite(u))
         if len(bad):
             raise _non_finite("initial data", grid, bad[0], t0)
-        bad = np.flatnonzero(~np.isfinite(lateral0))
+        bad = np.flatnonzero(~np.isfinite(lateral[:, i]))
         if len(bad):
             raise _non_finite("lateral data", grid, dir_index[bad[0]], t0)
-        mismatch = float(np.max(np.abs(u[dir_flat] - lateral0)))
+        mismatch = float(np.max(np.abs(u[dir_flat] - lateral[:, i])))
         if not mismatch <= COMPATIBILITY_TOL:
             raise ValueError(
                 f"initial and lateral data disagree on shared edges by {mismatch:g}"
             )
     outs[..., 0] = U.T.reshape(outs.shape[:-1])
     residuals = []
-    forcing = np.zeros_like(U)  # columns without forcing stay zero
-    lateral = np.empty((len(dir_index), len(problems)), order="F")
+    # array data was read above; only callables are evaluated per substep
+    timed_forcing = [i for i, p in enumerate(problems) if callable(p.forcing)]
+    timed_lateral = [i for i, p in enumerate(problems) if callable(p.lateral)]
 
     static = not coeffs.time_dependent
     cache: dict[str, StepMatrix] = {}
@@ -502,10 +534,12 @@ def _march(problems: list, grid: Grid,
         for j in range(1, nsub + 1):
             tn = T1 if j == nsub else T0 + j * tau
             sm = step_matrix(tau, tn)
-            for i, p in enumerate(problems):
-                if p.forcing is not None:
-                    forcing[:, i] = _eval_spatial(p.forcing, everywhere, shape, tn).ravel()
-                lateral[:, i] = _eval_spatial(p.lateral, on_dirichlet, dir_index.shape, tn)
+            for i in timed_forcing:
+                forcing[:, i] = _eval_spatial(problems[i].forcing, "forcing", everywhere,
+                                              None, shape, tn)
+            for i in timed_lateral:
+                lateral[:, i] = _eval_spatial(problems[i].lateral, "lateral data",
+                                              on_dirichlet, dir_index, shape, tn)
             rhs = U + tau * forcing
             rhs[dir_index] = lateral
             finite = np.isfinite(rhs)
@@ -530,7 +564,9 @@ def solve_ivbp(problem: IVBProblem, grid: Grid,
 
     Returns the full space-time field with the residual of each substep
     (`SolvedField.step_residuals`); a step between output slices takes
-    ceil(span / config.dt) substeps, one when config.dt is None.  Data that
+    ceil(span / config.dt) substeps, one when config.dt is None.  Data given
+    as an array of values on the spatial nodes is read once, as
+    time-independent data; an array of another shape is refused.  Data that
     is not finite where the march uses it is refused by name: initial data
     anywhere and lateral data on the Dirichlet nodes at t0, forcing and
     lateral data in each substep's right-hand side.
@@ -556,19 +592,20 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs: Coefficient
     Each member solves g = 0 with strictly positive time-independent data: a
     low-frequency random trigonometric polynomial rescaled into [0.1, 1],
     used as both initial and lateral data (compatibility is automatic).  The
+    polynomial is evaluated once per member, on the spatial nodes, and that
+    array of values is the member's data, which the march reads once.  The
     members share one operator, so they march together: one validation, one
-    assembly and factorization per substep size for the whole ensemble, and
-    lateral data evaluated on the Dirichlet nodes only.  The march takes
-    one step per output slice, the default `SolverConfig`, and each
-    member's values agree with those of its own `solve_ivbp` to 1e-13: the
-    multi-column LU solve rounds differently, by 3.3e-16 at most on the
-    20-member ensemble on 33 x 33 nodes and 201 slices at seeds 1, 2, 3, 7,
-    11 and 20250823.  The discrete
+    assembly and factorization per substep size for the whole ensemble.
+    count must be an integer >= 1.  The march takes one step per output
+    slice, the default `SolverConfig`, and each member's values agree with
+    those of its own `solve_ivbp` to 1e-13: the multi-column LU solve rounds
+    differently, by 3.3e-16 at most on the 20-member ensemble on 33 x 33
+    nodes and 201 slices at seeds 1, 2, 3, 7, 11 and 20250823.  The discrete
     maximum principle keeps every output >= 0; a negative value is an
     internal error.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     meshes = grid.spatial_x_meshes()
     problems = []
@@ -582,10 +619,7 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs: Coefficient
         sample0 = np.broadcast_to(raw(*meshes, grid.t[0]), grid.shape[:-1])
         lo, hi = float(np.min(sample0)), float(np.max(sample0))
         span = hi - lo if hi > lo else 1.0
-
-        def data(x, *coords, _raw=raw, _lo=lo, _span=span):
-            return 0.1 + 0.9 * (_raw(x, *coords) - _lo) / _span
-
+        data = 0.1 + 0.9 * (sample0 - lo) / span
         problems.append(IVBProblem(coeffs=coeffs, forcing=None,
                                    initial=data, lateral=data))
     fields = _march(problems, grid)

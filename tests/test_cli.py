@@ -200,7 +200,7 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
     ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
      "rho = 0.4\nlevels = 0\n", "[check osc] levels: must be an integer >= 2, got 0"),
     ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
-     "rho = 0.4\nlevels = 2.5\n", "[check osc] levels: invalid literal for int()"),
+     "rho = 0.4\nlevels = 2.5\n", "[check osc] levels: must be an integer >= 2, got 2.5"),
     ("identity", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\n", None),
     ("random:seed=3", "\n[check early]\ntype = harnack_quotient\ns0 = 0.5\nt0 = 1.0\n"
      "rho = 0.4\nc_max = nan\n", "[check early] c_max: must lie in (0, inf], got nan"),

@@ -36,10 +36,11 @@ def test_a_step_size_that_is_not_finite_and_positive_is_refused(dt):
         assemble_step_matrix(IVBProblem(coeffs=model_coefficients(1.0, 2)), unit_grid(5), dt)
 
 
-@pytest.mark.parametrize("max_iter", [0, 2.5, math.nan, -1])
+@pytest.mark.parametrize("max_iter", [0, 2.5, math.nan, -1, True])
 def test_a_krylov_budget_that_is_not_a_positive_integer_is_refused(max_iter):
     # before the refusal, 0 returned an unconverged n = 3 solve without an
-    # error, 2.5 and nan died in scipy and -1 as info=-1
+    # error, 2.5 and nan died in scipy and -1 as info=-1; True was one
+    # iteration
     with pytest.raises(ValueError, match=re.escape(
             f"max_iter must be an integer >= 1, got {max_iter!r}")):
         SolverConfig(max_iter=max_iter)
@@ -233,6 +234,13 @@ def nan_at_interior_node(x, y, t):
     return np.where((x == 0.25) & (y == 0.0), np.nan, 0.0 * x)
 
 
+def nan_at(s_index, y_index):
+    """Zero array data on unit_grid(9)'s spatial nodes but one NaN."""
+    values = np.zeros((9, 9))
+    values[s_index, y_index] = np.nan
+    return values
+
+
 NON_FINITE_DATA = {
     # (initial, lateral, forcing): the refusal; nodes are (s, y, t)
     "initial_one_over_x": (lambda x, y, t: 1 / x, lambda x, y, t: 1 / x, None,
@@ -245,6 +253,13 @@ NON_FINITE_DATA = {
     "forcing_one_over_x": (lambda x, y, t: 0 * x, lambda x, y, t: 0 * x,
                            lambda x, y, t: 1 / x,
                            "forcing is non-finite at node (0.0, -0.75, 0.125)"),
+    # array data is read once, and refused where the march uses it
+    "initial_array_interior_nan": (nan_at(4, 4), np.zeros((9, 9)), None,
+                                   "initial data is non-finite at node (0.5, 0.0, 0.0)"),
+    "lateral_array_dirichlet_nan": (np.zeros((9, 9)), nan_at(8, 4), None,
+                                    "lateral data is non-finite at node (1.0, 0.0, 0.0)"),
+    "forcing_array_interior_nan": (np.zeros((9, 9)), np.zeros((9, 9)), nan_at(4, 4),
+                                   "forcing is non-finite at node (0.5, 0.0, 0.125)"),
 }
 
 
@@ -292,6 +307,78 @@ def test_batch_march_equals_one_march_per_member(case, dt):
         assert u.step_residuals == alone.step_residuals
     # dt = 0.03 splits each step of 1/16 into 3 substeps
     assert len(batch[0].step_residuals) == (len(grid.t) - 1) * (1 if dt is None else 3)
+
+
+def steady_members(grid):
+    """Three time-independent members as callables, and as arrays on grid's spatial nodes."""
+    def data(k):
+        return lambda x, *coords: k + x - 0.5 * x * coords[0] + coords[0] * coords[0]
+
+    def forcing(k):
+        return lambda x, *coords: k * (1 - x) + 0.25 * coords[0]
+
+    def on_nodes(f):
+        return np.broadcast_to(f(*grid.spatial_x_meshes(), 0.0), grid.shape[:-1]).copy()
+
+    callables = [dict(initial=data(k), lateral=data(k), forcing=forcing(k)) for k in range(3)]
+    arrays = [{key: on_nodes(f) for key, f in member.items()} for member in callables]
+    return callables, arrays
+
+
+@pytest.mark.parametrize("which", ["initial", "lateral", "forcing"])
+@pytest.mark.parametrize("case", ["n2_lu", "n3_krylov"])
+def test_array_data_marches_bitwise_as_its_time_independent_callable(case, which):
+    coeffs, grid = BATCH_CASES[case]
+    (called, *_), (arrays, *_) = steady_members(grid)
+    given = solve_ivbp(IVBProblem(coeffs=coeffs, c=-0.5, **{**called, which: arrays[which]}),
+                       grid)
+    evaluated = solve_ivbp(IVBProblem(coeffs=coeffs, c=-0.5, **called), grid)
+    assert np.array_equal(given.values, evaluated.values)
+    assert given.step_residuals == evaluated.step_residuals
+
+
+@pytest.mark.parametrize("case", ["n2_lu", "n3_krylov"])
+def test_batch_of_array_and_callable_members_equals_one_march_per_member(case):
+    coeffs, grid = BATCH_CASES[case]
+    called, arrays = steady_members(grid)
+    # a time-dependent member, an array member, and one of mixed kinds
+    data = [members()[1], arrays[1], {**called[2], "lateral": arrays[2]["lateral"]}]
+    problems = [IVBProblem(coeffs=coeffs, c=-0.5, **d) for d in data]
+    batch = _march(problems, grid, SolverConfig(dt=0.03))
+    for prob, u in zip(problems, batch, strict=True):
+        alone = solve_ivbp(prob, grid, SolverConfig(dt=0.03))
+        assert np.array_equal(u.values, alone.values)
+        assert u.step_residuals == alone.step_residuals
+
+
+@pytest.mark.parametrize("which, name", [("initial", "initial data"),
+                                         ("lateral", "lateral data"), ("forcing", "forcing")])
+@pytest.mark.parametrize("shape", [(8, 9), (9, 9, 9), (81,), ()])
+def test_array_data_of_another_shape_is_refused_by_name(which, name, shape):
+    f = lambda x, y, t: x + y
+    data = {"initial": f, "lateral": f, which: np.zeros(shape)}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} has shape {shape}, but the spatial grid has shape (9, 9)")):
+        solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), **data), unit_grid(9))
+
+
+@pytest.mark.parametrize("which, name", [("initial", "initial data"),
+                                         ("lateral", "lateral data"), ("forcing", "forcing")])
+@pytest.mark.parametrize("value, kind", [("x + y", "str"), ({}, "dict")])
+def test_data_neither_callable_nor_array_is_refused_by_name(which, name, value, kind):
+    f = lambda x, y, t: x + y
+    data = {"initial": f, "lateral": f, which: value}
+    with pytest.raises(TypeError, match=re.escape(
+            f"{name} must be a callable f(x, y..., t) or an array of values on the "
+            f"spatial nodes, got {kind}")):
+        solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), **data), unit_grid(9))
+
+
+def test_array_lateral_data_is_read_on_the_dirichlet_nodes_only():
+    # a NaN at a free node is never used, so it is not refused
+    u = solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), initial=np.ones((9, 9)),
+                              lateral=np.where(nan_at(4, 4) == 0, 1.0, np.nan)), unit_grid(9))
+    assert np.max(np.abs(u.values - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("other", [dict(coeffs=model_coefficients(2.0, 2)), dict(c=-0.5),
@@ -342,6 +429,32 @@ def test_ensemble_assembles_once_per_step_size(monkeypatch):
 
 def test_ensemble_validates_its_coefficients_once(monkeypatch):
     assert ensemble_counts(monkeypatch, "validate_coefficients") == 1
+
+
+def test_ensemble_evaluates_each_members_plane_waves_once(monkeypatch):
+    # evaluating the data at every step made 3 + 200 calls per member: 4060
+    calls = []
+    original = solver.plane_waves
+
+    def counted_plane_waves(*args):
+        f = original(*args)
+
+        def counted(*coords):
+            calls.append(coords)
+            return f(*coords)
+        return counted
+
+    monkeypatch.setattr(solver, "plane_waves", counted_plane_waves)
+    assert ensemble_counts(monkeypatch, "_march") == 1
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True, math.nan, "3"])
+def test_ensemble_refuses_a_count_that_is_not_a_positive_integer(count):
+    # before the refusal, 2.5 died in numpy and True marched one member
+    with pytest.raises(ValueError, match=re.escape(
+            f"count must be an integer >= 1, got {count!r}")):
+        random_positive_solution_ensemble(1, count, model_coefficients(1.0, 2), unit_grid(5))
 
 
 def test_batched_ensemble_matches_each_member_marched_alone(monkeypatch):
