@@ -150,8 +150,8 @@ CHECKS = {
                                    "t0": (float, REQUIRED)}),
 }
 
-_EXPERIMENT = {"name": (str, REQUIRED), "seed": (int, 0), "nu": (float, REQUIRED),
-               "coefficients": (str, REQUIRED)}
+_EXPERIMENT = {"name": (str, REQUIRED), "seed": (_int_at_least(0), 0),
+               "nu": (float, REQUIRED), "coefficients": (str, REQUIRED)}
 _PROBLEM = {"solution": (compile_expression, REQUIRED),
             "forcing": (compile_expression, compile_expression("0"))}
 

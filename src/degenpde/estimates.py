@@ -173,47 +173,45 @@ def _forcing(g, grid: Grid, cube: ParabolicCube, nu: float, s0: float,
 
 @dataclass
 class ContactSetResult:
-    """Upper/lower contact sets of a field over a cube.
+    """The lower contact set of a field over a cube, the one ABP integrates over.
 
-    gamma_plus / gamma_minus are full-grid boolean masks.  Nodes on the
-    s = 0 line are excluded (the map to z = s^(2-nu)/(2-nu) is singular
-    there); their count is reported.  The masks are exactly those that
+    gamma_minus is a full-grid boolean mask.  Nodes on the s = 0 line are
+    excluded (the map to z = s^(2-nu)/(2-nu) is singular there); their
+    count is reported.  The mask is exactly the one that
     `np.linalg.eigvalsh` at every selected node would give; `contact_sets`
-    says how they are found without it.
+    says how it is found without it.
     """
 
-    gamma_plus: np.ndarray
     gamma_minus: np.ndarray
     excluded_s_zero: int
 
 
 def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetResult:
-    """Discrete contact sets from the (z, y)-Hessian sign conditions.
+    """The discrete lower contact set from the (z, y)-Hessian sign conditions.
 
-    In the variable z = s^(2-nu)/(2-nu) the Hessian of u in (z, y) is
-    congruent to the matrix E with entries E_11 = u_ss + ((nu-1)/s) u_s,
-    E_1i = u_{s y_i}, E_ij = u_{y_i y_j}, so the sign conditions are
-    conditions on the eigenvalues of E. Conditions are closed: ties
-    within a relative tolerance count as membership.  A node is in the
-    lower set when lambda_min(E) >= -tau, u_z >= -tol_z and u_t >= -tol_t,
-    and in the upper set when lambda_max(E) <= tau, u_z <= tol_z and
+    Only the lower set is computed: `abp_check` integrates (g-)^(n+1) over
+    it and over nothing else.  In the variable z = s^(2-nu)/(2-nu) the
+    Hessian of u in (z, y) is congruent to the matrix E with entries
+    E_11 = u_ss + ((nu-1)/s) u_s, E_1i = u_{s y_i}, E_ij = u_{y_i y_j}, so
+    the sign conditions are conditions on the eigenvalues of E.  Conditions
+    are closed: ties within a relative tolerance count as membership.  A
+    node is in the lower set when lambda_min(E) >= -tau, u_z >= -tol_z and
     u_t >= -tol_t; each tolerance is CONTACT_TOL times the largest
     magnitude of its quantity over the selected nodes.
 
-    The sets are those that `np.linalg.eigvalsh` at every node gives, bit
+    The set is the one that `np.linalg.eigvalsh` at every node gives, bit
     for bit, but eigvalsh runs on few nodes.  tau = CONTACT_TOL max |lambda|
     comes from eigvalsh on the nodes whose spectral-radius bounds can reach
     the largest one.  lambda_min(E) >= -tau is E + tau I >= 0, so a node whose
     u_z and u_t conditions hold is tested by unpivoted LDL^T: it is in when
     E + (tau - delta) I has positive pivots and out when E + (tau + delta) I
     does not, with delta = CONTACT_MARGIN (||E||_inf + tau) + tiny far above
-    the rounding error of either factorization or of eigvalsh; the upper
-    set tests -E alike.  No margin settles an eigenvalue at exactly -tau,
-    such as E = 0 with tau = 0, so eigvalsh decides the nodes neither test
-    settles (those and non-finite pivots).  Everything runs on blocks of
-    CONTACT_CHUNK selected nodes and u_z = s^(nu-1) u_s is formed on the
-    selected nodes only, so no (..., n, n) array and no z or u_z over the
-    grid is built.
+    the rounding error of either factorization or of eigvalsh.  No margin
+    settles an eigenvalue at exactly -tau, such as E = 0 with tau = 0, so
+    eigvalsh decides the nodes neither test settles (those and non-finite
+    pivots).  Everything runs on blocks of CONTACT_CHUNK selected nodes and
+    u_z = s^(nu-1) u_s is formed on the selected nodes only, so no
+    (..., n, n) array and no z or u_z over the grid is built.
     """
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0, 1)")
@@ -227,7 +225,6 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     sel = mask & s_pos
 
     d = fd_derivatives(u)
-    gamma_plus = np.zeros(grid.shape, dtype=bool)
     gamma_minus = np.zeros(grid.shape, dtype=bool)
     if np.any(sel):
         nodes = np.flatnonzero(sel)
@@ -243,12 +240,9 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
         tol_z = CONTACT_TOL * float(np.max(np.abs(uz_sel), initial=0.0))
         tol_t = CONTACT_TOL * float(np.max(np.abs(ut_sel), initial=0.0))
         minus = (uz_sel >= -tol_z) & (ut_sel >= -tol_t)
-        plus = (uz_sel <= tol_z) & (ut_sel >= -tol_t)
-        minus[minus] = _eigenvalues_above(matrices, np.flatnonzero(minus), tol_e, 1.0)
-        plus[plus] = _eigenvalues_above(matrices, np.flatnonzero(plus), tol_e, -1.0)
+        minus[minus] = _eigenvalues_above(matrices, np.flatnonzero(minus), tol_e)
         gamma_minus[sel] = minus
-        gamma_plus[sel] = plus
-    return ContactSetResult(gamma_plus, gamma_minus, excluded)
+    return ContactSetResult(gamma_minus, excluded)
 
 
 def _contact_matrices(d, grid: Grid, nu: float, flat: np.ndarray) -> np.ndarray:
@@ -300,19 +294,19 @@ def _max_abs_eigenvalue(matrices, count: int) -> float:
     return float(np.max(np.abs(eigs), initial=0.0))
 
 
-def _eigenvalues_above(matrices, at: np.ndarray, tol: float, sign: float) -> np.ndarray:
-    """Whether every eigenvalue of sign * matrices(at) is >= -tol, as eigvalsh decides."""
+def _eigenvalues_above(matrices, at: np.ndarray, tol: float) -> np.ndarray:
+    """Whether every eigenvalue of matrices(at) is >= -tol, as eigvalsh decides."""
     inside = np.zeros(at.size, dtype=bool)
     for start in range(0, at.size, CONTACT_CHUNK):
         part = at[start:start + CONTACT_CHUNK]
-        E = sign * matrices(part)
+        E = matrices(part)
         delta = CONTACT_MARGIN * (_row_norm(E) + tol) + np.finfo(float).tiny
         sure_in, _ = _pivot_signs(E, tol - delta)
         _, sure_out = _pivot_signs(E, tol + delta)
         open_ = ~(sure_in | sure_out)
         if np.any(open_):
             eigs = _eigvalsh(matrices(part[open_]))
-            sure_in[open_] = np.min(sign * eigs, axis=-1) >= -tol
+            sure_in[open_] = np.min(eigs, axis=-1) >= -tol
         inside[start:start + part.size] = sure_in
     return inside
 
@@ -369,7 +363,8 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
 
     Hypothesis u <= 0 on the cube's parabolic boundary is checked first;
     the right side integrates (g-)^(n+1) over the lower contact set with
-    the singular weight.  The budget c_max must lie in (0, inf].
+    the singular weight, and that set is all `contact_sets` computes.  The
+    budget c_max must lie in (0, inf].
     """
     _budget("c_max", c_max)
     grid = u.grid

@@ -24,10 +24,12 @@ BiCGStab runs on the free-node system A_ff u_f = rhs_f - A_fd u_d, to the
 relative residual `KRYLOV_TOL`.  Its preconditioner is a
 fast-diagonalization solve of the same step with averaged coefficients:
 y-averaged a11(s), b1(s) on the s-axis and the means of a_jj, b_j on each
-y-axis, whose free-node matrix is a Kronecker sum.  It is exact for the
-model operator; for variable coefficients BiCGStab typically needs under
-ten iterations per step.  Mixed and cross terms are left to the Krylov
-iteration.
+y-axis, whose free-node matrix is a Kronecker sum.  One application is a
+matrix product per y-axis into the y-modes, a tridiagonal sweep per mode
+and the products back, all on the C-ordered free-box array without a
+copy.  It is exact for the model operator; for variable coefficients
+BiCGStab typically needs under ten iterations per step.  Mixed and cross
+terms are left to the Krylov iteration.
 
 One march serves a batch of problems that share an operator (the same
 coefficients and c): `solve_ivbp` is a batch of one, and the random
@@ -172,7 +174,9 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
     diagonalized once, V_j Lambda_j V_j^-1, through a diagonal similarity
     and `eigh`; where |b_j| h_j >= 2 a_jj no real similarity exists and the
     y-drift is left out.  Per y-mode a tridiagonal s-system remains; all are
-    factored here and solved together by one vectorized Thomas sweep.  Mixed
+    factored here and solved together by one vectorized Thomas sweep.  The
+    mode transforms act on each y-axis where it lies in the C-ordered
+    array, so neither they nor the sweep copy or transpose it.  Mixed
     and cross terms are left out.  Returns r -> P^-1 r on raveled free-box
     vectors, for use as a Krylov preconditioner (Concus & Golub 1973).
     """
@@ -226,34 +230,25 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
     del diag
 
     def transform(z, mats):
-        # mats[j] along y-axis j + 1, each as one GEMM mat @ (n_j, rest):
-        # `order` lists z's memory axes; the y-axis is read in front as it
-        # is, last through a transposed view, or else from a copy
-        order = list(range(z.ndim))
+        # mats[j] along y-axis j + 1 of the C-ordered z, read where it lies:
+        # on the last axis as one GEMM, on any other as a stack of GEMMs
+        # over the axes in front of it
         for axis, mat in enumerate(mats, start=1):
-            k = order.index(axis)
-            if k == len(order) - 1:
-                z = mat @ z.reshape(-1, len(mat)).T
-                order = [axis] + order[:-1]
+            if axis == m:
+                z = z.reshape(-1, len(mat)) @ mat.T
             else:
-                if k > 0:
-                    perm = [k] + [i for i in range(z.ndim) if i != k]
-                    z = np.ascontiguousarray(z.transpose(perm))
-                    order = [order[i] for i in perm]
-                z = mat @ z.reshape(len(mat), -1)
-            z = z.reshape([shape[i] for i in order])
-        return z.transpose(np.argsort(order))
+                z = np.matmul(mat, z.reshape(-1, len(mat), math.prod(shape[axis + 1:])))
+        return z
 
     def apply(r):
-        z = np.ascontiguousarray(transform(r.reshape(shape), to_modes))
-        z = z.reshape(ns, -1)
+        z = transform(r.reshape(shape), to_modes).reshape(ns, -1)
         z[0] *= inv[0]
         for k in range(1, ns):
             z[k] -= lower[k] * z[k - 1]
             z[k] *= inv[k]
         for k in range(ns - 2, -1, -1):
             z[k] -= cp[k] * z[k + 1]
-        return transform(z.reshape(shape), from_modes).ravel()
+        return transform(z, from_modes).ravel()
 
     return apply
 

@@ -158,10 +158,12 @@ def test_list_presets_function():
     ("model:v=1", "model:v=1e999", "[experiment]",
      "coefficients: transport velocity must be positive and finite, got inf"),
     ("t0 = 1.0", "t0 = nan", "[check harnack]", "t must be finite, got nan"),
+    ("seed = 1", "seed = 2.5", "[experiment]", "seed: must be an integer >= 0, got 2.5"),
+    ("seed = 1", "seed = -1", "[experiment]", "seed: must be an integer >= 0, got -1"),
 ], ids=["missing_key", "non_numeric", "unknown_variable", "axis_beyond_n",
         "bad_preset", "bad_grid_triple", "unknown_grid_axis", "misspelled_key",
         "y0_length", "empty_cube", "non_finite_solution", "nan_axis", "inf_axis",
-        "infinite_velocity", "nan_t0"])
+        "infinite_velocity", "nan_t0", "fractional_seed", "negative_seed"])
 def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
                                                        old, new, where, key):
     assert old in SMALL_SPEC

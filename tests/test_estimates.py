@@ -36,7 +36,6 @@ def test_contact_sets_constant_field():
     cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4)
     res = contact_sets(u, 0.5, cube)
     sel = cube.node_mask(g) & (g.s.reshape(-1, 1, 1) > 0)
-    assert np.all(res.gamma_plus[sel])
     assert np.all(res.gamma_minus[sel])
 
 
@@ -53,21 +52,21 @@ def test_contact_sets_convex_field_in_lower_set():
     res = contact_sets(u, nu, cube)
     sel = cube.node_mask(g)
     assert np.all(res.gamma_minus[sel])
-    assert not np.any(res.gamma_plus[sel])
 
 
-def test_contact_sets_concave_peak_in_upper_set():
+def test_contact_sets_concave_peak_not_in_lower_set():
+    # u_z = 0 and u_t > 0 at the peak, so only lambda_min(E) = -2 keeps it out
     g = Grid.uniform((0.5, 1.5, 33), [(-1, 1, 33)], (0, 1, 9))
     u = sample(lambda x, y, t: -(np.sqrt(x) - 1.0) ** 2 - y * y - 0.1 * (1.0 - t), g)
     cube = ParabolicCube("Q_rho", SPoint(1.0, [0.0], 1.0).to_x(), 0.4)
     res = contact_sets(u, 0.5, cube)
     peak = (16, 16, g.shape[-1] - 1)  # node at s = 1, y = 0, t = 1
     assert cube.node_mask(g)[peak]
-    assert res.gamma_plus[peak]
+    assert not res.gamma_minus[peak]
 
 
 def _contact_sets_by_eigvalsh(u, nu, cube):
-    """Reference contact sets: eigvalsh of the full (n, n) matrix E at every node."""
+    """Reference lower contact set: eigvalsh of the full (n, n) matrix E at every node."""
     grid = u.grid
     n = grid.n
     mask = cube.node_mask(grid)
@@ -88,11 +87,9 @@ def _contact_sets_by_eigvalsh(u, nu, cube):
     tol_e = CONTACT_TOL * np.max(np.abs(eigs))
     tol_z = CONTACT_TOL * np.max(np.abs(uz))
     tol_t = CONTACT_TOL * np.max(np.abs(ut))
-    plus = np.zeros(grid.shape, dtype=bool)
     minus = np.zeros(grid.shape, dtype=bool)
     minus[sel] = (eigs[:, 0] >= -tol_e) & (uz >= -tol_z) & (ut >= -tol_t)
-    plus[sel] = (eigs[:, -1] <= tol_e) & (uz <= tol_z) & (ut >= -tol_t)
-    return plus, minus, int(np.count_nonzero(mask & ~s_pos))
+    return minus, int(np.count_nonzero(mask & ~s_pos))
 
 
 def _sampled(f):
@@ -135,25 +132,43 @@ def test_contact_sets_match_eigvalsh_at_every_node(monkeypatch, field, n):
     u = CONTACT_FIELDS[field](grid, np.random.default_rng(n))
     cube = ParabolicCube("B_eta", Point(0.5, np.zeros(n - 1), 1.0), 1.0)
     res = contact_sets(u, 0.5, cube)
-    plus, minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
-    assert np.array_equal(res.gamma_plus, plus)
+    minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
     assert np.array_equal(res.gamma_minus, minus)
     assert res.excluded_s_zero == excluded > 0
 
 
-def test_contact_sets_match_eigvalsh_on_a_solved_field(monkeypatch):
-    monkeypatch.setattr(estimates, "CONTACT_CHUNK", 97)
+def _solved_n3_field():
+    """u_t = Lu + 1 with zero data for random n = 3 coefficients, and its ABP cube."""
     grid = Grid.uniform((0, 1, 9), [(-1, 1, 9), (-1, 1, 9)], (0, 1, 5))
     one = lambda x, y2, y3, t: 1.0 + 0 * x  # noqa: E731
     zero = lambda x, y2, y3, t: 0 * x  # noqa: E731
     u = solve_ivbp(IVBProblem(coeffs=random_coefficients(1, 3), forcing=one,
                               initial=zero, lateral=zero), grid)
-    cube = ParabolicCube("B_eta", Point(0.5, [0.0, 0.0], 1.0), 1.0)
+    return u, ParabolicCube("B_eta", Point(0.5, [0.0, 0.0], 1.0), 1.0)
+
+
+def test_contact_sets_match_eigvalsh_on_a_solved_field(monkeypatch):
+    monkeypatch.setattr(estimates, "CONTACT_CHUNK", 97)
+    u, cube = _solved_n3_field()
     res = contact_sets(u, 0.5, cube)
-    plus, minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
-    assert np.array_equal(res.gamma_plus, plus) and np.any(plus)
+    minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
     assert np.array_equal(res.gamma_minus, minus) and np.any(minus)
     assert res.excluded_s_zero == excluded
+
+
+def test_abp_check_tests_eigenvalues_once(monkeypatch):
+    # the upper contact set, which nothing reads, took a second pass
+    calls = []
+    original = estimates._eigenvalues_above
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(estimates, "_eigenvalues_above", counted)
+    u, cube = _solved_n3_field()
+    abp_check(u, ScalarField(u.grid, np.full(u.grid.shape, -1.0)), cube, 0.5)
+    assert len(calls) == 1
 
 
 def test_contact_sets_refuse_an_empty_cube():

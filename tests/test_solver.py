@@ -206,14 +206,18 @@ def test_step_solve_matches_sparse_direct_solve_n3(case, nodes):
 
 def test_preconditioner_is_exact_for_the_model_operator():
     # one BiCGStab iteration suffices for the model operator; variable
-    # coefficients stay within 15
-    g = cube_grid(17)
-    rhs = np.random.default_rng(3).uniform(-1, 1, 17 ** 3)
-    for coeffs, max_iter in ((model_coefficients(2.0, 3), 1), (random_coefficients(7, 3), 15)):
-        step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=-0.5), g, dt=1 / 16,
-                                    config=SolverConfig(max_iter=max_iter))
-        u = step.solve(rhs, x0=np.zeros_like(rhs))
-        assert np.max(np.abs(step.A @ u - rhs)) <= 1e-8
+    # coefficients stay within 15.  Unequal node counts per axis catch a
+    # mode transform applied along the wrong y-axis.
+    for nodes in ((17, 17, 17), (13, 9, 11), (9, 7, 8, 6)):
+        n = len(nodes)
+        g = Grid.uniform((0, 1, nodes[0]), [(-1, 1, k) for k in nodes[1:]], (0, 1, 5))
+        rhs = np.random.default_rng(3).uniform(-1, 1, math.prod(nodes))
+        for coeffs, max_iter in ((model_coefficients(2.0, n), 1),
+                                 (random_coefficients(7, n), 15)):
+            step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=-0.5), g, dt=1 / 16,
+                                        config=SolverConfig(max_iter=max_iter))
+            u = step.solve(rhs, x0=np.zeros_like(rhs))
+            assert np.max(np.abs(step.A @ u - rhs)) <= 1e-8, nodes
 
 
 def test_step_matrix_is_freed_without_the_cycle_collector():
