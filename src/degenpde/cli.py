@@ -180,7 +180,12 @@ class ExperimentSpec:
             raise SpecError(f"cannot read experiment file {path}")
         exp = _read(_section(parser, "experiment"), "experiment", _EXPERIMENT)
         self.name = exp["name"]
-        self.seed = seed_override if seed_override is not None else exp["seed"]
+        self.seed = exp["seed"]
+        if seed_override is not None:
+            try:
+                self.seed = _EXPERIMENT["seed"][0](str(seed_override))
+            except ValueError as exc:
+                raise SpecError(f"--seed: {exc}") from None
         self.nu = exp["nu"]
         if not 0.0 < self.nu < 1.0:
             raise SpecError(f"[experiment] nu: nu = {self.nu:g} is outside the "
@@ -310,7 +315,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run an experiment file or bundled preset")
     run_p.add_argument("spec", help="path to an experiment file, or a bundled name")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", default=None,
                        help="override the experiment seed")
     sub.add_parser("list-presets", help="list coefficient and experiment presets")
     args = parser.parse_args(argv)

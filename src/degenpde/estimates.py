@@ -592,7 +592,7 @@ def gradient_bound_check(f: ScalarField, v, B: float, r: float,
     if sup_f > B * (1.0 + 1e-12):
         raise ValueError(f"hypothesis |f| <= B fails: sup |f| = {sup_f:g} > {B:g}")
     d = fd_derivatives(f)
-    max_fx = float(np.max(np.abs(d.u_x_xgrid()[inner_mask])))
+    max_fx = float(np.max(np.abs(d.u_x()[inner_mask])))
     grads = {"max_fx": max_fx}
     worst = max_fx
     for i, u_yi in enumerate(d.u_y):
@@ -627,15 +627,15 @@ def bernstein_quantity_check(f: ScalarField, v, A: float,
             f"input is not a model-equation solution (max |L0 f| = {l0_max:g})")
 
     d = fd_derivatives(f)
-    fx = d.u_x_xgrid()
+    fx = d.u_x()
     pre = A + f.values ** 2
 
     def normalized_residual(q_values, drift, extra=0.0):
         q = ScalarField(grid, q_values)
         dq = fd_derivatives(q)
-        ell = dq.x_times_u_xx() + drift * dq.u_x_xgrid()
-        mags = np.abs(dq.u_t) + np.abs(dq.x_times_u_xx()) \
-            + abs(drift) * np.abs(dq.u_x_xgrid())
+        xq_xx, q_x = dq.x_times_u_xx(), dq.u_x()
+        ell = xq_xx + drift * q_x
+        mags = np.abs(dq.u_t) + np.abs(xq_xx) + abs(drift) * np.abs(q_x)
         for i in range(len(grid.y)):
             ell = ell + dq.u_yy[i][i]
             mags = mags + np.abs(dq.u_yy[i][i])

@@ -126,11 +126,11 @@ def validate_coefficients(coeffs: CoefficientField, grid: Grid) -> CoefficientVa
 def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     """Lu on the field's grid.
 
-    The x-direction derivatives use 3-point stencils on the nonuniform
-    x-nodes x_i = s_i^2, which are exact for fields quadratic in x and
-    remain well-defined at s = 0, where the row degenerates to the limit
-    form b1 u_x + sum a_ij u_{y_i y_j} + sum b_j u_{y_j} because the x and
-    sqrt(x) factors vanish.
+    The x-derivatives are `FieldDerivatives.u_x` and `x_times_u_xx`: the
+    3-point weights of `fields.x_stencils` that the solver assembles, exact
+    for fields quadratic in x.  At s = 0 the x and sqrt(x) factors vanish,
+    so Lu there is the limit form b1 u_x + sum a_ij u_{y_i y_j} +
+    sum b_j u_{y_j}.
     """
     g = field.grid
     if coeffs.n != g.n:
@@ -141,10 +141,9 @@ def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     A = coeffs.eval_a(meshes, shape)
     B = coeffs.eval_b(meshes, shape)
     m = len(g.y)
-    x = meshes[0]
-    u_x = d.u_x_xgrid()
-    out = A[0, 0] * (x * d.u_xx_xgrid())
-    sqrt_x = np.sqrt(x)
+    u_x = d.u_x()
+    out = A[0, 0] * d.x_times_u_xx()
+    sqrt_x = np.sqrt(meshes[0])
     for j in range(m):
         out += 2.0 * A[0, 1 + j] * sqrt_x * _d1(u_x, g.hy(j), 1 + j)
     for i in range(m):

@@ -10,7 +10,8 @@ the equation there degenerates to u_t = b1 u_x + sum a_ij u_{y_i y_j} +
 sum b_j u_{y_j}, and the transport term b1 > 0 carries information outward.
 
 The x-direction terms are discretized on the nonuniform x-nodes x_i = s_i^2
-with 3-point stencils that are exact for data quadratic in x.  The transport
+with the 3-point weights of `fields.x_stencils`, exact for data quadratic
+in x; `apply_L` and `FieldDerivatives` use the same weights.  The transport
 term b1 u_x (b1 > 0 by the structure conditions) uses the forward difference
 (u_{i+1} - u_i)/(x_{i+1} - x_i) at the first interior nodes -- exact for
 data linear in x and monotone -- blended linearly into the central stencil
@@ -56,7 +57,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, x_stencils
 from .operators import (CoefficientField, model_coefficients, plane_waves,
                         validate_coefficients)
 
@@ -138,30 +139,20 @@ def _dirichlet_mask(grid: Grid) -> np.ndarray:
 
 
 def _x_stencils(xv: np.ndarray):
-    """3-point stencils on the nonuniform x-nodes xv, per s-node.
+    """The x-weights of the step matrix per s-node, on the nodes xv.
 
-    Returns (xx, x1, fwd, w).  xx and x1 are (minus, centre, plus) weight
-    vectors, zero at both s-ends: x times the central second difference
-    (exact for quadratics in x) and the central first difference.  fwd is
+    Returns (xx, x1, fwd, w).  xx and x1 are the (minus, centre, plus)
+    weight vectors of x d2/dx2 and d/dx from `fields.x_stencils`.  fwd is
     the plus weight of the forward first difference (its centre weight is
-    -fwd).  The transport stencil is w x1 + (1 - w) fwd.
+    -fwd).  The transport stencil is w x1 + (1 - w) fwd.  Only the rows of
+    the nodes strictly inside the s-axis are stencils of this form; the
+    solver reads no other.
     """
-    def vec(interior):
-        full = np.zeros(len(xv))
-        full[1:-1] = interior
-        return full
-
-    dm = xv[1:-1] - xv[:-2]
-    dp = xv[2:] - xv[1:-1]
-    x_here = xv[1:-1]
-    xx = (vec(2.0 / (dm * (dm + dp)) * x_here), vec(-2.0 / (dm * dp) * x_here),
-          vec(2.0 / (dp * (dm + dp)) * x_here))
-    x1 = (vec(-dp / (dm * (dm + dp))), vec((dp - dm) / (dm * dp)),
-          vec(dm / (dp * (dm + dp))))
+    _, d1, d2 = x_stencils(xv)
     # forward difference near x = 0 (monotone, exact on x-linear data),
     # blended to the central stencil beyond 4 cells
     w = np.clip((np.arange(len(xv)) - 1) / 4.0, 0.0, 1.0)
-    return xx, x1, vec(1.0 / dp), w
+    return (d2 * xv[:, None]).T, d1.T, np.append(1.0 / np.diff(xv), 0.0), w
 
 
 def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,

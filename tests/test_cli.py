@@ -63,10 +63,10 @@ def test_bundled_schauder_values_are_pinned(tmp_path):
     assert main(["run", "model_manufactured", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "schauder.report.txt").read_text().splitlines()
     values = dict(line.split(" = ", 1) for line in lines)
-    assert values["lhs"] == "3.1250000000079274"
+    assert values["lhs"] == "3.1250000000085896"
     assert values["rhs.sup_unit"] == "1.8750000000000078"
     assert values["rhs.data_norm"] == "6.2561511526837421e-11"
-    assert values["measured_constant"] == "1.6666666666152774"
+    assert values["measured_constant"] == "1.6666666666156307"
 
 
 def test_schauder_runs_on_random_coefficients(tmp_path):
@@ -173,6 +173,16 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert where in err and key in err
+
+
+@pytest.mark.parametrize("preset", ["model:v=1", "random:seed=3"])
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+def test_seed_override_is_cast_like_the_spec_key(tmp_path, capsys, preset, seed):
+    spec = tmp_path / "seeded.spec"
+    spec.write_text(SMALL_SPEC.replace("model:v=1", preset))
+    assert main(["run", str(spec), "--seed", seed, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --seed: must be an integer >= 0, got {seed}\n"
 
 
 @pytest.mark.parametrize("preset, extra, where", [

@@ -69,12 +69,38 @@ def test_fd_second_order_in_s():
     assert 3.0 <= ratio <= 5.0
 
 
-def test_u_x_refused_near_degenerate_edge():
+def loop_x_stencils(xv):
+    """Reference for fields.x_stencils: the quadratic through each node's triple."""
+    idx, d1, d2 = np.zeros((xv.size, 3), dtype=int), np.zeros((xv.size, 3)), np.zeros((xv.size, 3))
+    for i in range(xv.size):
+        k = min(max(i - 1, 0), xv.size - 3)
+        p, q, r = xv[k], xv[k + 1], xv[k + 2]
+        e = xv[i]
+        d1[i] = [(2 * e - q - r) / ((p - q) * (p - r)), (2 * e - p - r) / ((q - p) * (q - r)),
+                 (2 * e - p - q) / ((r - p) * (r - q))]
+        d2[i] = [2.0 / ((p - q) * (p - r)), 2.0 / ((q - p) * (q - r)),
+                 2.0 / ((r - p) * (r - q))]
+        idx[i] = [k, k + 1, k + 2]
+    return idx, d1, d2
+
+
+@pytest.mark.parametrize("nodes", [3, 9, 33, 201])
+@pytest.mark.parametrize("s_lo", [0.0, 0.3])
+def test_x_stencils_equal_the_per_node_loop(nodes, s_lo):
+    xv = np.linspace(s_lo, 1.0, nodes) ** 2
+    for got, want in zip(fields.x_stencils(xv), loop_x_stencils(xv)):
+        assert np.array_equal(got, want)
+
+
+def test_x_derivatives_exact_for_quadratics_in_x_at_every_node():
     g = unit_grid(9)
-    d = fd_derivatives(sample(lambda x, y, t: x + 0 * y, g))
-    with pytest.raises(ValueError, match="at s = 0"):
-        d.u_xx()
-    ux = d.u_x_xgrid()
+    x, y, t = g.x_meshes()
+    d = fd_derivatives(sample(lambda x, y, t: x * x + x * t + y, g))
+    assert np.max(np.abs(d.u_x() - (2 * x + t))) <= 1e-12
+    assert np.max(np.abs(d.u_xx() - 2.0)) <= 1e-12
+    assert np.max(np.abs(d.x_times_u_xx() - 2 * x)) <= 1e-12
+    assert np.all(d.x_times_u_xx()[0] == 0.0)
+    ux = fd_derivatives(sample(lambda x, y, t: x + 0 * y, g)).u_x()
     assert np.max(np.abs(ux - 1.0)) <= 1e-10
 
 
