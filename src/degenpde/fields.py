@@ -51,14 +51,17 @@ class Grid:
 
     @classmethod
     def uniform(cls, s_extent, y_extents, t_extent) -> "Grid":
-        """Build from (lo, hi, count) triples; y_extents is a list of triples."""
+        """Build from (lo, hi, count) triples, count an integer; y_extents lists triples."""
 
-        def ax(triple):
+        def ax(triple, name):
             lo, hi, count = triple
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"axis {name} needs an integer node count, got {count!r}")
             with np.errstate(invalid="ignore"):  # a non-finite axis is refused below
-                return np.linspace(lo, hi, int(count))
+                return np.linspace(lo, hi, count)
 
-        return cls(ax(s_extent), tuple(ax(e) for e in y_extents), ax(t_extent))
+        y = tuple(ax(e, f"y{i + 2}") for i, e in enumerate(y_extents))
+        return cls(ax(s_extent, "s"), y, ax(t_extent, "t"))
 
     @property
     def n(self) -> int:

@@ -92,14 +92,22 @@ class CoefficientValidation:
     passed: bool
 
 
+def _check_dimension(coeffs: CoefficientField, grid: Grid) -> None:
+    if coeffs.n != grid.n:
+        raise ValueError(f"coefficient dimension does not match grid: the coefficients "
+                         f"have n = {coeffs.n}, the grid n = {grid.n}")
+
+
 def validate_coefficients(coeffs: CoefficientField, grid: Grid) -> CoefficientValidation:
     """Worst-case margins of the ellipticity/bound/transport conditions on grid samples.
 
     Coefficients with time_dependent=False are sampled on the first time
     slice only.  That flag promises the same values at every t, the same
     contract the solver's step-matrix cache relies on, so the margins are
-    those of the full space-time grid.
+    those of the full space-time grid.  Coefficients whose dimension n is
+    not the grid's are refused.
     """
+    _check_dimension(coeffs, grid)
     *space, t = grid.x_meshes()
     if not coeffs.time_dependent:
         t = t[..., :1]
@@ -133,8 +141,7 @@ def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     sum b_j u_{y_j}.
     """
     g = field.grid
-    if coeffs.n != g.n:
-        raise ValueError("coefficient dimension does not match grid")
+    _check_dimension(coeffs, g)
     d = fd_derivatives(field)
     meshes = g.x_meshes()
     shape = g.shape

@@ -5,18 +5,26 @@ Space is a uniform-s tensor grid; time marches by implicit Euler,
     (I - dt (L_h + c)) u^{m+1} = u^m + dt g^{m+1},
 
 with Dirichlet rows on the lateral edges that `fields.Grid.interior_box`
-defines, and an interior-like limit row at s = 0 when the grid reaches it:
-the equation there degenerates to u_t = b1 u_x + sum a_ij u_{y_i y_j} +
-sum b_j u_{y_j}, and the transport term b1 > 0 carries information outward.
+defines.  L_h is a sum of coefficients times Kronecker products of 1-D
+difference matrices (`_axis_matrices`), the identity on the other axes:
 
-The x-direction terms are discretized on the nonuniform x-nodes x_i = s_i^2
-with the 3-point weights of `fields.x_stencils`, exact for data quadratic
-in x; `apply_L` and `FieldDerivatives` use the same weights.  The transport
-term b1 u_x (b1 > 0 by the structure conditions) uses the forward difference
-(u_{i+1} - u_i)/(x_{i+1} - x_i) at the first interior nodes -- exact for
-data linear in x and monotone -- blended linearly into the central stencil
-beyond 4 cells, where the x-diffusion dominates it.  With diagonal
-coefficient matrices every row is then an M-matrix row and the discrete
+    L_h = diag(a11) XX + diag(w b1) X1 + diag((1 - w) b1) F
+          + sum_j [diag(a_jj / h_j^2) Dyy_j + diag(b_j / 2h_j) Dy_j
+                   + diag(2 sqrt(x) a1j / 2h_j) X1 Dy_j]
+          + sum_{i<j} diag(2 a_ij / 4 h_i h_j) Dy_i Dy_j,
+
+and M = I - dt P_free (L_h + c), P_free zeroing the Dirichlet rows.  XX and
+X1 are x d2/dx2 and d/dx on the x-nodes x_i = s_i^2 with the weights of
+`fields.x_stencils`, exact for data quadratic in x, as in `apply_L`.  The
+transport b1 u_x (b1 > 0 by the structure conditions) blends X1 with the
+forward difference F, (u_{i+1} - u_i)/(x_{i+1} - x_i), monotone and exact
+for data linear in x: w = 0 at the first interior nodes, rising to 1
+beyond 4 cells, where the x-diffusion dominates.  At s = 0, where x = 0
+and w = 0, the row is the forward row of the transport stencil plus the
+y-terms: the limit equation u_t = b1 u_x + sum a_ij u_{y_i y_j} +
+sum b_j u_{y_j}, whose outward transport needs no boundary data.  Dy and
+Dyy are the (-1, 0, 1) and (1, -2, 1) stencils.  With diagonal
+coefficient matrices every row is an M-matrix row and the discrete
 maximum principle holds to rounding.
 
 Linear solves: with one tangential dimension the step matrix is factored
@@ -50,6 +58,7 @@ data is refused by name.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -57,8 +66,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .fields import Grid, ScalarField, x_stencils
-from .operators import (CoefficientField, model_coefficients, plane_waves,
+from .fields import Grid, ScalarField, _uniform_spacing, x_stencils
+from .operators import (CoefficientField, _check_dimension, model_coefficients, plane_waves,
                         validate_coefficients)
 
 COMPATIBILITY_TOL = 1e-8
@@ -99,6 +108,9 @@ class IVBProblem:
         if not isinstance(self.coeffs, CoefficientField):
             raise TypeError(f"coeffs must be a CoefficientField, got "
                             f"{type(self.coeffs).__name__}; use model_coefficients(v, n)")
+        if (isinstance(self.c, bool) or not isinstance(self.c, numbers.Real)
+                or not math.isfinite(self.c)):
+            raise ValueError(f"c must be a finite real number, got {self.c!r}")
 
 
 def _eval_spatial(data, name: str, coords: list, nodes, shape: tuple,
@@ -138,25 +150,32 @@ def _dirichlet_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def _x_stencils(xv: np.ndarray):
-    """The x-weights of the step matrix per s-node, on the nodes xv.
+def _axis_matrices(grid: Grid):
+    """The 1-D difference matrices of L_h: ((xx, x1, fwd, w), [(dy, dyy) per y-axis]).
 
-    Returns (xx, x1, fwd, w).  xx and x1 are the (minus, centre, plus)
-    weight vectors of x d2/dx2 and d/dx from `fields.x_stencils`.  fwd is
-    the plus weight of the forward first difference (its centre weight is
-    -fwd).  The transport stencil is w x1 + (1 - w) fwd.  Only the rows of
-    the nodes strictly inside the s-axis are stencils of this form; the
-    solver reads no other.
+    On the s-nodes: x d2/dx2 and d/dx with the weights of
+    `fields.x_stencils`, the forward difference and the transport blend
+    weight w.  On each y-axis: the (-1, 0, 1) and (1, -2, 1) stencils,
+    unscaled.  Rows on a lateral edge are one-sided or truncated; the step
+    matrix drops them.  A non-uniform s-axis is refused.
     """
-    _, d1, d2 = x_stencils(xv)
-    # forward difference near x = 0 (monotone, exact on x-linear data),
-    # blended to the central stencil beyond 4 cells
-    w = np.clip((np.arange(len(xv)) - 1) / 4.0, 0.0, 1.0)
-    return (d2 * xv[:, None]).T, d1.T, np.append(1.0 / np.diff(xv), 0.0), w
+    _uniform_spacing(grid.s, "s")
+    xv = grid.x
+    idx, d1, d2 = x_stencils(xv)
+    rows = np.repeat(np.arange(len(xv)), 3)
+    xx, x1 = (sparse.csr_matrix((wt.ravel(), (rows, idx.ravel())))
+              for wt in (d2 * xv[:, None], d1))
+    inv_h = 1.0 / np.diff(xv)
+    fwd = sparse.diags([np.append(-inv_h, 0.0), inv_h], [0, 1], format="csr")
+    w = np.clip((np.arange(len(xv)) - 1) / 4.0, 0.0, 1.0)  # 0 at nodes 0 and 1, 1 from 5 on
+    y_axes = [(sparse.diags([-1.0, 1.0], [-1, 1], shape=(len(y),) * 2, format="csr"),
+               sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(len(y),) * 2, format="csr"))
+              for y in grid.y]
+    return (xx, x1, fwd, w), y_axes
 
 
-def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
-                          c: float):
+def _fast_diagonalization(A: np.ndarray, B: np.ndarray, s_axis: tuple, grid: Grid,
+                          dt: float, c: float):
     """Direct solver for the free-node step matrix of averaged coefficients.
 
     On the free box the operator with the y-averaged a11(s), b1(s) and the
@@ -168,8 +187,10 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
     factored here and solved together by one vectorized Thomas sweep.  The
     mode transforms act on each y-axis where it lies in the C-ordered
     array, so neither they nor the sweep copy or transpose it.  Mixed
-    and cross terms are left out.  Returns r -> P^-1 r on raveled free-box
-    vectors, for use as a Krylov preconditioner (Concus & Golub 1973).
+    and cross terms are left out.  L_s is read from the s-axis matrices
+    `s_axis` of `_axis_matrices`, sliced to the free box.  Returns
+    r -> P^-1 r on raveled free-box vectors, for use as a Krylov
+    preconditioner (Concus & Golub 1973).
     """
     box = grid.interior_box(1)
     m = len(grid.y)
@@ -179,15 +200,15 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float,
     # tridiagonal L_s on the free s-nodes; couplings to Dirichlet nodes drop
     a_s = A[0, 0][box].mean(axis=y_axes)
     b_s = B[0][box].mean(axis=y_axes)
-    xx, x1, fwd, w = _x_stencils(grid.x)
+    free_s = box[0]
+    xx, x1, fwd = (mat[free_s, free_s] for mat in s_axis[:3])
+    w = s_axis[3][free_s]
+    L_s = (sparse.diags(a_s) @ xx + sparse.diags(w * b_s) @ x1
+           + sparse.diags((1 - w) * b_s) @ fwd)
     ns = shape[0]
-    i = np.arange(box[0].start, box[0].stop)
-    sub = a_s * xx[0][i] + w[i] * b_s * x1[0][i]
-    mid = a_s * xx[1][i] + w[i] * b_s * x1[1][i] - (1 - w[i]) * b_s * fwd[i]
-    sup = a_s * xx[2][i] + w[i] * b_s * x1[2][i] + (1 - w[i]) * b_s * fwd[i]
-    if box[0].start == 0:  # the s = 0 limit row: b1 u_x, two-point stencil
-        x_1 = grid.x[1]
-        mid[0], sup[0] = -b_s[0] / x_1, b_s[0] / x_1
+    sub = np.append(0.0, L_s.diagonal(-1))
+    mid = L_s.diagonal()
+    sup = np.append(L_s.diagonal(1), 0.0)
 
     lam = np.zeros(())
     to_modes, from_modes = [], []
@@ -295,11 +316,12 @@ class StepMatrix:
 def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
                          t_eval: float | None = None,
                          config: SolverConfig | None = None) -> StepMatrix:
-    """Assemble (I - dt (L_h + c)) with Dirichlet rows on lateral boundaries."""
+    """Assemble (I - dt (L_h + c)), L_h the Kronecker-product sum of the module docstring."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     config = config or SolverConfig()
     coeffs = problem.coeffs
+    _check_dimension(coeffs, grid)
     if t_eval is None:
         t_eval = float(grid.t[-1])
 
@@ -311,96 +333,41 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("non-finite coefficient values on the grid")
 
-    hs = grid.hs
     m = len(grid.y)
-    hy = [grid.hy(i) for i in range(m)]
-    strides = [int(np.prod(sp_shape[k + 1:])) for k in range(len(sp_shape))]
-    lin = np.arange(N).reshape(sp_shape)
-    free = ~_dirichlet_mask(grid)
+    s_axis, y_axes = _axis_matrices(grid)
+    xx, x1, fwd, w = s_axis
+    w = w.reshape((-1,) + (1,) * m)
+    hy = [grid.hy(j) for j in range(m)]
+    free = ~_dirichlet_mask(grid).ravel()
 
-    s_idx = np.arange(sp_shape[0]).reshape((-1,) + (1,) * m)
-    interior_s = free & np.broadcast_to(s_idx >= 1, sp_shape)
-    zero_s = free & np.broadcast_to(s_idx == 0, sp_shape)
+    def on_axis(mat, k):
+        # the 1-D matrix mat on spatial axis k, the identity on the others
+        return sparse.kron(sparse.kron(sparse.identity(math.prod(sp_shape[:k])), mat),
+                           sparse.identity(math.prod(sp_shape[k + 1:])), format="csr")
 
-    rows, cols, vals = [], [], []
+    def term(coeff, K):
+        return sparse.diags(np.broadcast_to(coeff, sp_shape).ravel()) @ K
 
-    def add(mask, shift, coeff):
-        r = lin[mask]
-        offset = sum(sh * st for sh, st in zip(shift, strides))
-        rows.append(r)
-        cols.append(r + offset)
-        vals.append(np.broadcast_to(coeff, sp_shape)[mask])
-
-    def unit(axis, sign):
-        sh = [0] * len(sp_shape)
-        sh[axis] = sign
-        return tuple(sh)
-
-    # x-direction terms on the nonuniform x-nodes x_i = s_i^2
-    def on_s(v):
-        return v.reshape((-1,) + (1,) * m)
-
-    xx, x1, fwd, w_s = _x_stencils(grid.x)
-    c2m, c20, c2p = map(on_s, xx)
-    c1m, c10, c1p = map(on_s, x1)
-    fwd = on_s(fwd)
-    w = np.broadcast_to(on_s(w_s), sp_shape)
-    add(interior_s, unit(0, -1), A[0, 0] * c2m)
-    add(interior_s, unit(0, 0), A[0, 0] * c20)
-    add(interior_s, unit(0, +1), A[0, 0] * c2p)
-
-    # transport b1 u_x: blend of the central and forward stencils
-    add(interior_s, unit(0, -1), w * B[0] * c1m)
-    add(interior_s, unit(0, 0), w * B[0] * c10)
-    add(interior_s, unit(0, +1), w * B[0] * c1p)
-    add(interior_s, unit(0, +1), (1 - w) * B[0] * fwd)
-    add(interior_s, unit(0, 0), -(1 - w) * B[0] * fwd)
-
-    # s = 0 limit row: b1 u_x with the monotone two-point x-stencil
-    if grid.s[0] == 0.0:
-        x1_node = grid.x[1]
-        add(zero_s, unit(0, +1), B[0] / x1_node)
-        add(zero_s, unit(0, 0), -B[0] / x1_node)
-
-    # tangential diffusion, drift, and cross terms
-    for j in range(m):
-        dyy = A[1 + j, 1 + j] / (hy[j] * hy[j])
-        add(free, unit(1 + j, -1), dyy)
-        add(free, unit(1 + j, 0), -2 * dyy)
-        add(free, unit(1 + j, +1), dyy)
-        drift = B[1 + j] / (2 * hy[j])
-        add(free, unit(1 + j, +1), drift)
-        add(free, unit(1 + j, -1), -drift)
-        # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for the bundled presets)
+    # x a11 u_xx + b1 u_x; at s = 0 (x = 0, w = 0) b1 times the forward difference
+    X1 = on_axis(x1, 0)
+    L = (term(A[0, 0], on_axis(xx, 0)) + term(w * B[0], X1)
+         + term((1 - w) * B[0], on_axis(fwd, 0)))
+    Y1 = [on_axis(dy, 1 + j) for j, (dy, _) in enumerate(y_axes)]
+    for j, (_, dyy) in enumerate(y_axes):
+        L = (L + term(A[1 + j, 1 + j] / (hy[j] * hy[j]), on_axis(dyy, 1 + j))
+             + term(B[1 + j] / (2 * hy[j]), Y1[j]))
+        # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for diagonal coefficients)
         if np.any(A[0, 1 + j] != 0):
-            sqx = np.sqrt(xm[0])
-            base = 2.0 * A[0, 1 + j] * sqx / (2 * hy[j])
-            for ss, cx in ((-1, c1m), (0, c10), (+1, c1p)):
-                for sy in (+1, -1):
-                    sh = [0] * len(sp_shape)
-                    sh[0], sh[1 + j] = ss, sy
-                    add(interior_s, tuple(sh), sy * base * cx)
+            L = L + term(2.0 * A[0, 1 + j] * np.sqrt(xm[0]) / (2 * hy[j]), X1 @ Y1[j])
     for i in range(m):
         for j in range(i + 1, m):
-            cross = 2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j])
-            if np.any(cross != 0):
-                for si in (+1, -1):
-                    for sj in (+1, -1):
-                        sh = [0] * len(sp_shape)
-                        sh[1 + i], sh[1 + j] = si, sj
-                        add(free, tuple(sh), si * sj * cross)
+            if np.any(A[1 + i, 1 + j] != 0):
+                L = L + term(2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), Y1[i] @ Y1[j])
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    L = sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
-
-    free_flat = free.ravel()
-    diag_extra = np.where(free_flat, dt * problem.c, 0.0)
-    scale = sparse.diags(np.where(free_flat, dt, 0.0))
+    diag_extra = np.where(free, dt * problem.c, 0.0)
+    scale = sparse.diags(np.where(free, dt, 0.0))
     M = sparse.identity(N, format="csr") - scale @ L - sparse.diags(diag_extra)
-    M = M.tocsr()
-    M.sum_duplicates()
+    M.sum_duplicates()  # canonical CSR: sorted indices
 
     diag = M.diagonal()
     off = M - sparse.diags(diag)
@@ -409,8 +376,8 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     max_pos_off = float(off.data.max()) if off.nnz else 0.0
 
     if m >= 2:
-        precond = _fast_diagonalization(A, B, grid, dt, problem.c)
-        solve = _krylov_solver(M, free_flat, precond, config.max_iter)
+        precond = _fast_diagonalization(A, B, s_axis, grid, dt, problem.c)
+        solve = _krylov_solver(M, free, precond, config.max_iter)
     else:
         lu = splu(M.tocsc())
 

@@ -92,6 +92,17 @@ def test_x_stencils_equal_the_per_node_loop(nodes, s_lo):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("axis", ["s", "y2", "t"])
+@pytest.mark.parametrize("count", [4.7, 5.0, "5", None])
+def test_uniform_grid_refuses_a_node_count_that_is_not_an_integer(axis, count):
+    # before the refusal a count of 4.7 built 4 nodes without a word
+    triples = {name: (0, 1, 5) for name in ("s", "y2", "t")}
+    triples[axis] = (0, 1, count)
+    with pytest.raises(ValueError, match=re.escape(
+            f"axis {axis} needs an integer node count, got {count!r}")):
+        Grid.uniform(triples["s"], [triples["y2"]], triples["t"])
+
+
 def test_x_derivatives_exact_for_quadratics_in_x_at_every_node():
     g = unit_grid(9)
     x, y, t = g.x_meshes()

@@ -9,9 +9,9 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from degenpde import barriers, solver
-from degenpde.fields import Grid, sample
+from degenpde.fields import Grid, sample, x_stencils
 from degenpde.operators import (coefficients_from_expressions, model_coefficients,
-                                random_coefficients)
+                                random_coefficients, validate_coefficients)
 from degenpde.solver import (
     IVBProblem,
     SolverConfig,
@@ -51,6 +51,137 @@ def test_a_problem_refuses_coefficients_that_are_not_a_field(coeffs, kind):
     with pytest.raises(TypeError, match=re.escape(
             f"coeffs must be a CoefficientField, got {kind}; use model_coefficients(v, n)")):
         IVBProblem(coeffs=coeffs)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, "x", None, True])
+def test_a_problem_refuses_a_c_that_is_not_a_finite_real(c):
+    # before the refusal nan and inf died in SuperLU as "Factor is exactly
+    # singular", and "x" was accepted at construction
+    match = re.escape(f"c must be a finite real number, got {c!r}")
+    with pytest.raises(ValueError, match=match):
+        IVBProblem(coeffs=model_coefficients(1.0, 2), c=c)
+
+
+@pytest.mark.parametrize("coeffs_n, grid_n", [(3, 2), (2, 3)])
+def test_coefficients_of_another_dimension_are_refused(coeffs_n, grid_n):
+    # before the refusal n = 3 coefficients on an n = 2 grid lost their third
+    # row and column without a word, and n = 2 ones on an n = 3 grid died
+    # with an IndexError; validation passed both
+    grid = Grid.uniform((0, 1, 5), [(-1, 1, 5)] * (grid_n - 1), (0, 1, 3))
+    coeffs = model_coefficients(1.0, coeffs_n)
+    one = lambda x, *coords: 1.0 + 0 * x
+    match = re.escape(f"coefficient dimension does not match grid: the coefficients have "
+                      f"n = {coeffs_n}, the grid n = {grid_n}")
+    with pytest.raises(ValueError, match=match):
+        solve_ivbp(IVBProblem(coeffs=coeffs, initial=one, lateral=one), grid)
+    with pytest.raises(ValueError, match=match):
+        assemble_step_matrix(IVBProblem(coeffs=coeffs), grid, 0.1)
+    with pytest.raises(ValueError, match=match):
+        random_positive_solution_ensemble(1, 2, coeffs, grid)
+    with pytest.raises(ValueError, match=match):
+        validate_coefficients(coeffs, grid)
+
+
+def test_step_matrix_refuses_a_non_uniform_s_axis():
+    grid = Grid(np.array([0.0, 0.1, 0.3, 0.6, 1.0]), (np.linspace(-1, 1, 5),),
+                np.linspace(0, 1, 3))
+    with pytest.raises(ValueError, match="axis s is not uniformly spaced"):
+        assemble_step_matrix(IVBProblem(coeffs=model_coefficients(1.0, 2)), grid, 0.1)
+
+
+def loop_step_matrix(coeffs, grid, dt, c, t_eval):
+    """Reference for assemble_step_matrix: I - dt (L_h + c), built row by row.
+
+    Each free node's row of L_h sums, in this order: x a11 u_xx with the
+    weights of `fields.x_stencils`; b1 u_x as w times the central weights
+    plus (1 - w) times the forward difference, w = clip((i - 1)/4, 0, 1);
+    per y-axis a_jj u_yy and b_j u_y by (1, -2, 1)/h^2 and (-1, 0, 1)/2h and
+    the mixed 2 sqrt(x) a1j u_{x y_j} by the central x-weights times
+    (-1, 0, 1)/2h; the cross terms 2 a_ij u_{y_i y_j} by the 4-point
+    stencil.  At s = 0 (x = 0, w = 0) only b1 times the forward difference
+    and the y-terms remain.  A Dirichlet row is an identity row.
+    """
+    shape = grid.shape[:-1]
+    m = len(grid.y)
+    xm = [*grid.spatial_x_meshes(), t_eval]
+    A, B = coeffs.eval_a(xm, shape), coeffs.eval_b(xm, shape)
+    xv = grid.x
+    _, d1, d2 = x_stencils(xv)
+    hy = [grid.hy(j) for j in range(m)]
+    lin = np.arange(math.prod(shape)).reshape(shape)
+    M = np.eye(lin.size)
+    for node in zip(*np.nonzero(~solver._dirichlet_mask(grid))):
+        i = node[0]
+        row = {}
+
+        def add(shift, value):
+            col = lin[tuple(np.add(node, shift))]
+            row[col] = row.get(col, 0.0) + value
+
+        def along(axis, step):
+            shift = [0] * len(shape)
+            shift[axis] = step
+            return shift
+
+        w = min(max((i - 1) / 4.0, 0.0), 1.0)
+        if i > 0:
+            for k, step in enumerate((-1, 0, 1)):
+                add(along(0, step), A[(0, 0) + node] * (d2[i, k] * xv[i]))
+            for k, step in enumerate((-1, 0, 1)):
+                add(along(0, step), w * B[(0,) + node] * d1[i, k])
+        fwd = 1.0 / (xv[i + 1] - xv[i])
+        add(along(0, 0), (1 - w) * B[(0,) + node] * -fwd)
+        add(along(0, 1), (1 - w) * B[(0,) + node] * fwd)
+        for j in range(m):
+            dyy = A[(1 + j, 1 + j) + node] / (hy[j] * hy[j])
+            add(along(1 + j, -1), dyy)
+            add(along(1 + j, 0), dyy * -2.0)
+            add(along(1 + j, 1), dyy)
+            drift = B[(1 + j,) + node] / (2 * hy[j])
+            add(along(1 + j, -1), -drift)
+            add(along(1 + j, 1), drift)
+            mixed = 2.0 * A[(0, 1 + j) + node] * math.sqrt(xv[i]) / (2 * hy[j])
+            if i > 0 and mixed != 0:
+                for k, step in enumerate((-1, 0, 1)):
+                    for sy in (-1, 1):
+                        shift = along(0, step)
+                        shift[1 + j] = sy
+                        add(shift, mixed * (d1[i, k] * sy))
+        for a in range(m):
+            for b in range(a + 1, m):
+                cross = 2 * A[(1 + a, 1 + b) + node] / (4 * hy[a] * hy[b])
+                for sa in (-1, 1):
+                    for sb in (-1, 1):
+                        shift = along(1 + a, sa)
+                        shift[1 + b] = sb
+                        add(shift, cross * (sa * sb))
+        r = lin[node]
+        for col, value in row.items():
+            M[r, col] -= dt * value
+        M[r, r] -= dt * c
+    return M
+
+
+CROSS_TERMS = {2: {"a12": "0.2 + 0.1*y2", "b1": "1 + 0.2*x", "b2": "0.3*y2"},
+               3: {"a12": "0.1", "a13": "-0.15*y3", "a23": "0.3 + 0.1*y2", "b2": "0.4"}}
+
+
+@pytest.mark.parametrize("s_lo", [0.0, 0.3])
+@pytest.mark.parametrize("case", ["diagonal", "cross_terms"])
+@pytest.mark.parametrize("n, nodes", [(2, 33), (3, 9)])
+def test_step_matrix_equals_the_per_node_loop(n, nodes, case, s_lo):
+    grid = Grid.uniform((s_lo, 1, nodes), [(-1, 1, nodes)] * (n - 1), (0, 1, 5))
+    coeffs = (random_coefficients(11, n) if case == "diagonal"
+              else coefficients_from_expressions(CROSS_TERMS[n], n, lam=0.3))
+    dt, c = 0.37, -0.5
+    A = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.5).A
+    want = loop_step_matrix(coeffs, grid, dt, c, 0.5)
+    assert A.has_canonical_format and np.all(A.data != 0)
+    assert A.nnz == np.count_nonzero(want)
+    if n == 2 and case == "diagonal":
+        assert np.array_equal(A.toarray(), want)
+    else:
+        np.testing.assert_allclose(A.toarray(), want, rtol=1e-13, atol=0)
 
 
 def test_constant_is_fixed_point():
