@@ -9,13 +9,15 @@ one op of the benchmark's cli_model workload does: `degenpde run` on a 33^3
 `model_manufactured` spec (manufactured error, Harnack, oscillation and
 Schauder checks) with `model:v=<v>` and solution x + v t, once to warm up
 and once timed.  Run r uses seed r + 1 and v = (0.25, 1, 4)[r % 3] on both
-sides.  `cs_norm_2_alpha` and `holder_seminorm` are timed by wrapping them
-where `estimates` looks them up, and the pair-set builds are counted as
-calls of `np.random.default_rng` (sampled regions) and `np.triu_indices`
-(all-pairs regions) made inside them.  Times are medians over runs; the
-accuracy figures travel with them: the largest difference in any value
-those two functions return, whether every report file is byte-identical,
-and each process's peak resident memory.
+sides.  The Hoelder kernel is timed by wrapping its two functions where
+`fields` and `estimates` look them up: the pair-set build `_region_pairs`
+and the field pass, `_ratio_maxes` (one pass for many fields) or, in a
+checkout that predates it, `_ratio_max` (one pass per field);
+`cs_norm_2_alpha` is timed the same way.  Times are medians over runs; the
+accuracy figures travel with them: the largest difference in any
+per-field maximum the kernel returns or any `cs_norm_2_alpha` value,
+whether every report file is byte-identical, and each process's peak
+resident memory.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import numpy as np
 import ab
 
 NODES, VELOCITIES = 33, ("0.25", "1", "4")
-TIMED = ("cs_norm_2_alpha", "holder_seminorm")
-KEYS = ("op_s", "cs_norm_2_alpha_s", "holder_seminorm_s", "cs_norm_2_alpha_calls",
-        "holder_seminorm_calls", "pair_set_builds", "peak_rss_mb")
+VALUES = ("cs_norm_2_alpha", "ratio_max")
+KEYS = ("op_s", "pair_set_s", "field_pass_s", "cs_norm_2_alpha_s", "pair_set_builds",
+        "field_passes", "fields_walked", "peak_rss_mb")
+SPEEDUP = ("op_s", "pair_set_s", "field_pass_s", "cs_norm_2_alpha_s")
 
 SPEC = """\
 [experiment]
@@ -85,43 +88,33 @@ t0 = 0.9
 def measure(src: str, run: int, work: Path) -> dict:
     """A warm-up op and a timed op; the timed op's reports land in work/out."""
     sys.path.insert(0, src)
-    from degenpde import cli, estimates
+    from degenpde import cli, estimates, fields
 
-    seen = {name: [] for name in TIMED}
-    values = {name: [] for name in TIMED}
-    builds, inside = [0], [False]
+    seconds = {"pair_set": [], "field_pass": [], "cs_norm_2_alpha": []}
+    values = {name: [] for name in VALUES}
 
-    def timed(name):
-        original = getattr(estimates, name)
-
-        def wrapper(*args, **kwargs):
-            inside[0] = True
-            start = perf_counter()
-            try:
-                out = original(*args, **kwargs)
-            finally:
-                inside[0] = False
-            seen[name].append(perf_counter() - start)
-            values[name].append(out)
-            return out
-        setattr(estimates, name, wrapper)
-
-    def counted(module, name):
+    def timed(module, name, span, record):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            builds[0] += inside[0]
-            return original(*args, **kwargs)
-        setattr(module, name, wrapper)
+            start = perf_counter()
+            out = original(*args, **kwargs)
+            seconds[span].append(perf_counter() - start)
+            record(out)
+            return out
+        for owner in (fields, estimates):
+            if getattr(owner, name, None) is original:
+                setattr(owner, name, wrapper)
 
     spec = work / "experiment.spec"
     spec.write_text(SPEC.format(seed=run + 1, v=VELOCITIES[run % len(VELOCITIES)], nodes=NODES))
     if cli.main(["run", str(spec), "--out", str(work / "warmup")]) != 0:
         raise RuntimeError("warm-up op failed")
-    for name in TIMED:
-        timed(name)
-    counted(np.random, "default_rng")
-    counted(np, "triu_indices")
+    field_pass = "_ratio_maxes" if hasattr(fields, "_ratio_maxes") else "_ratio_max"
+    timed(fields, "_region_pairs", "pair_set", lambda out: None)
+    timed(fields, field_pass, "field_pass",
+          lambda out: values["ratio_max"].extend(np.atleast_1d(out).tolist()))
+    timed(estimates, "cs_norm_2_alpha", "cs_norm_2_alpha", values["cs_norm_2_alpha"].append)
     start = perf_counter()
     rc = cli.main(["run", str(spec), "--out", str(work / "out")])
     op_s = perf_counter() - start
@@ -129,11 +122,12 @@ def measure(src: str, run: int, work: Path) -> dict:
         raise RuntimeError(f"timed op exited {rc}")
     return {
         "op_s": op_s,
-        "cs_norm_2_alpha_s": sum(seen["cs_norm_2_alpha"]),
-        "holder_seminorm_s": sum(seen["holder_seminorm"]),
-        "cs_norm_2_alpha_calls": len(seen["cs_norm_2_alpha"]),
-        "holder_seminorm_calls": len(seen["holder_seminorm"]),
-        "pair_set_builds": builds[0],
+        "pair_set_s": sum(seconds["pair_set"]),
+        "field_pass_s": sum(seconds["field_pass"]),
+        "cs_norm_2_alpha_s": sum(seconds["cs_norm_2_alpha"]),
+        "pair_set_builds": len(seconds["pair_set"]),
+        "field_passes": len(seconds["field_pass"]),
+        "fields_walked": len(values["ratio_max"]),
         "values": values,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
@@ -145,8 +139,8 @@ def compare(run: int, before: dict, after: dict, work: Path) -> dict:
                for side in ab.SIDES}
     return {
         "seed": run + 1, "v": float(VELOCITIES[run % len(VELOCITIES)]),
-        "values": {name: len(a[name]) for name in TIMED},
-        "max_abs_value_diff": max(abs(x - y) for name in TIMED
+        "values": {name: len(a[name]) for name in VALUES},
+        "max_abs_value_diff": max(abs(x - y) for name in VALUES
                                   for x, y in zip(a[name], b[name], strict=True)),
         "values_bitwise_equal": a == b,
         "report_files": len(reports["after"]),
@@ -166,8 +160,9 @@ def summarize(results: dict, rows: list) -> dict:
         "all_report_files_identical": all(row["report_files_identical"] for row in rows),
         "per_seed": rows,
     }
+    # before / after; null where the after side spent no time to divide by
     report["speedup"] = {key: report["before"][key] / report["after"][key]
-                         for key in ("op_s", "cs_norm_2_alpha_s", "holder_seminorm_s")}
+                         if report["after"][key] > 0 else None for key in SPEEDUP}
     return report
 
 

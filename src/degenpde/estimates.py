@@ -17,7 +17,7 @@ import numpy as np
 from .fields import (
     Grid,
     ScalarField,
-    _ratio_max,
+    _ratio_maxes,
     _region_pairs,
     c0_norm,
     cs_norm_2_alpha,
@@ -36,7 +36,7 @@ from .geometry import (
     rho_nu,
     weighted_volumes,
 )
-from .operators import CoefficientField, apply_L0, apply_parabolic
+from .operators import CoefficientField, _check_dimension, apply_L0, apply_parabolic
 
 # tie tolerance for the closed contact-set conditions, applied relative to
 # the magnitude of each tested quantity so membership is scale invariant
@@ -744,6 +744,9 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     Hoelder seminorms are maxima over a fixed sample of node pairs, so the
     inner norm and the unit-box norms are lower bounds of their suprema (up
     to 2.2% low at 33^3) and the ratio is not a bound in either direction.
+    One blocked pass over the unit box's pairs serves the data term and every
+    non-constant entry; a constant one's seminorm is 0.0.  A non-finite
+    entry is refused by name before the operator is applied.
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
@@ -752,15 +755,29 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     unit = cube_nodes(ParabolicCube("B_eta", base, 1.0), grid, "region")
     if np.count_nonzero(unit) < 2:
         raise ValueError("region must contain at least 2 grid nodes")
-    pairs = _region_pairs(grid, unit, alpha)
-    data = apply_parabolic(coeffs, f).values
-    rhs_sup = float(np.max(np.abs(f.values[unit])))
-    rhs_data = _holder_norm(pairs, data[unit])
+    _check_dimension(coeffs, grid)
     meshes = grid.x_meshes()
     A = coeffs.eval_a(meshes, grid.shape)
-    entries = [A[i, j] for i in range(grid.n) for j in range(i, grid.n)]
-    entries.extend(coeffs.eval_b(meshes, grid.shape))
-    coeff_norm = max(_holder_norm(pairs, e[unit]) for e in entries)
+    B = coeffs.eval_b(meshes, grid.shape)
+    n = grid.n
+    named = [(f"a{i + 1}{j + 1}", A[i, j]) for i in range(n) for j in range(n)]
+    named += [(f"b{i + 1}", b) for i, b in enumerate(B)]
+    for name, values in named:
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"coefficient {name} is non-finite at node index "
+                             f"{tuple(map(int, bad[0]))}")
+    data = apply_parabolic(coeffs, f).values
+    # row 0 is the data term, then the entries a_ij (i <= j) and b_i
+    rows = np.stack([data[unit]] + [A[i, j][unit] for i in range(n) for j in range(i, n)]
+                    + [b[unit] for b in B])
+    norms = np.max(np.abs(rows), axis=1)
+    varying = np.ptp(rows, axis=1) != 0  # a constant row's seminorm is 0.0
+    if np.any(varying):
+        norms[varying] += _ratio_maxes(_region_pairs(grid, unit, alpha), rows[varying])
+    rhs_sup = float(np.max(np.abs(f.values[unit])))
+    rhs_data = float(norms[0])
+    coeff_norm = float(np.max(norms[1:]))
     rhs = rhs_sup + rhs_data
     constant = _ratio(lhs, rhs)
     margins = {"finite": 0.0 if math.isfinite(constant) else -1.0}
@@ -768,9 +785,3 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
                       "coefficient_norm": coeff_norm}
     return _finish("schauder_ratio", lhs, rhs_components, constant, margins,
                    grid, f"r={r:g} alpha={alpha:g}")
-
-
-def _holder_norm(pairs, vals: np.ndarray) -> float:
-    """Sup plus Hoelder seminorm of a region's values; a constant's seminorm is 0.0."""
-    sup = float(np.max(np.abs(vals)))
-    return sup if np.ptp(vals) == 0 else sup + _ratio_max(pairs, vals)

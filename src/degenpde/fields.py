@@ -147,7 +147,7 @@ class ScalarField:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
             idx = np.argwhere(~np.isfinite(vals))[0]
-            raise ValueError(f"non-finite value at node index {tuple(idx)}")
+            raise ValueError(f"non-finite value at node index {tuple(map(int, idx))}")
         object.__setattr__(self, "values", vals)
 
 
@@ -294,12 +294,21 @@ def lp_norm_weighted(field: ScalarField, p: float, cube: ParabolicCube,
 _HOLDER_ALL_PAIRS_LIMIT = 2000
 _HOLDER_SAMPLED_PAIRS = 1_000_000
 
+# pairs per block of the Hoelder kernel: a block's temporaries stay a few
+# hundred KB whatever the pair count, where whole-array expressions would
+# allocate 8 MB per temporary for a sampled set
+_HOLDER_BLOCK = 1 << 14
+
 
 def _region_pairs(grid: Grid, mask: np.ndarray, alpha: float):
     """Node pairs (ii, jj) of the region at positive distance, and w = dist^alpha.
 
     Indices count the masked nodes in mask order.  The pairs depend on the
-    region alone, so every field measured on it shares one set.
+    region alone, so every field measured on it shares one set.  A sampled
+    set may draw a node twice; distinct grid nodes differ in some strictly
+    increasing axis and so lie at positive distance, hence `dist > 0` drops
+    exactly those self-pairs and keeps the order of the rest.  The distance
+    |ds| + |dy| + sqrt|dt| is computed block by block.
     """
     coords = [ax[k] for ax, k in zip(grid.axes, np.nonzero(mask))]
     npts = coords[0].size
@@ -309,24 +318,40 @@ def _region_pairs(grid: Grid, mask: np.ndarray, alpha: float):
         rng = np.random.default_rng(0)
         ii = rng.integers(0, npts, _HOLDER_SAMPLED_PAIRS)
         jj = rng.integers(0, npts, _HOLDER_SAMPLED_PAIRS)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-    s, t = coords[0], coords[-1]
-    dist = np.abs(s[ii] - s[jj])
-    dy2 = np.zeros_like(dist)
-    for yk in coords[1:-1]:
-        dy2 += (yk[ii] - yk[jj]) ** 2
-    dist = dist + np.sqrt(dy2) + np.sqrt(np.abs(t[ii] - t[jj]))
-    pos = dist > 0
-    return ii[pos], jj[pos], dist[pos] ** alpha
+    s, *ys, t = coords
+    keep_i, keep_j, w = np.empty_like(ii), np.empty_like(jj), np.empty(ii.size)
+    kept = 0
+    for lo in range(0, ii.size, _HOLDER_BLOCK):
+        i, j = ii[lo:lo + _HOLDER_BLOCK], jj[lo:lo + _HOLDER_BLOCK]
+        dist = np.abs(s[i] - s[j])
+        dy2 = np.zeros_like(dist)
+        for yk in ys:
+            dy2 += (yk[i] - yk[j]) ** 2
+        dist = dist + np.sqrt(dy2) + np.sqrt(np.abs(t[i] - t[j]))
+        pos = dist > 0
+        end = kept + np.count_nonzero(pos)
+        keep_i[kept:end], keep_j[kept:end] = i[pos], j[pos]
+        w[kept:end] = dist[pos] ** alpha
+        kept = end
+    return keep_i[:kept], keep_j[:kept], w[:kept]
 
 
-def _ratio_max(pairs, vals) -> float:
-    """max |vals[ii] - vals[jj]| / w over the pairs; 0.0 when there are none."""
+def _ratio_maxes(pairs, rows: np.ndarray) -> np.ndarray:
+    """max |row[ii] - row[jj]| / w over the pairs for each row of (k, npts) rows.
+
+    One walk over the pairs, block by block, serves every row; a row's
+    maximum is 0.0 when there are no pairs.
+    """
     ii, jj, w = pairs
-    if w.size == 0:
-        return 0.0
-    return float(np.max(np.abs(vals[ii] - vals[jj]) / w))
+    out = np.zeros(len(rows))
+    for lo in range(0, w.size, _HOLDER_BLOCK):
+        hi = lo + _HOLDER_BLOCK
+        ratio = rows.take(ii[lo:hi], axis=1)
+        ratio -= rows.take(jj[lo:hi], axis=1)
+        np.abs(ratio, out=ratio)
+        ratio /= w[lo:hi]
+        np.maximum(out, ratio.max(axis=1), out=out)
+    return out
 
 
 def holder_seminorm(field: ScalarField, alpha: float, region: ParabolicCube) -> float:
@@ -334,14 +359,15 @@ def holder_seminorm(field: ScalarField, alpha: float, region: ParabolicCube) -> 
 
     The supremum over all node pairs in the region up to 2000 nodes; above
     that, the maximum over a fixed sample of 10^6 pairs, a lower bound of
-    the supremum.
+    the supremum.  A bool alpha is refused.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    if isinstance(alpha, bool) or not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     mask = cube_nodes(region, field.grid, "region")
     if np.count_nonzero(mask) < 2:
         raise ValueError("region must contain at least 2 grid nodes")
-    return _ratio_max(_region_pairs(field.grid, mask, alpha), field.values[mask])
+    rows = field.values[mask][np.newaxis]
+    return float(_ratio_maxes(_region_pairs(field.grid, mask, alpha), rows)[0])
 
 
 def c0_norm(field: ScalarField, region: ParabolicCube | None = None) -> float:
@@ -378,12 +404,12 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     derivatives that enter the model operator: u_t, x*u_xx, u_{y_i y_j},
     u_x, u_{y_i}.  The region must sit at least 2 cells inside every
     lateral grid edge and both ends of the time axis.  One set of node pairs
-    serves every piece; above 2000 region nodes the seminorms are maxima
+    and one blocked pass over it serve every piece; above 2000 region nodes the seminorms are maxima
     over a fixed sample of pairs, so the norm is a lower bound of the
     supremum-based norm.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    if isinstance(alpha, bool) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     g = field.grid
     mask = cube_nodes(region, g, "region")
     _check_region_interior(g, mask)
@@ -393,10 +419,10 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     for i in range(len(g.y)):
         for j in range(i, len(g.y)):
             pieces.append(d.u_yy[i][j])
+    rows = np.stack([arr[mask] for arr in pieces])
+    ratios = _ratio_maxes(_region_pairs(g, mask, alpha), rows)
     total = float(np.max(np.abs(field.values[mask])))
-    pairs = _region_pairs(g, mask, alpha)
-    for arr in pieces:
-        vals = arr[mask]
-        total += float(np.max(np.abs(vals)))
-        total += _ratio_max(pairs, vals)
+    for sup, ratio in zip(np.max(np.abs(rows), axis=1), ratios):
+        total += float(sup)
+        total += float(ratio)
     return total

@@ -453,6 +453,26 @@ def test_schauder_ratio_needs_a_base():
         schauder_ratio(u, model_coefficients(1.0, 2), 0.5, 0.5)
 
 
+def test_schauder_ratio_names_a_non_finite_coefficient_before_applying_the_operator(
+        monkeypatch):
+    g = unit_grid(17)
+    u = sample(lambda x, y, t: x + t, g)
+    coeffs = model_coefficients(1.0, 2)
+
+    def a11(x, y, t):
+        out = np.ones(np.broadcast(x, y, t).shape)
+        out[3, 3, 10] = np.nan
+        return out
+
+    coeffs.a[0][0] = a11
+    applied = []
+    monkeypatch.setattr(estimates, "apply_parabolic", lambda *args: applied.append(args))
+    with pytest.raises(ValueError, match=re.escape(
+            "coefficient a11 is non-finite at node index (3, 3, 10)")):
+        schauder_ratio(u, coeffs, 0.5, 0.5, Point(0.0, [0.0], 0.9))
+    assert applied == []
+
+
 def test_schauder_ratio_on_random_coefficients_is_stable_under_refinement():
     coeffs = random_coefficients(3, 2)
     constants, norms = [], []
@@ -464,6 +484,12 @@ def test_schauder_ratio_on_random_coefficients_is_stable_under_refinement():
     assert constants == pytest.approx([1.17488, 1.17479], abs=5e-6)
     assert norms == pytest.approx([1.756, 1.746], abs=5e-4)
     assert abs(constants[1] - constants[0]) / constants[0] < 0.01
+
+
+def test_holder_bound_check_refuses_a_bool_alpha():
+    u = sample(lambda x, y, t: np.sqrt(x) + 0 * y, unit_grid(21))
+    with pytest.raises(ValueError, match="got True"):
+        holder_bound_check(u, None, (0.5, [0.0], 1.0), 0.3, 0.6, 0.5, True)
 
 
 def _constant(grid, value):

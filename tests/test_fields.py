@@ -49,6 +49,14 @@ def test_sample_rejects_non_finite():
         sample(lambda x, y, t: 1.0 / (x * 0.0) + 0 * y + 0 * t, g)
 
 
+def test_scalar_field_names_a_non_finite_node_by_plain_ints():
+    g = unit_grid(17)
+    vals = np.zeros(g.shape)
+    vals[3, 3, 10] = np.nan
+    with pytest.raises(ValueError, match=re.escape("non-finite value at node index (3, 3, 10)")):
+        ScalarField(g, vals)
+
+
 def test_fd_exact_on_quadratics():
     g = unit_grid(21)
     d = fd_derivatives(sample(lambda x, y, t: x + 0 * y, g))
@@ -164,6 +172,15 @@ def test_holder_seminorm_examples():
     # subadditivity
     both = ScalarField(g, root.values + lin.values)
     assert holder_seminorm(both, 1.0, cube) <= val + 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("alpha", [True, False])
+def test_hoelder_norms_refuse_a_bool_alpha(alpha):
+    f, region = holder_case(2, 17)
+    with pytest.raises(ValueError, match=f"got {alpha}"):
+        holder_seminorm(f, alpha, region)
+    with pytest.raises(ValueError, match=f"got {alpha}"):
+        cs_norm_2_alpha(f, alpha, region)
 
 
 def test_cs_norm_examples():
@@ -315,6 +332,83 @@ def test_cs_norm_builds_one_pair_set_per_region(monkeypatch, n, nodes, count):
     assert len(calls) == 1
     cs_norm_2_alpha(f, 0.5, region)
     assert len(calls) == 2
+
+
+def first_nodes_region(n, count):
+    """A grid and the mask of its first `count` nodes in index order."""
+    g = Grid.uniform((0, 1, 15), [(-1, 1, 15)] * (n - 1), (0, 1, 15))
+    mask = np.zeros(g.shape, dtype=bool)
+    mask.flat[:count] = True
+    return g, mask
+
+
+# region nodes -> the kernel's block size, as a function of the pair count P
+KERNEL_CASES = {
+    "one_node": (1, lambda pairs: fields._HOLDER_BLOCK),
+    "below_one_block": (120, lambda pairs: fields._HOLDER_BLOCK),
+    "exactly_one_block": (120, lambda pairs: pairs),
+    "not_a_multiple": (120, lambda pairs: 1000),
+    "all_pairs_at_the_limit": (fields._HOLDER_ALL_PAIRS_LIMIT, lambda pairs: fields._HOLDER_BLOCK),
+    "sampled_above_the_limit": (fields._HOLDER_ALL_PAIRS_LIMIT + 1,
+                                lambda pairs: fields._HOLDER_BLOCK),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_equals_the_reference_pair_search_bitwise(monkeypatch, n, case):
+    count, block = KERNEL_CASES[case]
+    g, mask = first_nodes_region(n, count)
+    idx = np.argwhere(mask)
+    coords = [ax[idx[:, k]] for k, ax in enumerate(g.axes)]
+    if count <= fields._HOLDER_ALL_PAIRS_LIMIT:
+        drawn, self_pairs = count * (count - 1) // 2, 0
+    else:
+        rng = np.random.default_rng(0)
+        ii = rng.integers(0, count, fields._HOLDER_SAMPLED_PAIRS)
+        jj = rng.integers(0, count, fields._HOLDER_SAMPLED_PAIRS)
+        drawn, self_pairs = ii.size, np.count_nonzero(ii == jj)
+        assert self_pairs > 0
+    monkeypatch.setattr(fields, "_HOLDER_BLOCK", block(drawn))
+    if case == "below_one_block":
+        assert drawn < fields._HOLDER_BLOCK
+    if case == "exactly_one_block":
+        assert drawn == fields._HOLDER_BLOCK
+    if case == "not_a_multiple":
+        assert drawn > fields._HOLDER_BLOCK and drawn % fields._HOLDER_BLOCK != 0
+    rng = np.random.default_rng(count)
+    rows = np.vstack([rng.standard_normal((3, count)), np.full((1, count), 2.5)])
+    for alpha in (0.3, 0.5, 1.0):
+        pairs = fields._region_pairs(g, mask, alpha)
+        assert pairs[2].size == drawn - self_pairs
+        got = fields._ratio_maxes(pairs, rows)
+        want = [reference_pair_ratio_max(coords, row, alpha) for row in rows]
+        assert got.tolist() == want
+        assert got[-1] == 0.0
+
+
+def test_each_region_takes_one_kernel_pass_over_its_varying_fields(monkeypatch):
+    f, inner = holder_case(2, 17)
+    unit = ParabolicCube("B_eta", inner.base, 1.0)
+    passes = []
+
+    def spy(pairs, rows):
+        passes.append(rows.copy())
+        return original(pairs, rows)
+
+    original = fields._ratio_maxes
+    monkeypatch.setattr(fields, "_ratio_maxes", spy)
+    monkeypatch.setattr(estimates, "_ratio_maxes", spy)
+    cs_norm_2_alpha(f, 0.5, inner)
+    assert [rows.shape for rows in passes] == [(5, np.count_nonzero(cube_nodes(inner, f.grid)))]
+    n_unit = np.count_nonzero(cube_nodes(unit, f.grid))
+    # the model coefficients are constant: only the data term is walked;
+    # of the random ones a12 = 0 is constant and a11, a22, b1, b2 are not
+    for coeffs, walked in ((model_coefficients(1.0, 2), 1), (random_coefficients(3, 2), 5)):
+        passes.clear()
+        estimates.schauder_ratio(f, coeffs, 0.5, 0.5, inner.base)
+        assert [rows.shape for rows in passes] == [(5, passes[0].shape[1]), (walked, n_unit)]
+        assert np.all(np.ptp(passes[1], axis=1) > 0)
 
 
 def test_cs_norm_rejects_edge_region():
