@@ -404,9 +404,9 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     derivatives that enter the model operator: u_t, x*u_xx, u_{y_i y_j},
     u_x, u_{y_i}.  The region must sit at least 2 cells inside every
     lateral grid edge and both ends of the time axis.  One set of node pairs
-    and one blocked pass over it serve every piece; above 2000 region nodes the seminorms are maxima
-    over a fixed sample of pairs, so the norm is a lower bound of the
-    supremum-based norm.
+    and one blocked pass over it serve every piece; above 2000 region nodes
+    the seminorms are maxima over a fixed sample of pairs, so the norm is a
+    lower bound of the supremum-based norm.  A bool alpha is refused.
     """
     if isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
