@@ -29,7 +29,7 @@ def test_measure_times_the_kernel_of_this_checkout(tmp_path):
     # the inner box and the unit box each take one pair set and one pass
     assert (result["pair_set_builds"], result["field_passes"]) == (2, 2)
     assert result["fields_walked"] == len(result["values"]["ratio_max"]) > 0
-    assert sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert any((tmp_path / "out").iterdir())
 
 
 def test_summarize_leaves_a_speedup_over_no_time_empty():

@@ -342,7 +342,7 @@ def first_nodes_region(n, count):
     return g, mask
 
 
-# region nodes -> the kernel's block size, as a function of the pair count P
+# case -> (region nodes, the kernel's block size as a function of the pairs drawn)
 KERNEL_CASES = {
     "one_node": (1, lambda pairs: fields._HOLDER_BLOCK),
     "below_one_block": (120, lambda pairs: fields._HOLDER_BLOCK),
@@ -399,15 +399,15 @@ def test_each_region_takes_one_kernel_pass_over_its_varying_fields(monkeypatch):
     original = fields._ratio_maxes
     monkeypatch.setattr(fields, "_ratio_maxes", spy)
     monkeypatch.setattr(estimates, "_ratio_maxes", spy)
+    n_inner, n_unit = (np.count_nonzero(cube_nodes(box, f.grid)) for box in (inner, unit))
     cs_norm_2_alpha(f, 0.5, inner)
-    assert [rows.shape for rows in passes] == [(5, np.count_nonzero(cube_nodes(inner, f.grid)))]
-    n_unit = np.count_nonzero(cube_nodes(unit, f.grid))
+    assert [rows.shape for rows in passes] == [(5, n_inner)]
     # the model coefficients are constant: only the data term is walked;
     # of the random ones a12 = 0 is constant and a11, a22, b1, b2 are not
     for coeffs, walked in ((model_coefficients(1.0, 2), 1), (random_coefficients(3, 2), 5)):
         passes.clear()
         estimates.schauder_ratio(f, coeffs, 0.5, 0.5, inner.base)
-        assert [rows.shape for rows in passes] == [(5, passes[0].shape[1]), (walked, n_unit)]
+        assert [rows.shape for rows in passes] == [(5, n_inner), (walked, n_unit)]
         assert np.all(np.ptp(passes[1], axis=1) > 0)
 
 
