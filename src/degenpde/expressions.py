@@ -1,6 +1,7 @@
-"""Minimal arithmetic expression grammar for coefficient and data fields.
+"""Arithmetic expressions for coefficient and data fields.
 
-Grammar (recursive descent):
+Python's own parser reads an expression, and a check admits its tree only
+if every node lies in this grammar, loosest binding first:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -8,157 +9,52 @@ Grammar (recursive descent):
     power  := atom ('^' unary)?
     atom   := number | variable | func '(' expr ')' | '(' expr ')'
 
-Functions: sqrt, exp.  Variables: x, t, y2 ... y9.  Expressions compile to
-closures over numpy arrays, so they broadcast over grid meshes.
+'+ - * /' associate to the left.  '^' associates to the right and binds
+tighter than a leading minus: -x^2 is -(x^2), and 2^-x is 2^(-x).  A
+number is ASCII digits with an optional point and an optional exponent:
+1, 01, 1.5, 1., .5, 1e-3.  '**', '_' in numbers, hex, complex literals,
+unary '+' and every other Python construct are refused.  Functions: sqrt,
+exp, with one argument.  Variables: x, t, y2 ... y9.  Whitespace, line
+breaks included, only separates tokens.  Expressions evaluate over numpy
+arrays, so they broadcast over grid meshes; a complex value is refused.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 
 import numpy as np
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_BAD_TEXT = re.compile(r"\*\*|[^\w.+\-*/^() ]", re.ASCII)
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 _FUNCS = {"sqrt": np.sqrt, "exp": np.exp}
 _VARS = ("x", "t") + tuple(f"y{i}" for i in range(2, 10))
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_GLOBALS = {"__builtins__": {}, **_FUNCS}
 
 
 class ExpressionError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ExpressionError(f"bad character at position {pos} in {text!r}")
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("pow", node, self.unary())
-        return node
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            if val in _VARS:
-                return ("var", val)
-            raise ExpressionError(f"unknown name {val!r} in {self.text!r}")
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token in {self.text!r}")
-
-
-def _eval(node, env):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise ExpressionError(f"variable {node[1]} not available here") from None
-    if op == "neg":
-        return -_eval(node[1], env)
-    if op == "call":
-        return _FUNCS[node[1]](_eval(node[2], env))
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ExpressionError(f"corrupt node {node!r}")
-
-
-def _uses_var(node, name: str) -> bool:
-    op = node[0]
-    if op == "var":
-        return node[1] == name
-    if op in ("const",):
-        return False
-    return any(_uses_var(child, name) for child in node[1:] if isinstance(child, tuple))
+def _check(node, source: str, text: str):
+    """Refuse any node outside the grammar; make every number a float."""
+    segment = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+        _check(node.left, source, text)
+        _check(node.right, source, text)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        _check(node.operand, source, text)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        _check(node.args[0], source, text)
+    elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        node.value = float(segment)
+    elif not (isinstance(node, ast.Name) and node.id in _VARS):
+        raise ExpressionError(f"{segment.replace('**', '^')!r} is not allowed in {text!r}")
 
 
 class CompiledExpression:
@@ -166,19 +62,34 @@ class CompiledExpression:
 
     def __init__(self, text: str):
         self.text = text.strip()
-        self.node = _Parser(self.text).parse()
-
-    @property
-    def time_dependent(self) -> bool:
-        return _uses_var(self.node, "t")
+        source = " ".join(text.split())
+        bad = _BAD_TEXT.search(source)
+        if bad:
+            raise ExpressionError(f"{bad.group()!r} is not allowed in {self.text!r}")
+        source = _LEADING_ZEROS.sub("", source).replace("^", "**")
+        try:
+            with warnings.catch_warnings():  # a SyntaxWarning is a refusal
+                warnings.simplefilter("error")
+                self.node = ast.parse(source, mode="eval")
+            _check(self.node.body, source, self.text)
+            self._code = compile(self.node, "<expression>", "eval")
+        except SyntaxError as exc:
+            raise ExpressionError(f"cannot parse {self.text!r}: {exc.msg}") from None
+        except RecursionError:
+            raise ExpressionError("expression is nested too deeply") from None
+        self.time_dependent = any(isinstance(node, ast.Name) and node.id == "t"
+                                  for node in ast.walk(self.node))
 
     def __call__(self, x, *coords):
-        t = coords[-1]
-        ys = coords[:-1]
-        env = {"x": x, "t": t}
-        for i, yi in enumerate(ys):
-            env[f"y{i + 2}"] = yi
-        return _eval(self.node, env)
+        env = {f"y{i}": yi for i, yi in enumerate(coords[:-1], 2)}
+        env.update(x=x, t=coords[-1])
+        try:
+            value = eval(self._code, _GLOBALS, env)
+        except NameError as exc:
+            raise ExpressionError(f"variable {exc.name} not available here") from None
+        if np.iscomplexobj(value):
+            raise ExpressionError(f"{self.text!r} takes a complex value")
+        return value
 
     def __repr__(self):
         return f"CompiledExpression({self.text!r})"

@@ -19,6 +19,7 @@ model `model_coefficients(v, n)`: L0 f = f_t - (x f_xx + sum f_{y_i y_i}
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
@@ -226,30 +227,25 @@ def coefficients_from_expressions(entries: dict, n: int = 2,
     """Build coefficients from expression strings keyed 'a11', 'a12', ..., 'b1', ...
 
     Missing diagonal a-entries default to 1, everything else to 0.  A pair
-    a_ij / a_ji may be given once; giving both requires identical strings.
+    a_ij / a_ji may be given once; giving both requires the same parsed
+    expression.  A key outside a11..a{n}{n} and b1..b{n} is refused.
     """
-    exprs = {}
-    time_dep = False
-    for key, text in entries.items():
-        exprs[key] = compile_expression(text)
-        time_dep = time_dep or exprs[key].time_dependent
-    a = [[None] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            kij, kji = f"a{i}{j}", f"a{j}{i}"
-            if kij in entries and kji in entries and i != j:
-                if entries[kij].strip() != entries[kji].strip():
-                    raise ValueError(f"conflicting entries for {kij}/{kji}")
-            text = entries.get(kij, entries.get(kji))
-            if text is not None:
-                a[i - 1][j - 1] = exprs.get(kij, exprs.get(kji))
-            else:
-                a[i - 1][j - 1] = _const(1.0 if i == j else 0.0)
-    b = []
-    for i in range(1, n + 1):
-        key = f"b{i}"
-        b.append(exprs[key] if key in entries else _const(0.0))
-    return CoefficientField(n, a, b, EllipticityParams(lam, nu), time_dependent=time_dep)
+    indices = range(1, n + 1)
+    known = [f"a{i}{j}" for i in indices for j in indices] + [f"b{i}" for i in indices]
+    for key in entries:
+        if key not in known:
+            raise ValueError(f"unknown coefficient key {key!r} (known: {', '.join(known)})")
+    exprs = {key: compile_expression(text) for key, text in entries.items()}
+    a = [[None] * n for _ in indices]
+    for i in indices:
+        for j in indices:
+            eij, eji = exprs.get(f"a{i}{j}"), exprs.get(f"a{j}{i}")
+            if eij and eji and ast.dump(eij.node) != ast.dump(eji.node):
+                raise ValueError(f"conflicting entries for a{i}{j}/a{j}{i}")
+            a[i - 1][j - 1] = eij or eji or _const(1.0 if i == j else 0.0)
+    b = [exprs.get(f"b{i}", _const(0.0)) for i in indices]
+    return CoefficientField(n, a, b, EllipticityParams(lam, nu),
+                            time_dependent=any(e.time_dependent for e in exprs.values()))
 
 
 COEFFICIENT_PRESETS = {

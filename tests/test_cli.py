@@ -160,10 +160,14 @@ def test_list_presets_function():
     ("t0 = 1.0", "t0 = nan", "[check harnack]", "t must be finite, got nan"),
     ("seed = 1", "seed = 2.5", "[experiment]", "seed: must be an integer >= 0, got 2.5"),
     ("seed = 1", "seed = -1", "[experiment]", "seed: must be an integer >= 0, got -1"),
+    ("x + t", "x + (-1)^0.5", "[problem]", "solution: 'x + (-1)^0.5' takes a complex value"),
+    ("x + t", "(" * 300 + "x" + ")" * 300, "[problem]", "too many nested parentheses"),
+    ("x + t", "-" * 3000 + "x", "[problem]", "solution: expression is nested too deeply"),
 ], ids=["missing_key", "non_numeric", "unknown_variable", "axis_beyond_n",
         "bad_preset", "bad_grid_triple", "unknown_grid_axis", "misspelled_key",
         "y0_length", "empty_cube", "non_finite_solution", "nan_axis", "inf_axis",
-        "infinite_velocity", "nan_t0", "fractional_seed", "negative_seed"])
+        "infinite_velocity", "nan_t0", "fractional_seed", "negative_seed",
+        "complex_solution", "nested_parentheses", "nested_minus_signs"])
 def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
                                                        old, new, where, key):
     assert old in SMALL_SPEC
@@ -173,6 +177,22 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert where in err and key in err
+
+
+@pytest.mark.parametrize("key", ["solution", "forcing"])
+@pytest.mark.parametrize("text", [
+    "x**2", "+x", "x // 2", "~x", "x < t", "x if t else 1", "1_0 + x", "0x1", "1j", "True",
+    "x.real", "x[0]", "__import__('os')", "().__class__", "(lambda: 1)()",
+    "sqrt(x, t)", "sqrt(x=1)", "exp", "1and x", "x # c", "x + \u0661", "z",
+    "x + (-1)^0.5", "(" * 300 + "x" + ")" * 300, "-" * 3000 + "x", "-" * 1200 + "x",
+], ids=lambda text: text if len(text) < 20 else f"{text[:8]}...{len(text)}")
+def test_every_expression_refusal_exits_2_with_one_line(tmp_path, capsys, key, text):
+    spec = tmp_path / "bad.spec"
+    line = f"solution = {text}" if key == "solution" else f"solution = x + t\nforcing = {text}"
+    spec.write_text(SMALL_SPEC.replace("solution = x + t", line))
+    assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [problem] {key}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("preset", ["model:v=1", "random:seed=3"])

@@ -56,6 +56,22 @@ def test_static_validation_matches_the_full_spacetime_grid(coeffs):
     assert one_slice.passed
 
 
+@pytest.mark.parametrize("key", ["a13", "b3", "a1", "c", "A11", "a21 "])
+def test_expression_coefficients_refuse_an_unknown_key(key):
+    with pytest.raises(ValueError, match=f"unknown coefficient key {key!r}"):
+        coefficients_from_expressions({"b1": "1", key: "0.5"}, n=2)
+
+
+def test_a_symmetric_pair_conflicts_only_when_the_parsed_expressions_differ():
+    g = unit_grid(9)
+    meshes = g.x_meshes()
+    coeffs = coefficients_from_expressions({"a12": "x+1", "a21": " (x) + 01 "}, n=2)
+    assert np.array_equal(coeffs.eval_a(meshes, g.shape)[0, 1],
+                          np.broadcast_to(meshes[0] + 1.0, g.shape))
+    with pytest.raises(ValueError, match="conflicting entries for a12/a21"):
+        coefficients_from_expressions({"a12": "x+1", "a21": "1+x"}, n=2)
+
+
 def test_late_loss_of_ellipticity_is_refused():
     # a22 = 1 - 0.6 t drops below lambda = 0.5 only for t > 5/6
     coeffs = coefficients_from_expressions({"a22": "1 - 0.6*t"}, n=2)
