@@ -77,8 +77,7 @@ class CompiledExpression:
             raise ExpressionError(f"cannot parse {self.text!r}: {exc.msg}") from None
         except RecursionError:
             raise ExpressionError("expression is nested too deeply") from None
-        self.time_dependent = any(isinstance(node, ast.Name) and node.id == "t"
-                                  for node in ast.walk(self.node))
+        self.time_dependent = "t" in self._code.co_names
 
     def __call__(self, x, *coords):
         env = {f"y{i}": yi for i, yi in enumerate(coords[:-1], 2)}
