@@ -734,19 +734,24 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     """Second-order Hoelder norm on the inner box over data norms on the unit box.
 
     The data term is f_t - L f for the coefficients' operator L, so any
-    member of the class is measured, the model operator L0 among them.  The
-    right side is the sup of f plus the C^alpha norm (sup plus seminorm) of
-    the data term on the unit box.  The coefficients' size, the largest
-    C^alpha norm of an entry a_ij (i <= j) or b_i on the unit box, is
-    reported as `coefficient_norm` but not summed into the right side.  Both
-    boxes sit at `base`, which has no default: the inner box needs two grid
-    cells of margin on every side but s = 0.  Above 2000 nodes in a box its
-    Hoelder seminorms are maxima over a fixed sample of node pairs, so the
-    inner norm and the unit-box norms are lower bounds of their suprema (up
-    to 2.2% low at 33^3) and the ratio is not a bound in either direction.
-    One blocked pass over the unit box's pairs serves the data term and every
-    non-constant entry; a constant one's seminorm is 0.0.  A non-finite
-    entry is refused by name before the operator is applied.
+    member of the class is measured, the model operator L0 among them; L f
+    is `apply_L`, the L_h the solver marches with.  The right side is the
+    sup of f plus the C^alpha norm (sup plus seminorm) of the data term on
+    the unit box.  The coefficients' size, the largest C^alpha norm of an
+    entry a_ij (i <= j) or b_i on the unit box, is reported as
+    `coefficient_norm` but not summed into the right side.  Both boxes sit
+    at `base`, which has no default: the inner box needs two grid cells of
+    margin on every side but s = 0.  The unit box is not checked against
+    the grid edges: it may hold lateral-edge nodes, where L_h takes its
+    one-sided edge rows, and the first time slice, where f_t is one-sided
+    (on the bundled 33^3 spec it holds every spatial node).  Above 2000
+    nodes in a box its Hoelder seminorms are maxima over a fixed sample of
+    node pairs, so the inner norm and the unit-box norms are lower bounds of
+    their suprema (up to 2.2% low at 33^3) and the ratio is not a bound in
+    either direction.  One blocked pass over the unit box's pairs serves the
+    data term and every non-constant entry; a constant one's seminorm is
+    0.0.  A non-finite entry is refused by name (`CoefficientField.eval_a`,
+    `eval_b`) before the operator is applied.
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
@@ -760,13 +765,6 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     A = coeffs.eval_a(meshes, grid.shape)
     B = coeffs.eval_b(meshes, grid.shape)
     n = grid.n
-    named = [(f"a{i + 1}{j + 1}", A[i, j]) for i in range(n) for j in range(n)]
-    named += [(f"b{i + 1}", b) for i, b in enumerate(B)]
-    for name, values in named:
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(f"coefficient {name} is non-finite at node index "
-                             f"{tuple(map(int, bad[0]))}")
     data = apply_parabolic(coeffs, f).values
     # row 0 is the data term, then the entries a_ij (i <= j) and b_i
     rows = np.stack([data[unit]] + [A[i, j][unit] for i in range(n) for j in range(i, n)]

@@ -25,9 +25,11 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .expressions import compile_expression
-from .fields import Grid, ScalarField, _d1, fd_derivatives
+from .fields import Grid, ScalarField, _d1, _d2, _uniform_spacing, x_stencils
+from .fields import fd_derivatives  # noqa: F401 perfbench/tracing.py binds this name
 
 
 @dataclass(frozen=True)
@@ -73,18 +75,25 @@ class CoefficientField:
             raise ValueError("b must have n entries")
 
     def eval_a(self, meshes, shape):
-        """Array of shape (n, n) + shape with a evaluated on the meshes."""
-        out = np.empty((self.n, self.n) + shape)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = np.broadcast_to(self.a[i][j](*meshes), shape)
-        return out
+        """Array of shape (n, n) + shape with a evaluated on the meshes.
+
+        Here and in eval_b a non-finite entry is refused by name and node index.
+        """
+        return np.array([[_evaluate(f, f"a{i + 1}{j + 1}", meshes, shape)
+                          for j, f in enumerate(row)] for i, row in enumerate(self.a)], float)
 
     def eval_b(self, meshes, shape):
-        out = np.empty((self.n,) + shape)
-        for i in range(self.n):
-            out[i] = np.broadcast_to(self.b[i](*meshes), shape)
-        return out
+        return np.array([_evaluate(f, f"b{i + 1}", meshes, shape)
+                         for i, f in enumerate(self.b)], float)
+
+
+def _evaluate(f, name: str, meshes, shape) -> np.ndarray:
+    values = np.broadcast_to(f(*meshes), shape)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"coefficient {name} is non-finite at node index "
+                         f"{tuple(map(int, bad[0]))}")
+    return values
 
 
 @dataclass
@@ -132,40 +141,111 @@ def validate_coefficients(coeffs: CoefficientField, grid: Grid) -> CoefficientVa
     return CoefficientValidation(margins, passed)
 
 
-def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
-    """Lu on the field's grid.
+def _axis_matrices(grid: Grid):
+    """The 1-D difference matrices of L_h: ((xx, x1, fwd, w), [(dy, dyy) per y-axis]).
 
-    The x-derivatives are `FieldDerivatives.u_x` and `x_times_u_xx`: the
-    3-point weights of `fields.x_stencils` that the solver assembles, exact
-    for fields quadratic in x.  At s = 0 the x and sqrt(x) factors vanish,
-    so Lu there is the limit form b1 u_x + sum a_ij u_{y_i y_j} +
-    sum b_j u_{y_j}.
+    On the s-nodes x d2/dx2 and d/dx of `fields.x_stencils`, the forward
+    difference and the transport blend weight w; on each y-axis the
+    unscaled stencils of `fields._d1` and `_d2`.  Every row has a consistent
+    stencil, one-sided at the ends, exact for data linear in x and y.  A
+    non-uniform s-axis is refused.
+    """
+    _uniform_spacing(grid.s, "s")
+    xv = grid.x
+    idx, d1, d2 = x_stencils(xv)
+    rows = np.repeat(np.arange(len(xv)), 3)
+    xx, x1 = (sparse.csr_matrix((wt.ravel(), (rows, idx.ravel())))
+              for wt in (d2 * xv[:, None], d1))
+    inv_h = 1.0 / np.diff(xv)
+    fwd = sparse.diags([-inv_h, inv_h], [0, 1], shape=(len(xv) - 1, len(xv)), format="csr")
+    fwd = sparse.vstack([fwd, fwd[-1]], format="csr")  # the last row backward: row N-2 again
+    w = np.clip((np.arange(len(xv)) - 1) / 4.0, 0.0, 1.0)  # 0 at nodes 0 and 1, 1 from 5 on
+    # _d1 and _d2 applied to the identity are their matrices; 2h = h^2 = 1 leaves them unscaled
+    y_axes = [(sparse.csr_matrix(_d1(np.eye(len(y)), 0.5, 0)),
+               sparse.csr_matrix(_d2(np.eye(len(y)), 1.0, 0)))
+              for y in grid.y]
+    return (xx, x1, fwd, w), y_axes
+
+
+def operator_matrix(coeffs: CoefficientField, grid: Grid, t: float):
+    """L_h at time t on the spatial nodes (C order): (L_h, A, B), A and B the coefficients.
+
+    The one discrete L: coefficients times Kronecker products of the 1-D
+    matrices of `_axis_matrices` (the identity on the other axes),
+
+        L_h = diag(a11) XX + diag(w b1) X1 + diag((1 - w) b1) F
+              + sum_j [diag(a_jj / h_j^2) Dyy_j + diag(b_j / 2h_j) Dy_j
+                       + diag(2 sqrt(x) a1j / 2h_j) X1 Dy_j]
+              + sum_{i<j} diag(2 a_ij / 4 h_i h_j) Dy_i Dy_j.
+
+    The transport b1 u_x (b1 > 0) blends the x-stencil X1 with the monotone
+    forward difference F, w = 0 at the first two s-nodes and 1 from s-index
+    5 on.  At s = 0 (x = 0, w = 0) the row is the limit equation's b1 u_x +
+    sum a_ij u_{y_i y_j} + sum b_j u_{y_j}: its outflow needs no boundary data.
+    """
+    _check_dimension(coeffs, grid)
+    xm = [*grid.spatial_x_meshes(), t]
+    sp_shape = grid.shape[:-1]
+    N = math.prod(sp_shape)
+    A = coeffs.eval_a(xm, sp_shape)
+    B = coeffs.eval_b(xm, sp_shape)
+
+    m = len(grid.y)
+    (xx, x1, fwd, w), y_axes = _axis_matrices(grid)
+    w = w.reshape((-1,) + (1,) * m)
+    hy = [grid.hy(j) for j in range(m)]
+
+    def on_axis(mat, k):
+        # I (x) mat (x) I: mat on spatial axis k, the identity on the others,
+        # built from mat's entries without sparse.kron's per-call overhead
+        coo = mat.tocoo()
+        lead = np.arange(math.prod(sp_shape[:k]))[:, None, None] * mat.shape[0]
+        trail = np.arange(math.prod(sp_shape[k + 1:]))
+        rows, cols = ((lead + i[:, None]) * trail.size + trail for i in (coo.row, coo.col))
+        data = np.broadcast_to(coo.data[:, None], rows.shape)
+        return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(N, N))
+
+    def term(coeff, K):
+        return sparse.diags(np.broadcast_to(coeff, sp_shape).ravel()) @ K
+
+    # x a11 u_xx + b1 u_x; at s = 0 (x = 0, w = 0) b1 times the forward difference
+    X1 = on_axis(x1, 0)
+    L = (term(A[0, 0], on_axis(xx, 0)) + term(w * B[0], X1)
+         + term((1 - w) * B[0], on_axis(fwd, 0)))
+    Y1 = [on_axis(dy, 1 + j) for j, (dy, _) in enumerate(y_axes)]
+    for j, (_, dyy) in enumerate(y_axes):
+        L = (L + term(A[1 + j, 1 + j] / (hy[j] * hy[j]), on_axis(dyy, 1 + j))
+             + term(B[1 + j] / (2 * hy[j]), Y1[j]))
+        # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for diagonal coefficients)
+        if np.any(A[0, 1 + j] != 0):
+            L = L + term(2.0 * A[0, 1 + j] * np.sqrt(xm[0]) / (2 * hy[j]), X1 @ Y1[j])
+    for i in range(m):
+        for j in range(i + 1, m):
+            if np.any(A[1 + i, 1 + j] != 0):
+                L = L + term(2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), Y1[i] @ Y1[j])
+    return L, A, B
+
+
+def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
+    """Lu on the field's grid: L_h of `operator_matrix`, the solver's, slice by slice.
+
+    Lateral-edge nodes take the one-sided edge rows of `_axis_matrices`.  Lu
+    is exact for fields linear in x and y at every node, and for fields
+    quadratic in x past s-index 4 (inside, the transport blends in the
+    forward difference).  Static coefficients take one matrix for all
+    slices, time-dependent ones one per slice.
     """
     g = field.grid
-    _check_dimension(coeffs, g)
-    d = fd_derivatives(field)
-    meshes = g.x_meshes()
-    shape = g.shape
-    A = coeffs.eval_a(meshes, shape)
-    B = coeffs.eval_b(meshes, shape)
-    m = len(g.y)
-    u_x = d.u_x()
-    out = A[0, 0] * d.x_times_u_xx()
-    sqrt_x = np.sqrt(meshes[0])
-    for j in range(m):
-        out += 2.0 * A[0, 1 + j] * sqrt_x * _d1(u_x, g.hy(j), 1 + j)
-    for i in range(m):
-        for j in range(m):
-            out += A[1 + i, 1 + j] * d.u_yy[i][j]
-    out += B[0] * u_x
-    for j in range(m):
-        out += B[1 + j] * d.u_y[j]
-    return ScalarField(g, out)
+    u = field.values.reshape(-1, len(g.t))  # a column per time slice
+    if not coeffs.time_dependent:
+        return ScalarField(g, (operator_matrix(coeffs, g, g.t[0])[0] @ u).reshape(g.shape))
+    out = np.column_stack([operator_matrix(coeffs, g, t)[0] @ col for t, col in zip(g.t, u.T)])
+    return ScalarField(g, out.reshape(g.shape))
 
 
 def model_coefficients(v, n: int = 2) -> CoefficientField:
-    """a = I, b = (v, 0, ..., 0)."""
-    if not (math.isfinite(v) and v > 0):
+    """a = I, b = (v, 0, ..., 0); v must be a positive finite real, and a bool is refused."""
+    if isinstance(v, bool) or not (math.isfinite(v) and v > 0):
         raise ValueError(f"transport velocity must be positive and finite, got {v!r}")
     lam = min(0.5, 1.0 / max(1.0, v))
     nu = min(0.5, v)

@@ -5,27 +5,11 @@ Space is a uniform-s tensor grid; time marches by implicit Euler,
     (I - dt (L_h + c)) u^{m+1} = u^m + dt g^{m+1},
 
 with Dirichlet rows on the lateral edges that `fields.Grid.interior_box`
-defines.  L_h is a sum of coefficients times Kronecker products of 1-D
-difference matrices (`_axis_matrices`), the identity on the other axes:
-
-    L_h = diag(a11) XX + diag(w b1) X1 + diag((1 - w) b1) F
-          + sum_j [diag(a_jj / h_j^2) Dyy_j + diag(b_j / 2h_j) Dy_j
-                   + diag(2 sqrt(x) a1j / 2h_j) X1 Dy_j]
-          + sum_{i<j} diag(2 a_ij / 4 h_i h_j) Dy_i Dy_j,
-
-and M = I - dt P_free (L_h + c), P_free zeroing the Dirichlet rows.  XX and
-X1 are x d2/dx2 and d/dx on the x-nodes x_i = s_i^2 with the weights of
-`fields.x_stencils`, exact for data quadratic in x, as in `apply_L`.  The
-transport b1 u_x (b1 > 0 by the structure conditions) blends X1 with the
-forward difference F, (u_{i+1} - u_i)/(x_{i+1} - x_i), monotone and exact
-for data linear in x: w = 0 at the first interior nodes, rising to 1
-beyond 4 cells, where the x-diffusion dominates.  At s = 0, where x = 0
-and w = 0, the row is the forward row of the transport stencil plus the
-y-terms: the limit equation u_t = b1 u_x + sum a_ij u_{y_i y_j} +
-sum b_j u_{y_j}, whose outward transport needs no boundary data.  Dy and
-Dyy are the (-1, 0, 1) and (1, -2, 1) stencils.  With diagonal
-coefficient matrices every row is an M-matrix row and the discrete
-maximum principle holds to rounding.
+defines: M = I - dt P_free (L_h + c), P_free zeroing those rows, which
+are the one-sided edge rows of L_h.  L_h is `operators.operator_matrix`,
+the one discrete operator, which `operators.apply_L` applies too.  With
+diagonal coefficient matrices every row of M is an M-matrix row and the
+discrete maximum principle holds to rounding.
 
 Linear solves: with one tangential dimension the step matrix is factored
 once by sparse LU.  For n >= 3 the Dirichlet rows are eliminated and
@@ -66,9 +50,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .fields import Grid, ScalarField, _uniform_spacing, x_stencils
-from .operators import (CoefficientField, _check_dimension, model_coefficients, plane_waves,
-                        validate_coefficients)
+from .fields import Grid, ScalarField
+from .operators import (CoefficientField, _axis_matrices, model_coefficients, operator_matrix,
+                        plane_waves, validate_coefficients)
 
 COMPATIBILITY_TOL = 1e-8
 KRYLOV_TOL = 1e-10  # relative residual of the n >= 3 iterative step solve
@@ -150,32 +134,7 @@ def _dirichlet_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def _axis_matrices(grid: Grid):
-    """The 1-D difference matrices of L_h: ((xx, x1, fwd, w), [(dy, dyy) per y-axis]).
-
-    On the s-nodes: x d2/dx2 and d/dx with the weights of
-    `fields.x_stencils`, the forward difference and the transport blend
-    weight w.  On each y-axis: the (-1, 0, 1) and (1, -2, 1) stencils,
-    unscaled.  Rows on a lateral edge are one-sided or truncated; the step
-    matrix drops them.  A non-uniform s-axis is refused.
-    """
-    _uniform_spacing(grid.s, "s")
-    xv = grid.x
-    idx, d1, d2 = x_stencils(xv)
-    rows = np.repeat(np.arange(len(xv)), 3)
-    xx, x1 = (sparse.csr_matrix((wt.ravel(), (rows, idx.ravel())))
-              for wt in (d2 * xv[:, None], d1))
-    inv_h = 1.0 / np.diff(xv)
-    fwd = sparse.diags([np.append(-inv_h, 0.0), inv_h], [0, 1], format="csr")
-    w = np.clip((np.arange(len(xv)) - 1) / 4.0, 0.0, 1.0)  # 0 at nodes 0 and 1, 1 from 5 on
-    y_axes = [(sparse.diags([-1.0, 1.0], [-1, 1], shape=(len(y),) * 2, format="csr"),
-               sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(len(y),) * 2, format="csr"))
-              for y in grid.y]
-    return (xx, x1, fwd, w), y_axes
-
-
-def _fast_diagonalization(A: np.ndarray, B: np.ndarray, s_axis: tuple, grid: Grid,
-                          dt: float, c: float):
+def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float, c: float):
     """Direct solver for the free-node step matrix of averaged coefficients.
 
     On the free box the operator with the y-averaged a11(s), b1(s) and the
@@ -187,8 +146,8 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, s_axis: tuple, grid: Gri
     factored here and solved together by one vectorized Thomas sweep.  The
     mode transforms act on each y-axis where it lies in the C-ordered
     array, so neither they nor the sweep copy or transpose it.  Mixed
-    and cross terms are left out.  L_s is read from the s-axis matrices
-    `s_axis` of `_axis_matrices`, sliced to the free box.  Returns
+    and cross terms are left out.  L_s is read from the s-axis matrices of
+    `operators._axis_matrices`, sliced to the free box.  Returns
     r -> P^-1 r on raveled free-box vectors, for use as a Krylov
     preconditioner (Concus & Golub 1973).
     """
@@ -201,6 +160,7 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, s_axis: tuple, grid: Gri
     a_s = A[0, 0][box].mean(axis=y_axes)
     b_s = B[0][box].mean(axis=y_axes)
     free_s = box[0]
+    s_axis = _axis_matrices(grid)[0]
     xx, x1, fwd = (mat[free_s, free_s] for mat in s_axis[:3])
     w = s_axis[3][free_s]
     L_s = (sparse.diags(a_s) @ xx + sparse.diags(w * b_s) @ x1
@@ -316,57 +276,18 @@ class StepMatrix:
 def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
                          t_eval: float | None = None,
                          config: SolverConfig | None = None) -> StepMatrix:
-    """Assemble (I - dt (L_h + c)), L_h the Kronecker-product sum of the module docstring."""
+    """Assemble I - dt P_free (L_h + c), L_h of `operators.operator_matrix` at t_eval."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     config = config or SolverConfig()
-    coeffs = problem.coeffs
-    _check_dimension(coeffs, grid)
     if t_eval is None:
         t_eval = float(grid.t[-1])
 
-    xm = [*grid.spatial_x_meshes(), t_eval]
-    sp_shape = grid.shape[:-1]
-    N = int(np.prod(sp_shape))
-    A = coeffs.eval_a(xm, sp_shape)
-    B = coeffs.eval_b(xm, sp_shape)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise ValueError("non-finite coefficient values on the grid")
-
-    m = len(grid.y)
-    s_axis, y_axes = _axis_matrices(grid)
-    xx, x1, fwd, w = s_axis
-    w = w.reshape((-1,) + (1,) * m)
-    hy = [grid.hy(j) for j in range(m)]
+    L, A, B = operator_matrix(problem.coeffs, grid, t_eval)
     free = ~_dirichlet_mask(grid).ravel()
-
-    def on_axis(mat, k):
-        # the 1-D matrix mat on spatial axis k, the identity on the others
-        return sparse.kron(sparse.kron(sparse.identity(math.prod(sp_shape[:k])), mat),
-                           sparse.identity(math.prod(sp_shape[k + 1:])), format="csr")
-
-    def term(coeff, K):
-        return sparse.diags(np.broadcast_to(coeff, sp_shape).ravel()) @ K
-
-    # x a11 u_xx + b1 u_x; at s = 0 (x = 0, w = 0) b1 times the forward difference
-    X1 = on_axis(x1, 0)
-    L = (term(A[0, 0], on_axis(xx, 0)) + term(w * B[0], X1)
-         + term((1 - w) * B[0], on_axis(fwd, 0)))
-    Y1 = [on_axis(dy, 1 + j) for j, (dy, _) in enumerate(y_axes)]
-    for j, (_, dyy) in enumerate(y_axes):
-        L = (L + term(A[1 + j, 1 + j] / (hy[j] * hy[j]), on_axis(dyy, 1 + j))
-             + term(B[1 + j] / (2 * hy[j]), Y1[j]))
-        # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for diagonal coefficients)
-        if np.any(A[0, 1 + j] != 0):
-            L = L + term(2.0 * A[0, 1 + j] * np.sqrt(xm[0]) / (2 * hy[j]), X1 @ Y1[j])
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.any(A[1 + i, 1 + j] != 0):
-                L = L + term(2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), Y1[i] @ Y1[j])
-
     diag_extra = np.where(free, dt * problem.c, 0.0)
     scale = sparse.diags(np.where(free, dt, 0.0))
-    M = sparse.identity(N, format="csr") - scale @ L - sparse.diags(diag_extra)
+    M = sparse.identity(free.size, format="csr") - scale @ L - sparse.diags(diag_extra)
     M.sum_duplicates()  # canonical CSR: sorted indices
 
     diag = M.diagonal()
@@ -375,8 +296,8 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     dominant = bool(np.all(np.abs(diag) >= row_off_abs - 1e-12))
     max_pos_off = float(off.data.max()) if off.nnz else 0.0
 
-    if m >= 2:
-        precond = _fast_diagonalization(A, B, s_axis, grid, dt, problem.c)
+    if grid.n >= 3:
+        precond = _fast_diagonalization(A, B, grid, dt, problem.c)
         solve = _krylov_solver(M, free, precond, config.max_iter)
     else:
         lu = splu(M.tocsc())
