@@ -10,11 +10,14 @@ one op of the benchmark's n3_abp workload does: for 33^3 and 49^3 nodes and
 and zero data, then runs `abp_check` with g = -1 on the cube B_eta(1) based
 at (x, y, t) = (0.5, 0, 1).  Run r uses seed r + 1 on both sides.
 `contact_sets` is timed by wrapping it, and the matrices it hands to
-`np.linalg.eigvalsh` are counted the same way.  Times are medians over
-runs; the accuracy figures travel with them: the lower contact set's node
-count on both sides, whether its masks and the ABP report texts are
-identical, the largest difference between the sides in each ABP report
-number, and each process's peak resident memory.  Only `gamma_minus`, the
+`np.linalg.eigvalsh` are counted the same way; a second, untimed call with
+the same arguments under `tracemalloc` gives its traced peak memory.  Times
+and peaks are medians over runs; the accuracy figures travel with them: the
+lower contact set's node count on both sides, whether its masks and the ABP
+report texts are identical, the largest difference between the sides in
+each ABP report number, and each process's peak resident memory.  The
+summary's `memory_ratio` is before over after for the traced peak at each
+size and for the process peak, next to `speedup`.  Only `gamma_minus`, the
 set `abp_check` integrates over, is read, so any checkout that has it can be
 either side.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import resource
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -54,6 +58,7 @@ def measure(src: str, run: int, work: Path) -> dict:
             seen["inside"] = False
         seen["s"] += perf_counter() - start
         seen["masks"] = out
+        seen["args"] = args, kwargs
         return out
 
     def counting_eigvalsh(a, *args, **kwargs):
@@ -80,9 +85,17 @@ def measure(src: str, run: int, work: Path) -> dict:
         report = estimates.abp_check(u, ScalarField(grid, np.full(grid.shape, -1.0)), cube, 0.5)
         done = perf_counter()
         contact = seen["masks"]
+        args, kwargs = seen["args"]
+        tracemalloc.start()
+        try:
+            contact_sets(*args, **kwargs)
+            traced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         result[str(k)] = {
             "op_s": done - start, "solve_s": solved - start, "abp_s": done - solved,
             "contact_sets_s": seen["s"], "eigvalsh_nodes": seen["eig_nodes"],
+            "contact_sets_peak_mb": traced_peak / 2 ** 20,
             "gamma_minus_nodes": int(contact.gamma_minus.sum()),
             "abp_text": report.to_text(),
             "abp_numbers": {key: float(val) for key, val in
@@ -119,7 +132,8 @@ def summarize(results: dict, rows: list) -> dict:
     report = {}
     for side, runs in results.items():
         report[side] = {k: {key: statistics.median(run[k][key] for run in runs) for key in
-                            ("op_s", "solve_s", "abp_s", "contact_sets_s", "eigvalsh_nodes")}
+                            ("op_s", "solve_s", "abp_s", "contact_sets_s", "eigvalsh_nodes",
+                             "contact_sets_peak_mb")}
                         for k in map(str, SIZES)}
         report[side]["op_s"] = statistics.median(sum(run[k]["op_s"] for k in map(str, SIZES))
                                                  for run in runs)
@@ -135,6 +149,11 @@ def summarize(results: dict, rows: list) -> dict:
         k: report["before"][k]["contact_sets_s"] / report["after"][k]["contact_sets_s"]
         for k in map(str, SIZES)}
     report["speedup"]["op_s"] = report["before"]["op_s"] / report["after"]["op_s"]
+    report["memory_ratio"] = {
+        k: report["before"][k]["contact_sets_peak_mb"] / report["after"][k]["contact_sets_peak_mb"]
+        for k in map(str, SIZES)}
+    report["memory_ratio"]["peak_rss_mb"] = (report["before"]["peak_rss_mb"]
+                                             / report["after"]["peak_rss_mb"])
     return report
 
 

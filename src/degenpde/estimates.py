@@ -36,7 +36,8 @@ from .geometry import (
     rho_nu,
     weighted_volumes,
 )
-from .operators import CoefficientField, _check_dimension, apply_L0, apply_parabolic
+from .operators import (BLEND_END, CoefficientField, _check_dimension, apply_L0,
+                        apply_parabolic)
 
 # tie tolerance for the closed contact-set conditions, applied relative to
 # the magnitude of each tested quantity so membership is scale invariant
@@ -209,9 +210,27 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     the rounding error of either factorization or of eigvalsh.  No margin
     settles an eigenvalue at exactly -tau, such as E = 0 with tau = 0, so
     eigvalsh decides the nodes neither test settles (those and non-finite
-    pivots).  Everything runs on blocks of CONTACT_CHUNK selected nodes and
-    u_z = s^(nu-1) u_s is formed on the selected nodes only, so no
-    (..., n, n) array and no z or u_z over the grid is built.
+    pivots).
+
+    The grid is walked in blocks of whole s-rows, about 4 CONTACT_CHUNK
+    nodes each (at least one row), twice, and each block builds its own
+    `fd_derivatives(u, rows)`: one halo row on each side, at least 4 s-nodes
+    and the whole axis' spacing make its values bitwise the whole grid's.
+    Pass 1 (`_tolerances`) folds each block into the running lower bound on
+    max |lambda|, max |u_z|, max |u_t| and the tau candidates, the nodes
+    whose upper bound still reaches the running lower bound; the candidates
+    are pruned as the bound grows and handed to eigvalsh at the end, so
+    eigvalsh sees exactly the nodes whose bound reaches the final one, each
+    once.  Pass 2 rebuilds each block's derivatives and decides membership
+    with the three final tolerances, E gathered on blocks of CONTACT_CHUNK
+    candidates.  So the working set is one block's derivatives (about 10
+    arrays of its size at n = 3), a few full-grid boolean masks and E at the
+    tau candidates (n^2 + 1 floats each), not the 10 full-grid derivative
+    arrays: a traced peak of 42 MB against 221 MB on the solved 49^3 x 17
+    fields of the n3_abp benchmark workload.  The candidates are few where
+    |lambda| varies (under 1% of those fields' nodes) but may be half the
+    nodes where it hardly does.  No (..., n, n) array and no z or u_z over
+    the grid is built.
     """
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0, 1)")
@@ -223,42 +242,56 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     s_pos = np.broadcast_to(s_col > 0, grid.shape)
     excluded = int(np.count_nonzero(mask & ~s_pos))
     sel = mask & s_pos
-
-    d = fd_derivatives(u)
     gamma_minus = np.zeros(grid.shape, dtype=bool)
-    if np.any(sel):
-        nodes = np.flatnonzero(sel)
-
-        def matrices(at):
-            """E at the selected nodes nodes[at], entry-major (n, n, k)."""
-            return _contact_matrices(d, grid, nu, nodes[at])
-
-        tol_e = CONTACT_TOL * _max_abs_eigenvalue(matrices, nodes.size)
-        safe_s = np.where(s_col > 0, s_col, 1.0)
-        uz_sel = np.broadcast_to(safe_s ** (nu - 1.0), grid.shape)[sel] * d.u_s[sel]
-        ut_sel = d.u_t[sel]
-        tol_z = CONTACT_TOL * float(np.max(np.abs(uz_sel), initial=0.0))
-        tol_t = CONTACT_TOL * float(np.max(np.abs(ut_sel), initial=0.0))
-        minus = (uz_sel >= -tol_z) & (ut_sel >= -tol_t)
-        minus[minus] = _eigenvalues_above(matrices, np.flatnonzero(minus), tol_e)
-        gamma_minus[sel] = minus
+    blocks = _row_blocks(sel)
+    if blocks:
+        # s^(nu-1) of u_z = s^(nu-1) u_s, taken once on the whole s-axis
+        z_scale = np.where(s_col > 0, s_col, 1.0) ** (nu - 1.0)
+        tols = _tolerances(u, nu, sel, blocks, z_scale)
+        for rows in blocks:
+            gamma_minus[rows] = _members_of_block(u, nu, rows, sel[rows], tols, z_scale)
     return ContactSetResult(gamma_minus, excluded)
 
 
-def _contact_matrices(d, grid: Grid, nu: float, flat: np.ndarray) -> np.ndarray:
-    """The matrices E of `contact_sets` at the flat node indices `flat`.
+def _row_blocks(sel: np.ndarray) -> list:
+    """Slices of whole s-rows, about 4 CONTACT_CHUNK nodes each, over the rows sel meets."""
+    rows = math.prod(sel.shape[1:])
+    step = max(1, 4 * CONTACT_CHUNK // rows)
+    hit = np.flatnonzero(sel.reshape(len(sel), -1).any(axis=1))
+    if hit.size == 0:
+        return []
+    starts = range(int(hit[0]), int(hit[-1]) + 1, step)
+    return [slice(lo, min(lo + step, int(hit[-1]) + 1)) for lo in starts
+            if sel[lo:lo + step].any()]
 
-    Entry-major: E[i, j] is a 1-D array over the nodes, shape (n, n, k).
+
+def _block_quantities(u: ScalarField, nu: float, rows: slice, z_scale: np.ndarray):
+    """E, u_z and u_t of `contact_sets` on the s-rows `rows`.
+
+    E is an (n, n) nest of arrays over the rows, the symmetric entries one
+    array; at s = 0 its E_11 is not that of the set, and no s = 0 node is
+    selected.
     """
-    n = grid.n
-    E = np.empty((n, n, flat.size))
-    s = grid.s[flat // math.prod(grid.shape[1:])]
-    E[0, 0] = d.u_ss.ravel()[flat] + ((nu - 1.0) / s) * d.u_s.ravel()[flat]
+    d = fd_derivatives(u, rows)
+    n = u.grid.n
+    s = u.grid.meshes()[0][rows]
+    E = [[None] * n for _ in range(n)]
+    E[0][0] = d.u_ss + ((nu - 1.0) / np.where(s > 0, s, 1.0)) * d.u_s
     for i in range(n - 1):
-        E[0, 1 + i] = E[1 + i, 0] = d.u_sy[i].ravel()[flat]
+        E[0][1 + i] = E[1 + i][0] = d.u_sy[i]
         for j in range(n - 1):
-            E[1 + i, 1 + j] = d.u_yy[i][j].ravel()[flat]
-    return E
+            E[1 + i][1 + j] = d.u_yy[i][j]
+    return E, z_scale[rows] * d.u_s, d.u_t
+
+
+def _gather(E, at: np.ndarray) -> np.ndarray:
+    """Entry-major (n, n, k) matrices of a nest E at its flat node indices `at`."""
+    n = len(E)
+    out = np.empty((n, n, at.size))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = out[j, i] = E[i][j].ravel()[at]
+    return out
 
 
 def _eigvalsh(E: np.ndarray) -> np.ndarray:
@@ -266,48 +299,94 @@ def _eigvalsh(E: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.moveaxis(E, -1, 0))
 
 
-def _row_norm(E: np.ndarray) -> np.ndarray:
-    """||E||_inf per matrix: for symmetric E it lies in [rho(E), sqrt(n) rho(E)]."""
-    return np.max(np.sum(np.abs(E), axis=1), axis=0)
+def _row_norm(E) -> np.ndarray:
+    """||E||_inf per matrix of an (n, n) nest or array of entry arrays.
+
+    For symmetric E it lies in [rho(E), sqrt(n) rho(E)].  Each row sums
+    its entries' magnitudes in column order, whatever the layout.
+    """
+    n = len(E)
+    norm = None
+    for i in range(n):
+        row = np.abs(E[i][0])
+        for j in range(1, n):
+            row += np.abs(E[i][j])
+        norm = row if norm is None else np.maximum(norm, row, out=norm)
+    return norm
 
 
-def _max_abs_eigenvalue(matrices, count: int) -> float:
-    """max |lambda| over matrices(0 .. count-1), as eigvalsh computes it.
+def _tolerances(u: ScalarField, nu: float, sel: np.ndarray, blocks: list,
+                z_scale: np.ndarray) -> tuple[float, float, float]:
+    """(tau, tol_z, tol_t) of `contact_sets`: pass 1 over the blocks.
 
     ||E||_inf / sqrt(n) and max |E_ii| are lower bounds on the spectral
     radius and ||E||_inf an upper bound; eigvalsh runs only where the upper
-    bound reaches the largest lower bound, up to a relative slack far above
-    the rounding of either bounds or eigvalsh, so the maximum it finds
-    there is the maximum over all the matrices.
+    bound reaches the largest lower bound over the selected nodes, up to a
+    relative slack far above the rounding of either bounds or eigvalsh, so
+    the maximum it finds there is the maximum over all the nodes.  A node
+    whose upper bound misses the running lower bound misses the final one,
+    so the candidates of each block are pruned as the bound grows.
     """
-    upper = np.empty(count)
-    lower = 0.0
-    for start in range(0, count, CONTACT_CHUNK):
-        E = matrices(slice(start, start + CONTACT_CHUNK))
-        n = len(E)
-        row = _row_norm(E)
-        upper[start:start + row.size] = row
-        diag = np.max(np.abs(E[range(n), range(n)]), axis=0)
-        lower = np.maximum(lower, np.max(np.maximum(diag, row / math.sqrt(n))))
-    reach = ~(upper * (1.0 + CONTACT_MARGIN) < lower)
-    eigs = _eigvalsh(matrices(np.flatnonzero(reach)))
-    return float(np.max(np.abs(eigs), initial=0.0))
+    lower = z_max = t_max = 0.0
+    kept = []  # (E, ||E||_inf) at each block's surviving candidates
+    for rows in blocks:
+        lower, z_block, t_block, E, row = _bounds_of_block(u, nu, rows, sel[rows], lower,
+                                                           z_scale)
+        z_max, t_max = np.maximum(z_max, z_block), np.maximum(t_max, t_block)
+        kept = [(Ek[..., keep], rk[keep]) for Ek, rk in kept + [(E, row)]
+                for keep in [~(rk * (1.0 + CONTACT_MARGIN) < lower)]]
+    top = np.max([np.max(np.abs(_eigvalsh(Ek)), initial=0.0) for Ek, _ in kept])
+    return CONTACT_TOL * float(top), CONTACT_TOL * float(z_max), CONTACT_TOL * float(t_max)
 
 
-def _eigenvalues_above(matrices, at: np.ndarray, tol: float) -> np.ndarray:
-    """Whether every eigenvalue of matrices(at) is >= -tol, as eigvalsh decides."""
+def _bounds_of_block(u: ScalarField, nu: float, rows: slice, here: np.ndarray, lower,
+                     z_scale: np.ndarray):
+    """One block of pass 1: (lower, max |u_z|, max |u_t|, E, ||E||_inf).
+
+    lower is the running lower bound raised by the block's selected nodes
+    `here`; E (entry-major) and ||E||_inf are taken at the selected nodes
+    whose upper bound reaches it.
+    """
+    n = u.grid.n
+    E, u_z, u_t = _block_quantities(u, nu, rows, z_scale)
+    row = _row_norm(E)
+    diag = np.abs(E[0][0])
+    for i in range(1, n):
+        np.maximum(diag, np.abs(E[i][i]), out=diag)
+    lower = np.maximum(lower, np.max(np.maximum(diag, row / math.sqrt(n))[here]))
+    at = np.flatnonzero(here & ~(row * (1.0 + CONTACT_MARGIN) < lower))
+    return (lower, np.max(np.abs(u_z[here])), np.max(np.abs(u_t[here])),
+            _gather(E, at), row.ravel()[at])
+
+
+def _members_of_block(u: ScalarField, nu: float, rows: slice, here: np.ndarray, tols,
+                      z_scale: np.ndarray) -> np.ndarray:
+    """One block of pass 2: the lower set on the s-rows `rows`, tols = (tau, tol_z, tol_t)."""
+    tol_e, tol_z, tol_t = tols
+    E, u_z, u_t = _block_quantities(u, nu, rows, z_scale)
+    minus = here & (u_z >= -tol_z) & (u_t >= -tol_t)
+    at = np.flatnonzero(minus)
+    minus.flat[at] = _eigenvalues_above(E, at, tol_e)
+    return minus
+
+
+def _eigenvalues_above(nest, at: np.ndarray, tol: float) -> np.ndarray:
+    """Whether lambda_min(E) >= -tol, as eigvalsh decides, at the flat indices `at`.
+
+    `nest` is the (n, n) nest of block arrays of `_block_quantities`; E is
+    gathered from it CONTACT_CHUNK nodes at a time.
+    """
     inside = np.zeros(at.size, dtype=bool)
     for start in range(0, at.size, CONTACT_CHUNK):
-        part = at[start:start + CONTACT_CHUNK]
-        E = matrices(part)
+        E = _gather(nest, at[start:start + CONTACT_CHUNK])
         delta = CONTACT_MARGIN * (_row_norm(E) + tol) + np.finfo(float).tiny
         sure_in, _ = _pivot_signs(E, tol - delta)
         _, sure_out = _pivot_signs(E, tol + delta)
         open_ = ~(sure_in | sure_out)
         if np.any(open_):
-            eigs = _eigvalsh(matrices(part[open_]))
+            eigs = _eigvalsh(E[..., open_])
             sure_in[open_] = np.min(eigs, axis=-1) >= -tol
-        inside[start:start + part.size] = sure_in
+        inside[start:start + sure_in.size] = sure_in
     return inside
 
 
@@ -613,14 +692,23 @@ def bernstein_quantity_check(f: ScalarField, v, A: float,
     X_t <= x X_xx + sum X_yiyi + (v+1) X_x and each Y satisfies
     Y_t <= x Y_xx + sum Y_yiyi + v Y_x - Y^2/(4A^2) up to discretization
     error; the check normalizes residuals by 1 plus the local derivative
-    magnitudes and requires them below tol at interior nodes.
+    magnitudes and requires them below tol at interior nodes.  The input is
+    refused unless it solves the model equation: max |L0 f| over the
+    interior nodes from s-index `operators.BLEND_END` on, past the transport
+    blend zone, where L_h is exact for fields quadratic in x, must lie below
+    100 tol (1 + max |f|).
     """
     if A < 8.0:
         raise ValueError("A must be >= 8")
     grid = f.grid
     residual_l0 = apply_L0(v, f)
     interior = grid.interior_box(2, t_margin=2)
-    l0_max = float(np.max(np.abs(residual_l0.values[interior])))
+    past_blend = (slice(max(interior[0].start, BLEND_END), interior[0].stop), *interior[1:])
+    gated = residual_l0.values[past_blend]
+    if gated.size == 0:
+        raise ValueError(f"grid has no interior node from s-index {BLEND_END} on, "
+                         "where the L0 gate reads")
+    l0_max = float(np.max(np.abs(gated)))
     f_scale = 1.0 + c0_norm(f)
     if l0_max > tol * 100.0 * f_scale:
         raise ValueError(

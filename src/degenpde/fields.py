@@ -163,14 +163,28 @@ def sample(f, grid: Grid) -> ScalarField:
     return ScalarField(grid, vals)
 
 
+def _flat_neighbours(v: np.ndarray, axis: int):
+    """(values, out, k): v C-ordered, a fresh C-ordered out and the flat stride of axis.
+
+    On the flattened arrays the neighbours of an inner node along `axis`
+    lie k entries away, so a central difference is one contiguous pass over
+    flat[k:-k]; it also writes the end nodes of the axis, which the caller
+    then overwrites.  Each node's arithmetic is the same as on the axis.
+    """
+    v = np.ascontiguousarray(v, dtype=float)
+    return v, np.empty(v.shape), v.strides[axis] // v.itemsize
+
+
 def _d1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided at ends."""
-    v = np.moveaxis(v, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    return np.moveaxis(out, 0, axis)
+    v, out, k = _flat_neighbours(v, axis)
+    flat, inner = v.reshape(-1), out.reshape(-1)[k:-k]
+    np.subtract(flat[2 * k:], flat[:-2 * k], out=inner)
+    inner /= 2 * h
+    v, ends = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    ends[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    ends[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return out
 
 
 def x_stencils(xv: np.ndarray):
@@ -194,16 +208,20 @@ def x_stencils(xv: np.ndarray):
 
 def _d2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order second derivative: central interior, one-sided at ends."""
-    v = np.moveaxis(v, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
+    v, out, k = _flat_neighbours(v, axis)
+    flat, inner = v.reshape(-1), out.reshape(-1)[k:-k]
+    np.multiply(flat[k:-k], 2, out=inner)
+    np.subtract(flat[2 * k:], inner, out=inner)
+    inner += flat[:-2 * k]
+    inner /= h * h
+    v, ends = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
     if v.shape[0] >= 4:
-        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
-        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
+        ends[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
+        ends[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
     else:
-        out[0] = out[1]
-        out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
+        ends[0] = ends[1]
+        ends[-1] = ends[-2]
+    return out
 
 
 class FieldDerivatives:
@@ -214,14 +232,33 @@ class FieldDerivatives:
     the 3-point weights of `x_stencils` on the nodes x = s^2, the ones the
     solver assembles, so they are exact for fields quadratic in x and
     defined at every node, s = 0 included.
+
+    `rows`, a slice of consecutive s-indices (the whole grid by default),
+    restricts every array to those s-rows, and their values are bitwise the
+    whole grid's there.  The s-differences run on the rows plus one halo row
+    on each side, widened to at least 4 s-nodes so that `_d2` takes its
+    4-point end rows wherever the rows meet a grid end, with the spacing of
+    the whole s-axis (a sub-axis' first difference may differ in the last
+    bit); the y- and t-differences run on the rows alone.  A block of rows
+    then holds about 10 arrays of its own size at n = 3, whatever the grid.
     """
 
-    def __init__(self, field: ScalarField):
+    def __init__(self, field: ScalarField, rows: slice = slice(None)):
         self.field = field
         g = field.grid
-        v = field.values
-        self.u_s = _d1(v, g.hs, 0)
-        self.u_ss = _d2(v, g.hs, 0)
+        ns = len(g.s)
+        lo, hi, step = rows.indices(ns)
+        if step != 1 or lo >= hi:
+            raise ValueError(f"rows must be a nonempty run of s-indices, got {rows!r}")
+        self.rows = slice(lo, hi)
+        start, stop = max(lo - 1, 0), min(hi + 1, ns)
+        stop = min(max(stop, start + 4), ns)
+        start = max(min(start, stop - 4), 0)
+        halo = field.values[start:stop]
+        own = slice(lo - start, hi - start)
+        v = field.values[self.rows]
+        self.u_s = _d1(halo, g.hs, 0)[own]
+        self.u_ss = _d2(halo, g.hs, 0)[own]
         self.u_t = _d1(v, g.ht, len(g.axes) - 1)
         self.u_y = [_d1(v, g.hy(i), 1 + i) for i in range(len(g.y))]
         self.u_sy = [_d1(self.u_s, g.hy(i), 1 + i) for i in range(len(g.y))]
@@ -238,8 +275,9 @@ class FieldDerivatives:
     def _along_x(self, which: int) -> np.ndarray:
         """The field's values combined by x_stencils' weights[which] (0: d1, 1: d2)."""
         idx, *weights = x_stencils(self.field.grid.x)
+        idx, w = idx[self.rows], weights[which][self.rows]
         v = self.field.values
-        w = weights[which].reshape((-1, 3) + (1,) * (v.ndim - 1))
+        w = w.reshape((-1, 3) + (1,) * (v.ndim - 1))
         return v[idx[:, 0]] * w[:, 0] + v[idx[:, 1]] * w[:, 1] + v[idx[:, 2]] * w[:, 2]
 
     def u_x(self) -> np.ndarray:
@@ -252,15 +290,15 @@ class FieldDerivatives:
 
     def x_times_u_xx(self) -> np.ndarray:
         """x * u_xx(), exactly 0 at s = 0."""
-        return self.field.grid.x_meshes()[0] * self.u_xx()
+        return self.field.grid.x_meshes()[0][self.rows] * self.u_xx()
 
     # perfbench/tracing.py binds these two names with getattr
     u_x_xgrid = u_x
     u_xx_xgrid = u_xx
 
 
-def fd_derivatives(field: ScalarField) -> FieldDerivatives:
-    return FieldDerivatives(field)
+def fd_derivatives(field: ScalarField, rows: slice = slice(None)) -> FieldDerivatives:
+    return FieldDerivatives(field, rows)
 
 
 def osc(field: ScalarField, cube: ParabolicCube) -> float:

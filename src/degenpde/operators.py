@@ -141,6 +141,11 @@ def validate_coefficients(coeffs: CoefficientField, grid: Grid) -> CoefficientVa
     return CoefficientValidation(margins, passed)
 
 
+# the transport blend weight w of L_h reaches 1 at this s-index; from it on
+# L_h is exact for fields quadratic in x
+BLEND_END = 5
+
+
 def _axis_matrices(grid: Grid):
     """The 1-D difference matrices of L_h: ((xx, x1, fwd, w), [(dy, dyy) per y-axis]).
 
@@ -159,7 +164,7 @@ def _axis_matrices(grid: Grid):
     inv_h = 1.0 / np.diff(xv)
     fwd = sparse.diags([-inv_h, inv_h], [0, 1], shape=(len(xv) - 1, len(xv)), format="csr")
     fwd = sparse.vstack([fwd, fwd[-1]], format="csr")  # the last row backward: row N-2 again
-    w = np.clip((np.arange(len(xv)) - 1) / 4.0, 0.0, 1.0)  # 0 at nodes 0 and 1, 1 from 5 on
+    w = np.clip((np.arange(len(xv)) - 1) / (BLEND_END - 1.0), 0.0, 1.0)  # 0 at nodes 0 and 1
     # _d1 and _d2 applied to the identity are their matrices; 2h = h^2 = 1 leaves them unscaled
     y_axes = [(sparse.csr_matrix(_d1(np.eye(len(y)), 0.5, 0)),
                sparse.csr_matrix(_d2(np.eye(len(y)), 1.0, 0)))

@@ -1,11 +1,14 @@
 import math
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from degenpde import estimates
 from degenpde.estimates import (
+    CONTACT_MARGIN,
     CONTACT_TOL,
     _forcing,
     abp_check,
@@ -22,7 +25,8 @@ from degenpde.estimates import (
 )
 from degenpde.fields import Grid, ScalarField, fd_derivatives, sample
 from degenpde.geometry import ParabolicCube, Point, SPoint
-from degenpde.operators import apply_L0, model_coefficients, random_coefficients
+from degenpde.operators import (apply_L0, manufactured_solutions, model_coefficients,
+                                random_coefficients)
 from degenpde.solver import IVBProblem, solve_ivbp
 
 
@@ -66,7 +70,14 @@ def test_contact_sets_concave_peak_not_in_lower_set():
 
 
 def _contact_sets_by_eigvalsh(u, nu, cube):
-    """Reference lower contact set: eigvalsh of the full (n, n) matrix E at every node."""
+    """Reference lower contact set: eigvalsh of the full (n, n) matrix E at every node.
+
+    Also counts the nodes that can set tau, the ones whose ||E||_inf (rows
+    summed in column order) reaches the largest lower bound
+    max(|E_ii|, ||E||_inf / sqrt(n)) on the spectral radius within the
+    relative slack CONTACT_MARGIN, and gives the s-index of a node of
+    largest |lambda|.
+    """
     grid = u.grid
     n = grid.n
     mask = cube.node_mask(grid)
@@ -89,7 +100,14 @@ def _contact_sets_by_eigvalsh(u, nu, cube):
     tol_t = CONTACT_TOL * np.max(np.abs(ut))
     minus = np.zeros(grid.shape, dtype=bool)
     minus[sel] = (eigs[:, 0] >= -tol_e) & (uz >= -tol_z) & (ut >= -tol_t)
-    return minus, int(np.count_nonzero(mask & ~s_pos))
+    row = np.max(sum(np.abs(E[sel, :, j]) for j in range(n)), axis=-1)
+    diag = np.max(np.abs(np.diagonal(E[sel], axis1=-2, axis2=-1)), axis=-1)
+    lower = np.max(np.maximum(diag, row / math.sqrt(n)))
+    peak = np.argwhere(sel)[np.argmax(np.max(np.abs(eigs), axis=-1))]
+    return SimpleNamespace(
+        minus=minus, excluded=int(np.count_nonzero(mask & ~s_pos)),
+        reach=int(np.count_nonzero(~(row * (1.0 + CONTACT_MARGIN) < lower))),
+        peak_row=int(peak[0]))
 
 
 def _sampled(f):
@@ -116,7 +134,27 @@ CONTACT_FIELDS = {
                          - 1.5e-10 * rest[-2] ** 2),
     "noise": lambda grid, rng: ScalarField(grid, rng.standard_normal(grid.shape)),
     "smooth": _smooth,
+    # |lambda| grows with s, so tau is set in the last block, after the
+    # earlier blocks' candidates were kept against a smaller running bound
+    "growing_in_s": _sampled(lambda x, *rest: np.exp(3 * x) * (rest[0] ** 2 + rest[-1])),
 }
+
+
+def _contact_layouts(n):
+    """{name: (CONTACT_CHUNK, grid, cube)}: the block layouts the oracle walks."""
+    k = {2: 17, 3: 11, 4: 7}[n]
+    ys = [(-1, 1, k)] * (n - 1)
+    grid = Grid.uniform((0, 1, k), ys, (0, 1, 5))
+    whole = ParabolicCube("B_eta", Point(0.5, np.zeros(n - 1), 1.0), 1.0)
+    # x in [0.25, 0.75]: s from 0.5 to 0.87, both ends inside the grid
+    inner = ParabolicCube("B_eta", Point(0.5, np.zeros(n - 1), 1.0), 0.5)
+    return {
+        "several_blocks": (97, grid, whole),
+        "cube_inside_the_s_range": (97, grid, inner),
+        "five_s_nodes": (97, Grid.uniform((0, 1, 5), ys, (0, 1, 5)), whole),
+        # 4 * 21 nodes is less than one s-row holds (85 at n = 2)
+        "one_row_blocks": (21, grid, whole),
+    }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -124,17 +162,37 @@ CONTACT_FIELDS = {
 def test_contact_sets_match_eigvalsh_at_every_node(monkeypatch, field, n):
     """Bitwise the sets of the brute-force reference, ties included.
 
-    A small block size makes every field span several blocks.
+    On every layout of `_contact_layouts`: small blocks make every field
+    span several, down to blocks of one s-row and an s-axis of 5 nodes, and
+    one cube starts and ends inside the s-range.  The eigvalsh calls of
+    pass 1, the ones that set tau, see exactly the nodes whose bound can
+    reach it.
     """
-    monkeypatch.setattr(estimates, "CONTACT_CHUNK", 97)
-    k = {2: 17, 3: 11, 4: 7}[n]
-    grid = Grid.uniform((0, 1, k), [(-1, 1, k)] * (n - 1), (0, 1, 5))
-    u = CONTACT_FIELDS[field](grid, np.random.default_rng(n))
-    cube = ParabolicCube("B_eta", Point(0.5, np.zeros(n - 1), 1.0), 1.0)
-    res = contact_sets(u, 0.5, cube)
-    minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
-    assert np.array_equal(res.gamma_minus, minus)
-    assert res.excluded_s_zero == excluded > 0
+    sizes = []  # nodes per eigvalsh call, None where pass 2 starts a block
+    eigvalsh, above = estimates._eigvalsh, estimates._eigenvalues_above
+
+    def counted(E):
+        sizes.append(E.shape[-1])
+        return eigvalsh(E)
+
+    def marked(*args):
+        sizes.append(None)
+        return above(*args)
+
+    monkeypatch.setattr(estimates, "_eigvalsh", counted)
+    monkeypatch.setattr(estimates, "_eigenvalues_above", marked)
+    for layout, (chunk, grid, cube) in _contact_layouts(n).items():
+        monkeypatch.setattr(estimates, "CONTACT_CHUNK", chunk)
+        u = CONTACT_FIELDS[field](grid, np.random.default_rng(n))
+        sizes.clear()
+        res = contact_sets(u, 0.5, cube)
+        ref = _contact_sets_by_eigvalsh(u, 0.5, cube)
+        assert np.array_equal(res.gamma_minus, ref.minus), layout
+        assert res.excluded_s_zero == ref.excluded, layout
+        assert (ref.excluded > 0) == (layout != "cube_inside_the_s_range")
+        assert sum(sizes[:sizes.index(None)]) == ref.reach, layout
+        if field == "growing_in_s" and layout != "cube_inside_the_s_range":
+            assert ref.peak_row == len(grid.s) - 1  # in the last block
 
 
 def _solved_n3_field():
@@ -151,9 +209,9 @@ def test_contact_sets_match_eigvalsh_on_a_solved_field(monkeypatch):
     monkeypatch.setattr(estimates, "CONTACT_CHUNK", 97)
     u, cube = _solved_n3_field()
     res = contact_sets(u, 0.5, cube)
-    minus, excluded = _contact_sets_by_eigvalsh(u, 0.5, cube)
-    assert np.array_equal(res.gamma_minus, minus) and np.any(minus)
-    assert res.excluded_s_zero == excluded
+    ref = _contact_sets_by_eigvalsh(u, 0.5, cube)
+    assert np.array_equal(res.gamma_minus, ref.minus) and np.any(ref.minus)
+    assert res.excluded_s_zero == ref.excluded
 
 
 def test_abp_check_tests_eigenvalues_once(monkeypatch):
@@ -169,6 +227,39 @@ def test_abp_check_tests_eigenvalues_once(monkeypatch):
     u, cube = _solved_n3_field()
     abp_check(u, ScalarField(u.grid, np.full(u.grid.shape, -1.0)), cube, 0.5)
     assert len(calls) == 1
+
+
+def test_contact_sets_working_set_is_a_few_fields():
+    # the whole-grid derivatives took 14.7 times the field here; blocks of
+    # s-rows hold one block's arrays and E at the few nodes that can set tau
+    grid = Grid.uniform((0, 1, 33), [(-1, 1, 33)] * 2, (0, 1, 65))
+    u = sample(lambda x, y2, y3, t: np.exp(-((np.sqrt(x) - 0.5) ** 2 + y2 ** 2 + y3 ** 2)
+                                           / (0.1 + t)), grid)
+    cube = ParabolicCube("B_eta", Point(0.5, [0.0, 0.0], 1.0), 1.0)
+    tracemalloc.start()
+    try:
+        contact_sets(u, 0.5, cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * u.values.nbytes
+
+
+def test_abp_and_harnack_at_n4():
+    """The estimates hold in all dimensions: an n = 4 solve, measured as it stands."""
+    grid = Grid.uniform((0, 1, 13), [(-1, 1, 13)] * 3, (0, 1, 9))
+    one = lambda x, *rest: 1.0 + 0 * x  # noqa: E731
+    zero = lambda x, *rest: 0 * x  # noqa: E731
+    u = solve_ivbp(IVBProblem(coeffs=random_coefficients(3, 4), forcing=one,
+                              initial=zero, lateral=zero), grid)
+    cube = ParabolicCube("B_eta", Point(0.5, [0.0, 0.0, 0.0], 1.0), 1.0)
+    abp = abp_check(u, ScalarField(grid, np.full(grid.shape, -1.0)), cube, 0.5)
+    assert abp.passed
+    assert abp.rhs_components["gamma_minus_nodes"] == 28188
+    assert abp.measured_constant == pytest.approx(0.2085378451351661, rel=1e-12)
+    harnack = harnack_quotient(u, None, 0.5, [0.0, 0.0, 0.0], 1.0, 0.4, 0.5)
+    assert harnack.passed
+    assert harnack.measured_constant == pytest.approx(1.2774600216878091, rel=1e-12)
 
 
 def test_contact_sets_refuse_an_empty_cube():
@@ -410,6 +501,21 @@ def test_bernstein_quantities():
         bernstein_quantity_check(not_solution, v, 8.0)
     with pytest.raises(ValueError):
         bernstein_quantity_check(lin, v, 4.0)
+
+
+def test_bernstein_gate_accepts_the_exact_caloric_quadratic():
+    # L_h blends in a forward difference below s-index 5, where it misses
+    # x^2 by O(h) (max |L0 f| = 3.7e-3 there); past it L_h is exact
+    g = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 33))
+    (quadratic,) = [ms for ms in manufactured_solutions(1.0) if ms.name == "caloric_quadratic"]
+    rep = bernstein_quantity_check(sample(quadratic.f, g), 1.0, 8.0)
+    assert rep.rhs_components["L0_residual"] <= 1e-10
+
+
+def test_bernstein_gate_needs_nodes_past_the_blend_zone():
+    g = Grid.uniform((0, 1, 7), [(-1, 1, 9)], (0, 1, 9))
+    with pytest.raises(ValueError, match="no interior node from s-index 5 on"):
+        bernstein_quantity_check(sample(lambda x, y, t: 3.0 + 0 * x, g), 1.0, 8.0)
 
 
 def poly_grid():

@@ -123,6 +123,76 @@ def test_x_derivatives_exact_for_quadratics_in_x_at_every_node():
     assert np.max(np.abs(ux - 1.0)) <= 1e-10
 
 
+def _d1_along_axis(v, h, axis):
+    """Reference first difference: the axis moved first, one slice expression per part."""
+    v = np.moveaxis(v, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _d2_along_axis(v, h, axis):
+    """Reference second difference, laid out like `_d1_along_axis`."""
+    v = np.moveaxis(v, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
+    if v.shape[0] >= 4:
+        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
+        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
+    else:
+        out[0] = out[1]
+        out[-1] = out[-2]
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (5, 3), (3, 4, 5), (7, 3, 4, 5)])
+def test_flat_pass_differences_equal_the_per_axis_ones_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+    for data in (v, np.moveaxis(v, 0, -1)):  # C-ordered, then not
+        for axis in range(-data.ndim, data.ndim):
+            for h in (0.1, 1 / 48, 0.5):
+                assert np.array_equal(fields._d1(data, h, axis), _d1_along_axis(data, h, axis))
+                assert np.array_equal(fields._d2(data, h, axis), _d2_along_axis(data, h, axis))
+
+
+def _derivative_arrays(d):
+    """Every array a FieldDerivatives offers, by name."""
+    out = {"u_s": d.u_s, "u_ss": d.u_ss, "u_t": d.u_t, "u_x": d.u_x(), "u_xx": d.u_xx(),
+           "x_times_u_xx": d.x_times_u_xx()}
+    for i in range(len(d.u_y)):
+        out[f"u_y{i}"], out[f"u_sy{i}"] = d.u_y[i], d.u_sy[i]
+        for j in range(len(d.u_y)):
+            out[f"u_yy{i}{j}"] = d.u_yy[i][j]
+    return out
+
+
+@pytest.mark.parametrize("s_axis", [(0, 1, 11), (0.3, 1.3, 11), (0, 1, 5), (0, 1, 4),
+                                    (0.1, 0.7, 3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivatives_on_rows_are_the_whole_grids_bitwise(s_axis, n):
+    # 0.1 steps: the s-differences vary in the last bit along the axis, so a
+    # block that took its spacing from its own rows would differ there
+    grid = Grid.uniform(s_axis, [(-1, 1, 6)] * (n - 1), (0, 1, 5))
+    u = ScalarField(grid, np.random.default_rng(n).standard_normal(grid.shape))
+    whole = _derivative_arrays(fd_derivatives(u))
+    ns = len(grid.s)
+    for lo in range(ns):
+        for hi in range(lo + 1, min(lo + 4, ns) + 1):
+            part = _derivative_arrays(fd_derivatives(u, slice(lo, hi)))
+            for name, arr in whole.items():
+                assert np.array_equal(part[name], arr[lo:hi]), (name, lo, hi)
+
+
+def test_derivatives_refuse_rows_that_are_not_a_run():
+    u = sample(lambda x, y, t: x + y, unit_grid(9))
+    for rows in (slice(3, 3), slice(0, 9, 2), slice(5, 2)):
+        with pytest.raises(ValueError, match="rows must be a nonempty run of s-indices"):
+            fd_derivatives(u, rows)
+
+
 def test_osc_examples():
     g = unit_grid(33)
     cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.5)
