@@ -38,7 +38,7 @@ import numpy as np
 
 from .fields import Grid, ScalarField, _d1, _d2
 from .geometry import ParabolicCube, Point, d_bar_sq
-from .operators import CoefficientField
+from .operators import CoefficientField, apply_L_exact
 
 CERT_TOL = 1e-12
 
@@ -225,11 +225,11 @@ def harnack_v_derivatives(x, ys, t, params: HarnackBarrierParams) -> dict:
         omega_ij = -((18 - theta)/T + 1) Lam theta_ij
                    + (1/T)((18 - theta)/T + 2) Lam theta_i theta_j
 
-    and the chain rule for omega^l.  Keys: v, v_t, v_x, v_xx, v_y, v_xy,
-    v_yy (diagonal list), v_yiyj (strict upper-triangle dict).
+    and the chain rule for omega^l.  Keys: v, v_t, grad (the list v_x,
+    v_y2, ...) and hess ({(i, j): v_ij} for i <= j, index 0 the x-direction),
+    the forms `operators.apply_L_exact` reads.
     """
     m, l, tau0 = params.m, params.l, params.tau0
-    x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     theta, th_x, th_xx, th_y, th_yy = _theta_derivatives(x, ys, params.base, params.gamma)
     T = t + tau0
@@ -238,39 +238,23 @@ def harnack_v_derivatives(x, ys, t, params: HarnackBarrierParams) -> dict:
     g1 = (18.0 - theta) / T + 1.0
     g2 = (18.0 - theta) / T + 2.0
     w_t = w * (theta / (T * T) - 1.0 / T)
-    w_x = -g1 * lam * th_x
-    w_y = [-g1 * lam * ty for ty in th_y]
-    w_xx = -g1 * lam * th_xx + (g2 / T) * lam * th_x * th_x
-    w_xy = [(g2 / T) * lam * th_x * ty for ty in th_y]
-    w_yy = [-g1 * lam * th_yy + (g2 / T) * lam * ty * ty for ty in th_y]
-    w_yiyj = {}
-    for i in range(len(th_y)):
-        for j in range(i + 1, len(th_y)):
-            w_yiyj[(i, j)] = (g2 / T) * lam * th_y[i] * th_y[j]
+    th, axes = [th_x, *th_y], range(len(th_y) + 1)
+    w_i = [-g1 * lam * th_i for th_i in th]
+    w_ij = {(i, j): (g2 / T) * lam * th[i] * th[j] for i in axes for j in axes if i <= j}
+    for i in axes:  # theta's mixed second partials vanish
+        w_ij[i, i] = -g1 * lam * (th_yy if i else th_xx) + w_ij[i, i]
 
     emt = np.exp(-m * t)
     wl = _power_l(w, l)
     wl1 = _power_l(w, l - 1)
     wl2 = _power_l(w, l - 2)
-
-    def first(wi):
-        return emt * l * wl1 * wi
-
-    def second(wij, wi, wj):
-        return emt * l * (wl1 * wij + (l - 1.0) * wl2 * wi * wj)
-
-    out = {
+    return {
         "v": emt * wl - params.M_tau0,
         "v_t": -m * emt * wl + emt * l * wl1 * w_t,
-        "v_x": first(w_x),
-        "v_xx": second(w_xx, w_x, w_x),
-        "v_y": [first(wy) for wy in w_y],
-        "v_xy": [second(wxy, w_x, wy) for wxy, wy in zip(w_xy, w_y)],
-        "v_yy": [second(wyy, wy, wy) for wyy, wy in zip(w_yy, w_y)],
-        "v_yiyj": {key: second(w_yiyj[key], w_y[key[0]], w_y[key[1]])
-                   for key in w_yiyj},
+        "grad": [emt * l * wl1 * wi for wi in w_i],
+        "hess": {(i, j): emt * l * (wl1 * wij + (l - 1.0) * wl2 * w_i[i] * w_i[j])
+                 for (i, j), wij in w_ij.items()},
     }
-    return out
 
 
 def harnack_region_grid(base, rho: float, n: int = 2, nodes: int = 33) -> Grid:
@@ -382,7 +366,8 @@ def harnack_supersolution_residual(params: HarnackBarrierParams,
 
     Coefficients are evaluated at the physical nodes; the barrier's
     derivatives come from the unit-scale closed forms at the scaled point,
-    with the chain-rule powers of rho attached per derivative order.
+    with the chain-rule powers of rho attached per derivative order, and
+    `apply_L_exact` applies L to them.
     """
     x0, y0 = params.base
     up = _scaled_params(params, rho)
@@ -390,23 +375,12 @@ def harnack_supersolution_residual(params: HarnackBarrierParams,
     r2 = rho * rho
     ys_scaled = [y0i + (yi - y0i) / rho for yi, y0i in zip(ys, y0)]
     d = harnack_v_derivatives(x / r2, ys_scaled, t / r2, up)
-    shape = grid.shape
-    A = coeffs.eval_a((x, *ys, t), shape)
-    B = coeffs.eval_b((x, *ys, t), shape)
-    m = len(ys)
-    sqrt_x = np.sqrt(x)
-    lphi = A[0, 0] * x * d["v_xx"] / (r2 * r2)
-    for j in range(m):
-        lphi = lphi + 2.0 * A[0, 1 + j] * sqrt_x * d["v_xy"][j] / (r2 * rho)
-    for i in range(m):
-        lphi = lphi + A[1 + i, 1 + i] * d["v_yy"][i] / r2
-        for j in range(i + 1, m):
-            lphi = lphi + 2.0 * A[1 + i, 1 + j] * d["v_yiyj"][(i, j)] / r2
-    lphi = lphi + B[0] * d["v_x"] / r2
-    for j in range(m):
-        lphi = lphi + B[1 + j] * d["v_y"][j] / rho
+    scale = [r2] + [rho] * len(ys)  # the rho-power of each axis
+    grad = [v_i / w_i for v_i, w_i in zip(d["grad"], scale)]
+    hess = {(i, j): v_ij / (scale[i] * scale[j]) for (i, j), v_ij in d["hess"].items()}
+    lphi = apply_L_exact(coeffs, (x, *ys, t), grad, hess)
     diff = (lphi - d["v_t"] / r2) / normalizer
-    return np.broadcast_to(diff, shape).copy()
+    return np.broadcast_to(diff, grid.shape).copy()
 
 
 def _fd_deviation(value, coords, partials, h: float, scale) -> float:
@@ -456,10 +430,8 @@ def _harnack_fd_check(params: HarnackBarrierParams, n: int) -> float:
     def value(c):
         return _v_from_theta(d_bar_sq(c[0], c[1:-1], x0, y0, params.gamma), c[-1], params)
 
-    partials = [(d["v_x"], (0,)), (d["v_xx"], (0, 0)), (d["v_t"], (n,))]
-    for i in range(1, n):
-        partials += [(d["v_y"][i - 1], (i,)), (d["v_yy"][i - 1], (i, i)),
-                     (d["v_xy"][i - 1], (0, i))]
+    partials = ([(d["v_t"], (n,))] + [(v_i, (i,)) for i, v_i in enumerate(d["grad"])]
+                + [(v_ij, key) for key, v_ij in d["hess"].items()])
     scale = np.abs(d["v"] - (-params.M_tau0)) + params.M_tau0
     return _fd_deviation(value, [x, *ys, t], partials, 3e-4, scale)
 
@@ -727,28 +699,13 @@ def model_barrier_derivatives(b: float, x, ys):
 
 
 def _translated_pair_derivatives(b: float, x, ys):
-    """Closed-form derivatives of the two-term translated barrier."""
-    x = np.asarray(x, dtype=float)
-    ys = [np.asarray(yi, dtype=float) for yi in ys]
-    out = None
-    for sign in (-1.0, +1.0):
-        # shifted coordinates z_i = 1 + sign * y_i; dz/dy = sign
-        zs = [1.0 + sign * yi for yi in ys]
-        d = model_barrier_derivatives(b, x, zs)
-        term = {
-            "phi": d["phi"], "phi_x": d["phi_x"], "phi_xx": d["phi_xx"],
-            "phi_y": [sign * gy for gy in d["phi_y"]],
-            "phi_yy": d["phi_yy"],
-            "sum_phi_yy": d["sum_phi_yy"],
-        }
-        if out is None:
-            out = term
-        else:
-            out = {
-                key: (val + term[key] if not isinstance(val, list)
-                      else [a + c for a, c in zip(val, term[key])])
-                for key, val in out.items()
-            }
+    """Closed-form derivatives of the two-term translated barrier: the centred
+    one at z = 1 - y plus the centred one at z = 1 + y."""
+    lo, hi = (model_barrier_derivatives(b, x, [1.0 + sign * yi for yi in ys])
+              for sign in (-1.0, 1.0))
+    out = {key: lo[key] + hi[key] for key in ("phi", "phi_x", "phi_xx", "sum_phi_yy")}
+    out["phi_y"] = [-a + c for a, c in zip(lo["phi_y"], hi["phi_y"])]  # dz/dy = -1 in lo
+    out["phi_yy"] = [a + c for a, c in zip(lo["phi_yy"], hi["phi_yy"])]
     return out
 
 

@@ -34,24 +34,25 @@ class SpecError(ValueError):
 REQUIRED = object()  # schema default of a key the spec must give
 
 
-def _floats(text: str):
-    return [float(tok) for tok in text.split()]
+def _each(cast):
+    """A cast of whitespace-separated values, each by `cast`."""
+    return lambda text: [cast(tok) for tok in text.split()]
 
 
 def _axis(text: str):
-    vals = _floats(text)
+    vals = _each(float)(text)
     if len(vals) != 3 or not vals[2].is_integer() or vals[2] < 3:
         raise ValueError(f"needs 'lo hi count' with an integer count >= 3, got {text!r}")
     return vals[0], vals[1], int(vals[2])
 
 
-def _between(lo, hi, closed_hi=False):
-    """A float cast refusing values outside (lo, hi), or (lo, hi] if closed_hi."""
-    interval = f"({lo:g}, {hi:g}{']' if closed_hi else ')'}"
+def _between(lo, hi, closed_lo=False, closed_hi=False):
+    """A float cast refusing values outside (lo, hi), each end closed if asked."""
+    interval = f"{'[' if closed_lo else '('}{lo:g}, {hi:g}{']' if closed_hi else ')'}"
 
     def cast(text):
         value = float(text)
-        if not (lo < value < hi or (closed_hi and value == hi)):
+        if not (lo < value < hi or (closed_lo and value == lo) or (closed_hi and value == hi)):
             raise ValueError(f"must lie in {interval}, got {text.strip()}")
         return value
     return cast
@@ -129,7 +130,9 @@ def _schauder(spec, a, u):
                                     Point(a["x0"], a["y0"], a["t0"])), None
 
 
-_BASE = {"s0": (float, REQUIRED), "y0": (_floats, None), "t0": (float, REQUIRED)}
+# cube coordinates: s0 and x0 in [0, inf), t0 and each y0 finite
+_REAL, _HALF_LINE = _between(-math.inf, math.inf), _between(0, math.inf, closed_lo=True)
+_BASE = {"s0": (_HALF_LINE, REQUIRED), "y0": (_each(_REAL), None), "t0": (_REAL, REQUIRED)}
 
 # check type -> (runner, keys).  A runner maps (spec, values, u) to
 # (report, series or None); y0 = None is the origin, n - 1 zeros.
@@ -146,8 +149,8 @@ CHECKS = {
                                "alpha": (_between(0, 1, closed_hi=True), 0.5)}),
     "schauder_ratio": (_schauder, {"r": (_between(0, 1), 0.5),
                                    "alpha": (_between(0, 1), 0.5),
-                                   "x0": (float, 0.0), "y0": (_floats, None),
-                                   "t0": (float, REQUIRED)}),
+                                   "x0": (_HALF_LINE, 0.0), "y0": (_each(_REAL), None),
+                                   "t0": (_REAL, REQUIRED)}),
 }
 
 _EXPERIMENT = {"name": (str, REQUIRED), "seed": (_int_at_least(0), 0),

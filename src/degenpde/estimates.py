@@ -73,26 +73,21 @@ class EstimateReport:
     passed: bool
     provenance: str
 
+    def _pairs(self, verdict: tuple) -> list:
+        """(key, text) of every field in report order, the verdict before provenance."""
+        return [("name", self.name), ("lhs", _fmt(self.lhs)),
+                *((f"rhs.{k}", _fmt(v)) for k, v in self.rhs_components.items()),
+                ("measured_constant", _fmt(self.measured_constant)),
+                *((f"margin.{k}", _fmt(v)) for k, v in self.margins.items()),
+                verdict, ("provenance", self.provenance)]
+
     def to_text(self) -> str:
-        lines = [f"name = {self.name}", f"lhs = {self.lhs:.17g}"]
-        for key, val in self.rhs_components.items():
-            lines.append(f"rhs.{key} = {_fmt(val)}")
-        lines.append(f"measured_constant = {self.measured_constant:.17g}")
-        for key, val in self.margins.items():
-            lines.append(f"margin.{key} = {_fmt(val)}")
-        lines.append(f"result = {'PASS' if self.passed else 'FAIL'}")
-        lines.append(f"provenance = {self.provenance}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{k} = {v}\n" for k, v in
+                       self._pairs(("result", "PASS" if self.passed else "FAIL")))
 
     def to_record(self) -> str:
         """One-line structured dump: tab-separated key=value pairs."""
-        parts = [f"name={self.name}", f"lhs={self.lhs:.17g}"]
-        parts += [f"rhs.{k}={_fmt(v)}" for k, v in self.rhs_components.items()]
-        parts.append(f"measured_constant={self.measured_constant:.17g}")
-        parts += [f"margin.{k}={_fmt(v)}" for k, v in self.margins.items()]
-        parts.append(f"pass={int(self.passed)}")
-        parts.append(f"provenance={self.provenance}")
-        return "\t".join(parts)
+        return "\t".join(f"{k}={v}" for k, v in self._pairs(("pass", int(self.passed))))
 
 
 def _fmt(val) -> str:

@@ -17,6 +17,9 @@ unary '+' and every other Python construct are refused.  Functions: sqrt,
 exp, with one argument.  Variables: x, t, y2 ... y9.  Whitespace, line
 breaks included, only separates tokens.  Expressions evaluate over numpy
 arrays, so they broadcast over grid meshes; a complex value is refused.
+An expression's derivative is again an expression, differentiated node by
+node on the checked tree; a '^' whose exponent holds the variable would
+need log, which the grammar lacks, and is refused.
 """
 
 from __future__ import annotations
@@ -57,6 +60,43 @@ def _check(node, source: str, text: str):
         raise ExpressionError(f"{segment.replace('**', '^')!r} is not allowed in {text!r}")
 
 
+def _join(left, op, right):
+    """left + right or left - right, with None as zero."""
+    if right is None:
+        return left
+    if left is None:
+        return right if isinstance(op, ast.Add) else ast.UnaryOp(ast.USub(), right)
+    return ast.BinOp(left, op, right)
+
+
+def _derivative(node, var: str):
+    """The tree of d node / d var, or None where node does not hold var."""
+    if isinstance(node, ast.Constant):
+        return None
+    if isinstance(node, ast.Name):
+        return ast.Constant(1.0) if node.id == var else None
+    if isinstance(node, ast.UnaryOp):
+        return _join(None, ast.Sub(), _derivative(node.operand, var))
+    if isinstance(node, ast.Call):  # exp' = exp, sqrt' = 0.5 / sqrt
+        d = _derivative(node.args[0], var)
+        outer = node if node.func.id == "exp" else ast.BinOp(ast.Constant(0.5), ast.Div(), node)
+        return d and ast.BinOp(outer, ast.Mult(), d)
+    a, op, b = node.left, node.op, node.right
+    da, db = _derivative(a, var), _derivative(b, var)
+    if isinstance(op, ast.Pow):  # (a^c)' = c a^(c - 1) a'
+        if db is not None:
+            text = ast.unparse(node).replace("**", "^")
+            raise ExpressionError(f"d/d{var} of {text!r} needs log, which the grammar lacks")
+        power = ast.BinOp(a, op, ast.BinOp(b, ast.Sub(), ast.Constant(1.0)))
+        return da and ast.BinOp(ast.BinOp(b, ast.Mult(), power), ast.Mult(), da)
+    if isinstance(op, ast.Mult):  # a' b + a b'
+        return _join(da and ast.BinOp(da, op, b), ast.Add(), db and ast.BinOp(a, op, db))
+    if isinstance(op, ast.Div):  # a' / b - a b' / b^2
+        return _join(da and ast.BinOp(da, op, b), ast.Sub(), db and ast.BinOp(
+            ast.BinOp(a, ast.Mult(), db), op, ast.BinOp(b, ast.Mult(), b)))
+    return _join(da, op, db)
+
+
 class CompiledExpression:
     """Expression compiled to a numpy-broadcasting callable f(x, y..., t)."""
 
@@ -89,6 +129,16 @@ class CompiledExpression:
         if np.iscomplexobj(value):
             raise ExpressionError(f"{self.text!r} takes a complex value")
         return value
+
+    def derivative(self, var: str) -> CompiledExpression:
+        """d/d var, compiled from the differentiated tree unparsed ('**' written '^')."""
+        if var not in _VARS:
+            raise ExpressionError(f"cannot differentiate by {var!r}: not a variable")
+        try:
+            body = _derivative(self.node.body, var) or ast.Constant(0.0)
+            return CompiledExpression(ast.unparse(body).replace("**", "^"))
+        except RecursionError:
+            raise ExpressionError("expression is nested too deeply") from None
 
     def __repr__(self):
         return f"CompiledExpression({self.text!r})"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,51 +366,55 @@ def apply_L0(v, field: ScalarField) -> ScalarField:
     return apply_parabolic(model_coefficients(v, field.grid.n), field)
 
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    name: str
-    f: object  # callable (x, y..., t)
-    g: object  # callable (x, y..., t)
+def apply_L_exact(coeffs: CoefficientField, coords, grad, hess):
+    """Lu at the points coords = (x, y2, ..., t) from exact derivatives of u there.
+
+    grad[i] is u_i and hess[i, j] (i <= j) is u_ij, index 0 the x-direction;
+    the coefficients are read through eval_a and eval_b.
+    """
+    x, n = coords[0], coeffs.n
+    shape = np.broadcast(*coords).shape
+    A = coeffs.eval_a(coords, shape)
+    B = coeffs.eval_b(coords, shape)
+    lu = A[0, 0] * x * hess[0, 0]
+    for j in range(1, n):
+        lu = lu + 2.0 * A[0, j] * np.sqrt(x) * hess[0, j]
+    for i in range(1, n):
+        lu = lu + A[i, i] * hess[i, i]
+        for j in range(i + 1, n):
+            lu = lu + 2.0 * A[i, j] * hess[i, j]
+    for i in range(n):
+        lu = lu + B[i] * grad[i]
+    return lu
+
+
+def exact_forcing(coeffs: CoefficientField, solution):
+    """g(x, y..., t) = u_t - Lu of the expression u = `solution`, from its own derivatives."""
+    names = ["x"] + [f"y{i}" for i in range(2, coeffs.n + 1)]
+    grad = [solution.derivative(name) for name in names]
+    hess = {(i, j): grad[i].derivative(names[j])
+            for i in range(coeffs.n) for j in range(i, coeffs.n)}
+    u_t = solution.derivative("t")
+
+    def g(*coords):
+        lu = apply_L_exact(coeffs, coords, [d(*coords) for d in grad],
+                           {key: d(*coords) for key, d in hess.items()})
+        return u_t(*coords) - lu
+
+    return g
+
+
+# f is a CompiledExpression, g the callable exact_forcing of f; both take (x, y..., t)
+ManufacturedSolution = namedtuple("ManufacturedSolution", "name f g")
 
 
 def manufactured_solutions(v) -> list:
-    """Exact solutions of f_t = x f_xx + sum f_yiyi + v f_x + g.
-
-    Each pair is certified at construction by symbolic differentiation.
-    """
-    import sympy as sp
-
-    X, Y2, T = sp.symbols("x y2 t")
-    catalog = [
-        ("linear", X + v * T, sp.Integer(0)),
-        ("caloric_quadratic",
-         X ** 2 + 2 * (1 + v) * X * T + v * (1 + v) * T ** 2, sp.Integer(0)),
-        ("tangential_quadratic", Y2 ** 2 + 2 * T, sp.Integer(0)),
-        ("forced_linear", X, sp.Rational(-1) * v),
-    ]
-    out = []
-    for name, fsym, gsym in catalog:
-        residual = sp.simplify(
-            sp.diff(fsym, T)
-            - (X * sp.diff(fsym, X, 2) + sp.diff(fsym, Y2, 2) + v * sp.diff(fsym, X))
-            - gsym
-        )
-        if residual != 0:
-            raise RuntimeError(f"manufactured solution {name} failed its self-check: {residual}")
-        fl = sp.lambdify((X, Y2, T), fsym, "numpy")
-        gl = sp.lambdify((X, Y2, T), gsym, "numpy")
-        out.append(ManufacturedSolution(name, _wrap_xy2t(fl), _wrap_xy2t(gl)))
-    return out
-
-
-def _wrap_xy2t(fn):
-    """Adapt a lambdified f(x, y2, t) to the f(x, y..., t) calling convention."""
-
-    def f(x, *coords):
-        t = coords[-1]
-        y2 = coords[0] if len(coords) > 1 else 0.0
-        val = fn(x, y2, t)
-        return np.broadcast_to(np.asarray(val, dtype=float),
-                               np.broadcast(x, *coords).shape)
-
-    return f
+    """Exact solutions f of f_t = x f_xx + sum f_yiyi + v f_x + g, g = `exact_forcing` of f."""
+    coeffs = model_coefficients(v, 2)
+    v = repr(float(v))
+    texts = {"linear": f"x + {v}*t",
+             "caloric_quadratic": f"x^2 + 2*(1 + {v})*x*t + {v}*(1 + {v})*t^2",
+             "tangential_quadratic": "y2^2 + 2*t",
+             "forced_linear": "x"}
+    return [ManufacturedSolution(name, f, exact_forcing(coeffs, f))
+            for name, f in zip(texts, map(compile_expression, texts.values()))]

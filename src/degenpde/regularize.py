@@ -8,6 +8,7 @@ in the sup norm while staying evaluable on x >= 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -113,28 +114,15 @@ def smooth_field(h, eps: float, kernel: BumpKernel, grid: Grid) -> ScalarField:
 
 
 def _tangential_average(h, xi, ys, t, sq, nodes, weights, m, shape):
-    if m == 0:
-        return np.broadcast_to(np.asarray(h(xi, t), dtype=float), shape).copy()
     acc = np.zeros(shape)
-    idx = [0] * m
-    while True:
+    for combo in itertools.product(range(nodes.size), repeat=m):
         w = 1.0
         shifted = []
-        for k in range(m):
-            vk = nodes[idx[k]]
-            w *= weights[idx[k]] * _bump_1d(np.asarray(vk))
-            shifted.append(ys[k] + sq * vk)
-        vals = np.asarray(h(xi, *shifted, t), dtype=float)
-        acc = acc + w * np.broadcast_to(vals, shape)
-        k = 0
-        while k < m:
-            idx[k] += 1
-            if idx[k] < nodes.size:
-                break
-            idx[k] = 0
-            k += 1
-        if k == m:
-            return acc
+        for k, i in enumerate(reversed(combo)):  # the first axis' index varies fastest
+            w *= weights[i] * _bump_1d(np.asarray(nodes[i]))
+            shifted.append(ys[k] + sq * nodes[i])
+        acc = acc + w * np.broadcast_to(np.asarray(h(xi, *shifted, t), dtype=float), shape)
+    return acc
 
 
 def smoothing_rate(h, exact, eps_list, kernel: BumpKernel, grid: Grid):

@@ -25,6 +25,7 @@ from degenpde.estimates import (
     poly_approx_check,
     schauder_ratio,
 )
+from degenpde.expressions import compile_expression
 from degenpde.fields import Grid, sample
 from degenpde.geometry import (
     ParabolicCube,
@@ -34,7 +35,13 @@ from degenpde.geometry import (
     cube_measure,
     set_measure,
 )
-from degenpde.operators import apply_L0, model_coefficients, random_coefficients
+from degenpde.operators import (
+    apply_L0,
+    coefficients_from_expressions,
+    exact_forcing,
+    model_coefficients,
+    random_coefficients,
+)
 from degenpde.regularize import BumpKernel, smooth_field, smoothing_rate
 from degenpde.solver import (
     IVBProblem,
@@ -92,6 +99,38 @@ def test_criterion_02_convergence_order():
             t_ratio >= 1.8 and s_ratio >= 3.5 and elapsed < 120.0,
             f"temporal ratio {t_ratio:.2f} >= 1.8, spatial ratio "
             f"{s_ratio:.2f} >= 3.5, {elapsed:.1f}s < 2min")
+
+
+def test_criterion_02_convergence_order_for_the_class():
+    """Companion to criterion 02 off the model operator: exact forcing.
+
+    g = `exact_forcing` of a time-independent u, so the implicit Euler
+    steps carry no time error and the error at the last slice is L_h's
+    alone.  Measured: spatial ratios 7.5, 8.3 (random coefficients, n = 2),
+    9.9, 11.5 (cross terms a12 and x-dependent a11) and 6.1, 7.8 (random,
+    n = 3).
+    """
+    u2 = "(1 + x + x^2/2)*(1 + y2^2/4) + 0.3*x*y2"
+    u3 = "(1 + x + x^2/2)*(1 + y2^2/4 + y3^2/4) + 0.3*x*y2 - 0.2*x*y3"
+    cross = coefficients_from_expressions({"a11": "1 + 0.3*x", "a12": "0.2 + 0.1*y2",
+                                           "b1": "1"}, n=2, lam=0.3)
+    cases = [("random n=2", random_coefficients(3, 2), u2, (17, 33, 65)),
+             ("cross terms n=2", cross, u2, (17, 33, 65)),
+             ("random n=3", random_coefficients(3, 3), u3, (9, 17, 33))]
+    details, ok = [], True
+    for name, coeffs, text, nodes in cases:
+        u = compile_expression(text)
+        problem = IVBProblem(coeffs=coeffs, forcing=exact_forcing(coeffs, u),
+                             initial=u, lateral=u)
+        errs = []
+        for k in nodes:
+            grid = Grid.uniform((0, 1, k), [(-1, 1, k)] * (coeffs.n - 1), (0, 1, 5))
+            errs.append(float(np.max(np.abs(solve_ivbp(problem, grid).values[..., -1]
+                                            - sample(u, grid).values[..., -1]))))
+        ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+        ok = ok and min(ratios) >= 3.5
+        details.append(f"{name} ratios " + ", ".join(f"{r:.2f}" for r in ratios))
+    verdict(2, "convergence order for the class", ok, "; ".join(details) + " >= 3.5")
 
 
 def test_criterion_03_maximum_principle():

@@ -157,7 +157,7 @@ def test_list_presets_function():
     ("t = 0 1 9", "t = 0 inf 9", "[grid]", "axis t must be finite"),
     ("model:v=1", "model:v=1e999", "[experiment]",
      "coefficients: transport velocity must be positive and finite, got inf"),
-    ("t0 = 1.0", "t0 = nan", "[check harnack]", "t must be finite, got nan"),
+    ("t0 = 1.0", "t0 = nan", "[check harnack]", "t0: must lie in (-inf, inf), got nan"),
     ("seed = 1", "seed = 2.5", "[experiment]", "seed: must be an integer >= 0, got 2.5"),
     ("seed = 1", "seed = -1", "[experiment]", "seed: must be an integer >= 0, got -1"),
     ("x + t", "x + (-1)^0.5", "[problem]", "solution: 'x + (-1)^0.5' takes a complex value"),
@@ -240,12 +240,24 @@ def test_seed_override_is_cast_like_the_spec_key(tmp_path, capsys, preset, seed)
      "rho = 0.4\nc_max = -1\n", "[check early] c_max: must lie in (0, inf], got -1"),
     ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = 0.5\nt0 = 1.0\n"
      "rho = 0.4\ntheta_max = nan\n", "[check osc] theta_max: must lie in (0, 1], got nan"),
+    ("random:seed=3", "\n[check early]\ntype = harnack_quotient\ns0 = nan\nt0 = 1.0\n"
+     "rho = 0.4\n", "[check early] s0: must lie in [0, inf), got nan"),
+    ("random:seed=3", "\n[check early]\ntype = harnack_quotient\ns0 = 0.5\nt0 = inf\n"
+     "rho = 0.4\n", "[check early] t0: must lie in (-inf, inf), got inf"),
+    ("random:seed=3", "\n[check osc]\ntype = oscillation_decay\ns0 = -0.5\nt0 = 1.0\n"
+     "rho = 0.4\n", "[check osc] s0: must lie in [0, inf), got -0.5"),
+    ("model:v=1", "\n[check schauder]\ntype = schauder_ratio\nt0 = 0.9\nx0 = -1\n",
+     "[check schauder] x0: must lie in [0, inf), got -1"),
+    ("random:seed=3", "\n[check holder]\ntype = holder_bound\ns0 = 0.5\nt0 = 1.0\n"
+     "r = 0.2\nrho = 0.4\ny0 = nan\n", "[check holder] y0: must lie in (-inf, inf), got nan"),
 ], ids=["well_formed", "unknown_type", "schauder_random", "schauder_needs_t0",
         "schauder_alpha_one", "schauder_r_one", "holder_alpha_nan", "holder_alpha_zero",
         "holder_r_one", "holder_rho_above_one", "manufactured_tol_nan",
         "manufactured_tol_negative", "harnack_rho_negative", "oscillation_levels_zero",
         "oscillation_levels_fraction", "schauder_identity", "harnack_c_max_nan",
-        "harnack_c_max_negative", "oscillation_theta_max_nan"])
+        "harnack_c_max_negative", "oscillation_theta_max_nan", "harnack_s0_nan",
+        "harnack_t0_inf", "oscillation_s0_negative", "schauder_x0_negative",
+        "holder_y0_nan"])
 def test_check_sections_are_refused_before_the_solve(tmp_path, capsys, monkeypatch,
                                                      preset, extra, where):
     class SolveReached(Exception):

@@ -1,9 +1,17 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy import sparse
+
+import degenpde
+from degenpde.expressions import compile_expression
 
 from degenpde.fields import Grid, ScalarField, _d1, fd_derivatives, sample
 from degenpde.operators import (
@@ -12,6 +20,7 @@ from degenpde.operators import (
     apply_L0,
     apply_parabolic,
     coefficients_from_expressions,
+    exact_forcing,
     manufactured_solutions,
     model_coefficients,
     parse_coefficient_preset,
@@ -133,6 +142,72 @@ def test_apply_parabolic_is_u_t_minus_L():
     t = np.broadcast_to(g.t, g.shape)
     lu = apply_parabolic(random_coefficients(5, 2), t_only).values
     assert np.max(np.abs(lu - 2 * t)) <= 1e-12
+
+
+X_, Y2_, Y3_, T_ = sp.symbols("x y2 y3 t")
+
+
+def _sympy_forcing(text, entries, n):
+    """u_t - Lu for u = text, L the paper's operator with sympy-parsed entries a_ij, b_i."""
+    names = {"x": X_, "y2": Y2_, "y3": Y3_, "t": T_}
+
+    def entry(key, default):
+        return sp.sympify(entries.get(key, default), locals=names)
+
+    a = [[entry(f"a{min(i, j)}{max(i, j)}", "1" if i == j else "0") for j in range(1, n + 1)]
+         for i in range(1, n + 1)]
+    b = [entry(f"b{i}", "0") for i in range(1, n + 1)]
+    u, z = sp.sympify(text, locals=names), [X_, Y2_, Y3_][:n]
+    lu = (X_ * a[0][0] * sp.diff(u, X_, 2)
+          + sum(2 * sp.sqrt(X_) * a[0][j] * sp.diff(u, X_, z[j]) for j in range(1, n))
+          + sum(a[i][j] * sp.diff(u, z[i], z[j]) for i in range(1, n) for j in range(1, n))
+          + sum(b[i] * sp.diff(u, z[i]) for i in range(n)))
+    return sp.diff(u, T_) - lu
+
+
+@pytest.mark.parametrize("v", [0.25, 0.7, 1.0, 4.0])
+def test_catalog_forcing_equals_the_symbolic_one(v):
+    g = Grid.uniform((0, 1, 17), [(-1, 1, 17)], (0, 1, 17))
+    for ms in manufactured_solutions(v):
+        want = sp.lambdify((X_, Y2_, T_), _sympy_forcing(ms.f.text, {"b1": repr(v)}, 2))
+        assert np.max(np.abs(sample(ms.g, g).values - sample(want, g).values)) <= 1e-14, ms.name
+
+
+@pytest.mark.parametrize("n, entries, text", [
+    (2, {"a11": "1 + 0.3*x", "a12": "0.2 + 0.1*y2", "b1": "1", "b2": "-0.3*t"},
+     "(1 + x + x^2/2)*(1 + y2^2/4) + 0.3*x*y2*exp(-t)"),
+    (3, {"a11": "1 + 0.3*x", "a12": "0.1", "a13": "0.2*y3", "a22": "1.2", "a23": "0.1*t",
+         "a33": "0.9", "b1": "1", "b2": "y3", "b3": "0.3"},
+     "sqrt(1 + x)*y2*y3^2 + x^2*y3*t - y2^3"),
+], ids=["n2_cross_terms", "n3_all_terms"])
+def test_exact_forcing_equals_the_symbolic_one_for_the_class(n, entries, text):
+    g = Grid.uniform((0, 1, 9), [(-1, 1, 9)] * (n - 1), (0, 1, 5))
+    want = sp.lambdify([X_, Y2_, Y3_][:n] + [T_], _sympy_forcing(text, entries, n))
+    got = exact_forcing(coefficients_from_expressions(entries, n=n), compile_expression(text))
+    assert np.allclose(sample(got, g).values, sample(want, g).values, rtol=1e-13, atol=1e-13)
+
+
+def test_exact_forcing_refuses_a_non_finite_coefficient_by_name():
+    g = exact_forcing(coefficients_from_expressions({"a12": "1/x"}, n=2),
+                      compile_expression("x*y2"))
+    with np.errstate(divide="ignore"), pytest.raises(
+            ValueError, match=r"coefficient a12 is non-finite at node index \(0,"):
+        g(np.array([0.0, 1.0]), 0.5, 0.0)
+
+
+def test_the_catalog_and_the_cli_run_without_sympy(tmp_path):
+    code = ("import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from degenpde import cli, operators\n"
+            "assert len(operators.manufactured_solutions(1.0)) == 4\n"
+            f"sys.exit(cli.main(['run', 'model_manufactured', '--out', {str(tmp_path)!r}]))\n")
+    src = str(Path(degenpde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "summary.txt").read_text().endswith("result = PASS\n")
 
 
 def test_manufactured_catalog_contents():
