@@ -42,6 +42,12 @@ from .operators import CoefficientField, apply_L_exact
 
 CERT_TOL = 1e-12
 
+# The working set a Harnack barrier certificate may allocate: 512 MiB.  The
+# n = 3 search on 33 nodes per axis has a traced peak of 356 MiB, so it fits
+# with a margin of 1.4; the n = 4 search would need about 18 GiB, and is
+# refused instead of running the host out of memory.
+HARNACK_BUDGET_BYTES = 512 * 2 ** 20
+
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -436,6 +442,22 @@ def _harnack_fd_check(params: HarnackBarrierParams, n: int) -> float:
     return _fd_deviation(value, [x, *ys, t], partials, 3e-4, scale)
 
 
+def _refuse_oversized_grid(n: int, nodes: int) -> None:
+    """Refuse a verification grid whose working set exceeds HARNACK_BUDGET_BYTES.
+
+    The estimate is 20 (n + 1)^2 bytes per node of the nodes^(n + 1) grid:
+    `certify_harnack_barrier` on 33 nodes per axis peaks at 181 B per node
+    at n = 2 and 315 B at n = 3 (traced).
+    """
+    count = nodes ** (n + 1)
+    need = 20 * (n + 1) ** 2 * count
+    if need > HARNACK_BUDGET_BYTES:
+        raise ValueError(
+            f"Harnack barrier verification grid refused: {nodes} nodes per axis at n = {n} "
+            f"is {count:,} nodes, an estimated {need / 2 ** 20:,.1f} MiB working set, over "
+            f"the {HARNACK_BUDGET_BYTES / 2 ** 20:,.1f} MiB budget (HARNACK_BUDGET_BYTES)")
+
+
 def certify_harnack_barrier(params: HarnackBarrierParams, coeffs: CoefficientField,
                             rho: float = 1.0, nodes: int = 33,
                             measure_c11: bool = True,
@@ -452,12 +474,15 @@ def certify_harnack_barrier(params: HarnackBarrierParams, coeffs: CoefficientFie
                           pointwise finite differences)
 
     The C^(1,1) size, sup of |phi| and its first and second derivatives
-    times rho^2, is reported as information (bounded, not asserted).
+    times rho^2, is reported as information (bounded, not asserted).  A
+    grid whose estimated working set exceeds HARNACK_BUDGET_BYTES is
+    refused before any grid array is built.
     """
     n = coeffs.n
     x0, y0 = params.base
     if y0.size != n - 1:
         raise ValueError("base dimension does not match the coefficients")
+    _refuse_oversized_grid(n, nodes)
     grid = harnack_region_grid(params.base, rho, n, nodes)
     phi, inf_v = harnack_phi_field(params, rho, grid)
     q1, q2 = _inner_outer_cubes(params.base, rho)
@@ -511,9 +536,12 @@ def search_harnack_barrier_params(coeffs: CoefficientField) -> HarnackBarrierPar
     and the kernel factor turns negative; even powers there are positive and
     only beat the sup offset by accident of the grid. The returned
     parameters should still be re-certified at the caller's resolution; the
-    certificate, not the search path, is the contract.
+    certificate, not the search path, is the contract.  A verification grid
+    over the working-set budget of `certify_harnack_barrier` (n >= 4) is
+    refused first, before the sup offset's sampling grid is built.
     """
     n = coeffs.n
+    _refuse_oversized_grid(n, 33)
     base = (0.0, (0.0,) * (n - 1))
     gamma, tau0, l = 1.0, 0.005, 3.0
     # At the spatial base point the residual sign for times past the excluded

@@ -446,18 +446,22 @@ def abp_check(u: ScalarField, g, cube: ParabolicCube, nu: float,
         _on_grid(g, grid)
     mask = cube_nodes(cube, grid)
     boundary = _spatial_boundary(mask, grid)
-    scale = float(np.max(np.abs(u.values[mask]), initial=0.0))
+    u_max = float(np.max(u.values, where=mask, initial=0.0))  # max u+ over the cube
+    scale = max(u_max, -float(np.min(u.values, where=mask, initial=0.0)))
     btol = 1e-12 * max(1.0, scale)
-    worst_boundary = float(np.max(u.values[boundary], initial=-math.inf))
+    worst_boundary = float(np.max(u.values, where=boundary, initial=-math.inf))
     if worst_boundary > btol:
         raise ValueError(
             "boundary hypothesis violated: max u on the parabolic boundary "
             f"is {worst_boundary:g} > 0")
 
-    lhs = float(np.max(np.clip(u.values[mask], 0.0, None), initial=0.0))
+    lhs = max(0.0, u_max)
     contact = contact_sets(u, nu, cube)
     if g is not None:  # (g-)^(n+1) counts on the lower contact set only
-        g = ScalarField(grid, np.clip(-g.values, 0.0, None) * contact.gamma_minus)
+        g_minus = np.negative(g.values)
+        np.clip(g_minus, 0.0, None, out=g_minus)
+        g_minus *= contact.gamma_minus
+        g = ScalarField(grid, g_minus)
     prefac, integral = _forcing(g, grid, cube, nu, cube.base.s, cube.radius)
     rhs = prefac * integral
     constant = _ratio(lhs, rhs)

@@ -9,6 +9,7 @@ Hoelder and second-order Hoelder norms) are all measured against that metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,6 +308,10 @@ def osc(field: ScalarField, cube: ParabolicCube) -> float:
     return float(np.max(vals) - np.min(vals))
 
 
+# nodes per block of whole s-rows in which `lp_norm_weighted` applies the weights
+_LP_BLOCK = 1 << 16
+
+
 def lp_norm_weighted(field: ScalarField, p: float, cube: ParabolicCube,
                      mu: WeightedMeasure) -> float:
     """(sum |u|^p s^(nu-1) d(cell))^(1/p) over nodes inside the cube.
@@ -314,15 +319,23 @@ def lp_norm_weighted(field: ScalarField, p: float, cube: ParabolicCube,
     Node-dual quadrature: each node carries the exact integral of the
     singular density over its dual s-cell times the dual lengths of the
     other axes.  No normalization prefactor (it would cancel in every
-    measured constant anyway).
+    measured constant anyway).  One full-grid buffer is filled in place:
+    |u|, its p-th power, the weights of `weighted_volumes` a block of whole
+    s-rows (about _LP_BLOCK nodes) at a time, then the cube's mask; one
+    np.sum over the buffer gives the total.
     """
     if not np.isfinite(p) or p < 1:
         raise ValueError("p must be a finite real >= 1")
     g = field.grid
     mask = cube_nodes(cube, g)
-    w = weighted_volumes([dual_edges(ax) for ax in g.axes], mu.nu)
-    total = np.sum((np.abs(field.values) ** p) * w * mask)
-    return float(total ** (1.0 / p))
+    edges = [dual_edges(ax) for ax in g.axes]
+    terms = np.abs(field.values)
+    terms **= p
+    step = max(1, _LP_BLOCK // math.prod(g.shape[1:]))
+    for lo in range(0, len(g.s), step):
+        terms[lo:lo + step] *= weighted_volumes([edges[0][lo:lo + step + 1], *edges[1:]], mu.nu)
+    terms *= mask
+    return float(np.sum(terms) ** (1.0 / p))
 
 
 # pair-sampling rule for Hoelder seminorms: all pairs up to this many nodes,

@@ -75,25 +75,29 @@ class CoefficientField:
         if len(b) != n:
             raise ValueError("b must have n entries")
 
-    def eval_a(self, meshes, shape):
+    def eval_a(self, meshes, shape, origin=None):
         """Array of shape (n, n) + shape with a evaluated on the meshes.
 
-        Here and in eval_b a non-finite entry is refused by name and node index.
+        Here and in eval_b a non-finite entry is refused by name and node
+        index.  When the meshes are a block of a larger grid, origin is the
+        index of the block's first node there, and the index named is the
+        grid's.
         """
-        return np.array([[_evaluate(f, f"a{i + 1}{j + 1}", meshes, shape)
+        return np.array([[_evaluate(f, f"a{i + 1}{j + 1}", meshes, shape, origin)
                           for j, f in enumerate(row)] for i, row in enumerate(self.a)], float)
 
-    def eval_b(self, meshes, shape):
-        return np.array([_evaluate(f, f"b{i + 1}", meshes, shape)
+    def eval_b(self, meshes, shape, origin=None):
+        return np.array([_evaluate(f, f"b{i + 1}", meshes, shape, origin)
                          for i, f in enumerate(self.b)], float)
 
 
-def _evaluate(f, name: str, meshes, shape) -> np.ndarray:
+def _evaluate(f, name: str, meshes, shape, origin=None) -> np.ndarray:
     values = np.broadcast_to(f(*meshes), shape)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
+        at = bad[0] if origin is None else bad[0] + origin
         raise ValueError(f"coefficient {name} is non-finite at node index "
-                         f"{tuple(map(int, bad[0]))}")
+                         f"{tuple(map(int, at))}")
     return values
 
 
@@ -115,28 +119,36 @@ def validate_coefficients(coeffs: CoefficientField, grid: Grid) -> CoefficientVa
     Coefficients with time_dependent=False are sampled on the first time
     slice only.  That flag promises the same values at every t, the same
     contract the solver's step-matrix cache relies on, so the margins are
-    those of the full space-time grid.  Coefficients whose dimension n is
-    not the grid's are refused.
+    those of the full space-time grid.  Time-dependent ones are sampled one
+    time slice at a time, and each margin and the symmetry defect is folded
+    over the slices by np.min or np.max, which is exact: the margins are
+    those of the whole space-time arrays, which are never built.  A
+    non-finite value is refused at the earliest slice that holds one.
+    Coefficients whose dimension n is not the grid's are refused.
     """
     _check_dimension(coeffs, grid)
     *space, t = grid.x_meshes()
-    if not coeffs.time_dependent:
-        t = t[..., :1]
-    meshes = (*space, t)
-    shape = grid.shape[:-1] + t.shape[-1:]
-    A = coeffs.eval_a(meshes, shape)
-    B = coeffs.eval_b(meshes, shape)
-    asym = float(np.max(np.abs(A - np.swapaxes(A, 0, 1))))
+    shape = grid.shape[:-1] + (1,)
+    folds = []
+    for k in range(len(grid.t) if coeffs.time_dependent else 1):
+        meshes, origin = (*space, t[..., k:k + 1]), (0,) * (len(shape) - 1) + (k,)
+        A = coeffs.eval_a(meshes, shape, origin)
+        B = coeffs.eval_b(meshes, shape, origin)
+        folds.append((np.max(np.abs(A - np.swapaxes(A, 0, 1))),
+                      np.min(np.linalg.eigvalsh(np.moveaxis(A, (0, 1), (-2, -1)))),
+                      np.max(np.abs(A)), np.max(np.abs(B)), np.min(2.0 * B[0] / A[0, 0])))
+    asym, eig_min, a_max, b_max, transport = (
+        fold(values) for fold, values in zip((np.max, np.min, np.max, np.max, np.min),
+                                             zip(*folds)))
     if asym > 1e-12:
-        raise ValueError(f"coefficient matrix a is not symmetric (max |a_ij - a_ji| = {asym:g})")
+        raise ValueError(f"coefficient matrix a is not symmetric "
+                         f"(max |a_ij - a_ji| = {float(asym):g})")
     lam, nu = coeffs.params.lam, coeffs.params.nu
-    At = np.moveaxis(A, (0, 1), (-2, -1))
-    eigs = np.linalg.eigvalsh(At)
     margins = {
-        "ellipticity": float(np.min(eigs) - lam),
-        "bound_a": float(1.0 / lam - np.max(np.abs(A))),
-        "bound_b": float(1.0 / lam - np.max(np.abs(B))),
-        "transport": float(np.min(2.0 * B[0] / A[0, 0]) - nu),
+        "ellipticity": float(eig_min - lam),
+        "bound_a": float(1.0 / lam - a_max),
+        "bound_b": float(1.0 / lam - b_max),
+        "transport": float(transport - nu),
     }
     passed = all(m >= 0 for m in margins.values())
     return CoefficientValidation(margins, passed)
@@ -173,6 +185,108 @@ def _axis_matrices(grid: Grid):
     return (xx, x1, fwd, w), y_axes
 
 
+def _embed(mat, k: int, shape: tuple):
+    """I (x) mat (x) I as CSR: the 1-D CSR mat on axis k of shape, the identity on the others.
+
+    Built from mat's entries directly, a run of rows with equal entry
+    counts at a time.  Each row lists its entries in descending column
+    order (mat's rows are ascending), the order in which the product
+    diag(c) @ K of an ascending K emits them; see `_operator_assembly`.
+    """
+    lead, size, trail = math.prod(shape[:k]), shape[k], math.prod(shape[k + 1:])
+    counts = np.diff(mat.indptr)
+    # mat's entries, each row from its last
+    last = np.repeat(mat.indptr[:-1] + mat.indptr[1:] - 1, counts) - np.arange(mat.nnz)
+    index = np.int32 if lead * mat.nnz * trail < 2 ** 31 else np.int64
+    data, cols = [], []
+    ends = [*(np.flatnonzero(np.diff(counts)) + 1), size]
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        # rows lo..hi-1 of mat, each repeated for the trail's nodes
+        run = last[mat.indptr[lo]:mat.indptr[hi]].reshape(hi - lo, 1, -1)
+        data.append(np.broadcast_to(mat.data[run], (hi - lo, trail, run.shape[2])).ravel())
+        cols.append((mat.indices[run].astype(index) * trail
+                     + np.arange(trail, dtype=index)[:, None]).ravel())
+    cols = np.concatenate(cols) + (np.arange(lead, dtype=index) * (size * trail))[:, None]
+    indptr = np.zeros(lead * size * trail + 1, index)
+    np.cumsum(np.tile(np.repeat(counts, trail), lead), out=indptr[1:])
+    return sparse.csr_matrix((np.tile(np.concatenate(data), lead), cols.ravel(), indptr),
+                             shape=(len(indptr) - 1,) * 2)
+
+
+def _operator_assembly(grid: Grid, keep: bool):
+    """L_h on grid as a function of the coefficient arrays: (A, B) -> L_h.
+
+    Each term is a coefficient times an embedding K, scaled through K's
+    data, and the terms are summed in the order of `operator_matrix` by
+    sparse addition.  With keep, each embedding is kept after its first use
+    (calls at several times on one grid); without, one is alive at a time.
+    The products X1 Dy_j and Dy_i Dy_j are formed only for a mixed or cross
+    coefficient that is non-zero somewhere.  `apply_L` sums each row of
+    L_h u in stored order, so every term stores what diag(c) @ K stored: its
+    non-zero entries (scipy orders a sum's row one way when both operands'
+    rows are sorted and another way otherwise), single-axis terms in
+    descending column order (`_embed`), products in ascending order, which
+    is how the descending factors' product comes out.
+    """
+    shape = grid.shape[:-1]
+    m = len(grid.y)
+    (xx, x1, fwd, w), y_axes = _axis_matrices(grid)
+    w = w.reshape((-1,) + (1,) * m)
+    hy = [grid.hy(j) for j in range(m)]
+    sqrt_x = np.sqrt(grid.spatial_x_meshes()[0])
+    mats = {"xx": (xx, 0), "x1": (x1, 0), "fwd": (fwd, 0)}
+    for j, (dy, dyy) in enumerate(y_axes):
+        mats[f"dy{j}"], mats[f"dyy{j}"] = (dy, 1 + j), (dyy, 1 + j)
+    kept = {}
+
+    def embedding(keys):
+        # the product of the named embeddings
+        if keys in kept:
+            return kept[keys]
+        K = _embed(*mats[keys[0]], shape) if len(keys) == 1 else (
+            embedding(keys[:1]) @ embedding(keys[1:]))
+        if keep:
+            kept[keys] = K
+        return K
+
+    def terms(A, B):
+        # (coefficient, embedding) of each term, in the order of the sum;
+        # x a11 u_xx + b1 u_x, at s = 0 (x = 0, w = 0) b1 times the forward difference
+        yield A[0, 0], ("xx",)
+        yield w * B[0], ("x1",)
+        yield (1 - w) * B[0], ("fwd",)
+        for j in range(m):
+            yield A[1 + j, 1 + j] / (hy[j] * hy[j]), (f"dyy{j}",)
+            yield B[1 + j] / (2 * hy[j]), (f"dy{j}",)
+            # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for diagonal coefficients)
+            if np.any(A[0, 1 + j] != 0):
+                yield 2.0 * A[0, 1 + j] * sqrt_x / (2 * hy[j]), ("x1", f"dy{j}")
+        for i in range(m):
+            for j in range(i + 1, m):
+                if np.any(A[1 + i, 1 + j] != 0):
+                    yield 2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), (f"dy{i}", f"dy{j}")
+
+    def assemble(A, B):
+        L = None
+        for coeff, keys in terms(A, B):
+            K = embedding(keys)
+            data = np.repeat(np.broadcast_to(coeff, shape).ravel(), np.diff(K.indptr))
+            data *= K.data
+            term = sparse.csr_matrix((data, K.indices.copy(), K.indptr.copy()), shape=K.shape)
+            term.eliminate_zeros()
+            L = term if L is None else L + term
+        return L
+
+    return assemble
+
+
+def _coefficients(coeffs: CoefficientField, grid: Grid, t: float):
+    """(A, B): the coefficients at time t on the spatial nodes."""
+    xm = [*grid.spatial_x_meshes(), t]
+    shape = grid.shape[:-1]
+    return coeffs.eval_a(xm, shape), coeffs.eval_b(xm, shape)
+
+
 def operator_matrix(coeffs: CoefficientField, grid: Grid, t: float):
     """L_h at time t on the spatial nodes (C order): (L_h, A, B), A and B the coefficients.
 
@@ -182,54 +296,17 @@ def operator_matrix(coeffs: CoefficientField, grid: Grid, t: float):
         L_h = diag(a11) XX + diag(w b1) X1 + diag((1 - w) b1) F
               + sum_j [diag(a_jj / h_j^2) Dyy_j + diag(b_j / 2h_j) Dy_j
                        + diag(2 sqrt(x) a1j / 2h_j) X1 Dy_j]
-              + sum_{i<j} diag(2 a_ij / 4 h_i h_j) Dy_i Dy_j.
+              + sum_{i<j} diag(2 a_ij / 4 h_i h_j) Dy_i Dy_j,
 
-    The transport b1 u_x (b1 > 0) blends the x-stencil X1 with the monotone
+    summed left to right; an entry whose sum is zero is not stored.  The
+    transport b1 u_x (b1 > 0) blends the x-stencil X1 with the monotone
     forward difference F, w = 0 at the first two s-nodes and 1 from s-index
     5 on.  At s = 0 (x = 0, w = 0) the row is the limit equation's b1 u_x +
     sum a_ij u_{y_i y_j} + sum b_j u_{y_j}: its outflow needs no boundary data.
     """
     _check_dimension(coeffs, grid)
-    xm = [*grid.spatial_x_meshes(), t]
-    sp_shape = grid.shape[:-1]
-    N = math.prod(sp_shape)
-    A = coeffs.eval_a(xm, sp_shape)
-    B = coeffs.eval_b(xm, sp_shape)
-
-    m = len(grid.y)
-    (xx, x1, fwd, w), y_axes = _axis_matrices(grid)
-    w = w.reshape((-1,) + (1,) * m)
-    hy = [grid.hy(j) for j in range(m)]
-
-    def on_axis(mat, k):
-        # I (x) mat (x) I: mat on spatial axis k, the identity on the others,
-        # built from mat's entries without sparse.kron's per-call overhead
-        coo = mat.tocoo()
-        lead = np.arange(math.prod(sp_shape[:k]))[:, None, None] * mat.shape[0]
-        trail = np.arange(math.prod(sp_shape[k + 1:]))
-        rows, cols = ((lead + i[:, None]) * trail.size + trail for i in (coo.row, coo.col))
-        data = np.broadcast_to(coo.data[:, None], rows.shape)
-        return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(N, N))
-
-    def term(coeff, K):
-        return sparse.diags(np.broadcast_to(coeff, sp_shape).ravel()) @ K
-
-    # x a11 u_xx + b1 u_x; at s = 0 (x = 0, w = 0) b1 times the forward difference
-    X1 = on_axis(x1, 0)
-    L = (term(A[0, 0], on_axis(xx, 0)) + term(w * B[0], X1)
-         + term((1 - w) * B[0], on_axis(fwd, 0)))
-    Y1 = [on_axis(dy, 1 + j) for j, (dy, _) in enumerate(y_axes)]
-    for j, (_, dyy) in enumerate(y_axes):
-        L = (L + term(A[1 + j, 1 + j] / (hy[j] * hy[j]), on_axis(dyy, 1 + j))
-             + term(B[1 + j] / (2 * hy[j]), Y1[j]))
-        # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for diagonal coefficients)
-        if np.any(A[0, 1 + j] != 0):
-            L = L + term(2.0 * A[0, 1 + j] * np.sqrt(xm[0]) / (2 * hy[j]), X1 @ Y1[j])
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.any(A[1 + i, 1 + j] != 0):
-                L = L + term(2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), Y1[i] @ Y1[j])
-    return L, A, B
+    A, B = _coefficients(coeffs, grid, t)
+    return _operator_assembly(grid, keep=False)(A, B), A, B
 
 
 def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
@@ -239,13 +316,18 @@ def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     is exact for fields linear in x and y at every node, and for fields
     quadratic in x past s-index 4 (inside, the transport blends in the
     forward difference).  Static coefficients take one matrix for all
-    slices, time-dependent ones one per slice.
+    slices.  Time-dependent ones take one per slice, from embeddings built
+    once per call: per slice only the coefficients, their scaling and the
+    sum are redone.
     """
     g = field.grid
     u = field.values.reshape(-1, len(g.t))  # a column per time slice
     if not coeffs.time_dependent:
         return ScalarField(g, (operator_matrix(coeffs, g, g.t[0])[0] @ u).reshape(g.shape))
-    out = np.column_stack([operator_matrix(coeffs, g, t)[0] @ col for t, col in zip(g.t, u.T)])
+    _check_dimension(coeffs, g)
+    assemble = _operator_assembly(g, keep=True)
+    out = np.column_stack([assemble(*_coefficients(coeffs, g, t)) @ col
+                           for t, col in zip(g.t, u.T)])
     return ScalarField(g, out.reshape(g.shape))
 
 

@@ -273,10 +273,74 @@ class StepMatrix:
         return self._solve(rhs, x0)
 
 
+def _step_from_operator(L: sparse.csr_matrix, dt: float, free: np.ndarray, c: float):
+    """M = I - dt P_free (L + c) as canonical CSR, computed on L's arrays.
+
+    Every entry is the one the sparse products and sums I - diag(dt P_free)
+    L - diag(dt c P_free) give, bitwise: -(dt L_ij) off the diagonal and
+    (1 - dt L_ii) - dt c on it in a free row, a row of L without a diagonal
+    entry taking L_ii = 0; a Dirichlet row is an identity row.  The zeros
+    those operations drop are dropped here too, and the rows are sorted.
+    """
+    n = L.shape[0]
+
+    def rows(indptr):
+        return np.repeat(np.arange(n, dtype=L.indices.dtype), np.diff(indptr))
+
+    row = rows(L.indptr)
+    lacks = np.ones(n, dtype=bool)
+    lacks[row[L.indices == row]] = False
+    del row
+    missing = np.flatnonzero(lacks)
+    at = L.indptr[missing]  # a missing diagonal entry goes first in its row
+    indices = np.insert(L.indices, at, missing)
+    data = np.insert(L.data, at, 0.0)
+    indptr = L.indptr.copy()
+    indptr[1:] += np.cumsum(lacks, dtype=indptr.dtype)
+    row = rows(indptr)
+    on_diag = indices == row  # one per row
+    data *= dt
+    data *= free[row]  # a Dirichlet row's entries become zeros
+    del row
+    diag = data[on_diag]
+    np.negative(data, out=data)
+    data[on_diag] = (1.0 - diag) - np.where(free, dt * c, 0.0)
+    M = sparse.csr_matrix((data, indices, indptr), shape=L.shape)
+    M.eliminate_zeros()
+    M.sort_indices()
+    return M
+
+
+def _m_matrix_flags(M: sparse.csr_matrix):
+    """(diagonally_dominant, max_positive_offdiag) of a canonical CSR M, from its arrays.
+
+    Row i is dominant when |M_ii| >= sum_j!=i |M_ij| - 1e-12; each row's sum
+    is `np.add.reduceat` over its off-diagonal entries in column order, the
+    sum `M.sum(axis=1)` takes.  M stores no zero, so a row holds a diagonal
+    entry exactly when M_ii != 0.
+    """
+    n = M.shape[0]
+    diag = M.diagonal()
+    off = M.indices != np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
+    values = M.data[off]
+    del off
+    max_pos_off = float(values.max()) if values.size else 0.0
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.diff(M.indptr) - (diag != 0), out=starts[1:])
+    rows = np.flatnonzero(np.diff(starts))
+    row_off_abs = np.zeros(n)
+    row_off_abs[rows] = np.add.reduceat(np.abs(values, out=values), starts[rows])
+    return bool(np.all(np.abs(diag) >= row_off_abs - 1e-12)), max_pos_off
+
+
 def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
                          t_eval: float | None = None,
                          config: SolverConfig | None = None) -> StepMatrix:
-    """Assemble I - dt P_free (L_h + c), L_h of `operators.operator_matrix` at t_eval."""
+    """Assemble I - dt P_free (L_h + c), L_h of `operators.operator_matrix` at t_eval.
+
+    M is formed on L_h's arrays (`_step_from_operator`), and L_h is released
+    before the n >= 3 solver slices M into its free-node blocks.
+    """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     config = config or SolverConfig()
@@ -285,16 +349,9 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
 
     L, A, B = operator_matrix(problem.coeffs, grid, t_eval)
     free = ~_dirichlet_mask(grid).ravel()
-    diag_extra = np.where(free, dt * problem.c, 0.0)
-    scale = sparse.diags(np.where(free, dt, 0.0))
-    M = sparse.identity(free.size, format="csr") - scale @ L - sparse.diags(diag_extra)
-    M.sum_duplicates()  # canonical CSR: sorted indices
-
-    diag = M.diagonal()
-    off = M - sparse.diags(diag)
-    row_off_abs = np.asarray(np.abs(off).sum(axis=1)).ravel()
-    dominant = bool(np.all(np.abs(diag) >= row_off_abs - 1e-12))
-    max_pos_off = float(off.data.max()) if off.nnz else 0.0
+    M = _step_from_operator(L, dt, free, problem.c)
+    del L
+    dominant, max_pos_off = _m_matrix_flags(M)
 
     if grid.n >= 3:
         precond = _fast_diagonalization(A, B, grid, dt, problem.c)

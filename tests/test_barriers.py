@@ -1,8 +1,10 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import degenpde
+from degenpde import barriers
 from degenpde.barriers import (
     HarnackBarrierParams,
     ModelBarrierParams,
@@ -126,6 +129,38 @@ def test_harnack_n3_regime():
     assert cert.passed
     assert cert.info["fd_derivative_deviation"] == float.fromhex("0x1.b53a961e42a63p-23")
 
+
+
+def test_harnack_certificate_over_the_working_set_budget_is_refused(monkeypatch):
+    # 17^3 nodes at n = 2 are estimated at 20 * 9 B each, 0.84 MiB
+    monkeypatch.setattr(barriers, "HARNACK_BUDGET_BYTES", 2 ** 19)
+    with pytest.raises(ValueError, match=re.escape(
+            "Harnack barrier verification grid refused: 17 nodes per axis at n = 2 is "
+            "4,913 nodes, an estimated 0.8 MiB working set, over the 0.5 MiB budget")):
+        certify_harnack_barrier(harnack_params(2), model_coefficients(1.0, 2), nodes=17)
+    monkeypatch.setattr(barriers, "HARNACK_BUDGET_BYTES", 2 ** 20)
+    assert certify_harnack_barrier(harnack_params(2), model_coefficients(1.0, 2), nodes=17,
+                                   measure_c11=False, fd_check=False).margins
+
+
+def test_harnack_search_at_n4_is_refused_before_any_grid_array(monkeypatch):
+    # it was killed by the kernel on an 8 GB host: 33^5 nodes, 313 MB per
+    # array; should the refusal break, the grids fail here instead of filling memory
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(barriers, "compute_sup_offset", no_grid)
+    monkeypatch.setattr(barriers, "harnack_region_grid", no_grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                "33 nodes per axis at n = 4 is 39,135,393 nodes, an estimated 18,661.2 MiB "
+                "working set, over the 512.0 MiB budget (HARNACK_BUDGET_BYTES)")):
+            search_harnack_barrier_params(model_coefficients(1.0, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 def test_harnack_region_grid_shape():
     g = harnack_region_grid((0.0, (0.0,)), 1.0, n=2, nodes=21)

@@ -23,8 +23,9 @@ from degenpde.estimates import (
     schauder_ratio,
     write_series,
 )
-from degenpde.fields import Grid, ScalarField, fd_derivatives, sample
-from degenpde.geometry import ParabolicCube, Point, SPoint
+from degenpde.fields import Grid, ScalarField, fd_derivatives, lp_norm_weighted, sample
+from degenpde.geometry import (ParabolicCube, Point, SPoint, WeightedMeasure, cube_nodes,
+                               dual_edges, weighted_volumes)
 from degenpde.operators import (apply_L0, manufactured_solutions, model_coefficients,
                                 random_coefficients)
 from degenpde.solver import IVBProblem, solve_ivbp
@@ -244,6 +245,60 @@ def test_contact_sets_working_set_is_a_few_fields():
         tracemalloc.stop()
     assert peak < 5 * u.values.nbytes
 
+
+
+@pytest.fixture(scope="module")
+def solved_n3_33():
+    """The n3_abp solve at 33^3 x 17 nodes (random n = 3 coefficients, seed 7)."""
+    grid = Grid.uniform((0, 1, 33), [(-1, 1, 33)] * 2, (0, 1, 17))
+    one = lambda x, y2, y3, t: 1.0 + 0 * x  # noqa: E731
+    zero = lambda x, y2, y3, t: 0 * x  # noqa: E731
+    return solve_ivbp(IVBProblem(coeffs=random_coefficients(7, 3), forcing=one,
+                                 initial=zero, lateral=zero), grid)
+
+
+def test_abp_check_forcing_integral_is_computed_in_place(solved_n3_33, monkeypatch):
+    # blocks of 4 * 4096 nodes keep contact_sets' own working set small, so
+    # the forcing integral's sets the peak: 4.52 fields with the full-grid
+    # (g-) 1_Gamma copy, its clip temporary, |u|^p, the weights and the mask
+    # product, 2.64 fields with one buffer each for (g-) 1_Gamma and the norm
+    monkeypatch.setattr(estimates, "CONTACT_CHUNK", 1 << 12)
+    u = solved_n3_33
+    g = ScalarField(u.grid, np.full(u.grid.shape, -1.0))
+    cube = ParabolicCube("B_eta", Point(0.5, [0.0, 0.0], 1.0), 1.0)
+    tracemalloc.start()
+    try:
+        abp_check(u, g, cube, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * u.values.nbytes
+
+
+def lp_norm_by_expression(field, p, cube, mu):
+    """Reference for lp_norm_weighted: the whole-grid weights times |u|^p times the mask."""
+    grid = field.grid
+    w = weighted_volumes([dual_edges(ax) for ax in grid.axes], mu.nu)
+    total = np.sum((np.abs(field.values) ** p) * w * cube_nodes(cube, grid))
+    return float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1, 2.5, 3, 4])
+def test_lp_norm_weighted_equals_the_whole_grid_expression_bitwise(solved_n3_33, p):
+    cube = ParabolicCube("B_eta", Point(0.5, [0.0, 0.0], 1.0), 1.0)
+    rng = np.random.default_rng(5)
+    fields = [solved_n3_33, ScalarField(solved_n3_33.grid,
+                                        rng.standard_normal(solved_n3_33.grid.shape))]
+    # an s-axis of 200 nodes takes several s-rows per block, 5 nodes one
+    for ns, nt in ((200, 9), (5, 7)):
+        grid = Grid.uniform((0, 1, ns), [(-1, 1, 9)], (0, 1, nt))
+        fields.append(ScalarField(grid, rng.uniform(-3, 3, grid.shape)))
+    for field, cube in zip(fields, [cube, cube] + [ParabolicCube(
+            "B_eta", Point(0.3, [0.1], 0.5), 0.8)] * 2):
+        for nu in (0.25, 0.5):
+            mu = WeightedMeasure(nu)
+            assert lp_norm_weighted(field, p, cube, mu) == lp_norm_by_expression(
+                field, p, cube, mu)
 
 def test_abp_and_harnack_at_n4():
     """The estimates hold in all dimensions: an n = 4 solve, measured as it stands."""

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from degenpde.operators import (
     exact_forcing,
     manufactured_solutions,
     model_coefficients,
+    operator_matrix,
     parse_coefficient_preset,
     random_coefficients,
     validate_coefficients,
@@ -55,6 +57,45 @@ def test_validate_ellipticity_margin():
     rep = validate_coefficients(coeffs, unit_grid(9))
     assert not rep.passed
     assert rep.margins["ellipticity"] == pytest.approx(-0.1, abs=1e-12)
+
+
+def margins_on_the_spacetime_grid(coeffs, grid):
+    """Reference for validate_coefficients: the margins of the whole space-time arrays."""
+    meshes = grid.x_meshes()
+    A, B = coeffs.eval_a(meshes, grid.shape), coeffs.eval_b(meshes, grid.shape)
+    lam, nu = coeffs.params.lam, coeffs.params.nu
+    eigs = np.linalg.eigvalsh(np.moveaxis(A, (0, 1), (-2, -1)))
+    return {"ellipticity": float(np.min(eigs) - lam),
+            "bound_a": float(1.0 / lam - np.max(np.abs(A))),
+            "bound_b": float(1.0 / lam - np.max(np.abs(B))),
+            "transport": float(np.min(2.0 * B[0] / A[0, 0]) - nu)}
+
+
+def test_time_dependent_validation_walks_the_slices():
+    # every margin is worst on the last slice; the whole space-time arrays
+    # (n^2 + n of them) peaked at 240 B per space-time node, one slice at a
+    # time peaks at 14 B
+    g = Grid.uniform((0, 1, 17), [(-1, 1, 17)] * 2, (0, 1, 17))
+    coeffs = coefficients_from_expressions(
+        {"a11": "1.2 - 0.5*t", "a22": "1 + t", "a23": "0.1*t", "b1": "0.6 - 0.3*t + 0.1*y2",
+         "b2": "0.5*t*y2"}, 3, lam=0.4, nu=0.2)
+    tracemalloc.start()
+    try:
+        report = validate_coefficients(coeffs, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.margins == margins_on_the_spacetime_grid(coeffs, g)
+    assert peak < 4 * math.prod(g.shape) * 8
+    on_first = CoefficientField(3, coeffs.a, coeffs.b, coeffs.params)
+    assert validate_coefficients(on_first, g).margins != report.margins
+
+
+def test_time_dependent_validation_names_the_node_of_a_non_finite_value():
+    coeffs = coefficients_from_expressions({"a11": "1 + 1/(t - 0.75)"}, 2)
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match=re.escape(
+            "coefficient a11 is non-finite at node index (0, 0, 12)")):
+        validate_coefficients(coeffs, unit_grid(17))
 
 
 @pytest.mark.parametrize("coeffs", [model_coefficients(2.0, 3), random_coefficients(11, 3)],
@@ -92,6 +133,17 @@ def test_late_loss_of_ellipticity_is_refused():
     assert not rep.passed
     assert rep.margins["ellipticity"] == pytest.approx(-0.1, abs=1e-12)
 
+
+
+def test_time_dependent_apply_L_is_the_operator_of_each_slice():
+    g = Grid.uniform((0, 1, 13), [(-1, 1, 11), (-1, 1, 9)], (0, 1, 5))
+    coeffs = coefficients_from_expressions(
+        {"a11": "1 + 0.5*t", "a12": "0.1*t", "a23": "0.2 - 0.1*t", "b1": "1 + t*y2"}, 3, lam=0.3)
+    u = np.random.default_rng(2).standard_normal(g.shape)
+    got = apply_L(coeffs, ScalarField(g, u)).values
+    for k, t in enumerate(g.t):
+        want = operator_matrix(coeffs, g, t)[0] @ u[..., k].ravel()
+        assert np.array_equal(got[..., k].ravel(), want), k
 
 def test_apply_L_examples():
     g = unit_grid(21)

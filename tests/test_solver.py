@@ -2,16 +2,19 @@ import dataclasses
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from degenpde import barriers, solver
 from degenpde.fields import Grid, sample, x_stencils
-from degenpde.operators import (coefficients_from_expressions, model_coefficients,
-                                random_coefficients, validate_coefficients)
+from degenpde.operators import (_axis_matrices, coefficients_from_expressions,
+                                model_coefficients, operator_matrix, random_coefficients,
+                                validate_coefficients)
 from degenpde.solver import (
     IVBProblem,
     SolverConfig,
@@ -183,6 +186,136 @@ def test_step_matrix_equals_the_per_node_loop(n, nodes, case, s_lo):
     else:
         np.testing.assert_allclose(A.toarray(), want, rtol=1e-13, atol=0)
 
+
+
+def sparse_algebra_operator(coeffs, grid, t):
+    """Reference for operators.operator_matrix: L_h by sparse-matrix algebra.
+
+    Each term is diags(c) @ K, K the Kronecker embedding of a 1-D matrix
+    built from COO entries, and the terms are summed left to right by
+    sparse addition, the products X1 @ Dy_j and Dy_i @ Dy_j formed from
+    the embeddings.
+    """
+    shape = grid.shape[:-1]
+    N = math.prod(shape)
+    xm = [*grid.spatial_x_meshes(), t]
+    A, B = coeffs.eval_a(xm, shape), coeffs.eval_b(xm, shape)
+    m = len(grid.y)
+    (xx, x1, fwd, w), y_axes = _axis_matrices(grid)
+    w = w.reshape((-1,) + (1,) * m)
+    hy = [grid.hy(j) for j in range(m)]
+
+    def on_axis(mat, k):
+        coo = mat.tocoo()
+        lead = np.arange(math.prod(shape[:k]))[:, None, None] * mat.shape[0]
+        trail = np.arange(math.prod(shape[k + 1:]))
+        rows, cols = ((lead + i[:, None]) * trail.size + trail for i in (coo.row, coo.col))
+        data = np.broadcast_to(coo.data[:, None], rows.shape)
+        return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(N, N))
+
+    def term(coeff, K):
+        return sparse.diags(np.broadcast_to(coeff, shape).ravel()) @ K
+
+    X1 = on_axis(x1, 0)
+    L = (term(A[0, 0], on_axis(xx, 0)) + term(w * B[0], X1)
+         + term((1 - w) * B[0], on_axis(fwd, 0)))
+    Y1 = [on_axis(dy, 1 + j) for j, (dy, _) in enumerate(y_axes)]
+    for j, (_, dyy) in enumerate(y_axes):
+        L = (L + term(A[1 + j, 1 + j] / (hy[j] * hy[j]), on_axis(dyy, 1 + j))
+             + term(B[1 + j] / (2 * hy[j]), Y1[j]))
+        if np.any(A[0, 1 + j] != 0):
+            L = L + term(2.0 * A[0, 1 + j] * np.sqrt(xm[0]) / (2 * hy[j]), X1 @ Y1[j])
+    for i in range(m):
+        for j in range(i + 1, m):
+            if np.any(A[1 + i, 1 + j] != 0):
+                L = L + term(2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), Y1[i] @ Y1[j])
+    return L
+
+
+def sparse_algebra_step(coeffs, grid, dt, c, t_eval):
+    """Reference for assemble_step_matrix: (M, diagonally_dominant, max_positive_offdiag).
+
+    M = I - diags(dt P_free) @ L - diags(dt c P_free) by sparse algebra, and
+    the flags from the off-diagonal matrix M - diags(diag M).
+    """
+    L = sparse_algebra_operator(coeffs, grid, t_eval)
+    free = ~solver._dirichlet_mask(grid).ravel()
+    scale = sparse.diags(np.where(free, dt, 0.0))
+    M = (sparse.identity(free.size, format="csr") - scale @ L
+         - sparse.diags(np.where(free, dt * c, 0.0)))
+    M.sum_duplicates()
+    diag = M.diagonal()
+    off = M - sparse.diags(diag)
+    row_off_abs = np.asarray(np.abs(off).sum(axis=1)).ravel()
+    dominant = bool(np.all(np.abs(diag) >= row_off_abs - 1e-12))
+    return M, dominant, float(off.data.max()) if off.nnz else 0.0
+
+
+def same_csr(a, b):
+    return all(x.dtype == y.dtype and np.array_equal(x.view(np.uint8), y.view(np.uint8))
+               for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+TIME_DEPENDENT = {"a11": "1 + 0.5*t", "b1": "1 + t*y2", "b2": "0.5*t - 0.2"}
+# (coefficients, nodes on the s-axis and on each y-axis, s from)
+ASSEMBLY_CASES = {
+    "model_v0.25_n2": (model_coefficients(0.25, 2), (17, 17), 0.0),
+    "model_v1_n3": (model_coefficients(1.0, 3), (9, 9), 0.0),
+    "model_v2_n2": (model_coefficients(2.0, 2), (33, 33), 0.0),
+    "model_v2_n3": (model_coefficients(2.0, 3), (9, 11), 0.3),
+    "random_3_n2": (random_coefficients(3, 2), (17, 13), 0.0),
+    "random_7_n3": (random_coefficients(7, 3), (11, 9), 0.0),
+    "random_7_n3_clipped": (random_coefficients(7, 3), (9, 9), 0.3),
+    "cross_terms_n2": (coefficients_from_expressions(CROSS_TERMS[2], 2, lam=0.3), (17, 17), 0.0),
+    "cross_terms_n3": (coefficients_from_expressions(CROSS_TERMS[3], 3, lam=0.3), (9, 9), 0.0),
+    "time_dependent_n2": (coefficients_from_expressions(TIME_DEPENDENT, 2), (17, 17), 0.0),
+    "s_nodes_3": (random_coefficients(3, 2), (3, 9), 0.0),
+    "s_nodes_5": (coefficients_from_expressions(CROSS_TERMS[3], 3, lam=0.3), (5, 7), 0.0),
+}
+
+
+@pytest.mark.parametrize("dt, c", [(0.37, 0.0), (1 / 16, -0.5)])
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_step_matrix_equals_the_sparse_algebra_bitwise(case, dt, c):
+    coeffs, (ns, ny), s_lo = ASSEMBLY_CASES[case]
+    grid = Grid.uniform((s_lo, 1, ns), [(-1, 1, ny)] * (coeffs.n - 1), (0, 1, 5))
+    step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.75)
+    M, dominant, max_pos_off = sparse_algebra_step(coeffs, grid, dt, c, 0.75)
+    assert same_csr(step.A, M)
+    assert step.diagonally_dominant is dominant
+    assert np.array_equal(step.max_positive_offdiag, max_pos_off)
+    # L_h itself, entry order included: apply_L sums each row in that order
+    assert same_csr(operator_matrix(coeffs, grid, 0.75)[0],
+                    sparse_algebra_operator(coeffs, grid, 0.75))
+
+
+
+@pytest.mark.parametrize("dt, c", [(0.37, 0.0), (1 / 16, -0.5)])
+def test_step_matrix_of_rows_without_a_diagonal_entry_is_the_sparse_algebras(dt, c):
+    # a22 = b1 = 0: at s = 0 every diagonal contribution is zero, so those
+    # rows of L_h store no diagonal entry and M's diagonal is put in
+    coeffs = coefficients_from_expressions({"a22": "0", "b1": "0", "b2": "y2"}, 2)
+    grid = Grid.uniform((0, 1, 9), [(-1, 1, 9)], (0, 1, 5))
+    assert np.count_nonzero(operator_matrix(coeffs, grid, 0.5)[0].diagonal() == 0) == 7
+    step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.5)
+    M, dominant, max_pos_off = sparse_algebra_step(coeffs, grid, dt, c, 0.5)
+    assert same_csr(step.A, M)
+    assert (step.diagonally_dominant, step.max_positive_offdiag) == (dominant, max_pos_off)
+
+def test_step_assembly_working_set():
+    # the sparse-algebra assembly peaked at 593 B per spatial node here (33^3
+    # nodes, random n = 3 coefficients): diags(c) @ K per term, then
+    # I - scale @ L - diags and the off and abs(off) matrices; on L's own
+    # arrays it peaks at 378 B
+    grid = cube_grid(33, t_nodes=17)
+    problem = IVBProblem(coeffs=random_coefficients(7, 3))
+    tracemalloc.start()
+    try:
+        assemble_step_matrix(problem, grid, 1 / 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 480 * 33 ** 3
 
 def test_constant_is_fixed_point():
     g = unit_grid(17)
