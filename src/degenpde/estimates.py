@@ -18,7 +18,6 @@ from .fields import (
     Grid,
     ScalarField,
     _ratio_maxes,
-    _region_pairs,
     c0_norm,
     cs_norm_2_alpha,
     fd_derivatives,
@@ -106,6 +105,12 @@ def _budget(name: str, value: float, hi: float = math.inf) -> None:
     """Refuse a pass budget outside (0, hi], NaN included, naming it."""
     if not 0 < value <= hi:
         raise ValueError(f"{name} must lie in (0, {hi:g}], got {value:g}")
+
+
+def _finite_positive(name: str, value: float) -> None:
+    """Refuse a value that is not a finite positive real, NaN included, naming it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value:g}")
 
 
 def _finish(name, lhs, rhs_components, constant, margins, grid,
@@ -656,7 +661,12 @@ def holder_bound_check(u: ScalarField, g, base, r: float, rho: float,
 
 def gradient_bound_check(f: ScalarField, v, B: float, r: float,
                          gamma_frac: float, base=None) -> EstimateReport:
-    """Interior gradient bound |f_x|, |f_yi| <= C B / r^2 on the inner box."""
+    """Interior gradient bound |f_x|, |f_yi| <= C B / r^2 on the inner box.
+
+    The bound B and the transport velocity v must be finite and positive.
+    """
+    _finite_positive("B", B)
+    _finite_positive("v", v)
     if not 0 < gamma_frac < 1:
         raise ValueError("gamma_frac must lie in (0, 1)")
     grid = f.grid
@@ -695,10 +705,12 @@ def bernstein_quantity_check(f: ScalarField, v, A: float,
     refused unless it solves the model equation: max |L0 f| over the
     interior nodes from s-index `operators.BLEND_END` on, past the transport
     blend zone, where L_h is exact for fields quadratic in x, must lie below
-    100 tol (1 + max |f|).
+    100 tol (1 + max |f|).  A must be finite and >= 8, tol finite and
+    positive.
     """
-    if A < 8.0:
-        raise ValueError("A must be >= 8")
+    if not (math.isfinite(A) and A >= 8.0):
+        raise ValueError(f"A must be finite and >= 8, got {A:g}")
+    _finite_positive("tol", tol)
     grid = f.grid
     residual_l0 = apply_L0(v, f)
     interior = grid.interior_box(2, t_margin=2)
@@ -835,9 +847,9 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     nodes in a box its Hoelder seminorms are maxima over a fixed sample of
     node pairs, so the inner norm and the unit-box norms are lower bounds of
     their suprema (up to 2.2% low at 33^3) and the ratio is not a bound in
-    either direction.  One blocked pass over the unit box's pairs serves the
-    data term and every non-constant entry; a constant one's seminorm is
-    0.0.  A non-finite entry is refused by name (`CoefficientField.eval_a`,
+    either direction.  One kernel call draws the unit box's pairs and walks
+    them once for the data term and every non-constant entry together; a
+    constant one's seminorm is 0.0.  A non-finite entry is refused by name (`CoefficientField.eval_a`,
     `eval_b`) before the operator is applied.
     """
     if not 0 < r < 1:
@@ -859,7 +871,7 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     norms = np.max(np.abs(rows), axis=1)
     varying = np.ptp(rows, axis=1) != 0  # a constant row's seminorm is 0.0
     if np.any(varying):
-        norms[varying] += _ratio_maxes(_region_pairs(grid, unit, alpha), rows[varying])
+        norms[varying] += _ratio_maxes(grid, unit, alpha, rows[varying])
     rhs_sup = float(np.max(np.abs(f.values[unit])))
     rhs_data = float(norms[0])
     coeff_norm = float(np.max(norms[1:]))

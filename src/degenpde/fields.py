@@ -351,15 +351,18 @@ _HOLDER_SAMPLED_PAIRS = 1_000_000
 _HOLDER_BLOCK = 1 << 14
 
 
-def _region_pairs(grid: Grid, mask: np.ndarray, alpha: float):
-    """Node pairs (ii, jj) of the region at positive distance, and w = dist^alpha.
+def _ratio_maxes(grid: Grid, mask: np.ndarray, alpha: float, rows: np.ndarray) -> np.ndarray:
+    """max |row[i] - row[j]| / dist(i, j)^alpha over the region's node pairs, per row.
 
-    Indices count the masked nodes in mask order.  The pairs depend on the
-    region alone, so every field measured on it shares one set.  A sampled
-    set may draw a node twice; distinct grid nodes differ in some strictly
-    increasing axis and so lie at positive distance, hence `dist > 0` drops
-    exactly those self-pairs and keeps the order of the rest.  The distance
-    |ds| + |dy| + sqrt|dt| is computed block by block.
+    `rows` is (k, npts): one row per field, its columns the masked nodes in
+    mask order.  The pairs depend on the region alone: all pairs up to
+    _HOLDER_ALL_PAIRS_LIMIT nodes, else the fixed-seed sample of
+    _HOLDER_SAMPLED_PAIRS.  One walk over blocks of _HOLDER_BLOCK drawn pairs
+    computes each pair's distance |ds| + |dy| + sqrt|dt| once for all rows.
+    A sampled pair may draw a node twice; distinct grid nodes differ in some
+    strictly increasing axis, so such a self-pair is the only one at
+    distance 0; it is weighted inf and adds a ratio of 0.  A row's maximum
+    is 0.0 when there are no pairs.
     """
     coords = [ax[k] for ax, k in zip(grid.axes, np.nonzero(mask))]
     npts = coords[0].size
@@ -370,8 +373,7 @@ def _region_pairs(grid: Grid, mask: np.ndarray, alpha: float):
         ii = rng.integers(0, npts, _HOLDER_SAMPLED_PAIRS)
         jj = rng.integers(0, npts, _HOLDER_SAMPLED_PAIRS)
     s, *ys, t = coords
-    keep_i, keep_j, w = np.empty_like(ii), np.empty_like(jj), np.empty(ii.size)
-    kept = 0
+    out = np.zeros(len(rows))
     for lo in range(0, ii.size, _HOLDER_BLOCK):
         i, j = ii[lo:lo + _HOLDER_BLOCK], jj[lo:lo + _HOLDER_BLOCK]
         dist = np.abs(s[i] - s[j])
@@ -379,28 +381,12 @@ def _region_pairs(grid: Grid, mask: np.ndarray, alpha: float):
         for yk in ys:
             dy2 += (yk[i] - yk[j]) ** 2
         dist = dist + np.sqrt(dy2) + np.sqrt(np.abs(t[i] - t[j]))
-        pos = dist > 0
-        end = kept + np.count_nonzero(pos)
-        keep_i[kept:end], keep_j[kept:end] = i[pos], j[pos]
-        w[kept:end] = dist[pos] ** alpha
-        kept = end
-    return keep_i[:kept], keep_j[:kept], w[:kept]
-
-
-def _ratio_maxes(pairs, rows: np.ndarray) -> np.ndarray:
-    """max |row[ii] - row[jj]| / w over the pairs for each row of (k, npts) rows.
-
-    One walk over the pairs, block by block, serves every row; a row's
-    maximum is 0.0 when there are no pairs.
-    """
-    ii, jj, w = pairs
-    out = np.zeros(len(rows))
-    for lo in range(0, w.size, _HOLDER_BLOCK):
-        hi = lo + _HOLDER_BLOCK
-        ratio = rows.take(ii[lo:hi], axis=1)
-        ratio -= rows.take(jj[lo:hi], axis=1)
+        w = dist ** alpha
+        w[dist == 0] = np.inf
+        ratio = rows.take(i, axis=1)
+        ratio -= rows.take(j, axis=1)
         np.abs(ratio, out=ratio)
-        ratio /= w[lo:hi]
+        ratio /= w
         np.maximum(out, ratio.max(axis=1), out=out)
     return out
 
@@ -418,7 +404,7 @@ def holder_seminorm(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     if np.count_nonzero(mask) < 2:
         raise ValueError("region must contain at least 2 grid nodes")
     rows = field.values[mask][np.newaxis]
-    return float(_ratio_maxes(_region_pairs(field.grid, mask, alpha), rows)[0])
+    return float(_ratio_maxes(field.grid, mask, alpha, rows)[0])
 
 
 def c0_norm(field: ScalarField, region: ParabolicCube | None = None) -> float:
@@ -454,10 +440,11 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     C0 norm of u plus C0 norms and Hoelder-alpha seminorms of the scaled
     derivatives that enter the model operator: u_t, x*u_xx, u_{y_i y_j},
     u_x, u_{y_i}.  The region must sit at least 2 cells inside every
-    lateral grid edge and both ends of the time axis.  One set of node pairs
-    and one blocked pass over it serve every piece; above 2000 region nodes
-    the seminorms are maxima over a fixed sample of pairs, so the norm is a
-    lower bound of the supremum-based norm.  A bool alpha is refused.
+    lateral grid edge and both ends of the time axis.  One kernel call draws
+    the region's node pairs and walks them once for every piece; above 2000
+    region nodes the seminorms are maxima over a fixed sample of pairs, so
+    the norm is a lower bound of the supremum-based norm.  A bool alpha is
+    refused.
     """
     if isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -471,7 +458,7 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
         for j in range(i, len(g.y)):
             pieces.append(d.u_yy[i][j])
     rows = np.stack([arr[mask] for arr in pieces])
-    ratios = _ratio_maxes(_region_pairs(g, mask, alpha), rows)
+    ratios = _ratio_maxes(g, mask, alpha, rows)
     total = float(np.max(np.abs(field.values[mask])))
     for sup, ratio in zip(np.max(np.abs(rows), axis=1), ratios):
         total += float(sup)

@@ -573,6 +573,34 @@ def test_bernstein_gate_needs_nodes_past_the_blend_zone():
         bernstein_quantity_check(sample(lambda x, y, t: 3.0 + 0 * x, g), 1.0, 8.0)
 
 
+@pytest.mark.parametrize("name, value", [("B", 0.0), ("B", -2.0), ("B", np.nan), ("B", np.inf),
+                                         ("v", 0.0), ("v", -1.0), ("v", np.nan), ("v", np.inf)])
+def test_gradient_bound_refuses_a_bound_or_velocity_not_finite_and_positive(name, value):
+    # B = 0 divided by zero, B = nan gave a NaN report, B = inf passed
+    # vacuously; v is only printed, and nan or -1 passed
+    g = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 17))
+    const = sample(lambda x, y, t: 2.0 + 0 * x, g)
+    args = {"v": 1.0, "B": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        gradient_bound_check(const, args["v"], args["B"], 0.9, 0.5, Point(0.0, [0.0], 0.81))
+
+
+@pytest.mark.parametrize("A", [np.nan, np.inf])
+def test_bernstein_refuses_a_non_finite_A_by_name(A):
+    # a non-finite A used to reach the field and be refused as a non-finite node value
+    g = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 17))
+    with pytest.raises(ValueError, match="A must be finite and >= 8"):
+        bernstein_quantity_check(sample(lambda x, y, t: 3.0 + 0 * x, g), 1.0, A)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+def test_bernstein_refuses_a_tolerance_not_finite_and_positive(tol):
+    # tol = nan gave a NaN report; tol <= 0 was refused as "not a model-equation solution"
+    g = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 17))
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        bernstein_quantity_check(sample(lambda x, y, t: 3.0 + 0 * x, g), 1.0, 8.0, tol)
+
+
 def poly_grid():
     return Grid.uniform((0, 0.9, 33), [(-0.9, 0.9, 33)], (0.2, 1.0, 33))
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,9 +266,9 @@ def test_cs_norm_examples():
     assert abs(v65 - v33) / v33 <= 0.05
 
 
-def reference_pair_ratio_max(coords, vals, alpha):
-    """The per-field Hoelder search: draws its own pairs for every field."""
-    npts = vals.size
+def reference_pairs(coords):
+    """The reference's node pairs at positive distance and their distances."""
+    npts = coords[0].size
     if npts <= fields._HOLDER_ALL_PAIRS_LIMIT:
         ii, jj = np.triu_indices(npts, k=1)
     else:
@@ -282,11 +283,20 @@ def reference_pair_ratio_max(coords, vals, alpha):
     for yk in coords[1:-1]:
         dy2 += (yk[ii] - yk[jj]) ** 2
     dist = dist + np.sqrt(dy2) + np.sqrt(np.abs(t[ii] - t[jj]))
-    du = np.abs(vals[ii] - vals[jj])
     pos = dist > 0
-    if not np.any(pos):
+    return ii[pos], jj[pos], dist[pos]
+
+
+def reference_ratio_max(pairs, vals, alpha):
+    ii, jj, dist = pairs
+    if dist.size == 0:
         return 0.0
-    return float(np.max(du[pos] / dist[pos] ** alpha))
+    return float(np.max(np.abs(vals[ii] - vals[jj]) / dist ** alpha))
+
+
+def reference_pair_ratio_max(coords, vals, alpha):
+    """The per-field Hoelder search: draws its own pairs for every field."""
+    return reference_ratio_max(reference_pairs(coords), vals, alpha)
 
 
 def _reference_region(field, region):
@@ -371,13 +381,13 @@ def test_schauder_builds_one_pair_set_per_box(monkeypatch):
     unit = ParabolicCube("B_eta", inner.base, 1.0)
     sizes = []
 
-    def spy(grid, mask, alpha):
+    def spy(grid, mask, alpha, rows):
         sizes.append(np.count_nonzero(mask))
-        return original(grid, mask, alpha)
+        return original(grid, mask, alpha, rows)
 
-    original = fields._region_pairs
-    monkeypatch.setattr(fields, "_region_pairs", spy)
-    monkeypatch.setattr(estimates, "_region_pairs", spy)
+    original = fields._ratio_maxes
+    monkeypatch.setattr(fields, "_ratio_maxes", spy)
+    monkeypatch.setattr(estimates, "_ratio_maxes", spy)
     estimates.schauder_ratio(f, random_coefficients(3, 2), 0.5, 0.5, inner.base)
     assert sizes == [np.count_nonzero(cube_nodes(box, f.grid)) for box in (inner, unit)]
 
@@ -446,13 +456,14 @@ def test_kernel_equals_the_reference_pair_search_bitwise(monkeypatch, n, case):
         assert drawn == fields._HOLDER_BLOCK
     if case == "not_a_multiple":
         assert drawn > fields._HOLDER_BLOCK and drawn % fields._HOLDER_BLOCK != 0
+    # the reference's distances are drawn once per region and serve every row and alpha
+    pairs = reference_pairs(coords)
+    assert pairs[2].size == drawn - self_pairs
     rng = np.random.default_rng(count)
     rows = np.vstack([rng.standard_normal((3, count)), np.full((1, count), 2.5)])
     for alpha in (0.3, 0.5, 1.0):
-        pairs = fields._region_pairs(g, mask, alpha)
-        assert pairs[2].size == drawn - self_pairs
-        got = fields._ratio_maxes(pairs, rows)
-        want = [reference_pair_ratio_max(coords, row, alpha) for row in rows]
+        got = fields._ratio_maxes(g, mask, alpha, rows)
+        want = [reference_ratio_max(pairs, row, alpha) for row in rows]
         assert got.tolist() == want
         assert got[-1] == 0.0
 
@@ -462,9 +473,9 @@ def test_each_region_takes_one_kernel_pass_over_its_varying_fields(monkeypatch):
     unit = ParabolicCube("B_eta", inner.base, 1.0)
     passes = []
 
-    def spy(pairs, rows):
+    def spy(grid, mask, alpha, rows):
         passes.append(rows.copy())
-        return original(pairs, rows)
+        return original(grid, mask, alpha, rows)
 
     original = fields._ratio_maxes
     monkeypatch.setattr(fields, "_ratio_maxes", spy)
@@ -479,6 +490,23 @@ def test_each_region_takes_one_kernel_pass_over_its_varying_fields(monkeypatch):
         estimates.schauder_ratio(f, coeffs, 0.5, 0.5, inner.base)
         assert [rows.shape for rows in passes] == [(5, n_inner), (walked, n_unit)]
         assert np.all(np.ptp(passes[1], axis=1) > 0)
+
+
+def test_sampled_hoelder_walk_holds_no_per_pair_array_beyond_the_drawn_indices():
+    # the 33^3 unit box draws 10^6 pairs; their two int64 index arrays take
+    # 16 B a pair, and a per-pair weight array with filtered index copies
+    # took 24 B more
+    g = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 33))
+    f = trig_field(g, 33)
+    region = ParabolicCube("B_eta", Point(0.0, [0.0], 0.9), 1.0)
+    assert np.count_nonzero(cube_nodes(region, g)) == 31581
+    tracemalloc.start()
+    try:
+        holder_seminorm(f, 0.5, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * fields._HOLDER_SAMPLED_PAIRS
 
 
 def test_cs_norm_rejects_edge_region():
