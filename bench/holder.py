@@ -14,11 +14,15 @@ sides.  The Hoelder kernel is timed by wrapping it where `fields` and
 walks them for every field, or, in a checkout that predates it, the pair-set
 build `_region_pairs` plus the field pass, `_ratio_maxes` (one pass for
 many fields) or `_ratio_max` (one pass per field), summed;
-`cs_norm_2_alpha` is timed the same way.  Times are medians over runs; the
-accuracy figures travel with them: the largest difference in any
-per-field maximum the kernel returns or any `cs_norm_2_alpha` value,
-whether every report file is byte-identical, and each process's peak
-resident memory.
+`cs_norm_2_alpha` is timed the same way.  After the timed op has read the
+process's peak resident memory, a third op runs under `tracemalloc`, and
+the kernel's traced peak is the largest rise of the traced memory above
+what was in use at the start of one of its calls (in a checkout that
+builds the pair set apart, a pass's rise leaves out the pair set it was
+given).  Times and peaks are medians over runs; the accuracy figures
+travel with them: the largest difference in any per-field maximum the
+kernel returns or any `cs_norm_2_alpha` value, and whether every report
+file is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import resource
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -36,7 +41,7 @@ import ab
 NODES, VELOCITIES = 33, ("0.25", "1", "4")
 VALUES = ("cs_norm_2_alpha", "ratio_max")
 KEYS = ("op_s", "kernel_s", "cs_norm_2_alpha_s", "kernel_passes", "fields_walked",
-        "peak_rss_mb")
+        "peak_rss_mb", "kernel_traced_peak_mb")
 SPEEDUP = ("op_s", "kernel_s", "cs_norm_2_alpha_s")
 
 SPEC = """\
@@ -93,11 +98,20 @@ def measure(src: str, run: int, work: Path) -> dict:
 
     seconds = {"pair_set": [], "kernel": [], "cs_norm_2_alpha": []}
     values = {name: [] for name in VALUES}
+    rises = [0]  # traced-memory rises of the kernel's calls in the traced op
 
     def timed(module, name, span, record):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
+            if tracemalloc.is_tracing():
+                if span == "cs_norm_2_alpha":
+                    return original(*args, **kwargs)
+                at = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = original(*args, **kwargs)
+                rises.append(tracemalloc.get_traced_memory()[1] - at)
+                return out
             start = perf_counter()
             out = original(*args, **kwargs)
             seconds[span].append(perf_counter() - start)
@@ -122,6 +136,14 @@ def measure(src: str, run: int, work: Path) -> dict:
     op_s = perf_counter() - start
     if rc != 0:
         raise RuntimeError(f"timed op exited {rc}")
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", str(spec), "--out", str(work / "traced")])
+    finally:
+        tracemalloc.stop()
+    if rc != 0:
+        raise RuntimeError(f"traced op exited {rc}")
     return {
         "op_s": op_s,
         "kernel_s": sum(seconds["pair_set"]) + sum(seconds["kernel"]),
@@ -129,7 +151,8 @@ def measure(src: str, run: int, work: Path) -> dict:
         "kernel_passes": len(seconds["kernel"]),
         "fields_walked": len(values["ratio_max"]),
         "values": values,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb,
+        "kernel_traced_peak_mb": max(rises) / 1e6,
     }
 
 

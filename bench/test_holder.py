@@ -26,6 +26,9 @@ def test_measure_times_the_kernel_of_this_checkout(tmp_path):
     result = json.loads(done.stdout)
     assert set(holder.KEYS) <= set(result)
     assert result["kernel_s"] > 0
+    # the walk holds one block of pairs: a few MB, where the sampled set's
+    # index arrays alone took 16 MB
+    assert 0 < result["kernel_traced_peak_mb"] < 8
     # the inner box and the unit box each take one kernel pass
     assert result["kernel_passes"] == 2
     assert result["fields_walked"] == len(result["values"]["ratio_max"]) > 0

@@ -32,8 +32,7 @@ print("negative control: too-small decay rate m breaks the supersolution sign")
 from degenpde.barriers import HarnackBarrierParams, compute_sup_offset
 
 bad = HarnackBarrierParams(params.gamma, params.tau0, 8.0, params.l,
-                           compute_sup_offset(params.gamma, params.tau0,
-                                              params.l, params.base),
+                           compute_sup_offset(params.tau0, params.l),
                            params.base)
 bad_cert = certify_harnack_barrier(bad, coeffs, nodes=33,
                                    measure_c11=False, fd_check=False)

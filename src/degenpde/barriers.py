@@ -162,27 +162,20 @@ class HarnackBarrierParams:
                 f"l={self.l:g} M_tau0={self.M_tau0:.17g} base=({x0:g};{ytxt})")
 
 
-def compute_sup_offset(gamma: float, tau0: float, l: float, base,
-                       n: int = 2) -> float:
-    """sup of omega^l(., tau0) over {d_bar >= 1/2} within the unit-scale box K.
+def compute_sup_offset(tau0: float, l: float) -> float:
+    """sup of omega^l(., tau0) over {d_bar >= 1/2}, in closed form: omega(1/4, tau0)^l.
 
-    Discretized on 129 points per spatial axis.  Overestimating this sup
-    only strengthens the boundary sign property, so a fine fixed grid is
-    used regardless of the certification grid.
+    With theta = d_bar^2, d omega / d theta = -(1 + (18 - theta)/tau0)
+    e^(-theta/tau0) / (4 pi tau0) is negative on [0, 18 + tau0], so omega
+    decreases there, and past 18 + tau0 it rises back towards 0 while
+    staying negative.  For odd l, omega^l is then at most omega(1/4)^l on
+    [1/4, 18] and negative beyond.  For even l, omega^l = |omega|^l, and past
+    18 |omega| is at most the dip's depth tau0 e^(-1 - 18/tau0) / (4 pi tau0),
+    below omega(1/4) for tau0 in (0, 1): the supremum is the same.  A
+    non-integer l leaves omega^l undefined past 18 (the barrier refuses it
+    there), and this is its supremum over [1/4, 18].
     """
-    x0, y0 = _base_pair(base)
-    if y0.size != n - 1:
-        raise ValueError("base dimension does not match n")
-    x_ax = np.linspace(max(x0 - 18.0, 0.0), x0 + 18.0, 129)
-    y_axes = [np.linspace(y0i - 3.0 * math.sqrt(2.0), y0i + 3.0 * math.sqrt(2.0), 129)
-              for y0i in y0]
-    meshes = np.meshgrid(x_ax, *y_axes, indexing="ij", sparse=True)
-    theta = d_bar_sq(meshes[0], meshes[1:], x0, y0, gamma)
-    vals = _power_l(omega_from_theta(theta, tau0), l)
-    mask = theta >= 0.25
-    if not np.any(mask):
-        raise ValueError("no sample points with d_bar >= 1/2")
-    return float(np.max(vals[mask]))
+    return float(_power_l(omega_from_theta(0.25, tau0), l))
 
 
 def _v_from_theta(theta, t, params: HarnackBarrierParams):
@@ -538,7 +531,7 @@ def search_harnack_barrier_params(coeffs: CoefficientField) -> HarnackBarrierPar
     parameters should still be re-certified at the caller's resolution; the
     certificate, not the search path, is the contract.  A verification grid
     over the working-set budget of `certify_harnack_barrier` (n >= 4) is
-    refused first, before the sup offset's sampling grid is built.
+    refused first.
     """
     n = coeffs.n
     _refuse_oversized_grid(n, 33)
@@ -551,7 +544,7 @@ def search_harnack_barrier_params(coeffs: CoefficientField) -> HarnackBarrierPar
     # roughness of the estimate).
     g2 = 2.0 * gamma * gamma * (n - 1)
     m_floor = 0.95 * l * (g2 / (0.25 + tau0) + (g2 + 1.0) / 18.0)
-    offset = compute_sup_offset(gamma, tau0, l, base, n=n)
+    offset = compute_sup_offset(tau0, l)
     failures = []
     for m in (16.0, 24.0, 32.0, 48.0, 64.0):
         if m < m_floor:

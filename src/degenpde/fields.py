@@ -9,6 +9,7 @@ Hoelder and second-order Hoelder norms) are all measured against that metric.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -345,10 +346,41 @@ def lp_norm_weighted(field: ScalarField, p: float, cube: ParabolicCube,
 _HOLDER_ALL_PAIRS_LIMIT = 2000
 _HOLDER_SAMPLED_PAIRS = 1_000_000
 
-# pairs per block of the Hoelder kernel: a block's temporaries stay a few
-# hundred KB whatever the pair count, where whole-array expressions would
-# allocate 8 MB per temporary for a sampled set
+# pairs per block of the Hoelder kernel: the pairs are produced a block at a
+# time, so a walk holds one block's indices and temporaries, a few hundred
+# KB, whatever the pair count; the whole sampled set's two index arrays
+# would take 16 MB
 _HOLDER_BLOCK = 1 << 14
+
+
+def _pair_blocks(npts: int):
+    """The region's node pairs (i, j) as index blocks of at most _HOLDER_BLOCK pairs.
+
+    Up to _HOLDER_ALL_PAIRS_LIMIT nodes, the pairs i < j in the row order
+    of np.triu_indices(npts, k=1), each block located by its pair numbers;
+    above, the pairs of default_rng(0).integers(0, npts, N) twice, ii then
+    jj, N = _HOLDER_SAMPLED_PAIRS.  The jj draws follow all N ii draws in the
+    generator's stream, so a copy of the generator is first moved past them
+    by drawing blocks it throws away; drawing in blocks yields the one-call
+    draws bit for bit, the generator buffering its spare 32-bit half.
+    """
+    if npts <= _HOLDER_ALL_PAIRS_LIMIT:
+        per_row = np.arange(npts - 1, -1, -1)  # node i pairs with the nodes after it
+        first = np.cumsum(per_row) - per_row  # the pair number of (i, i + 1)
+        total = npts * (npts - 1) // 2
+        for lo in range(0, total, _HOLDER_BLOCK):
+            pair = np.arange(lo, min(lo + _HOLDER_BLOCK, total))
+            i = np.searchsorted(first, pair, side="right") - 1
+            yield i, pair - first[i] + i + 1
+        return
+    draw_i = np.random.default_rng(0)
+    draw_j = copy.deepcopy(draw_i)
+    sizes = [min(_HOLDER_BLOCK, _HOLDER_SAMPLED_PAIRS - lo)
+             for lo in range(0, _HOLDER_SAMPLED_PAIRS, _HOLDER_BLOCK)]
+    for size in sizes:
+        draw_j.integers(0, npts, size)
+    for size in sizes:
+        yield draw_i.integers(0, npts, size), draw_j.integers(0, npts, size)
 
 
 def _ratio_maxes(grid: Grid, mask: np.ndarray, alpha: float, rows: np.ndarray) -> np.ndarray:
@@ -357,25 +389,17 @@ def _ratio_maxes(grid: Grid, mask: np.ndarray, alpha: float, rows: np.ndarray) -
     `rows` is (k, npts): one row per field, its columns the masked nodes in
     mask order.  The pairs depend on the region alone: all pairs up to
     _HOLDER_ALL_PAIRS_LIMIT nodes, else the fixed-seed sample of
-    _HOLDER_SAMPLED_PAIRS.  One walk over blocks of _HOLDER_BLOCK drawn pairs
-    computes each pair's distance |ds| + |dy| + sqrt|dt| once for all rows.
-    A sampled pair may draw a node twice; distinct grid nodes differ in some
-    strictly increasing axis, so such a self-pair is the only one at
-    distance 0; it is weighted inf and adds a ratio of 0.  A row's maximum
-    is 0.0 when there are no pairs.
+    _HOLDER_SAMPLED_PAIRS.  One walk over the blocks of `_pair_blocks`
+    computes each pair's distance |ds| + |dy| + sqrt|dt| once for all rows;
+    no array holds the whole pair set.  A sampled pair may draw a node
+    twice; distinct grid nodes differ in some strictly increasing axis, so
+    such a self-pair is the only one at distance 0; it is weighted inf and
+    adds a ratio of 0.  A row's maximum is 0.0 when there are no pairs.
     """
     coords = [ax[k] for ax, k in zip(grid.axes, np.nonzero(mask))]
-    npts = coords[0].size
-    if npts <= _HOLDER_ALL_PAIRS_LIMIT:
-        ii, jj = np.triu_indices(npts, k=1)
-    else:
-        rng = np.random.default_rng(0)
-        ii = rng.integers(0, npts, _HOLDER_SAMPLED_PAIRS)
-        jj = rng.integers(0, npts, _HOLDER_SAMPLED_PAIRS)
     s, *ys, t = coords
     out = np.zeros(len(rows))
-    for lo in range(0, ii.size, _HOLDER_BLOCK):
-        i, j = ii[lo:lo + _HOLDER_BLOCK], jj[lo:lo + _HOLDER_BLOCK]
+    for i, j in _pair_blocks(s.size):
         dist = np.abs(s[i] - s[j])
         dy2 = np.zeros_like(dist)
         for yk in ys:

@@ -272,10 +272,16 @@ def _operator_assembly(grid: Grid, keep: bool):
             K = embedding(keys)
             data = np.repeat(np.broadcast_to(coeff, shape).ravel(), np.diff(K.indptr))
             data *= K.data
-            term = sparse.csr_matrix((data, K.indices.copy(), K.indptr.copy()), shape=K.shape)
+            # an embedding that is not kept hands its index arrays to the term
+            indices, indptr = (K.indices.copy(), K.indptr.copy()) if keep else (K.indices, K.indptr)
+            term = sparse.csr_matrix((data, indices, indptr), shape=K.shape)
+            # K's data, and index arrays that eliminate_zeros replaces, go before the sum
+            del K, indices, indptr
             term.eliminate_zeros()
             L = term if L is None else L + term
-        return L
+        # a sum is stored on a buffer sized for both operands and sliced to
+        # its nnz; L_h gets arrays of its own size
+        return L.copy()
 
     return assemble
 

@@ -225,6 +225,31 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float, c
     return apply
 
 
+def _free_row_blocks(M: sparse.csr_matrix, free: np.ndarray):
+    """(A_ff, A_fd) = M[free][:, free] and M[free][:, ~free], cut from M's arrays.
+
+    Each block holds M's entries of the free rows in stored order, their
+    columns numbered within the free or the Dirichlet nodes; the free rows
+    are not copied out of M first.
+    """
+    in_free_row = np.repeat(free, np.diff(M.indptr))
+    to_free = free[M.indices]
+    column = np.empty(len(free), dtype=M.indices.dtype)  # a node's column in its block
+    column[free] = np.arange(np.count_nonzero(free))
+    column[~free] = np.arange(np.count_nonzero(~free))
+    row_starts = M.indptr[np.append(np.flatnonzero(free), len(free))]
+    blocks = []
+    for side in (True, False):
+        keep = in_free_row & (to_free == side)
+        kept = np.zeros(keep.size + 1, dtype=M.indptr.dtype)  # kept entries before each
+        np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
+        indptr = kept[row_starts]
+        del kept
+        blocks.append(sparse.csr_matrix((M.data[keep], column[M.indices[keep]], indptr),
+                                        shape=(len(indptr) - 1, np.count_nonzero(free == side))))
+    return blocks
+
+
 def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond, max_iter: int):
     """BiCGStab on the free-node rows of M; Dirichlet values go to the right side.
 
@@ -233,8 +258,7 @@ def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond, max_iter: in
     """
     inner = np.flatnonzero(free)
     fixed = np.flatnonzero(~free)
-    rows = M[inner]
-    A_ff, A_fd = rows[:, inner], rows[:, fixed]
+    A_ff, A_fd = _free_row_blocks(M, free)
     P = LinearOperator(A_ff.shape, matvec=precond, dtype=float)
 
     def solve(rhs, x0):
@@ -339,7 +363,8 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     """Assemble I - dt P_free (L_h + c), L_h of `operators.operator_matrix` at t_eval.
 
     M is formed on L_h's arrays (`_step_from_operator`), and L_h is released
-    before the n >= 3 solver slices M into its free-node blocks.
+    before the n >= 3 solver cuts M's free-node blocks (`_free_row_blocks`),
+    as are the coefficient arrays once the preconditioner is built.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -355,6 +380,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
 
     if grid.n >= 3:
         precond = _fast_diagonalization(A, B, grid, dt, problem.c)
+        del A, B
         solve = _krylov_solver(M, free, precond, config.max_iter)
     else:
         lu = splu(M.tocsc())

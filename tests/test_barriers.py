@@ -39,7 +39,7 @@ def harnack_params(n=2, m=None):
     gamma, tau0, l = 1.0, 0.005, 3.0
     if m is None:
         m = 24.0 if n == 2 else 48.0
-    M = compute_sup_offset(gamma, tau0, l, base, n)
+    M = compute_sup_offset(tau0, l)
     return HarnackBarrierParams(gamma, tau0, m, l, M, base)
 
 
@@ -69,10 +69,27 @@ def test_harnack_barrier_v_basic_properties():
         -params.M_tau0, abs=1e-280)
 
 
+@pytest.mark.parametrize("l", [2.0, 3.0, 4.0, 5.0])
+@pytest.mark.parametrize("tau0", [0.005, 0.1, 0.9])
+def test_sup_offset_is_the_supremum_over_the_far_set(tau0, l):
+    theta = np.concatenate([np.linspace(0.25, 18.0 + 4 * tau0, 200001), [18.0 + tau0]])
+    sampled = np.max(omega_from_theta(theta, tau0) ** l)
+    assert compute_sup_offset(tau0, l) == sampled == omega_from_theta(0.25, tau0) ** l
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_searched_barrier_is_nonpositive_just_outside_the_inner_set(n):
+    # d_bar^2 = 0.2502 and 0.25020001 at t = 0; the sup offset sampled on
+    # 129 points per axis lay 25% low, and v read +0.189 M_tau0 at both
+    params = searched(n)
+    for point in (Point(0.2502, [0.0] * (n - 1)), Point(0.0001, [0.5001] + [0.0] * (n - 2))):
+        assert harnack_barrier_v(point, 0.0, params) <= 0.0
+
+
 # what the search returns for the model operator with v = 1
 SEARCHED = {
-    2: "gamma=1 tau0=0.005 m=24 l=3 M_tau0=1.2067369998163818e-58 base=(0;0)",
-    3: "gamma=1 tau0=0.005 m=48 l=3 M_tau0=1.2067369998164594e-58 base=(0;0,0)",
+    2: "gamma=1 tau0=0.005 m=24 l=3 M_tau0=1.6176448580790521e-58 base=(0;0)",
+    3: "gamma=1 tau0=0.005 m=48 l=3 M_tau0=1.6176448580790521e-58 base=(0;0,0)",
 }
 
 

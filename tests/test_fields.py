@@ -397,21 +397,17 @@ def test_schauder_builds_one_pair_set_per_box(monkeypatch):
 def test_cs_norm_builds_one_pair_set_per_region(monkeypatch, n, nodes, count):
     f, region = holder_case(n, nodes)
     calls = []
-    if count > fields._HOLDER_ALL_PAIRS_LIMIT:
-        module, name = np.random, "default_rng"
-    else:
-        module, name = np, "triu_indices"
-    original = getattr(module, name)
+    original = fields._pair_blocks
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(npts):
+        calls.append(npts)
+        return original(npts)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(fields, "_pair_blocks", spy)
     cs_norm_2_alpha(f, 0.5, region)
-    assert len(calls) == 1
+    assert calls == [count]
     cs_norm_2_alpha(f, 0.5, region)
-    assert len(calls) == 2
+    assert calls == [count, count]
 
 
 def first_nodes_region(n, count):
@@ -507,6 +503,53 @@ def test_sampled_hoelder_walk_holds_no_per_pair_array_beyond_the_drawn_indices()
     finally:
         tracemalloc.stop()
     assert peak < 28 * fields._HOLDER_SAMPLED_PAIRS
+
+
+@pytest.mark.parametrize("shape, radius, count", [((33, 33, 33), 1.0, 31581),
+                                                   ((39, 20, 39), 0.5, 2000)],
+                         ids=["sampled", "all_pairs_at_the_limit"])
+def test_hoelder_walk_working_set_does_not_grow_with_the_pair_count(shape, radius, count):
+    # the 10^6 sampled pairs and the 1,999,000 pairs of 2000 nodes; their
+    # index arrays alone take 16 and 32 MB, a block of pairs 256 KB
+    ns, ny, nt = shape
+    g = Grid.uniform((0, 1, ns), [(-1, 1, ny)], (0, 1, nt))
+    f = trig_field(g, ns)
+    region = ParabolicCube("B_eta", Point(0.0, [0.0], 0.9), radius)
+    assert np.count_nonzero(cube_nodes(region, g)) == count
+    tracemalloc.start()
+    try:
+        holder_seminorm(f, 0.5, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def joined_pair_blocks(npts):
+    """_pair_blocks(npts) joined into two index arrays; each block's size is checked."""
+    blocks = list(fields._pair_blocks(npts))
+    assert all(i.size == j.size <= fields._HOLDER_BLOCK for i, j in blocks)
+    return [np.concatenate([b[k] for b in blocks] or [np.zeros(0, int)]) for k in (0, 1)]
+
+
+@pytest.mark.parametrize("block", [7, 1000, 1 << 14])
+def test_all_pairs_blocks_are_the_upper_triangle_in_order(monkeypatch, block):
+    monkeypatch.setattr(fields, "_HOLDER_BLOCK", block)
+    for npts in (1, 2, 120, fields._HOLDER_ALL_PAIRS_LIMIT):
+        got, want = joined_pair_blocks(npts), np.triu_indices(npts, k=1)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("block", [1000, 1 << 14, 99991])
+def test_sampled_blocks_are_the_one_call_draws(monkeypatch, block):
+    monkeypatch.setattr(fields, "_HOLDER_BLOCK", block)
+    # above 2^32 nodes the bounded draws take whole 64-bit words, below it
+    # 32-bit halves, the spare half kept by the generator between blocks
+    for npts in (fields._HOLDER_ALL_PAIRS_LIMIT + 1, 31581, 2 ** 20 + 7, 3 * 10 ** 9):
+        rng = np.random.default_rng(0)
+        want = [rng.integers(0, npts, fields._HOLDER_SAMPLED_PAIRS) for _ in range(2)]
+        got = joined_pair_blocks(npts)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_cs_norm_rejects_edge_region():

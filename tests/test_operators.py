@@ -91,6 +91,15 @@ def test_time_dependent_validation_walks_the_slices():
     assert validate_coefficients(on_first, g).margins != report.margins
 
 
+def test_operator_matrix_arrays_hold_exactly_its_entries():
+    # a sparse sum is stored on a buffer sized for both operands; at 33^3
+    # L_h's entries were a view of 328,878 stored for 254,826
+    g = Grid.uniform((0, 1, 17), [(-1, 1, 17)] * 2, (0, 1, 5))
+    L = operator_matrix(random_coefficients(7, 3), g, 0.5)[0]
+    for arr in (L.data, L.indices):
+        assert (arr if arr.base is None else arr.base).nbytes == L.nnz * arr.itemsize
+
+
 def test_time_dependent_validation_names_the_node_of_a_non_finite_value():
     coeffs = coefficients_from_expressions({"a11": "1 + 1/(t - 0.75)"}, 2)
     with np.errstate(divide="ignore"), pytest.raises(ValueError, match=re.escape(
