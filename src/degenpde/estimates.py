@@ -46,10 +46,6 @@ CONTACT_TOL = 1e-10
 # working memory to a few MB whatever the grid size
 CONTACT_CHUNK = 1 << 16
 
-# relative margin of the certified contact-set tests, far above the rounding
-# error of an (n, n) LDL^T factorization or of eigvalsh (a few n^2 ulps)
-CONTACT_MARGIN = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # reports
@@ -178,9 +174,8 @@ class ContactSetResult:
 
     gamma_minus is a full-grid boolean mask.  Nodes on the s = 0 line are
     excluded (the map to z = s^(2-nu)/(2-nu) is singular there); their
-    count is reported.  The mask is exactly the one that
-    `np.linalg.eigvalsh` at every selected node would give; `contact_sets`
-    says how it is found without it.
+    count is reported.  `contact_sets` states the rule that decides the
+    mask.
     """
 
     gamma_minus: np.ndarray
@@ -194,43 +189,33 @@ def contact_sets(u: ScalarField, nu: float, cube: ParabolicCube) -> ContactSetRe
     it and over nothing else.  In the variable z = s^(2-nu)/(2-nu) the
     Hessian of u in (z, y) is congruent to the matrix E with entries
     E_11 = u_ss + ((nu-1)/s) u_s, E_1i = u_{s y_i}, E_ij = u_{y_i y_j}, so
-    the sign conditions are conditions on the eigenvalues of E.  Conditions
-    are closed: ties within a relative tolerance count as membership.  A
-    node is in the lower set when lambda_min(E) >= -tau, u_z >= -tol_z and
-    u_t >= -tol_t; each tolerance is CONTACT_TOL times the largest
-    magnitude of its quantity over the selected nodes.
+    the sign conditions are conditions on E.  Conditions are closed: ties
+    within a relative tolerance count as membership.  A selected node is in
+    the lower set when u_z >= -tol_z, u_t >= -tol_t and E >= -tau I, decided
+    by one test:
 
-    The set is the one that `np.linalg.eigvalsh` at every node gives, bit
-    for bit, but eigvalsh runs on few nodes.  tau = CONTACT_TOL max |lambda|
-    comes from eigvalsh on the nodes whose spectral-radius bounds can reach
-    the largest one.  lambda_min(E) >= -tau is E + tau I >= 0, so a node whose
-    u_z and u_t conditions hold is tested by unpivoted LDL^T: it is in when
-    E + (tau - delta) I has positive pivots and out when E + (tau + delta) I
-    does not, with delta = CONTACT_MARGIN (||E||_inf + tau) + tiny far above
-    the rounding error of either factorization or of eigvalsh.  No margin
-    settles an eigenvalue at exactly -tau, such as E = 0 with tau = 0, so
-    eigvalsh decides the nodes neither test settles (those and non-finite
-    pivots).
+        ||E||_inf <= tau, or every unpivoted LDL^T pivot of E + tau I is
+        finite and > 0.
+
+    The first clause implies lambda_min(E) >= -tau (Gershgorin) and settles
+    E = 0 with tau = 0; the second is lambda_min(E) > -tau as the
+    factorization rounds it.  ||E||_inf sums each row's magnitudes in
+    column order.  Each tolerance is CONTACT_TOL times the largest value of
+    its quantity over the selected nodes: ||E||_inf for tau, |u_z| for
+    tol_z and |u_t| for tol_t.  A selected node where E (through
+    ||E||_inf), u_z or u_t is not finite is refused by name and node index.
 
     The grid is walked in blocks of whole s-rows, about 4 CONTACT_CHUNK
     nodes each (at least one row), twice, and each block builds its own
     `fd_derivatives(u, rows)`: one halo row on each side, at least 4 s-nodes
     and the whole axis' spacing make its values bitwise the whole grid's.
-    Pass 1 (`_tolerances`) folds each block into the running lower bound on
-    max |lambda|, max |u_z|, max |u_t| and the tau candidates, the nodes
-    whose upper bound still reaches the running lower bound; the candidates
-    are pruned as the bound grows and handed to eigvalsh at the end, so
-    eigvalsh sees exactly the nodes whose bound reaches the final one, each
-    once.  Pass 2 rebuilds each block's derivatives and decides membership
-    with the three final tolerances, E gathered on blocks of CONTACT_CHUNK
-    candidates.  So the working set is one block's derivatives (about 10
-    arrays of its size at n = 3), a few full-grid boolean masks and E at the
-    tau candidates (n^2 + 1 floats each), not the 10 full-grid derivative
-    arrays: a traced peak of 42 MB against 221 MB on the solved 49^3 x 17
-    fields of the n3_abp benchmark workload.  The candidates are few where
-    |lambda| varies (under 1% of those fields' nodes) but may be half the
-    nodes where it hardly does.  No (..., n, n) array and no z or u_z over
-    the grid is built.
+    Pass 1 (`_tolerances`) folds each block into the three maxima.  Pass 2
+    (`_members_of_block`) rebuilds each block's derivatives and tests the
+    nodes whose u_z and u_t conditions hold, E gathered CONTACT_CHUNK nodes
+    at a time.  So the working set is one block's derivatives (about 10
+    arrays of its size at n = 3), a few full-grid boolean masks and one
+    chunk of E, whatever the field.  No (..., n, n) array and no z or u_z
+    over the grid is built.
     """
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0, 1)")
@@ -294,16 +279,11 @@ def _gather(E, at: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigvalsh(E: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of entry-major matrices, shape (k, n)."""
-    return np.linalg.eigvalsh(np.moveaxis(E, -1, 0))
-
-
 def _row_norm(E) -> np.ndarray:
     """||E||_inf per matrix of an (n, n) nest or array of entry arrays.
 
-    For symmetric E it lies in [rho(E), sqrt(n) rho(E)].  Each row sums
-    its entries' magnitudes in column order, whatever the layout.
+    Each row sums its entries' magnitudes in column order, whatever the
+    layout.
     """
     n = len(E)
     norm = None
@@ -319,97 +299,62 @@ def _tolerances(u: ScalarField, nu: float, sel: np.ndarray, blocks: list,
                 z_scale: np.ndarray) -> tuple[float, float, float]:
     """(tau, tol_z, tol_t) of `contact_sets`: pass 1 over the blocks.
 
-    ||E||_inf / sqrt(n) and max |E_ii| are lower bounds on the spectral
-    radius and ||E||_inf an upper bound; eigvalsh runs only where the upper
-    bound reaches the largest lower bound over the selected nodes, up to a
-    relative slack far above the rounding of either bounds or eigvalsh, so
-    the maximum it finds there is the maximum over all the nodes.  A node
-    whose upper bound misses the running lower bound misses the final one,
-    so the candidates of each block are pruned as the bound grows.
+    CONTACT_TOL times max ||E||_inf, max |u_z| and max |u_t| over the
+    selected nodes.
     """
-    lower = z_max = t_max = 0.0
-    kept = []  # (E, ||E||_inf) at each block's surviving candidates
-    for rows in blocks:
-        lower, z_block, t_block, E, row = _bounds_of_block(u, nu, rows, sel[rows], lower,
-                                                           z_scale)
-        z_max, t_max = np.maximum(z_max, z_block), np.maximum(t_max, t_block)
-        kept = [(Ek[..., keep], rk[keep]) for Ek, rk in kept + [(E, row)]
-                for keep in [~(rk * (1.0 + CONTACT_MARGIN) < lower)]]
-    top = np.max([np.max(np.abs(_eigvalsh(Ek)), initial=0.0) for Ek, _ in kept])
-    return CONTACT_TOL * float(top), CONTACT_TOL * float(z_max), CONTACT_TOL * float(t_max)
+    top = np.max([_block_maxima(u, nu, rows, sel[rows], z_scale) for rows in blocks], axis=0)
+    return tuple(CONTACT_TOL * float(value) for value in top)
 
 
-def _bounds_of_block(u: ScalarField, nu: float, rows: slice, here: np.ndarray, lower,
-                     z_scale: np.ndarray):
-    """One block of pass 1: (lower, max |u_z|, max |u_t|, E, ||E||_inf).
+def _block_maxima(u: ScalarField, nu: float, rows: slice, here: np.ndarray,
+                  z_scale: np.ndarray) -> list:
+    """max ||E||_inf, |u_z| and |u_t| over the selected nodes `here` of the s-rows `rows`.
 
-    lower is the running lower bound raised by the block's selected nodes
-    `here`; E (entry-major) and ||E||_inf are taken at the selected nodes
-    whose upper bound reaches it.
+    The first selected node where one of them is not finite is refused,
+    naming the quantity and the node's grid index.
     """
-    n = u.grid.n
     E, u_z, u_t = _block_quantities(u, nu, rows, z_scale)
-    row = _row_norm(E)
-    diag = np.abs(E[0][0])
-    for i in range(1, n):
-        np.maximum(diag, np.abs(E[i][i]), out=diag)
-    lower = np.maximum(lower, np.max(np.maximum(diag, row / math.sqrt(n))[here]))
-    at = np.flatnonzero(here & ~(row * (1.0 + CONTACT_MARGIN) < lower))
-    return (lower, np.max(np.abs(u_z[here])), np.max(np.abs(u_t[here])),
-            _gather(E, at), row.ravel()[at])
+    top = []
+    for name, value in (("E", _row_norm(E)), ("u_z", u_z), ("u_t", u_t)):
+        value = np.abs(value[here])
+        top.append(np.max(value))
+        if not np.isfinite(top[-1]):  # inf and nan both reach the max
+            node = np.argwhere(here)[np.argmin(np.isfinite(value))]
+            node[0] += rows.start
+            raise ValueError(f"contact sets: {name} is not finite at node "
+                             f"{tuple(int(k) for k in node)}")
+    return top
 
 
 def _members_of_block(u: ScalarField, nu: float, rows: slice, here: np.ndarray, tols,
                       z_scale: np.ndarray) -> np.ndarray:
     """One block of pass 2: the lower set on the s-rows `rows`, tols = (tau, tol_z, tol_t)."""
-    tol_e, tol_z, tol_t = tols
+    tau, tol_z, tol_t = tols
     E, u_z, u_t = _block_quantities(u, nu, rows, z_scale)
     minus = here & (u_z >= -tol_z) & (u_t >= -tol_t)
     at = np.flatnonzero(minus)
-    minus.flat[at] = _eigenvalues_above(E, at, tol_e)
+    for start in range(0, at.size, CONTACT_CHUNK):
+        chunk = at[start:start + CONTACT_CHUNK]
+        E_at = _gather(E, chunk)
+        minus.flat[chunk] = (_row_norm(E_at) <= tau) | _pivots_positive(E_at, tau)
     return minus
 
 
-def _eigenvalues_above(nest, at: np.ndarray, tol: float) -> np.ndarray:
-    """Whether lambda_min(E) >= -tol, as eigvalsh decides, at the flat indices `at`.
+def _pivots_positive(E: np.ndarray, shift: float) -> np.ndarray:
+    """Whether every unpivoted LDL^T pivot of each E + shift I is finite and > 0.
 
-    `nest` is the (n, n) nest of block arrays of `_block_quantities`; E is
-    gathered from it CONTACT_CHUNK nodes at a time.
+    E is entry-major (n, n, k); the factorization reads its lower triangle
+    and overwrites it.
     """
-    inside = np.zeros(at.size, dtype=bool)
-    for start in range(0, at.size, CONTACT_CHUNK):
-        E = _gather(nest, at[start:start + CONTACT_CHUNK])
-        delta = CONTACT_MARGIN * (_row_norm(E) + tol) + np.finfo(float).tiny
-        sure_in, _ = _pivot_signs(E, tol - delta)
-        _, sure_out = _pivot_signs(E, tol + delta)
-        open_ = ~(sure_in | sure_out)
-        if np.any(open_):
-            eigs = _eigvalsh(E[..., open_])
-            sure_in[open_] = np.min(eigs, axis=-1) >= -tol
-        inside[start:start + sure_in.size] = sure_in
-    return inside
-
-
-def _pivot_signs(E: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unpivoted LDL^T of each entry-major E + shift I, reading the lower triangle.
-
-    Returns (positive, failed): every pivot finite and > 0, or a finite
-    pivot <= 0 after finite positive ones.  A matrix with neither flag set
-    met a non-finite pivot and is left to the caller.
-    """
-    A = E.copy()
-    n = len(A)
-    positive = np.ones(A.shape[-1], dtype=bool)
-    failed = np.zeros(A.shape[-1], dtype=bool)
+    positive = np.ones(E.shape[-1], dtype=bool)
     with np.errstate(all="ignore"):
-        for k in range(n):
-            A[k, k] += shift
-            pivot = A[k, k]
-            failed |= positive & (pivot <= 0.0) & (pivot > -np.inf)
+        for k in range(len(E)):
+            E[k, k] += shift
+            pivot = E[k, k]
             positive &= (pivot > 0.0) & (pivot < np.inf)
-            col = A[k + 1:, k]
-            A[k + 1:, k + 1:] -= col[:, None] * (col / pivot)[None, :]
-    return positive, failed
+            col = E[k + 1:, k]
+            E[k + 1:, k + 1:] -= col[:, None] * (col / pivot)[None, :]
+    return positive
 
 
 def _spatial_boundary(mask: np.ndarray, grid: Grid) -> np.ndarray:
