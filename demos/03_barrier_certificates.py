@@ -34,8 +34,7 @@ from degenpde.barriers import HarnackBarrierParams, compute_sup_offset
 bad = HarnackBarrierParams(params.gamma, params.tau0, 8.0, params.l,
                            compute_sup_offset(params.tau0, params.l),
                            params.base)
-bad_cert = certify_harnack_barrier(bad, coeffs, nodes=33,
-                                   measure_c11=False, fd_check=False)
+bad_cert = certify_harnack_barrier(bad, coeffs, nodes=33)
 print(f"m = 8: passed = {bad_cert.passed}, supersolution margin "
       f"{bad_cert.margins['supersolution']:.3e}")
 

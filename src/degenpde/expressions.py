@@ -19,7 +19,9 @@ breaks included, only separates tokens.  Expressions evaluate over numpy
 arrays, so they broadcast over grid meshes; a complex value is refused.
 An expression's derivative is again an expression, differentiated node by
 node on the checked tree; a '^' whose exponent holds the variable would
-need log, which the grammar lacks, and is refused.
+need log, which the grammar lacks, and is refused.  `partials` compiles
+an expression's value, u_t, gradient and Hessian into one function that
+computes a subtree shared among them once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import ast
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -97,6 +100,76 @@ def _derivative(node, var: str):
     return _join(da, op, db)
 
 
+def _shared_function(roots, args):
+    """A function of args returning the value of each tree in roots (None as 0.0).
+
+    Equal subtrees are merged; a merged subtree used more than once is
+    computed once into a local, deleted after its last use, and every other
+    node is computed where it stands, with the arithmetic of its own tree.
+    """
+    merged, uses, memo = {}, Counter(), {}
+
+    def merge(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, ast.BinOp):
+            new = ast.BinOp(merge(node.left), node.op, merge(node.right))
+            key = (type(node.op), id(new.left), id(new.right))
+        elif isinstance(node, ast.UnaryOp):
+            new = ast.UnaryOp(node.op, merge(node.operand))
+            key = (ast.USub, id(new.operand))
+        elif isinstance(node, ast.Call):
+            new = ast.Call(node.func, [merge(node.args[0])], [])
+            key = (node.func.id, id(new.args[0]))
+        else:
+            new, key = node, ast.dump(node)
+        if key not in merged:
+            merged[key] = new
+            uses.update(id(child) for child in ast.iter_child_nodes(new))
+        memo[id(node)] = merged[key]
+        return merged[key]
+
+    body, local = [], {}
+
+    def inline(node):
+        if id(node) in local:
+            return ast.Name(local[id(node)], ast.Load())
+        if isinstance(node, ast.BinOp):
+            new = ast.BinOp(inline(node.left), node.op, inline(node.right))
+        elif isinstance(node, ast.UnaryOp):
+            new = ast.UnaryOp(node.op, inline(node.operand))
+        elif isinstance(node, ast.Call):
+            new = ast.Call(node.func, [inline(node.args[0])], [])
+        else:
+            return node
+        if uses[id(node)] < 2:
+            return new
+        local[id(node)] = f"_{len(local)}"
+        body.append(ast.Assign([ast.Name(local[id(node)], ast.Store())], new))
+        return ast.Name(local[id(node)], ast.Load())
+
+    roots = [ast.Constant(0.0) if root is None else merge(root) for root in roots]
+    uses.update(id(root) for root in roots)
+    outputs = [f"_out{k}" for k in range(len(roots))]
+    for name, root in zip(outputs, roots):
+        body.append(ast.Assign([ast.Name(name, ast.Store())], inline(root)))
+    last, temps = {}, set(local.values())
+    for k, stmt in enumerate(body):
+        for node in ast.walk(stmt.value):
+            if isinstance(node, ast.Name) and node.id in temps:
+                last[node.id] = k
+    for k in sorted(set(last.values()), reverse=True):
+        done = [name for name, at in last.items() if at == k]
+        body.insert(k + 1, ast.Delete([ast.Name(name, ast.Del()) for name in done]))
+    body.append(ast.Return(ast.Tuple([ast.Name(name, ast.Load()) for name in outputs],
+                                     ast.Load())))
+    module = ast.parse(f"def partials({', '.join(args)}):\n    pass")
+    module.body[0].body = body
+    namespace = dict(_GLOBALS)
+    exec(compile(ast.fix_missing_locations(module), "<partials>", "exec"), namespace)
+    return namespace["partials"]
+
+
 class CompiledExpression:
     """Expression compiled to a numpy-broadcasting callable f(x, y..., t)."""
 
@@ -139,6 +212,39 @@ class CompiledExpression:
             return CompiledExpression(ast.unparse(body).replace("**", "^"))
         except RecursionError:
             raise ExpressionError("expression is nested too deeply") from None
+
+    def partials(self, n: int):
+        """f(x, y2, ..., yn, t) -> (u, u_t, grad, hess), compiled into one function.
+
+        grad lists u_x, u_y2, ..., u_yn and hess maps (i, j), i <= j, index 0
+        the x-direction, to u_ij; each partial is the tree `derivative`
+        gives (hess[i, j] differentiates grad[i] by the j-th variable), so
+        its values are those of evaluating it alone, bit for bit.  A subtree
+        occurring more than once among them is computed once.
+        """
+        if not 1 <= n <= len(_VARS) - 1:
+            raise ExpressionError(f"cannot take partials in {n} space variables")
+        names = ["x"] + [f"y{i}" for i in range(2, n + 1)]
+        keys = [(i, j) for i in range(n) for j in range(i, n)]
+        try:
+            body = self.node.body
+            grad = [_derivative(body, var) for var in names]
+            hess = [grad[i] and _derivative(grad[i], names[j]) for i, j in keys]
+            function = _shared_function([body, _derivative(body, "t"), *grad, *hess],
+                                        names + ["t"])
+        except RecursionError:
+            raise ExpressionError("expression is nested too deeply") from None
+
+        def evaluate(x, *coords):
+            try:
+                u, u_t, *rest = function(x, *coords)
+            except NameError as exc:
+                raise ExpressionError(f"variable {exc.name} not available here") from None
+            if any(np.iscomplexobj(value) for value in (u, u_t, *rest)):
+                raise ExpressionError(f"a partial of {self.text!r} takes a complex value")
+            return u, u_t, rest[:n], dict(zip(keys, rest[n:]))
+
+        return evaluate
 
     def __repr__(self):
         return f"CompiledExpression({self.text!r})"

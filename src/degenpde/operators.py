@@ -478,16 +478,11 @@ def apply_L_exact(coeffs: CoefficientField, coords, grad, hess):
 
 def exact_forcing(coeffs: CoefficientField, solution):
     """g(x, y..., t) = u_t - Lu of the expression u = `solution`, from its own derivatives."""
-    names = ["x"] + [f"y{i}" for i in range(2, coeffs.n + 1)]
-    grad = [solution.derivative(name) for name in names]
-    hess = {(i, j): grad[i].derivative(names[j])
-            for i in range(coeffs.n) for j in range(i, coeffs.n)}
-    u_t = solution.derivative("t")
+    partials = solution.partials(coeffs.n)
 
     def g(*coords):
-        lu = apply_L_exact(coeffs, coords, [d(*coords) for d in grad],
-                           {key: d(*coords) for key, d in hess.items()})
-        return u_t(*coords) - lu
+        _, u_t, grad, hess = partials(*coords)
+        return u_t - apply_L_exact(coeffs, coords, grad, hess)
 
     return g
 

@@ -25,12 +25,13 @@ from degenpde.barriers import (
     find_barrier_params,
     harnack_barrier_v,
     harnack_region_grid,
+    harnack_barrier_expression,
     lambda_kernel,
-    model_barrier_derivatives,
     omega_from_theta,
     search_harnack_barrier_params,
+    wall_barrier_expression,
 )
-from degenpde.geometry import Point
+from degenpde.geometry import Point, d_bar_sq
 from degenpde.operators import model_coefficients
 
 
@@ -94,9 +95,26 @@ SEARCHED = {
 
 
 @functools.cache
+def searched_and_certified(n):
+    """The search's parameters for the model operator with v = 1 and the certificate
+    that accepted them (rho = 1, 33 nodes per axis), from one search per n."""
+    certificates = []
+    certify = barriers.certify_harnack_barrier
+
+    def record(*args, **kwargs):
+        certificates.append(certify(*args, **kwargs))
+        return certificates[-1]
+
+    barriers.certify_harnack_barrier = record
+    try:
+        params = search_harnack_barrier_params(model_coefficients(1.0, n))
+    finally:
+        barriers.certify_harnack_barrier = certify
+    return params, certificates[-1]
+
+
 def searched(n):
-    """The search's parameters for the model operator with v = 1, run once per n."""
-    return search_harnack_barrier_params(model_coefficients(1.0, n))
+    return searched_and_certified(n)[0]
 
 
 @pytest.mark.parametrize("n", sorted(SEARCHED))
@@ -106,15 +124,12 @@ def test_harnack_search_is_pinned(n):
 
 def test_harnack_search_returns_certifiable_params():
     coeffs = model_coefficients(1.0, 2)
-    params = searched(2)
+    params, cert = searched_and_certified(2)
     assert params.l == 3.0
     assert params.m == 24.0
-    cert = certify_harnack_barrier(params, coeffs, nodes=33)
     assert cert.passed
-    assert cert.info["fd_derivative_deviation"] == float.fromhex("0x1.b3109baafa916p-23")
     # refinement does not flip the certificate
-    finer = certify_harnack_barrier(params, coeffs, nodes=65,
-                                    measure_c11=False, fd_check=False)
+    finer = certify_harnack_barrier(params, coeffs, nodes=65)
     assert finer.passed
 
 
@@ -132,20 +147,15 @@ def test_harnack_certificate_scaling():
 def test_harnack_small_m_negative_control():
     coeffs = model_coefficients(1.0, 2)
     params = harnack_params(2, m=8.0)
-    cert = certify_harnack_barrier(params, coeffs, nodes=33,
-                                   measure_c11=False, fd_check=False)
+    cert = certify_harnack_barrier(params, coeffs, nodes=33)
     assert not cert.passed
     assert cert.margins["supersolution"] < 0
 
 
 def test_harnack_n3_regime():
-    coeffs = model_coefficients(1.0, 3)
-    params = searched(3)
+    params, cert = searched_and_certified(3)
     assert params.m == 48.0
-    cert = certify_harnack_barrier(params, coeffs, nodes=33, measure_c11=False)
     assert cert.passed
-    assert cert.info["fd_derivative_deviation"] == float.fromhex("0x1.b53a961e42a63p-23")
-
 
 
 def test_harnack_certificate_over_the_working_set_budget_is_refused(monkeypatch):
@@ -156,8 +166,8 @@ def test_harnack_certificate_over_the_working_set_budget_is_refused(monkeypatch)
             "4,913 nodes, an estimated 0.8 MiB working set, over the 0.5 MiB budget")):
         certify_harnack_barrier(harnack_params(2), model_coefficients(1.0, 2), nodes=17)
     monkeypatch.setattr(barriers, "HARNACK_BUDGET_BYTES", 2 ** 20)
-    assert certify_harnack_barrier(harnack_params(2), model_coefficients(1.0, 2), nodes=17,
-                                   measure_c11=False, fd_check=False).margins
+    assert certify_harnack_barrier(harnack_params(2), model_coefficients(1.0, 2),
+                                   nodes=17).margins
 
 
 def test_harnack_search_at_n4_is_refused_before_any_grid_array(monkeypatch):
@@ -179,6 +189,246 @@ def test_harnack_search_at_n4_is_refused_before_any_grid_array(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 ** 20
 
+def test_harnack_certificate_refuses_a_fractional_power_of_a_negative_omega():
+    # the corners of K have theta > 18, where omega < 0 and numpy's power gives nan
+    params = HarnackBarrierParams(1.0, 0.005, 24.0, 2.5, compute_sup_offset(0.005, 2.5),
+                                  (0.0, (0.0,)))
+    with pytest.raises(ValueError, match="exponent l = 2.5 is not an integer"):
+        certify_harnack_barrier(params, model_coefficients(1.0, 2), nodes=17)
+    assert math.isfinite(harnack_barrier_v(Point(1.0, [0.5]), 0.3, params))  # theta = 1.25
+    with pytest.raises(ValueError, match="exponent l = 2.5 is not an integer"):
+        harnack_barrier_v(Point(19.0, [0.0]), 0.3, params)
+
+
+def test_harnack_base_outside_the_half_space_is_refused():
+    with pytest.raises(ValueError, match="the base must lie in x >= 0, got x0 = -0.5"):
+        HarnackBarrierParams(1.0, 0.005, 24.0, 3.0, 1.0, (-0.5, (0.0,)))
+
+
+def test_harnack_certificate_working_set_is_within_its_estimate():
+    # _refuse_oversized_grid estimates 20 (n + 1)^2 B per node; with hand-written
+    # derivatives and a separate C^(1,1) grid the n = 2 certificate took 181
+    coeffs = model_coefficients(1.0, 2)
+    certify_harnack_barrier(harnack_params(2), coeffs, nodes=9)
+    tracemalloc.start()
+    try:
+        certify_harnack_barrier(harnack_params(2), coeffs, nodes=33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 3 ** 2 * 33 ** 3
+
+
+# Closed forms of the barriers' partials, the references the expression
+# partials are held to.
+
+def _theta_derivatives(x, ys, base, gamma):
+    """theta = d_bar^2 to the base and its partials: theta_x = (x + 3 x0)(x - x0)/(x + x0)^2,
+    theta_xx = 8 x0^2/(x + x0)^3 (the limits 1 and 0 at x0 = 0), theta_yj = 2 gamma^2
+    (y_j - y0_j), theta_yjyj = 2 gamma^2."""
+    x0, y0 = base
+    theta = d_bar_sq(x, ys, x0, y0, gamma)
+    if x0 == 0.0:
+        theta_x, theta_xx = np.ones_like(x), np.zeros_like(x)
+    else:
+        theta_x = (x + 3.0 * x0) * (x - x0) / (x + x0) ** 2
+        theta_xx = 8.0 * x0 * x0 / (x + x0) ** 3
+    theta_y = [2.0 * gamma * gamma * (yi - y0i) for yi, y0i in zip(ys, y0)]
+    return theta, theta_x, theta_xx, theta_y, 2.0 * gamma * gamma
+
+
+def harnack_v_derivatives(x, ys, t, params):
+    """v = e^(-mt) omega^l - M at unit scale and its partials, by the chain rule.
+
+    With T = t + tau0, Lam = e^(-theta/T)/(4 pi T), omega = (18 - theta) Lam:
+    omega_t = omega (theta/T^2 - 1/T), omega_i = -((18 - theta)/T + 1) Lam theta_i,
+    omega_ij = -((18 - theta)/T + 1) Lam theta_ij + (1/T)((18 - theta)/T + 2) Lam
+    theta_i theta_j.  Returns v, v_t, grad and hess ({(i, j): v_ij}, i <= j).
+    """
+    m, l, tau0 = params.m, params.l, params.tau0
+    theta, th_x, th_xx, th_y, th_yy = _theta_derivatives(x, ys, params.base, params.gamma)
+    T = t + tau0
+    lam = lambda_kernel(theta, T)
+    w = (18.0 - theta) * lam
+    g1 = (18.0 - theta) / T + 1.0
+    g2 = (18.0 - theta) / T + 2.0
+    w_t = w * (theta / (T * T) - 1.0 / T)
+    th, axes = [th_x, *th_y], range(len(th_y) + 1)
+    w_i = [-g1 * lam * th_i for th_i in th]
+    w_ij = {(i, j): (g2 / T) * lam * th[i] * th[j] for i in axes for j in axes if i <= j}
+    for i in axes:  # theta's mixed second partials vanish
+        w_ij[i, i] = -g1 * lam * (th_yy if i else th_xx) + w_ij[i, i]
+    emt, k = np.exp(-m * t), int(l)
+    return {
+        "v": emt * w ** k - params.M_tau0,
+        "v_t": -m * emt * w ** k + emt * l * w ** (k - 1) * w_t,
+        "grad": [emt * l * w ** (k - 1) * wi for wi in w_i],
+        "hess": {(i, j): emt * l * (w ** (k - 1) * wij + (l - 1.0) * w ** (k - 2) * w_i[i] * w_i[j])
+                 for (i, j), wij in w_ij.items()},
+    }
+
+
+def harnack_v_derivatives_at_scale(x, ys, t, params, rho):
+    """The rho-scale partials: the unit-scale ones at (x/rho^2, y0 + (y - y0)/rho,
+    t/rho^2) for the base (x0/rho^2, y0), divided by rho^2 per x or t and rho per y."""
+    (x0, y0), r2 = params.base, rho * rho
+    unit = HarnackBarrierParams(params.gamma, params.tau0, params.m, params.l,
+                                params.M_tau0, (x0 / r2, y0))
+    d = harnack_v_derivatives(x / r2, [y0i + (yi - y0i) / rho for yi, y0i in zip(ys, y0)],
+                              t / r2, unit)
+    scale = [r2] + [rho] * len(ys)
+    return {"v": d["v"], "v_t": d["v_t"] / r2,
+            "grad": [g / w for g, w in zip(d["grad"], scale)],
+            "hess": {(i, j): h / (scale[i] * scale[j]) for (i, j), h in d["hess"].items()}}
+
+
+def model_barrier_derivatives(b, x, ys):
+    """phi = 1/((x + bS)S), S = |y|^2, with phi_x, phi_xx, phi_y and phi_yy (lists)."""
+    S = sum(yi * yi for yi in ys)
+    P = x + b * S
+    return {
+        "phi": 1.0 / (P * S), "phi_x": -1.0 / (P * P * S), "phi_xx": 2.0 / (P ** 3 * S),
+        "phi_y": [-2.0 * b * yi / (P * P * S) - 2.0 * yi / (P * S * S) for yi in ys],
+        "phi_yy": [8.0 * b * b * yi * yi / (P ** 3 * S) + 8.0 * b * yi * yi / (P * P * S * S)
+                   - 2.0 * b / (P * P * S) - 2.0 / (P * S * S) + 8.0 * yi * yi / (P * S ** 3)
+                   for yi in ys],
+    }
+
+
+def wall_barrier_derivatives(form, b, x, ys):
+    """The centred closed forms, or the translated pair: the centred barrier at
+    z = 1 - y plus the centred one at z = 1 + y."""
+    if form == "centered":
+        return model_barrier_derivatives(b, x, ys)
+    lo, hi = (model_barrier_derivatives(b, x, [1.0 + sign * yi for yi in ys])
+              for sign in (-1.0, 1.0))
+    return {"phi": lo["phi"] + hi["phi"], "phi_x": lo["phi_x"] + hi["phi_x"],
+            "phi_xx": lo["phi_xx"] + hi["phi_xx"],
+            "phi_y": [-a + c for a, c in zip(lo["phi_y"], hi["phi_y"])],  # dz/dy = -1 in lo
+            "phi_yy": [a + c for a, c in zip(lo["phi_yy"], hi["phi_yy"])]}
+
+
+def _assert_relative_close(got, want, rel):
+    """|got - want| <= rel max(|got|, |want|) where both are finite, with the same
+    non-finite set; a magnitude below the normal floats counts as the smallest normal."""
+    got, want = np.broadcast_arrays(got, want)
+    finite = np.isfinite(got)
+    assert np.array_equal(finite, np.isfinite(want))
+    size = np.maximum(np.maximum(np.abs(got), np.abs(want)), np.finfo(float).tiny)
+    assert np.all(np.abs(got - want)[finite] <= rel * size[finite])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+@pytest.mark.parametrize("x0", [0.0, 0.5])
+def test_harnack_partials_equal_the_closed_forms(x0, rho, n):
+    # x0 > 0 takes the general text (x - x0)^2/(x + x0) of d_bar^2
+    base = (x0, (0.25 * x0,) * (n - 1))
+    params = HarnackBarrierParams(1.0, 0.005, 24.0 * (n - 1), 3.0,
+                                  compute_sup_offset(0.005, 3.0), base)
+    x, *ys, t = harnack_region_grid(params.base, rho, n, 17).x_meshes()
+    v, v_t, grad, hess = harnack_barrier_expression(params, rho).partials(n)(x, *ys, t)
+    want = harnack_v_derivatives_at_scale(x, ys, t, params, rho)
+    _assert_relative_close(v, want["v"], 1e-10)
+    _assert_relative_close(v_t, want["v_t"], 1e-10)
+    for got, ref in zip(grad, want["grad"], strict=True):
+        _assert_relative_close(got, ref, 1e-10)
+    assert hess.keys() == want["hess"].keys()
+    for key, got in hess.items():
+        _assert_relative_close(got, want["hess"][key], 1e-10)
+
+
+@pytest.mark.parametrize("form", ["centered", "translated"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_wall_partials_equal_the_closed_forms(form, n):
+    # on the grid certify_barrier_inequality samples
+    y_ax = np.linspace(0.0, 2.0, 34)[1:]
+    if form == "translated":
+        y_ax = y_ax[np.abs(y_ax - 1.0) > 1e-9]
+    x, *ys = np.meshgrid(np.linspace(0.0, 4.0, 33), *([y_ax] * (n - 1)),
+                         indexing="ij", sparse=True)
+    b = find_barrier_params(1.0, n).b
+    phi, phi_t, grad, hess = wall_barrier_expression(form, b, n).partials(n)(x, *ys, 0.0)
+    want = wall_barrier_derivatives(form, b, x, ys)
+    assert phi_t == 0.0
+    _assert_relative_close(phi, want["phi"], 1e-10)
+    _assert_relative_close(grad[0], want["phi_x"], 1e-10)
+    _assert_relative_close(hess[0, 0], want["phi_xx"], 1e-10)
+    for i in range(1, n):
+        _assert_relative_close(grad[i], want["phi_y"][i - 1], 1e-10)
+        _assert_relative_close(hess[i, i], want["phi_yy"][i - 1], 1e-10)
+
+
+def _fd_deviation(value, coords, partials, h, scale):
+    """Max relative deviation of partials from central differences of value.
+
+    `value` maps a list of coordinate arrays to the function's values there.
+    `partials` pairs each partial at `coords` with the axes it differentiates
+    along: (k,) first, (k, k) second, (j, k) mixed.  Each central difference
+    is Richardson-extrapolated to fourth order from the steps h and h/2, and
+    each error is taken relative to |partial| + scale.
+    """
+    def at(*moves):
+        shifted = list(coords)
+        for k, step in moves:
+            shifted[k] = shifted[k] + step
+        return value(shifted)
+
+    def central(axes, step):
+        j, k = axes[0], axes[-1]
+        if len(axes) == 1:
+            return (at((k, step)) - at((k, -step))) / (2 * step)
+        if j == k:
+            return (at((k, step)) - 2 * at() + at((k, -step))) / (step * step)
+        return (at((j, step), (k, step)) - at((j, step), (k, -step))
+                - at((j, -step), (k, step)) + at((j, -step), (k, -step))) / (4 * step * step)
+
+    devs = []
+    for exact, axes in partials:
+        fd = (4.0 * central(axes, h / 2) - central(axes, h)) / 3.0
+        devs.append(np.max(np.abs(fd - exact) / (np.abs(exact) + scale + 1e-30)))
+    return float(np.max(devs))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_harnack_partials_match_finite_differences(n):
+    # 200 random points of K at unit scale, relative to |partial| + |v + M| + M: the
+    # partials share the kernel prefactor, so this stays meaningful where all are tiny
+    params = searched(n)
+    rng = np.random.default_rng(0)
+    x0, y0 = params.base
+    x = rng.uniform(x0 + 0.3, x0 + 6.0, 200)
+    ys = [rng.uniform(y0i - 2.0, y0i + 2.0, 200) for y0i in y0]
+    t = rng.uniform(0.1, 2.0, 200)
+    v, v_t, grad, hess = harnack_barrier_expression(params).partials(n)(x, *ys, t)
+
+    def value(c):
+        omega = omega_from_theta(d_bar_sq(c[0], c[1:-1], x0, y0, params.gamma), c[-1] + params.tau0)
+        return np.exp(-params.m * c[-1]) * omega ** params.l - params.M_tau0
+
+    partials = ([(v_t, (n,))] + [(v_i, (i,)) for i, v_i in enumerate(grad)]
+                + [(v_ij, key) for key, v_ij in hess.items()])
+    scale = np.abs(v + params.M_tau0) + params.M_tau0
+    assert _fd_deviation(value, [x, *ys, t], partials, 3e-4, scale) <= 1e-6
+
+
+@pytest.mark.parametrize("form", ["centered", "translated"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_wall_partials_match_finite_differences(form, n):
+    b = find_barrier_params(1.0, n).b
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.5, 3.0, 1000)
+    # at least 0.2 away from every pole hyperplane of both barrier forms
+    ys = [rng.uniform(0.2, 0.6, 1000) for _ in range(n - 1)]
+    _, _, grad, hess = wall_barrier_expression(form, b, n).partials(n)(x, *ys, 0.0)
+    partials = [(grad[0], (0,)), (hess[0, 0], (0, 0))]
+    for i in range(1, n):
+        partials += [(grad[i], (i,)), (hess[i, i], (i, i))]
+    deviation = _fd_deviation(lambda c: wall_barrier_derivatives(form, b, c[0], c[1:])["phi"],
+                              [x, *ys], partials, 4e-4, 1.0)
+    assert deviation <= 1e-6
+
+
 def test_harnack_region_grid_shape():
     g = harnack_region_grid((0.0, (0.0,)), 1.0, n=2, nodes=21)
     assert g.shape == (21, 21, 21)
@@ -188,7 +438,7 @@ def test_harnack_region_grid_shape():
 
 def test_model_barrier_phi_examples():
     def phi(x, y):
-        return model_barrier_derivatives(0.25, x, [y])["phi"]
+        return wall_barrier_expression("centered", 0.25, 2)(x, y, 0.0)
 
     assert phi(0.0, 1.0) == pytest.approx(4.0)
     assert phi(100.0, 1.0) < 0.01
@@ -200,19 +450,12 @@ def test_find_barrier_params_and_certify():
     assert certify_barrier_residual(p1, 2).passed
     cert = certify_barrier_inequality("translated", p1, n=2)
     assert cert.passed
-    assert cert.info["fd_derivative_deviation"] <= 1e-6
 
 
-@pytest.mark.parametrize("form, n, deviation", [
-    ("centered", 2, "0x1.d2b122bcc3da2p-26"),
-    ("centered", 3, "0x1.16dd04996b436p-25"),
-    ("translated", 2, "0x1.8288f350d21b9p-26"),
-    ("translated", 3, "0x1.06ebeb63b829ap-25"),
-])
-def test_wall_barrier_fd_deviation_is_pinned(form, n, deviation):
-    cert = certify_barrier_inequality(form, find_barrier_params(1.0, n), n)
-    assert cert.passed
-    assert cert.info["fd_derivative_deviation"] == float.fromhex(deviation)
+@pytest.mark.parametrize("form, n", [
+    ("centered", 2), ("centered", 3), ("translated", 2), ("translated", 3)])
+def test_wall_barrier_certificates_pass(form, n):
+    assert certify_barrier_inequality(form, find_barrier_params(1.0, n), n).passed
 
 
 def test_barrier_monotone_in_velocity():

@@ -10,6 +10,7 @@ import sympy as sp
 from hypothesis import strategies as st
 
 from degenpde.expressions import CompiledExpression, ExpressionError, compile_expression
+from degenpde.operators import manufactured_solutions
 
 
 def test_basic_arithmetic():
@@ -304,3 +305,46 @@ def test_random_tree_derivatives_equal_sympy_where_both_are_finite(tree, var):
     for got, want in zip(_values_at_50_digits(ours), _values_at_50_digits(theirs)):
         if got is not None and want is not None:
             assert mpmath.almosteq(got, want, rel_eps=1e-12, abs_eps=1e-30), (ours, theirs)
+
+
+def _each_partial_alone(f, n, coords):
+    """u, u_t, the gradient and the Hessian (i <= j), each its own derivative evaluated alone."""
+    names = ["x"] + [f"y{i}" for i in range(2, n + 1)]
+    grad = [f.derivative(name) for name in names]
+    hess = [grad[i].derivative(names[j]) for i in range(n) for j in range(i, n)]
+    return [d(*coords) for d in (f, f.derivative("t"), *grad, *hess)]
+
+
+def _assert_partials_bitwise(f, n, coords):
+    with np.errstate(all="ignore"):
+        try:
+            want = _each_partial_alone(f, n, coords)
+        except (ExpressionError, ArithmeticError):  # log needed, complex, Python 1/0
+            with pytest.raises((ExpressionError, ArithmeticError)):
+                f.partials(n)(*coords)
+            return
+        u, u_t, grad, hess = f.partials(n)(*coords)
+    assert list(hess) == [(i, j) for i in range(n) for j in range(i, n)]
+    for got, alone in zip([u, u_t, *grad, *hess.values()], want, strict=True):
+        assert type(got) is type(alone), f.text
+        assert np.array_equal(got, alone, equal_nan=True), f.text
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_TREES)
+def test_grouped_partials_equal_each_partial_evaluated_alone(tree):
+    _assert_partials_bitwise(compile_expression(_render(tree, " ")[0]), 3, (X, Y2, Y[0], T))
+
+
+def test_grouped_partials_of_the_catalog_equal_each_partial_evaluated_alone():
+    for v in (0.25, 1.0, 4.0):
+        for solution in manufactured_solutions(v):
+            _assert_partials_bitwise(solution.f, 2, (X, Y2, T))
+            _assert_partials_bitwise(solution.f, 2, (0.3, -0.5, 0.25))
+
+
+def test_grouped_partials_refuse_a_missing_variable_and_a_bad_dimension():
+    with pytest.raises(ExpressionError, match="variable y3 not available here"):
+        compile_expression("x*y3").partials(2)(X, Y2, T)
+    with pytest.raises(ExpressionError, match="partials in 10 space variables"):
+        compile_expression("x").partials(10)
