@@ -9,9 +9,8 @@ one op of the benchmark's n3_abp workload does: for 33^3 and 49^3 nodes and
 17 time slices it solves u_t = Lu + 1 with `random_coefficients(seed, 3)`
 and zero data, then runs `abp_check` with g = -1 on the cube B_eta(1) based
 at (x, y, t) = (0.5, 0, 1).  Run r uses seed r + 1 on both sides.
-`contact_sets` is timed by wrapping it, and the matrices it hands to
-`np.linalg.eigvalsh` are counted the same way; a second, untimed call with
-the same arguments under `tracemalloc` gives its traced peak memory.  Times
+`contact_sets` is timed by wrapping it; a second, untimed call with the
+same arguments under `tracemalloc` gives its traced peak memory.  Times
 and peaks are medians over runs; the accuracy figures travel with them: the
 lower contact set's node count on both sides, whether its masks and the ABP
 report texts are identical, the largest difference between the sides in
@@ -46,28 +45,18 @@ def measure(src: str, run: int, work: Path) -> dict:
     from degenpde.geometry import ParabolicCube, Point
     from degenpde.operators import random_coefficients
 
-    contact_sets, eigvalsh = estimates.contact_sets, np.linalg.eigvalsh
-    seen = {"s": 0.0, "eig_nodes": 0, "inside": False, "masks": None}
+    contact_sets = estimates.contact_sets
+    seen = {"s": 0.0, "masks": None}
 
     def timed_contact_sets(*args, **kwargs):
         start = perf_counter()
-        seen["inside"] = True
-        try:
-            out = contact_sets(*args, **kwargs)
-        finally:
-            seen["inside"] = False
+        out = contact_sets(*args, **kwargs)
         seen["s"] += perf_counter() - start
         seen["masks"] = out
         seen["args"] = args, kwargs
         return out
 
-    def counting_eigvalsh(a, *args, **kwargs):
-        if seen["inside"]:
-            seen["eig_nodes"] += len(a)
-        return eigvalsh(a, *args, **kwargs)
-
     estimates.contact_sets = timed_contact_sets
-    np.linalg.eigvalsh = counting_eigvalsh
 
     def const(value):
         return lambda x, *coords: np.full(np.broadcast(x, *coords).shape, value)
@@ -78,7 +67,7 @@ def measure(src: str, run: int, work: Path) -> dict:
         grid = Grid.uniform((0, 1, k), [(-1, 1, k), (-1, 1, k)], (0, 1, 17))
         problem = solver.IVBProblem(coeffs=random_coefficients(run + 1, 3), forcing=const(1.0),
                                     initial=const(0.0), lateral=const(0.0))
-        seen.update(s=0.0, eig_nodes=0)
+        seen["s"] = 0.0
         start = perf_counter()
         u = solver.solve_ivbp(problem, grid)
         solved = perf_counter()
@@ -94,7 +83,7 @@ def measure(src: str, run: int, work: Path) -> dict:
             tracemalloc.stop()
         result[str(k)] = {
             "op_s": done - start, "solve_s": solved - start, "abp_s": done - solved,
-            "contact_sets_s": seen["s"], "eigvalsh_nodes": seen["eig_nodes"],
+            "contact_sets_s": seen["s"],
             "contact_sets_peak_mb": traced_peak / 2 ** 20,
             "gamma_minus_nodes": int(contact.gamma_minus.sum()),
             "abp_text": report.to_text(),
@@ -120,7 +109,6 @@ def compare(run: int, before: dict, after: dict, work: Path) -> list:
                                               masks["after"][f"minus{k}"]),
             "abp_text_identical": a["abp_text"] == b["abp_text"],
             "gamma_minus_nodes": [b["gamma_minus_nodes"], a["gamma_minus_nodes"]],
-            "eigvalsh_nodes": [b["eigvalsh_nodes"], a["eigvalsh_nodes"]],
             "abp_max_abs_diff": {key: 0.0 if a["abp_numbers"][key] == val
                                  else abs(a["abp_numbers"][key] - val)
                                  for key, val in b["abp_numbers"].items()},
@@ -132,8 +120,7 @@ def summarize(results: dict, rows: list) -> dict:
     report = {}
     for side, runs in results.items():
         report[side] = {k: {key: statistics.median(run[k][key] for run in runs) for key in
-                            ("op_s", "solve_s", "abp_s", "contact_sets_s", "eigvalsh_nodes",
-                             "contact_sets_peak_mb")}
+                            ("op_s", "solve_s", "abp_s", "contact_sets_s", "contact_sets_peak_mb")}
                         for k in map(str, SIZES)}
         report[side]["op_s"] = statistics.median(sum(run[k]["op_s"] for k in map(str, SIZES))
                                                  for run in runs)

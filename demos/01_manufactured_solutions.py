@@ -3,7 +3,9 @@
 The equation u_t = x u_xx + u_yy + v u_x degenerates at x = 0; no boundary
 condition is imposed there because the transport term v u_x carries
 information outward. This script checks that the solver reproduces exact
-polynomial solutions and converges at the expected orders.
+polynomial solutions and converges at the expected orders. The temporal
+study refines the substep `SolverConfig(dt=...)`, the solver's one setting;
+the n >= 3 Krylov budget is the fixed `solver.KRYLOV_MAX_ITER`.
 """
 
 import numpy as np

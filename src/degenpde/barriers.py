@@ -282,13 +282,16 @@ def certify_harnack_barrier(params: HarnackBarrierParams, coeffs: CoefficientFie
     omega^l(., tau0) there, the closed form `compute_sup_offset` returns.
 
     Every partial comes from `harnack_barrier_expression`.  The C^(1,1)
-    size, the sup over the grid of |phi|, |phi_t|, |D phi| and the second
-    derivatives as L weighs them (x phi_xx, sqrt(x) phi_xy, phi_yy), times
-    rho^2, is reported as information (bounded, not asserted); phi_t,
-    phi_x and these second derivatives each scale as rho^-2 under
-    x -> rho^2 x, y -> rho y, t -> rho^2 t.  A non-integer l where omega < 0
-    is refused, and so is a grid whose estimated working set exceeds
-    HARNACK_BUDGET_BYTES, before any grid array is built.
+    size `c11_times_rho2`, the max over the grid's nodes of |phi|, |phi_t|,
+    |D phi| and the second derivatives as L weighs them (x phi_xx,
+    sqrt(x) phi_xy, phi_yy), times rho^2, is reported as information (not
+    asserted).  It is a sampled lower bound of the sup over K, not the sup:
+    the kernel is far narrower than the node spacing, so it grows with
+    refinement (1.1350e37 at 33 nodes, 2.0082e37 at 65 for the searched
+    n = 2 barrier).  phi_t, phi_x and these second derivatives each scale
+    as rho^-2 under x -> rho^2 x, y -> rho y, t -> rho^2 t.  A non-integer l
+    where omega < 0 is refused, and so is a grid whose estimated working set
+    exceeds HARNACK_BUDGET_BYTES, before any grid array is built.
     """
     n = coeffs.n
     x0, y0 = params.base

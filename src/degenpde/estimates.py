@@ -28,7 +28,6 @@ from .fields import (
 from .geometry import (
     ParabolicCube,
     Point,
-    SPoint,
     WeightedMeasure,
     cube_nodes,
     dual_edges,
@@ -122,7 +121,7 @@ def _cube_text(cube: ParabolicCube) -> str:
     b = cube.base
     ys = ",".join(f"{v:g}" for v in b.y)
     return (f"{cube.kind}(r={cube.radius:g}, base s={b.s:g} y=({ys}) "
-            f"t={b.t:g}, {cube.orientation})")
+            f"t={b.t:g}, backward)")
 
 
 def _grid_text(grid: Grid) -> str:
@@ -365,8 +364,8 @@ def _spatial_boundary(mask: np.ndarray, grid: Grid) -> np.ndarray:
         pad = [(0, 0)] * spat.ndim
         pad[ax] = (1, 1)
         padded = np.pad(spat, pad, constant_values=False)
-        if ax == 0 and grid.s[0] == 0.0:
-            # the degenerate edge s = 0 is not a lateral face
+        if ax == 0 and grid.interior_box(1)[0].start == 0:
+            # the degenerate edge s = 0 is not a lateral face (Grid's rule)
             padded[0] = padded[1]
         lo = tuple(slice(0, -2) if k == ax else slice(None)
                    for k in range(spat.ndim))
@@ -440,9 +439,9 @@ def harnack_quotient(u: ScalarField, g, s0: float, y0, t0: float, rho: float,
     """
     _budget("c_max", c_max)
     grid = u.grid
-    later = ParabolicCube("Q_rho", SPoint(s0, y0, t0).to_x(), rho / 2.0)
+    later = ParabolicCube("Q_rho", Point.at_s(s0, y0, t0), rho / 2.0)
     earlier = ParabolicCube(
-        "Q_rho", SPoint(s0, y0, t0 - 3.0 * rho * rho / 4.0).to_x(), rho / 2.0)
+        "Q_rho", Point.at_s(s0, y0, t0 - 3.0 * rho * rho / 4.0), rho / 2.0)
     on_cubes = []
     for cube in (earlier, later):
         vals = u.values[cube_nodes(cube, grid)]
@@ -484,12 +483,12 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
     grid = u.grid
     s0, y0, t_anchor = base
     q2 = ParabolicCube(
-        "Q_rho", SPoint(s0, y0, t_anchor + 10.0 * rho * rho / 4.0).to_x(),
+        "Q_rho", Point.at_s(s0, y0, t_anchor + 10.0 * rho * rho / 4.0),
         3.0 * rho / 2.0)
     sub_cube = ParabolicCube(
-        "Q_rho", SPoint(s0, y0, t_anchor + rho * rho / 4.0).to_x(), rho)
+        "Q_rho", Point.at_s(s0, y0, t_anchor + rho * rho / 4.0), rho)
     norm_cube = ParabolicCube(
-        "Q_rho", SPoint(s0, y0, t_anchor + 18.0 * rho * rho).to_x(),
+        "Q_rho", Point.at_s(s0, y0, t_anchor + 18.0 * rho * rho),
         3.0 * math.sqrt(2.0) * rho)
     inf_q2 = float(np.min(u.values[cube_nodes(q2, grid, "comparison cube")]))
     prefac, g_norm = _forcing(g, grid, norm_cube, nu, s0, rho)
@@ -541,7 +540,7 @@ def oscillation_decay(u: ScalarField, base, rho: float, levels: int, g,
     grid = u.grid
     s0, y0, t0 = base
     radii = [rho / 2.0 ** j for j in range(levels + 1)]
-    cubes = [ParabolicCube("Q_rho", SPoint(s0, y0, t0).to_x(), r) for r in radii]
+    cubes = [ParabolicCube("Q_rho", Point.at_s(s0, y0, t0), r) for r in radii]
     oscs = [osc(u, c) for c in cubes]
     rhs_components = {}
     theta_hats = []
@@ -582,7 +581,7 @@ def holder_bound_check(u: ScalarField, g, base, r: float, rho: float,
         raise ValueError("need 0 < r < rho <= 1")
     grid = u.grid
     s0, y0, t0 = base
-    anchor = SPoint(s0, y0, t0).to_x()
+    anchor = Point.at_s(s0, y0, t0)
     c_r = ParabolicCube("C_rho", anchor, r)
     c_rho = ParabolicCube("C_rho", anchor, rho)
     c_one = ParabolicCube("C_rho", anchor, 1.0)

@@ -8,9 +8,9 @@ the standard cube Q_rho(s0, y0, t0) has the closed form
 
     |Q_rho|_mu = [(s0 + rho)^nu - max(s0 - rho, 0)^nu] * rho^n.
 
-The closed form treats the tangential *and* time extents as slabs of
-half-width rho (normalization nu / 2^n); `measure_region` returns that slab
-for a given cube so quadrature and closed form integrate the same set.
+The closed form is the normalized density integrated over s in
+[max(s0 - rho, 0), s0 + rho] and slabs of half-width rho in every
+tangential coordinate and in time (normalization nu / 2^n).
 """
 
 from __future__ import annotations
@@ -57,35 +57,17 @@ class Point:
     def s(self) -> float:
         return math.sqrt(self.x)
 
-    def to_s(self) -> "SPoint":
-        return SPoint(self.s, self.y, self.t)
-
-
-@dataclass(frozen=True)
-class SPoint:
-    """Point in (s, y, t) coordinates with s = sqrt(x)."""
-
-    s: float
-    y: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _as_y(self.y))
-        _require_finite(s=self.s, y=self.y, t=self.t)
-        if self.s < 0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
-
-    @property
-    def x(self) -> float:
-        return self.s * self.s
-
-    def to_x(self) -> Point:
-        return Point(self.x, self.y, self.t)
+    @classmethod
+    def at_s(cls, s: float, y, t: float = 0.0) -> "Point":
+        """The point with s = sqrt(x) given: x = s * s."""
+        y = _as_y(y)
+        _require_finite(s=s, y=y, t=t)
+        if s < 0:
+            raise ValueError(f"s must be nonnegative, got {s}")
+        return cls(s * s, y, t)
 
 
 def _check_pair(p: Point, q: Point):
-    if p.x < 0 or q.x < 0:
-        raise ValueError("points must have x >= 0")
     if p.y.size != q.y.size:
         raise ValueError("points have different tangential dimension")
 
@@ -168,8 +150,8 @@ class ParabolicCube:
     C_rho       |x - x0| <= r,    |y - y0|_2 <= r
     Q_rho       |s - s0| <= r,    |y - y0|_2 <= r
 
-    Time extent is r^2, looking backward from base.t by default
-    (base.t - r^2 <= t <= base.t); orientation="forward" flips it.
+    Time extent is r^2, looking backward from base.t:
+    base.t - r^2 <= t <= base.t.
     Membership is closed with a small absolute slack so grid nodes sitting
     exactly on a face count as inside.
     """
@@ -177,25 +159,19 @@ class ParabolicCube:
     kind: str
     base: Point
     radius: float
-    orientation: str = "backward"
 
     def __post_init__(self):
         if self.kind not in _CUBE_KINDS:
             raise ValueError(f"unknown cube kind {self.kind!r}")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be finite and positive, got {self.radius:g}")
-        if self.orientation not in ("backward", "forward"):
-            raise ValueError("orientation must be 'backward' or 'forward'")
 
     @property
     def n(self) -> int:
         return self.base.n
 
     def time_interval(self) -> tuple[float, float]:
-        depth = self.radius ** 2
-        if self.orientation == "backward":
-            return (self.base.t - depth, self.base.t)
-        return (self.base.t, self.base.t + depth)
+        return (self.base.t - self.radius ** 2, self.base.t)
 
     def contains_s(self, s, y, t):
         """Vectorized membership for coordinates given in (s, y, t) form.
@@ -264,44 +240,12 @@ def weighted_volumes(edges, nu: float) -> np.ndarray:
     return w
 
 
-def measure_region(cube: ParabolicCube) -> tuple[tuple[float, float], list[tuple[float, float]], tuple[float, float]]:
-    """Slab over which the weighted measure of a Q_rho cube is computed.
-
-    Returns (s-interval, list of y-intervals, t-interval): s in
-    [max(s0 - rho, 0), s0 + rho], every tangential coordinate and time in a
-    slab of half-width rho around the base.  The closed-form cube measure is
-    the integral of the normalized density over exactly this set.
-    """
+def cube_measure(cube: ParabolicCube, mu: WeightedMeasure) -> float:
+    """Weighted measure of a Q_rho cube: [(s0 + rho)^nu - max(s0 - rho, 0)^nu] * rho^n."""
     if cube.kind != "Q_rho":
         raise ValueError("measure bookkeeping is defined for Q_rho cubes")
     s0, r = cube.base.s, cube.radius
-    s_iv = (max(s0 - r, 0.0), s0 + r)
-    y_ivs = [(y0i - r, y0i + r) for y0i in cube.base.y]
-    t_iv = (cube.base.t - r, cube.base.t + r)
-    return s_iv, y_ivs, t_iv
-
-
-def cube_measure(cube: ParabolicCube, mu: WeightedMeasure,
-                 method: str = "analytic") -> float:
-    """Weighted measure of a Q_rho cube.
-
-    Analytic path: [(s0 + rho)^nu - max(s0 - rho, 0)^nu] * rho^n.
-    Quadrature path: cell-decomposed integration of the normalized density
-    over `measure_region(cube)` with 64 cells along s; the singular
-    s-factor is integrated exactly per cell.
-    """
-    nu, n = mu.nu, cube.n
-    (s_lo, s_hi), y_ivs, (t_lo, t_hi) = measure_region(cube)
-    if method == "analytic":
-        return (s_hi ** nu - s_lo ** nu) * cube.radius ** n
-    if method != "quadrature":
-        raise ValueError("method must be 'analytic' or 'quadrature'")
-    # the s-integral is summed before the other lengths multiply it
-    vol = float(np.sum(weighted_volumes([np.linspace(s_lo, s_hi, 65)], nu)))
-    for lo, hi in y_ivs:
-        vol *= hi - lo
-    vol *= t_hi - t_lo
-    return vol * nu / 2.0 ** n
+    return ((s0 + r) ** mu.nu - max(s0 - r, 0.0) ** mu.nu) * r ** cube.n
 
 
 def set_measure(indicator, grid, mu: WeightedMeasure) -> float:

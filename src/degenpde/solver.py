@@ -14,7 +14,8 @@ discrete maximum principle holds to rounding.
 Linear solves: with one tangential dimension the step matrix is factored
 once by sparse LU.  For n >= 3 the Dirichlet rows are eliminated and
 BiCGStab runs on the free-node system A_ff u_f = rhs_f - A_fd u_d, to the
-relative residual `KRYLOV_TOL`.  Its preconditioner is a
+relative residual `KRYLOV_TOL` within `KRYLOV_MAX_ITER` iterations; a
+solve that misses it is refused.  Its preconditioner is a
 fast-diagonalization solve of the same step with averaged coefficients:
 y-averaged a11(s), b1(s) on the s-axis and the means of a_jj, b_j on each
 y-axis, whose free-node matrix is a Kronecker sum.  One application is a
@@ -56,19 +57,16 @@ from .operators import (CoefficientField, _axis_matrices, model_coefficients, op
 
 COMPATIBILITY_TOL = 1e-8
 KRYLOV_TOL = 1e-10  # relative residual of the n >= 3 iterative step solve
+KRYLOV_MAX_ITER = 5000  # BiCGStab iteration budget per column and step
 
 
 @dataclass
 class SolverConfig:
     dt: float | None = None  # substep size between output slices; None = slice spacing
-    max_iter: int = 5000
 
     def __post_init__(self):
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -250,7 +248,7 @@ def _free_row_blocks(M: sparse.csr_matrix, free: np.ndarray):
     return blocks
 
 
-def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond, max_iter: int):
+def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond):
     """BiCGStab on the free-node rows of M; Dirichlet values go to the right side.
 
     The Dirichlet rows of M are identity rows, so u_d = rhs_d and the free
@@ -268,7 +266,7 @@ def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond, max_iter: in
         for col, start in zip(u.reshape(len(u), -1, order="F").T, starts):
             b = col[inner] - A_fd @ col[fixed]
             sol, info = bicgstab(A_ff, b, x0=start[inner], rtol=KRYLOV_TOL, atol=0.0,
-                                 maxiter=max_iter, M=P)
+                                 maxiter=KRYLOV_MAX_ITER, M=P)
             if info != 0:
                 raise RuntimeError(f"iterative linear solve failed (info={info})")
             col[inner] = sol
@@ -358,8 +356,7 @@ def _m_matrix_flags(M: sparse.csr_matrix):
 
 
 def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
-                         t_eval: float | None = None,
-                         config: SolverConfig | None = None) -> StepMatrix:
+                         t_eval: float | None = None) -> StepMatrix:
     """Assemble I - dt P_free (L_h + c), L_h of `operators.operator_matrix` at t_eval.
 
     M is formed on L_h's arrays (`_step_from_operator`), and L_h is released
@@ -368,7 +365,6 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    config = config or SolverConfig()
     if t_eval is None:
         t_eval = float(grid.t[-1])
 
@@ -381,7 +377,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     if grid.n >= 3:
         precond = _fast_diagonalization(A, B, grid, dt, problem.c)
         del A, B
-        solve = _krylov_solver(M, free, precond, config.max_iter)
+        solve = _krylov_solver(M, free, precond)
     else:
         lu = splu(M.tocsc())
 
@@ -474,10 +470,10 @@ def _march(problems: list, grid: Grid,
 
     def step_matrix(tau: float, t_next: float) -> StepMatrix:
         if not static:
-            return assemble_step_matrix(first, grid, tau, t_next, config)
+            return assemble_step_matrix(first, grid, tau, t_next)
         key = f"{tau:.11e}"
         if key not in cache:
-            cache[key] = assemble_step_matrix(first, grid, tau, t_next, config)
+            cache[key] = assemble_step_matrix(first, grid, tau, t_next)
         return cache[key]
 
     for k in range(len(grid.t) - 1):

@@ -30,7 +30,6 @@ from degenpde.fields import Grid, sample
 from degenpde.geometry import (
     ParabolicCube,
     Point,
-    SPoint,
     WeightedMeasure,
     cube_measure,
     set_measure,
@@ -321,7 +320,7 @@ def test_criterion_11_measure_correctness():
         for rho in (0.5, 1.0):
             for nu in (0.25, 0.5, 0.75):
                 mu = WeightedMeasure(nu)
-                cube = ParabolicCube("Q_rho", SPoint(s0, [0.0], 0.0).to_x(), rho)
+                cube = ParabolicCube("Q_rho", Point.at_s(s0, [0.0], 0.0), rho)
                 analytic = cube_measure(cube, mu)
                 grid = Grid.uniform(
                     (max(s0 - rho, 0.0), s0 + rho, 65),
@@ -346,7 +345,7 @@ def test_criterion_11_disc_measure_converges():
     errors 6.7e-3, 1.6e-3, 1.2e-3 at 33, 65, 129 cells, order 1.28.
     """
     nu, s0, r, t0 = 0.5, 1.0, 0.5, 1.0
-    cube = ParabolicCube("Q_rho", SPoint(s0, [0.0, 0.0], t0).to_x(), r)
+    cube = ParabolicCube("Q_rho", Point.at_s(s0, [0.0, 0.0], t0), r)
     exact = ((s0 + r) ** nu - (s0 - r) ** nu) / nu * math.pi * r ** 4 * nu / 2 ** 3
     cells = (33, 65, 129)
     errs = []

@@ -23,7 +23,7 @@ from degenpde.estimates import (
     write_series,
 )
 from degenpde.fields import Grid, ScalarField, fd_derivatives, lp_norm_weighted, sample
-from degenpde.geometry import (ParabolicCube, Point, SPoint, WeightedMeasure, cube_nodes,
+from degenpde.geometry import (ParabolicCube, Point, WeightedMeasure, cube_nodes,
                                dual_edges, weighted_volumes)
 from degenpde.operators import (apply_L0, manufactured_solutions, model_coefficients,
                                 random_coefficients)
@@ -37,7 +37,7 @@ def unit_grid(nodes=17):
 def test_contact_sets_constant_field():
     g = unit_grid()
     u = sample(lambda x, y, t: 1.0 + 0 * x, g)
-    cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4)
+    cube = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.4)
     res = contact_sets(u, 0.5, cube)
     sel = cube.node_mask(g) & (g.s.reshape(-1, 1, 1) > 0)
     assert np.all(res.gamma_minus[sel])
@@ -52,7 +52,7 @@ def test_contact_sets_convex_field_in_lower_set():
         return z + z * z + y * y + t
 
     u = sample(f, g)
-    cube = ParabolicCube("Q_rho", SPoint(1.0, [0.0], 1.0).to_x(), 0.4)
+    cube = ParabolicCube("Q_rho", Point.at_s(1.0, [0.0], 1.0), 0.4)
     res = contact_sets(u, nu, cube)
     sel = cube.node_mask(g)
     assert np.all(res.gamma_minus[sel])
@@ -62,7 +62,7 @@ def test_contact_sets_concave_peak_not_in_lower_set():
     # u_z = 0 and u_t > 0 at the peak, so only lambda_min(E) = -2 keeps it out
     g = Grid.uniform((0.5, 1.5, 33), [(-1, 1, 33)], (0, 1, 9))
     u = sample(lambda x, y, t: -(np.sqrt(x) - 1.0) ** 2 - y * y - 0.1 * (1.0 - t), g)
-    cube = ParabolicCube("Q_rho", SPoint(1.0, [0.0], 1.0).to_x(), 0.4)
+    cube = ParabolicCube("Q_rho", Point.at_s(1.0, [0.0], 1.0), 0.4)
     res = contact_sets(u, 0.5, cube)
     peak = (16, 16, g.shape[-1] - 1)  # node at s = 1, y = 0, t = 1
     assert cube.node_mask(g)[peak]
@@ -350,14 +350,14 @@ def test_abp_and_harnack_at_n4():
 def test_contact_sets_refuse_an_empty_cube():
     g = unit_grid()
     u = sample(lambda x, y, t: x + t, g)
-    cube = ParabolicCube("Q_rho", SPoint(3.0, [0.0], 1.0).to_x(), 0.4)
+    cube = ParabolicCube("Q_rho", Point.at_s(3.0, [0.0], 1.0), 0.4)
     with pytest.raises(ValueError, match="contact-set cube contains no grid nodes"):
         contact_sets(u, 0.5, cube)
 
 
 def test_abp_scale_invariance_and_boundary_check():
     g = Grid.uniform((0, 1, 25), [(-1, 1, 25)], (0, 1, 13))
-    cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.45)
+    cube = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.45)
     t_lo, _ = cube.time_interval()
 
     def hump(x, y, t):
@@ -382,11 +382,80 @@ def test_abp_scale_invariance_and_boundary_check():
 def test_abp_zero_positive_part_passes():
     g = unit_grid()
     u = sample(lambda x, y, t: -1.0 - 0 * x, g)
-    cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4)
+    cube = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.4)
     rep = abp_check(u, None, cube, 0.5)
     assert rep.lhs == 0.0
     assert rep.measured_constant == 0.0
     assert rep.passed
+
+
+def _spatial_boundary_by_s0(mask, grid):
+    """Reference: the boundary rule with its own s = 0 test, not Grid's."""
+    spat = mask.any(axis=-1)
+    core = spat
+    for ax in range(spat.ndim):
+        pad = [(0, 0)] * spat.ndim
+        pad[ax] = (1, 1)
+        padded = np.pad(spat, pad, constant_values=False)
+        if ax == 0 and grid.s[0] == 0.0:
+            padded[0] = padded[1]
+        lo = tuple(slice(0, -2) if k == ax else slice(None) for k in range(spat.ndim))
+        hi = tuple(slice(2, None) if k == ax else slice(None) for k in range(spat.ndim))
+        core = core & padded[lo] & padded[hi]
+    lateral = (spat & ~core)[..., None] & mask
+    k_first = int(np.argmax(mask.any(axis=tuple(range(mask.ndim - 1)))))
+    bottom = np.zeros_like(mask)
+    bottom[..., k_first] = mask[..., k_first]
+    return lateral | bottom
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s_lo", [0.0, 0.25])
+def test_abp_boundary_masks_equal_the_reference(n, s_lo):
+    grid = Grid.uniform((s_lo, 1, 13), [(-1, 1, 13)] * (n - 1), (0, 1, 9))
+    for kind in ("B_eta", "C_rho", "Q_rho"):
+        for s0 in (0.0, 0.5):
+            cube = ParabolicCube(kind, Point.at_s(s0, [0.0] * (n - 1), 1.0), 0.5)
+            mask = cube_nodes(cube, grid)
+            got = estimates._spatial_boundary(mask, grid)
+            assert np.array_equal(got, _spatial_boundary_by_s0(mask, grid)), (kind, s0)
+
+
+def test_abp_refuses_a_field_positive_on_a_y_face():
+    grid = Grid.uniform((0, 1, 17), [(-1, 1, 17)], (0, 1, 9))
+    cube = ParabolicCube("B_eta", Point(0.25, [0.0], 1.0), 0.5)
+    _, y, t = grid.meshes()
+    face = cube.node_mask(grid) & (y == 0.5) & (t == 1.0)
+    assert face.any()
+    u = ScalarField(grid, np.where(face, 1.0, -1.0))
+    with pytest.raises(ValueError, match="^boundary hypothesis violated: max u on the "
+                                         "parabolic boundary is 1 > 0$"):
+        abp_check(u, None, cube, 0.5)
+
+
+def _positive_on_the_lowest_s_row(grid, cube):
+    """-1, except +1 at the cube's nodes of its lowest s-row off its y-faces and bottom."""
+    mask = cube.node_mask(grid)
+    i0 = int(np.argmax(mask.any(axis=(1, 2))))
+    row = mask[i0]
+    js = np.flatnonzero(row.any(axis=1))
+    ks = np.flatnonzero(row.any(axis=0))
+    inner = np.zeros_like(mask)
+    inner[i0, js[0] + 1:js[-1], ks[0] + 1:] = row[js[0] + 1:js[-1], ks[0] + 1:]
+    return ScalarField(grid, np.where(inner, 1.0, -1.0)), int(inner.sum())
+
+
+def test_abp_s0_row_is_no_lateral_face_only_on_a_grid_from_s0():
+    cube = ParabolicCube("B_eta", Point(0.0, [0.0], 1.0), 0.75)
+    from_zero = Grid.uniform((0, 1, 17), [(-1, 1, 17)], (0, 1, 9))
+    u, count = _positive_on_the_lowest_s_row(from_zero, cube)
+    assert count == 44
+    assert abp_check(u, None, cube, 0.5).lhs == 1.0
+    clipped = Grid.uniform((0.25, 1, 17), [(-1, 1, 17)], (0, 1, 9))
+    u, count = _positive_on_the_lowest_s_row(clipped, cube)
+    assert count > 0
+    with pytest.raises(ValueError, match="^boundary hypothesis violated"):
+        abp_check(u, None, cube, 0.5)
 
 
 def test_harnack_quotient_constant_is_one():
@@ -446,7 +515,7 @@ BUDGETS = {
     # check: (budget, its largest accepted value, the check called with it)
     "abp_check": ("c_max", math.inf, lambda **budget: abp_check(
         constant_on(unit_grid(33), -1.0), None,
-        ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4), 0.5, **budget)),
+        ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.4), 0.5, **budget)),
     "harnack_quotient": ("c_max", math.inf, lambda **budget: harnack_quotient(
         constant_on(unit_grid(33)), None, 0.5, [0.0], 1.0, 0.4, 0.5, **budget)),
     "oscillation_decay": ("theta_max", 1.0, lambda **budget: oscillation_decay(
@@ -527,7 +596,7 @@ def _hump_below_zero(x, y, t):
 
 FORCING_CHECKS = {
     "abp": (_hump_below_zero, lambda u, g: abp_check(
-        u, g, ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.45), 0.5)),
+        u, g, ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.45), 0.5)),
     "harnack": (None, lambda u, g: harnack_quotient(u, g, 0.5, [0.0], 1.0, 0.4, 0.5)),
     "growth_lemma": (None, lambda u, g: growth_lemma_check(
         u, g, (0.5, [0.0], 0.0), 0.2, 2.5, 0.5)),
@@ -550,7 +619,7 @@ def test_missing_forcing_reports_like_a_zero_field(name):
 def test_missing_forcing_on_an_empty_cube_is_refused():
     g = unit_grid()
     u = sample(lambda x, y, t: 1.0 + 0 * x, g)
-    after_the_grid = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 3.0).to_x(), 0.4)
+    after_the_grid = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 3.0), 0.4)
     for forcing in (None, ScalarField(g, np.zeros(g.shape))):
         with pytest.raises(ValueError, match="cube contains no grid nodes"):
             _forcing(forcing, g, after_the_grid, 0.5, 0.5, 0.4)
@@ -719,7 +788,7 @@ def _constant(grid, value):
 PROVENANCE = {
     "abp": (lambda: abp_check(
         _constant(unit_grid(), -1.0), None,
-        ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4), 0.5),
+        ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.4), 0.5),
         "grid 17x17x17; Q_rho(r=0.4, base s=0.5 y=(0) t=1, backward); nu=0.5"),
     "harnack": (lambda: harnack_quotient(
         _constant(unit_grid(33), 7.0), None, 0.5, [0.0], 1.0, 0.4, 0.5),

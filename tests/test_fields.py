@@ -16,7 +16,7 @@ from degenpde.fields import (
     osc,
     sample,
 )
-from degenpde.geometry import ParabolicCube, Point, SPoint, WeightedMeasure, cube_nodes
+from degenpde.geometry import ParabolicCube, Point, WeightedMeasure, cube_nodes
 from degenpde.operators import apply_L, model_coefficients, random_coefficients
 
 
@@ -196,8 +196,8 @@ def test_derivatives_refuse_rows_that_are_not_a_run():
 
 def test_osc_examples():
     g = unit_grid(33)
-    cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.5)
-    half = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.25)
+    cube = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.5)
+    half = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.25)
     const = sample(lambda x, y, t: 3.0 + 0 * x, g)
     assert osc(const, cube) == 0.0
     lin = sample(lambda x, y, t: y + 0 * x, g)
@@ -209,7 +209,7 @@ def test_osc_examples():
 def test_lp_norm_weighted_examples():
     mu = WeightedMeasure(0.5)
     g = unit_grid(65)
-    cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.4)
+    cube = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.4)
     zero = sample(lambda x, y, t: 0.0 * x, g)
     assert lp_norm_weighted(zero, 3, cube, mu) == 0.0
     one = sample(lambda x, y, t: 1.0 + 0 * x, g)
@@ -222,7 +222,7 @@ def test_lp_norm_weighted_analytic_oracle():
     # integral of s * s^(nu-1) over s in [0, 1] is 2/3 at nu = 0.5
     grid = Grid.uniform((0, 1, 257), [(-0.02, 0.02, 3)], (0.96, 1.0, 3))
     mu = WeightedMeasure(0.5)
-    cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.5)
+    cube = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.5)
     f = sample(lambda x, y, t: np.sqrt(x) + 0 * y, grid)
     val = lp_norm_weighted(f, 1, cube, mu)
     y_len = grid.y[0][-1] - grid.y[0][0]
@@ -232,7 +232,7 @@ def test_lp_norm_weighted_analytic_oracle():
 
 def test_holder_seminorm_examples():
     g = unit_grid(21)
-    cube = ParabolicCube("Q_rho", SPoint(0.5, [0.0], 1.0).to_x(), 0.5)
+    cube = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 1.0), 0.5)
     const = sample(lambda x, y, t: 2.0 + 0 * x, g)
     assert holder_seminorm(const, 0.5, cube) == 0.0
     root = sample(lambda x, y, t: np.sqrt(x) + 0 * y, g)

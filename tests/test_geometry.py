@@ -7,7 +7,6 @@ from degenpde.fields import Grid
 from degenpde.geometry import (
     ParabolicCube,
     Point,
-    SPoint,
     WeightedMeasure,
     cube_measure,
     d_bar,
@@ -27,20 +26,24 @@ def test_point_rejects_negative_x():
     (lambda: Point(math.nan, [0.0], 1.0), "x"),
     (lambda: Point(1.0, [0.0, math.inf], 1.0), "y"),
     (lambda: Point(1.0, [0.0], -math.inf), "t"),
-    (lambda: SPoint(math.inf, [0.0], 1.0), "s"),
-    (lambda: SPoint(1.0, [math.nan], 1.0), "y"),
-    (lambda: SPoint(1.0, [0.0], math.nan), "t"),
+    (lambda: Point.at_s(math.inf, [0.0], 1.0), "s"),
+    (lambda: Point.at_s(1.0, [math.nan], 1.0), "y"),
+    (lambda: Point.at_s(1.0, [0.0], math.nan), "t"),
 ], ids=["point_x", "point_y", "point_t", "spoint_s", "spoint_y", "spoint_t"])
 def test_points_refuse_non_finite_coordinates_by_name(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         make()
 
 
+def test_point_at_s_refuses_a_negative_s():
+    with pytest.raises(ValueError, match=r"^s must be nonnegative, got -0\.5$"):
+        Point.at_s(-0.5, [0.0], 1.0)
+
+
 def test_spoint_round_trip():
-    p = SPoint(1.7, [0.3], 2.0)
-    q = p.to_x()
-    assert q.x == pytest.approx(1.7 ** 2, abs=0)
-    assert q.to_s().s == pytest.approx(1.7, abs=1e-15)
+    q = Point.at_s(1.7, [0.3], 2.0)
+    assert q.x == 1.7 * 1.7
+    assert q.s == pytest.approx(1.7, abs=1e-15)
 
 
 def test_d_gamma_examples():
@@ -97,33 +100,38 @@ def test_cube_refuses_a_bad_radius_by_name(radius):
 
 def test_cube_measure_examples():
     mu = WeightedMeasure(0.5)
-    c = ParabolicCube("Q_rho", SPoint(0.0, [0.0], 0.0).to_x(), 1.0)
+    c = ParabolicCube("Q_rho", Point.at_s(0.0, [0.0], 0.0), 1.0)
     assert cube_measure(c, mu) == pytest.approx(1.0)
-    c = ParabolicCube("Q_rho", SPoint(0.0, [0.0], 0.0).to_x(), 0.7)
+    c = ParabolicCube("Q_rho", Point.at_s(0.0, [0.0], 0.0), 0.7)
     assert cube_measure(c, mu) == pytest.approx(0.7 ** (0.5 + 2))
-    c = ParabolicCube("Q_rho", SPoint(2.0, [0.0], 0.0).to_x(), 1.0)
+    c = ParabolicCube("Q_rho", Point.at_s(2.0, [0.0], 0.0), 1.0)
     assert cube_measure(c, mu) == pytest.approx(math.sqrt(3.0) - 1.0)
 
 
-def test_cube_measure_quadrature_agrees():
+@pytest.mark.parametrize("nodes", [9, 65])
+def test_set_measure_of_the_slab_equals_the_closed_form(nodes):
+    # the slab s in [0.5, 1.5], |y - 0.5| <= 0.5, |t| <= 0.5 the closed form
+    # integrates; the weight is integrated exactly per cell, so the node
+    # count does not matter
     mu = WeightedMeasure(0.25)
-    c = ParabolicCube("Q_rho", SPoint(1.0, [0.5], 0.0).to_x(), 0.5)
-    analytic = cube_measure(c, mu)
-    quad = cube_measure(c, mu, method="quadrature")
-    assert abs(quad - analytic) <= 1e-6 * analytic
+    c = ParabolicCube("Q_rho", Point.at_s(1.0, [0.5], 0.0), 0.5)
+    grid = Grid.uniform((0.5, 1.5, nodes), [(0.0, 1.0, nodes)], (-0.5, 0.5, nodes))
+    quad = set_measure(lambda s, ys, t: np.ones(np.broadcast(s, *ys, t).shape, bool),
+                       grid, mu)
+    closed = cube_measure(c, mu)
+    assert abs(quad - closed) <= 1e-12 * closed
 
 
-@pytest.mark.parametrize("method", ["analytic", "quadrature"])
-def test_cube_measure_refuses_a_cube_that_is_not_q_rho(method):
-    # the analytic path once applied the Q_rho formula to it (0.25 here)
+def test_cube_measure_refuses_a_cube_that_is_not_q_rho():
+    # the closed form was once applied to it (0.25 here)
     cube = ParabolicCube("B_eta", Point(0.25, [0.0], 1.0), 0.5)
     with pytest.raises(ValueError, match="defined for Q_rho cubes"):
-        cube_measure(cube, WeightedMeasure(0.5), method=method)
+        cube_measure(cube, WeightedMeasure(0.5))
 
 
 def test_set_measure_full_cube_and_symmetry():
     mu = WeightedMeasure(0.5)
-    cube = ParabolicCube("Q_rho", SPoint(1.0, [0.0], 0.0).to_x(), 0.5)
+    cube = ParabolicCube("Q_rho", Point.at_s(1.0, [0.0], 0.0), 0.5)
     grid = Grid.uniform((0.5, 1.5, 64), [(-0.5, 0.5, 65)], (-0.5, 0.5, 64))
     def shape(s, ys, t):
         return np.broadcast(s, *ys, t).shape
@@ -152,10 +160,6 @@ def test_cube_membership_kinds():
 
 
 def test_cube_time_orientation():
-    base = Point(1.0, [0.0], 1.0)
-    back = ParabolicCube("Q_rho", base, 0.5)
-    lo, hi = back.time_interval()
-    assert (lo, hi) == (0.75, 1.0)
-    fwd = ParabolicCube("Q_rho", base, 0.5, orientation="forward")
-    lo, hi = fwd.time_interval()
-    assert (lo, hi) == (1.0, 1.25)
+    # every cube looks backward in time from its base
+    cube = ParabolicCube("Q_rho", Point(1.0, [0.0], 1.0), 0.5)
+    assert cube.time_interval() == (0.75, 1.0)
