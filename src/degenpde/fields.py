@@ -136,15 +136,23 @@ class Grid:
         )
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """values as a float array; a complex one is refused by name, not cast to its real part."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} is complex; only real values are accepted")
+    return values.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ScalarField:
-    """Grid-sampled space-time function."""
+    """Grid-sampled space-time function; complex values are refused."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _real_array(self.values, "field")
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
@@ -154,9 +162,9 @@ class ScalarField:
 
 
 def sample(f, grid: Grid) -> ScalarField:
-    """Evaluate f(x, y..., t) at every node (x = s^2)."""
+    """Evaluate f(x, y..., t) at every node (x = s^2); complex values are refused."""
     with np.errstate(all="ignore"):  # a non-finite value is refused below
-        vals = np.asarray(f(*grid.x_meshes()), dtype=float)
+        vals = _real_array(f(*grid.x_meshes()), "sampled function")
     vals = np.broadcast_to(vals, grid.shape).copy()
     bad = ~np.isfinite(vals)
     if np.any(bad):

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .expressions import compile_expression
-from .fields import Grid, ScalarField, _d1, _d2, _uniform_spacing, x_stencils
+from .fields import Grid, ScalarField, _d1, _d2, _real_array, _uniform_spacing, x_stencils
 from .fields import fd_derivatives  # noqa: F401 perfbench/tracing.py binds this name
 
 
@@ -78,10 +78,10 @@ class CoefficientField:
     def eval_a(self, meshes, shape, origin=None):
         """Array of shape (n, n) + shape with a evaluated on the meshes.
 
-        Here and in eval_b a non-finite entry is refused by name and node
-        index.  When the meshes are a block of a larger grid, origin is the
-        index of the block's first node there, and the index named is the
-        grid's.
+        Here and in eval_b a complex entry is refused by name, and a
+        non-finite one by name and node index.  When the meshes are a block
+        of a larger grid, origin is the index of the block's first node
+        there, and the index named is the grid's.
         """
         return np.array([[_evaluate(f, f"a{i + 1}{j + 1}", meshes, shape, origin)
                           for j, f in enumerate(row)] for i, row in enumerate(self.a)], float)
@@ -92,7 +92,7 @@ class CoefficientField:
 
 
 def _evaluate(f, name: str, meshes, shape, origin=None) -> np.ndarray:
-    values = np.broadcast_to(f(*meshes), shape)
+    values = np.broadcast_to(_real_array(f(*meshes), f"coefficient {name}"), shape)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         at = bad[0] if origin is None else bad[0] + origin
@@ -191,7 +191,7 @@ def _embed(mat, k: int, shape: tuple):
     Built from mat's entries directly, a run of rows with equal entry
     counts at a time.  Each row lists its entries in descending column
     order (mat's rows are ascending), the order in which the product
-    diag(c) @ K of an ascending K emits them; see `_operator_assembly`.
+    diag(c) @ K of an ascending K emits them; see `operator_matrix`.
     """
     lead, size, trail = math.prod(shape[:k]), shape[k], math.prod(shape[k + 1:])
     counts = np.diff(mat.indptr)
@@ -213,86 +213,6 @@ def _embed(mat, k: int, shape: tuple):
                              shape=(len(indptr) - 1,) * 2)
 
 
-def _operator_assembly(grid: Grid, keep: bool):
-    """L_h on grid as a function of the coefficient arrays: (A, B) -> L_h.
-
-    Each term is a coefficient times an embedding K, scaled through K's
-    data, and the terms are summed in the order of `operator_matrix` by
-    sparse addition.  With keep, each embedding is kept after its first use
-    (calls at several times on one grid); without, one is alive at a time.
-    The products X1 Dy_j and Dy_i Dy_j are formed only for a mixed or cross
-    coefficient that is non-zero somewhere.  `apply_L` sums each row of
-    L_h u in stored order, so every term stores what diag(c) @ K stored: its
-    non-zero entries (scipy orders a sum's row one way when both operands'
-    rows are sorted and another way otherwise), single-axis terms in
-    descending column order (`_embed`), products in ascending order, which
-    is how the descending factors' product comes out.
-    """
-    shape = grid.shape[:-1]
-    m = len(grid.y)
-    (xx, x1, fwd, w), y_axes = _axis_matrices(grid)
-    w = w.reshape((-1,) + (1,) * m)
-    hy = [grid.hy(j) for j in range(m)]
-    sqrt_x = np.sqrt(grid.spatial_x_meshes()[0])
-    mats = {"xx": (xx, 0), "x1": (x1, 0), "fwd": (fwd, 0)}
-    for j, (dy, dyy) in enumerate(y_axes):
-        mats[f"dy{j}"], mats[f"dyy{j}"] = (dy, 1 + j), (dyy, 1 + j)
-    kept = {}
-
-    def embedding(keys):
-        # the product of the named embeddings
-        if keys in kept:
-            return kept[keys]
-        K = _embed(*mats[keys[0]], shape) if len(keys) == 1 else (
-            embedding(keys[:1]) @ embedding(keys[1:]))
-        if keep:
-            kept[keys] = K
-        return K
-
-    def terms(A, B):
-        # (coefficient, embedding) of each term, in the order of the sum;
-        # x a11 u_xx + b1 u_x, at s = 0 (x = 0, w = 0) b1 times the forward difference
-        yield A[0, 0], ("xx",)
-        yield w * B[0], ("x1",)
-        yield (1 - w) * B[0], ("fwd",)
-        for j in range(m):
-            yield A[1 + j, 1 + j] / (hy[j] * hy[j]), (f"dyy{j}",)
-            yield B[1 + j] / (2 * hy[j]), (f"dy{j}",)
-            # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for diagonal coefficients)
-            if np.any(A[0, 1 + j] != 0):
-                yield 2.0 * A[0, 1 + j] * sqrt_x / (2 * hy[j]), ("x1", f"dy{j}")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.any(A[1 + i, 1 + j] != 0):
-                    yield 2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), (f"dy{i}", f"dy{j}")
-
-    def assemble(A, B):
-        L = None
-        for coeff, keys in terms(A, B):
-            K = embedding(keys)
-            data = np.repeat(np.broadcast_to(coeff, shape).ravel(), np.diff(K.indptr))
-            data *= K.data
-            # an embedding that is not kept hands its index arrays to the term
-            indices, indptr = (K.indices.copy(), K.indptr.copy()) if keep else (K.indices, K.indptr)
-            term = sparse.csr_matrix((data, indices, indptr), shape=K.shape)
-            # K's data, and index arrays that eliminate_zeros replaces, go before the sum
-            del K, indices, indptr
-            term.eliminate_zeros()
-            L = term if L is None else L + term
-        # a sum is stored on a buffer sized for both operands and sliced to
-        # its nnz; L_h gets arrays of its own size
-        return L.copy()
-
-    return assemble
-
-
-def _coefficients(coeffs: CoefficientField, grid: Grid, t: float):
-    """(A, B): the coefficients at time t on the spatial nodes."""
-    xm = [*grid.spatial_x_meshes(), t]
-    shape = grid.shape[:-1]
-    return coeffs.eval_a(xm, shape), coeffs.eval_b(xm, shape)
-
-
 def operator_matrix(coeffs: CoefficientField, grid: Grid, t: float):
     """L_h at time t on the spatial nodes (C order): (L_h, A, B), A and B the coefficients.
 
@@ -309,10 +229,67 @@ def operator_matrix(coeffs: CoefficientField, grid: Grid, t: float):
     forward difference F, w = 0 at the first two s-nodes and 1 from s-index
     5 on.  At s = 0 (x = 0, w = 0) the row is the limit equation's b1 u_x +
     sum a_ij u_{y_i y_j} + sum b_j u_{y_j}: its outflow needs no boundary data.
+
+    Each term is a coefficient times an embedding K, scaled through K's
+    data; an embedding is built when its term needs it and dropped after,
+    so only the current term's is alive.  The products X1 Dy_j and Dy_i Dy_j are
+    formed only for a mixed or cross coefficient that is non-zero somewhere.
+    `apply_L` sums each row of L_h u in stored order, so every term stores
+    what diag(c) @ K stored: its non-zero entries (scipy orders a sum's row
+    one way when both operands' rows are sorted and another way otherwise),
+    single-axis terms in descending column order (`_embed`), products in
+    ascending order, which is how the descending factors' product comes out.
     """
     _check_dimension(coeffs, grid)
-    A, B = _coefficients(coeffs, grid, t)
-    return _operator_assembly(grid, keep=False)(A, B), A, B
+    shape = grid.shape[:-1]
+    m = len(grid.y)
+    xm = [*grid.spatial_x_meshes(), t]
+    A, B = coeffs.eval_a(xm, shape), coeffs.eval_b(xm, shape)
+    sqrt_x = np.sqrt(xm[0])
+    del xm  # the meshes are not kept through the sum
+    (xx, x1, fwd, w), y_axes = _axis_matrices(grid)
+    w = w.reshape((-1,) + (1,) * m)
+    hy = [grid.hy(j) for j in range(m)]
+    mats = {"xx": (xx, 0), "x1": (x1, 0), "fwd": (fwd, 0)}
+    for j, (dy, dyy) in enumerate(y_axes):
+        mats[f"dy{j}"], mats[f"dyy{j}"] = (dy, 1 + j), (dyy, 1 + j)
+
+    def embedding(keys):
+        # the product of the named embeddings
+        K = _embed(*mats[keys[0]], shape)
+        return K if len(keys) == 1 else K @ embedding(keys[1:])
+
+    def terms():
+        # (coefficient, embedding) of each term, in the order of the sum;
+        # x a11 u_xx + b1 u_x, at s = 0 (x = 0, w = 0) b1 times the forward difference
+        yield A[0, 0], ("xx",)
+        yield w * B[0], ("x1",)
+        yield (1 - w) * B[0], ("fwd",)
+        for j in range(m):
+            yield A[1 + j, 1 + j] / (hy[j] * hy[j]), (f"dyy{j}",)
+            yield B[1 + j] / (2 * hy[j]), (f"dy{j}",)
+            # mixed term 2 sqrt(x) a1j u_{x y_j} (zero for diagonal coefficients)
+            if np.any(A[0, 1 + j] != 0):
+                yield 2.0 * A[0, 1 + j] * sqrt_x / (2 * hy[j]), ("x1", f"dy{j}")
+        for i in range(m):
+            for j in range(i + 1, m):
+                if np.any(A[1 + i, 1 + j] != 0):
+                    yield 2 * A[1 + i, 1 + j] / (4 * hy[i] * hy[j]), (f"dy{i}", f"dy{j}")
+
+    L = None
+    for coeff, keys in terms():
+        K = embedding(keys)
+        data = np.repeat(np.broadcast_to(coeff, shape).ravel(), np.diff(K.indptr))
+        data *= K.data
+        # the term takes K's index arrays; K's data goes before the sum, and
+        # with it the index arrays that eliminate_zeros replaces
+        term = sparse.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+        del K
+        term.eliminate_zeros()
+        L = term if L is None else L + term
+    # a sum is stored on a buffer sized for both operands and sliced to its
+    # nnz; L_h gets arrays of its own size
+    return L.copy(), A, B
 
 
 def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
@@ -322,17 +299,14 @@ def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     is exact for fields linear in x and y at every node, and for fields
     quadratic in x past s-index 4 (inside, the transport blends in the
     forward difference).  Static coefficients take one matrix for all
-    slices.  Time-dependent ones take one per slice, from embeddings built
-    once per call: per slice only the coefficients, their scaling and the
-    sum are redone.
+    slices; time-dependent ones take one `operator_matrix` per slice, as the
+    march takes one per substep.
     """
     g = field.grid
     u = field.values.reshape(-1, len(g.t))  # a column per time slice
     if not coeffs.time_dependent:
         return ScalarField(g, (operator_matrix(coeffs, g, g.t[0])[0] @ u).reshape(g.shape))
-    _check_dimension(coeffs, g)
-    assemble = _operator_assembly(g, keep=True)
-    out = np.column_stack([assemble(*_coefficients(coeffs, g, t)) @ col
+    out = np.column_stack([operator_matrix(coeffs, g, t)[0] @ col
                            for t, col in zip(g.t, u.T)])
     return ScalarField(g, out.reshape(g.shape))
 

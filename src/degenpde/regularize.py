@@ -77,6 +77,8 @@ def m_epsilon(P, Q, eps: float):
         raise ValueError("x must be nonnegative")
     if abs(u) > 1.0:
         raise ValueError("|u| must be <= 1")
+    if any(abs(vi) > 1.0 for vi in v):
+        raise ValueError(f"every |v_i| must be <= 1, got v = {tuple(map(float, v))}")
     root = np.sqrt(x + 2.0 * eps) + np.sqrt(eps) * u
     xi = root * root
     zeta = tuple(yi + np.sqrt(eps) * vi for yi, vi in zip(y, v))

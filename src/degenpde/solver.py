@@ -13,8 +13,9 @@ discrete maximum principle holds to rounding.
 
 Linear solves: with one tangential dimension the step matrix is factored
 once by sparse LU.  For n >= 3 the Dirichlet rows are eliminated and
-BiCGStab runs on the free-node system A_ff u_f = rhs_f - A_fd u_d, to the
-relative residual `KRYLOV_TOL` within `KRYLOV_MAX_ITER` iterations; a
+BiCGStab runs on the free-node system A_ff u_f = rhs_f - A_fd u_d, A_ff
+sliced from M once and A_fd u_d read off M times the Dirichlet values, to
+the relative residual `KRYLOV_TOL` within `KRYLOV_MAX_ITER` iterations; a
 solve that misses it is refused.  Its preconditioner is a
 fast-diagonalization solve of the same step with averaged coefficients:
 y-averaged a11(s), b1(s) on the s-axis and the means of a_jj, b_j on each
@@ -51,7 +52,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, _real_array
 from .operators import (CoefficientField, _axis_matrices, model_coefficients, operator_matrix,
                         plane_waves, validate_coefficients)
 
@@ -104,15 +105,26 @@ def _eval_spatial(data, name: str, coords: list, nodes, shape: tuple,
     coordinates (x = s^2, y...).  A callable is evaluated as
     data(*coords, t); anything else must be an array of values on the
     spatial grid, which is time-independent data, and is read at nodes.
+    Complex values, and a callable's values that do not broadcast to the
+    nodes, are refused by name.
     """
     if callable(data):
-        val = np.asarray(data(*coords, t), dtype=float)
-        return np.broadcast_to(val, shape if nodes is None else nodes.shape).ravel()
+        val = _real_array(data(*coords, t), name)
+        want = shape if nodes is None else nodes.shape
+        try:
+            return np.broadcast_to(val, want).ravel()
+        except ValueError:
+            what = "the spatial grid's shape" if nodes is None else "one value per node read"
+            raise ValueError(f"{name} returned values of shape {val.shape}, which do not "
+                             f"broadcast to {want}, {what}") from None
     try:
-        values = np.asarray(data, dtype=float)
+        values = np.asarray(data)
+        if not np.iscomplexobj(values):  # a complex array is refused below, by name
+            values = values.astype(float, copy=False)
     except (TypeError, ValueError):
         raise TypeError(f"{name} must be a callable f(x, y..., t) or an array of values "
                         f"on the spatial nodes, got {type(data).__name__}") from None
+    values = _real_array(values, name)
     if values.shape != shape:
         raise ValueError(f"{name} has shape {values.shape}, but the spatial grid has "
                          f"shape {shape}")
@@ -223,40 +235,17 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float, c
     return apply
 
 
-def _free_row_blocks(M: sparse.csr_matrix, free: np.ndarray):
-    """(A_ff, A_fd) = M[free][:, free] and M[free][:, ~free], cut from M's arrays.
-
-    Each block holds M's entries of the free rows in stored order, their
-    columns numbered within the free or the Dirichlet nodes; the free rows
-    are not copied out of M first.
-    """
-    in_free_row = np.repeat(free, np.diff(M.indptr))
-    to_free = free[M.indices]
-    column = np.empty(len(free), dtype=M.indices.dtype)  # a node's column in its block
-    column[free] = np.arange(np.count_nonzero(free))
-    column[~free] = np.arange(np.count_nonzero(~free))
-    row_starts = M.indptr[np.append(np.flatnonzero(free), len(free))]
-    blocks = []
-    for side in (True, False):
-        keep = in_free_row & (to_free == side)
-        kept = np.zeros(keep.size + 1, dtype=M.indptr.dtype)  # kept entries before each
-        np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
-        indptr = kept[row_starts]
-        del kept
-        blocks.append(sparse.csr_matrix((M.data[keep], column[M.indices[keep]], indptr),
-                                        shape=(len(indptr) - 1, np.count_nonzero(free == side))))
-    return blocks
-
-
 def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond):
     """BiCGStab on the free-node rows of M; Dirichlet values go to the right side.
 
     The Dirichlet rows of M are identity rows, so u_d = rhs_d and the free
-    values solve A_ff u_f = rhs_f - A_fd u_d.
+    values solve A_ff u_f = rhs_f - (M v)_f, A_ff = M[free][:, free] and v
+    the column with zeros on the free nodes.  A free row of M sums its
+    entries in stored order and a zero term adds nothing, so (M v)_f is
+    M[free][:, ~free] u_d bitwise, a block that is never built.
     """
     inner = np.flatnonzero(free)
-    fixed = np.flatnonzero(~free)
-    A_ff, A_fd = _free_row_blocks(M, free)
+    A_ff = M[inner][:, inner]
     P = LinearOperator(A_ff.shape, matvec=precond, dtype=float)
 
     def solve(rhs, x0):
@@ -264,7 +253,7 @@ def _krylov_solver(M: sparse.csr_matrix, free: np.ndarray, precond):
         u = rhs.copy(order="F")
         starts = x0.reshape(len(x0), -1, order="F").T
         for col, start in zip(u.reshape(len(u), -1, order="F").T, starts):
-            b = col[inner] - A_fd @ col[fixed]
+            b = col[inner] - (M @ np.where(free, 0.0, col))[inner]
             sol, info = bicgstab(A_ff, b, x0=start[inner], rtol=KRYLOV_TOL, atol=0.0,
                                  maxiter=KRYLOV_MAX_ITER, M=P)
             if info != 0:
@@ -360,8 +349,9 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
     """Assemble I - dt P_free (L_h + c), L_h of `operators.operator_matrix` at t_eval.
 
     M is formed on L_h's arrays (`_step_from_operator`), and L_h is released
-    before the n >= 3 solver cuts M's free-node blocks (`_free_row_blocks`),
-    as are the coefficient arrays once the preconditioner is built.
+    before the n >= 3 solver slices M's free-node block A_ff
+    (`_krylov_solver`), as are the coefficient arrays once the
+    preconditioner is built.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")

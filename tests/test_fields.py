@@ -58,6 +58,16 @@ def test_scalar_field_names_a_non_finite_node_by_plain_ints():
         ScalarField(g, vals)
 
 
+def test_complex_values_are_refused_not_cast_to_their_real_part():
+    g = Grid.uniform((0, 1, 5), [(-1, 1, 5)], (0, 1, 3))
+    with pytest.raises(ValueError, match=re.escape(
+            "sampled function is complex; only real values are accepted")):
+        sample(lambda x, y, t: x + 1j * y + 0 * t, g)
+    with pytest.raises(ValueError, match=re.escape(
+            "field is complex; only real values are accepted")):
+        ScalarField(g, np.full(g.shape, 1 + 1j))
+
+
 def test_fd_exact_on_quadratics():
     g = unit_grid(21)
     d = fd_derivatives(sample(lambda x, y, t: x + 0 * y, g))

@@ -449,6 +449,20 @@ def test_a_non_finite_coefficient_is_refused_by_name(call, index):
         call(coeffs, g, lambda x, y, t: 1.0 + 0 * x)
 
 
+@pytest.mark.parametrize("call", [
+    lambda c, g, u: solve_ivbp(IVBProblem(c, initial=u, lateral=u), g),
+    lambda c, g, u: validate_coefficients(c, g),
+    lambda c, g, u: assemble_step_matrix(IVBProblem(c), g, 0.1),
+    lambda c, g, u: apply_L(c, sample(u, g)),
+], ids=["solve_ivbp", "validate", "assemble", "apply_L"])
+def test_a_complex_coefficient_is_refused_by_name(call):
+    coeffs = model_coefficients(1.0, 2)
+    coeffs.b[1] = lambda x, y, t: 0.1j + 0 * x
+    with pytest.raises(ValueError, match=re.escape(
+            "coefficient b2 is complex; only real values are accepted")):
+        call(coeffs, unit_grid(9), lambda x, y, t: 1.0 + 0 * x)
+
+
 def test_a_non_finite_drift_is_refused_by_name():
     g = unit_grid(9)
     coeffs = model_coefficients(1.0, 2)

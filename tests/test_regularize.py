@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def test_m_epsilon_examples():
         m_epsilon((-0.1, (0.0,)), (0.0, (0.0,)), 0.01)
     with pytest.raises(ValueError):
         m_epsilon((0.1, (0.0,)), (1.5, (0.0,)), 0.01)
+
+
+@pytest.mark.parametrize("v", [(1.5,), (0.5, -1.25)])
+def test_m_epsilon_refuses_a_tangential_displacement_outside_the_unit_box(v):
+    with pytest.raises(ValueError, match=re.escape(
+            f"every |v_i| must be <= 1, got v = {v}")):
+        m_epsilon((1.0, (0.0,) * len(v)), (0.0, v), 0.1)
 
 
 def test_displacement_identity():

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, bicgstab, spsolve
 
 from degenpde import barriers, solver
 from degenpde.fields import Grid, sample, x_stencils
@@ -311,8 +311,9 @@ def test_step_assembly_working_set():
 
 def test_step_assembly_working_set_with_diagonal_coefficients():
     # with the model coefficients L_h's assembly peaks at 316 B per spatial
-    # node (33^3 nodes) and M's at 322 B; copying M's free rows before cutting
-    # the two free-node blocks out of them peaked at 369 B
+    # node (33^3 nodes) and M's at 322 B; slicing A_ff out of a copy of M's
+    # free rows stays under that, where cutting both free-node blocks out of
+    # the copy peaked at 369 B
     grid = cube_grid(33, t_nodes=17)
     problem = IVBProblem(coeffs=model_coefficients(1.0, 3))
     tracemalloc.start()
@@ -325,15 +326,31 @@ def test_step_assembly_working_set_with_diagonal_coefficients():
 
 
 @pytest.mark.parametrize("case", sorted(c for c in ASSEMBLY_CASES if ASSEMBLY_CASES[c][0].n == 3))
-def test_free_node_blocks_are_the_sliced_free_rows_bitwise(case):
+def test_krylov_step_solve_is_bicgstab_on_the_sliced_free_rows_bitwise(case):
+    # the reference takes both free-row blocks of M as scipy slices and
+    # moves the Dirichlet values to the right side through A_fd
     coeffs, (ns, ny), s_lo = ASSEMBLY_CASES[case]
     grid = Grid.uniform((s_lo, 1, ns), [(-1, 1, ny)] * 2, (0, 1, 5))
-    M = assemble_step_matrix(IVBProblem(coeffs=coeffs), grid, 1 / 16, t_eval=0.75).A
+    dt, c = 1 / 16, -0.5
+    step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.75)
     free = ~solver._dirichlet_mask(grid).ravel()
-    rows = M[free]
-    for got, want in zip(solver._free_row_blocks(M, free), (rows[:, free], rows[:, ~free]),
-                         strict=True):
-        assert got.shape == want.shape and same_csr(got, want)
+    rng = np.random.default_rng(5)
+    rhs, x0 = rng.uniform(-1, 1, (2, free.size, 3))  # nonzero Dirichlet values
+    got = step.solve(rhs, x0)
+
+    _, A, B = operator_matrix(coeffs, grid, 0.75)
+    P = LinearOperator((np.count_nonzero(free),) * 2, dtype=float,
+                       matvec=solver._fast_diagonalization(A, B, grid, dt, c))
+    rows = step.A[free]
+    A_ff, A_fd = rows[:, free], rows[:, ~free]
+    want = rhs.copy()
+    for k in range(rhs.shape[1]):
+        b = rhs[free, k] - A_fd @ rhs[~free, k]
+        want[free, k], info = bicgstab(A_ff, b, x0=x0[free, k], rtol=solver.KRYLOV_TOL,
+                                       atol=0.0, maxiter=solver.KRYLOV_MAX_ITER, M=P)
+        assert info == 0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def test_constant_is_fixed_point():
     g = unit_grid(17)
@@ -667,6 +684,32 @@ def test_data_neither_callable_nor_array_is_refused_by_name(which, name, value, 
     with pytest.raises(TypeError, match=re.escape(
             f"{name} must be a callable f(x, y..., t) or an array of values on the "
             f"spatial nodes, got {kind}")):
+        solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), **data), unit_grid(9))
+
+
+@pytest.mark.parametrize("which, name", [("initial", "initial data"),
+                                         ("lateral", "lateral data"), ("forcing", "forcing")])
+@pytest.mark.parametrize("kind", ["callable", "array"])
+def test_complex_data_is_refused_by_name(which, name, kind):
+    f = lambda x, y, t: x + 0 * y + 0 * t
+    complex_data = ((lambda x, y, t: x + 1j * y + 0 * t) if kind == "callable"
+                    else np.full((9, 9), 1 + 1j))
+    data = {"initial": f, "lateral": f, which: complex_data}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} is complex; only real values are accepted")):
+        solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), **data),
+                   unit_grid(9, t_nodes=5))
+
+
+@pytest.mark.parametrize("which, name, returned, want", [
+    ("initial", "initial data", (7,), "(9, 9), the spatial grid's shape"),
+    ("forcing", "forcing", (3, 3), "(9, 9), the spatial grid's shape"),
+    ("lateral", "lateral data", (7,), "(25,), one value per node read")], ids=["initial", "forcing", "lateral"])
+def test_callable_data_of_another_shape_is_refused_by_name(which, name, returned, want):
+    f = lambda x, y, t: 1.0 + 0 * x
+    data = {"initial": f, "lateral": f, which: lambda x, y, t: np.ones(returned)}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} returned values of shape {returned}, which do not broadcast to {want}")):
         solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), **data), unit_grid(9))
 
 
