@@ -14,19 +14,26 @@ sides.  The Hoelder kernel is timed by wrapping it where `fields` and
 walks them for every field, or, in a checkout that predates it, the pair-set
 build `_region_pairs` plus the field pass, `_ratio_maxes` (one pass for
 many fields) or `_ratio_max` (one pass per field), summed;
-`cs_norm_2_alpha` is timed the same way.  After the timed op has read the
-process's peak resident memory, a third op runs under `tracemalloc`, and
+`cs_norm_2_alpha` is timed the same way.  Where the Schauder check walks
+its two boxes on two threads, the summed kernel seconds `kernel_s` exceed
+the kernel's wall time `kernel_wall_s`, the time during which at least one
+kernel call runs; both stand next to the op's wall time `op_s`.  The values
+of each kernel call are kept in the order of the call's region size, so the
+two sides compare whatever thread finished first.  After the timed op has
+read the process's peak resident memory, a third op keeps the arguments of
+each kernel call, and each call is then replayed alone under `tracemalloc`:
 the kernel's traced peak is the largest rise of the traced memory above
-what was in use at the start of one of its calls (in a checkout that
-builds the pair set apart, a pass's rise leaves out the pair set it was
-given).  Times and peaks are medians over runs; the accuracy figures
-travel with them: the largest difference in any per-field maximum the
-kernel returns or any `cs_norm_2_alpha` value, and whether every report
-file is byte-identical.
+what was in use at the start of one replay, so a walk's figure holds none
+of what a concurrent walk allocates (in a checkout that builds the pair set
+apart, a pass's rise leaves out the pair set it was given).  Times and
+peaks are medians over runs; the accuracy figures travel with them: the
+largest difference in any per-field maximum the kernel returns or any
+`cs_norm_2_alpha` value, and whether every report file is byte-identical.
 """
 
 from __future__ import annotations
 
+import math
 import resource
 import statistics
 import sys
@@ -40,9 +47,9 @@ import ab
 
 NODES, VELOCITIES = 33, ("0.25", "1", "4")
 VALUES = ("cs_norm_2_alpha", "ratio_max")
-KEYS = ("op_s", "kernel_s", "cs_norm_2_alpha_s", "kernel_passes", "fields_walked",
-        "peak_rss_mb", "kernel_traced_peak_mb")
-SPEEDUP = ("op_s", "kernel_s", "cs_norm_2_alpha_s")
+KEYS = ("op_s", "kernel_s", "kernel_wall_s", "cs_norm_2_alpha_s", "kernel_passes",
+        "fields_walked", "peak_rss_mb", "kernel_traced_peak_mb")
+SPEEDUP = ("op_s", "kernel_s", "kernel_wall_s", "cs_norm_2_alpha_s")
 
 SPEC = """\
 [experiment]
@@ -91,31 +98,38 @@ t0 = 0.9
 """
 
 
+def covered_seconds(spans: list) -> float:
+    """Length of the union of the (start, end) intervals."""
+    total, reached = 0.0, -math.inf
+    for start, end in sorted(spans):
+        total += max(0.0, end - max(start, reached))
+        reached = max(reached, end)
+    return total
+
+
 def measure(src: str, run: int, work: Path) -> dict:
     """A warm-up op and a timed op; the timed op's reports land in work/out."""
     sys.path.insert(0, src)
     from degenpde import cli, estimates, fields
 
-    seconds = {"pair_set": [], "kernel": [], "cs_norm_2_alpha": []}
+    # (start, end) of each timed call; the kernel's calls may overlap
+    spans = {"pair_set": [], "kernel": [], "cs_norm_2_alpha": []}
     values = {name: [] for name in VALUES}
-    rises = [0]  # traced-memory rises of the kernel's calls in the traced op
+    kernel_calls = []  # (region nodes, the call's per-field maxima)
+    replays = None  # in the third op, the kernel's calls, to replay one at a time
 
     def timed(module, name, span, record):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            if tracemalloc.is_tracing():
-                if span == "cs_norm_2_alpha":
-                    return original(*args, **kwargs)
-                at = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                out = original(*args, **kwargs)
-                rises.append(tracemalloc.get_traced_memory()[1] - at)
-                return out
+            if replays is not None:
+                if span != "cs_norm_2_alpha":
+                    replays.append((original, args, kwargs))
+                return original(*args, **kwargs)
             start = perf_counter()
             out = original(*args, **kwargs)
-            seconds[span].append(perf_counter() - start)
-            record(out)
+            spans[span].append((start, perf_counter()))
+            record(args, out)
             return out
         for owner in (fields, estimates):
             if getattr(owner, name, None) is original:
@@ -126,29 +140,42 @@ def measure(src: str, run: int, work: Path) -> dict:
     if cli.main(["run", str(spec), "--out", str(work / "warmup")]) != 0:
         raise RuntimeError("warm-up op failed")
     if hasattr(fields, "_region_pairs"):  # a checkout that builds the pair set apart
-        timed(fields, "_region_pairs", "pair_set", lambda out: None)
+        timed(fields, "_region_pairs", "pair_set", lambda args, out: None)
     kernel = "_ratio_maxes" if hasattr(fields, "_ratio_maxes") else "_ratio_max"
-    timed(fields, kernel, "kernel",
-          lambda out: values["ratio_max"].extend(np.atleast_1d(out).tolist()))
-    timed(estimates, "cs_norm_2_alpha", "cs_norm_2_alpha", values["cs_norm_2_alpha"].append)
+    # the last argument holds the region's values, its last axis one per node
+    timed(fields, kernel, "kernel", lambda args, out: kernel_calls.append(
+        (np.shape(args[-1])[-1], np.atleast_1d(out).tolist())))
+    timed(estimates, "cs_norm_2_alpha", "cs_norm_2_alpha",
+          lambda args, out: values["cs_norm_2_alpha"].append(out))
     start = perf_counter()
     rc = cli.main(["run", str(spec), "--out", str(work / "out")])
     op_s = perf_counter() - start
     if rc != 0:
         raise RuntimeError(f"timed op exited {rc}")
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    replays = []
+    if cli.main(["run", str(spec), "--out", str(work / "replayed")]) != 0:
+        raise RuntimeError("replayed op exited nonzero")
+    rises = [0]
     tracemalloc.start()
     try:
-        rc = cli.main(["run", str(spec), "--out", str(work / "traced")])
+        for original, args, kwargs in replays:
+            at = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            original(*args, **kwargs)
+            rises.append(tracemalloc.get_traced_memory()[1] - at)
     finally:
         tracemalloc.stop()
-    if rc != 0:
-        raise RuntimeError(f"traced op exited {rc}")
+    # a stable sort: calls on equal regions stay in call order
+    for _, maxima in sorted(kernel_calls, key=lambda call: call[0]):
+        values["ratio_max"].extend(maxima)
+    kernel_spans = spans["pair_set"] + spans["kernel"]
     return {
         "op_s": op_s,
-        "kernel_s": sum(seconds["pair_set"]) + sum(seconds["kernel"]),
-        "cs_norm_2_alpha_s": sum(seconds["cs_norm_2_alpha"]),
-        "kernel_passes": len(seconds["kernel"]),
+        "kernel_s": sum(end - start for start, end in kernel_spans),
+        "kernel_wall_s": covered_seconds(kernel_spans),
+        "cs_norm_2_alpha_s": sum(end - start for start, end in spans["cs_norm_2_alpha"]),
+        "kernel_passes": len(spans["kernel"]),
         "fields_walked": len(values["ratio_max"]),
         "values": values,
         "peak_rss_mb": peak_rss_mb,

@@ -26,6 +26,9 @@ def test_measure_times_the_kernel_of_this_checkout(tmp_path):
     result = json.loads(done.stdout)
     assert set(holder.KEYS) <= set(result)
     assert result["kernel_s"] > 0
+    # the two boxes' walks overlap in time, so their summed seconds exceed
+    # the time during which one of them runs
+    assert 0 < result["kernel_wall_s"] < result["kernel_s"]
     # the walk holds one block of pairs: a few MB, where the sampled set's
     # index arrays alone took 16 MB
     assert 0 < result["kernel_traced_peak_mb"] < 8
@@ -42,3 +45,9 @@ def test_summarize_leaves_a_speedup_over_no_time_empty():
              "report_files_identical": True}] * 3
     speedup = holder.summarize(results, rows)["speedup"]
     assert speedup["kernel_s"] is None and speedup["op_s"] == 1.0
+
+
+def test_covered_seconds_counts_overlapping_time_once():
+    assert holder.covered_seconds([]) == 0.0
+    assert holder.covered_seconds([(0.0, 2.0), (1.0, 3.0), (5.0, 6.0)]) == 4.0
+    assert holder.covered_seconds([(1.0, 4.0), (0.0, 5.0), (2.0, 3.0)]) == 5.0

@@ -23,7 +23,7 @@ from .estimates import EstimateReport, write_series
 from .expressions import compile_expression
 from .fields import Grid, ScalarField, sample
 from .geometry import Point
-from .operators import COEFFICIENT_PRESETS, parse_coefficient_preset
+from .operators import COEFFICIENT_PRESETS, parse_coefficient_preset, validate_coefficients
 from .solver import IVBProblem, solve_ivbp
 
 
@@ -171,9 +171,10 @@ class ExperimentSpec:
     The whole file is validated here, before any solve: every malformed
     spec raises SpecError with one line naming the section and the key.
     Arguments only an estimate can judge (a cube with no nodes, r >= rho)
-    are refused when the check runs.  The solution and the forcing are
-    sampled on the whole grid (`exact`, `g_field`), which refuses variables
-    the grid lacks and non-finite values.
+    are refused when the check runs.  The coefficients are validated on the
+    grid, and a failed margin is refused by name.  The solution and the
+    forcing are sampled on the whole grid (`exact`, `g_field`), which
+    refuses variables the grid lacks and non-finite values.
     """
 
     def __init__(self, path, seed_override=None):
@@ -210,8 +211,13 @@ class ExperimentSpec:
         self.n = self.grid.n
         try:
             self.coefficients = parse_coefficient_preset(preset, self.n)
+            margins = validate_coefficients(self.coefficients, self.grid).margins
         except ValueError as exc:
             raise SpecError(f"[experiment] coefficients: {exc}") from None
+        failed = [f"{key} margin {m:g}" for key, m in margins.items() if not m >= 0]
+        if failed:
+            raise SpecError("[experiment] coefficients: coefficient conditions violated "
+                            "on the grid: " + ", ".join(failed))
 
         prob = _read(_section(parser, "problem"), "problem", _PROBLEM)
         sampled = {}

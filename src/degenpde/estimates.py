@@ -10,6 +10,7 @@ budgets, refinement stability and scale robustness chosen by the caller.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .fields import (
     Grid,
     ScalarField,
+    _interior_region,
     _ratio_maxes,
     c0_norm,
     cs_norm_2_alpha,
@@ -794,12 +796,17 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
     either direction.  One kernel call draws the unit box's pairs and walks
     them once for the data term and every non-constant entry together; a
     constant one's seminorm is 0.0.  A non-finite entry is refused by name (`CoefficientField.eval_a`,
-    `eval_b`) before the operator is applied.
+    `eval_b`) before the operator is applied.  The inner box is refused
+    before any unit-box work.  The two boxes' pair walks share nothing, so
+    they run concurrently: the unit box's on one worker thread, joined
+    before the return, while the calling thread takes the inner norm; each
+    is the serial walk over its own pairs, bitwise.
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
     grid = f.grid
-    lhs = cs_norm_2_alpha(f, alpha, ParabolicCube("B_eta", base, r))
+    inner = ParabolicCube("B_eta", base, r)
+    _interior_region(grid, alpha, inner)
     unit = cube_nodes(ParabolicCube("B_eta", base, 1.0), grid, "region")
     if np.count_nonzero(unit) < 2:
         raise ValueError("region must contain at least 2 grid nodes")
@@ -814,8 +821,13 @@ def schauder_ratio(f: ScalarField, coeffs: CoefficientField, r: float, alpha: fl
                     + [b[unit] for b in B])
     norms = np.max(np.abs(rows), axis=1)
     varying = np.ptp(rows, axis=1) != 0  # a constant row's seminorm is 0.0
-    if np.any(varying):
-        norms[varying] += _ratio_maxes(grid, unit, alpha, rows[varying])
+    walked = rows[varying]
+    del A, B, data, rows  # the whole-grid arrays are not kept through the walks
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        walk = pool.submit(_ratio_maxes, grid, unit, alpha, walked) if walked.size else None
+        lhs = cs_norm_2_alpha(f, alpha, inner)
+        if walk is not None:
+            norms[varying] += walk.result()
     rhs_sup = float(np.max(np.abs(f.values[unit])))
     rhs_data = float(norms[0])
     coeff_norm = float(np.max(norms[1:]))

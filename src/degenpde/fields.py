@@ -355,10 +355,12 @@ _HOLDER_ALL_PAIRS_LIMIT = 2000
 _HOLDER_SAMPLED_PAIRS = 1_000_000
 
 # pairs per block of the Hoelder kernel: the pairs are produced a block at a
-# time, so a walk holds one block's indices and temporaries, a few hundred
-# KB, whatever the pair count; the whole sampled set's two index arrays
-# would take 16 MB
-_HOLDER_BLOCK = 1 << 14
+# time, so a walk holds one block's indices and temporaries, 1-2 MB,
+# whatever the pair count; the whole sampled set's two index arrays would
+# take 16 MB.  Each numpy call of a block is long next to the Python between
+# calls: two concurrent walks (`estimates.schauder_ratio`) hand the
+# interpreter lock over about 270 times on the 33^3 spec, 600 at 1 << 14.
+_HOLDER_BLOCK = 1 << 15
 
 
 def _pair_blocks(npts: int):
@@ -404,8 +406,9 @@ def _ratio_maxes(grid: Grid, mask: np.ndarray, alpha: float, rows: np.ndarray) -
     such a self-pair is the only one at distance 0; it is weighted inf and
     adds a ratio of 0.  A row's maximum is 0.0 when there are no pairs.
     """
-    coords = [ax[k] for ax, k in zip(grid.axes, np.nonzero(mask))]
-    s, *ys, t = coords
+    # the axes are read directly, not through `Grid.axes`: the Schauder check
+    # runs this walk on a worker thread, where no other package function runs
+    s, *ys, t = [ax[k] for ax, k in zip((grid.s, *grid.y, grid.t), np.nonzero(mask))]
     out = np.zeros(len(rows))
     for i, j in _pair_blocks(s.size):
         dist = np.abs(s[i] - s[j])
@@ -445,13 +448,18 @@ def c0_norm(field: ScalarField, region: ParabolicCube | None = None) -> float:
     return float(np.max(np.abs(field.values[cube_nodes(region, field.grid, "region")])))
 
 
-def _check_region_interior(grid: Grid, mask: np.ndarray):
-    """Require 2-cell margins against every lateral grid edge and both ends of t.
+def _interior_region(grid: Grid, alpha: float, region: ParabolicCube) -> np.ndarray:
+    """The region's node mask for a C^{2,alpha} norm, or the first refusal.
 
+    In order: alpha outside (0, 1) or a bool, a region with no node, a
+    region closer than 2 cells to a lateral grid edge or either end of t.
     The degenerate edge s = 0 is exempt: it is not a lateral edge, and the
     x-derivatives there take the one-sided triple of `x_stencils`, exact
     for quadratics in x like the central ones; x u_xx is 0 there.
     """
+    if isinstance(alpha, bool) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    mask = cube_nodes(region, grid, "region")
     idx = np.argwhere(mask)
     lo, hi = idx.min(axis=0), idx.max(axis=0)
     box = grid.interior_box(2, t_margin=2)
@@ -464,6 +472,7 @@ def _check_region_interior(grid: Grid, mask: np.ndarray):
             "region touches grid edges (" + ", ".join(problems) +
             "); one-sided stencils would pollute the seminorm"
         )
+    return mask
 
 
 def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> float:
@@ -478,11 +487,8 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
     the norm is a lower bound of the supremum-based norm.  A bool alpha is
     refused.
     """
-    if isinstance(alpha, bool) or not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     g = field.grid
-    mask = cube_nodes(region, g, "region")
-    _check_region_interior(g, mask)
+    mask = _interior_region(g, alpha, region)
     d = fd_derivatives(field)
     pieces = [d.u_t, d.x_times_u_xx(), d.u_x()]
     pieces.extend(d.u_y)
@@ -490,6 +496,7 @@ def cs_norm_2_alpha(field: ScalarField, alpha: float, region: ParabolicCube) -> 
         for j in range(i, len(g.y)):
             pieces.append(d.u_yy[i][j])
     rows = np.stack([arr[mask] for arr in pieces])
+    del d, pieces  # the derivative arrays are not kept through the walk
     ratios = _ratio_maxes(g, mask, alpha, rows)
     total = float(np.max(np.abs(field.values[mask])))
     for sup, ratio in zip(np.max(np.abs(rows), axis=1), ratios):

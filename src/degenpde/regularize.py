@@ -65,14 +65,21 @@ def m_epsilon(P, Q, eps: float):
     """Displaced evaluation point ((sqrt(x+2 eps) + sqrt(eps) u)^2, y + sqrt(eps) v).
 
     P = (x, y_tuple), Q = (u, v_tuple) in the unit box, eps finite and
-    positive. The first output coordinate is always nonnegative because
-    sqrt(x + 2 eps) > sqrt(eps) >= sqrt(eps)|u|, and the displacement in the
-    singular metric satisfies |sqrt(xi) - sqrt(x + 2 eps)| = sqrt(eps)|u|.
+    positive.  A non-finite coordinate is refused by its name: x, y2, ...,
+    u, v2, ..., numbered as the grid's axes.  The first output coordinate
+    is always nonnegative because sqrt(x + 2 eps) > sqrt(eps) >=
+    sqrt(eps)|u|, and the displacement in the singular metric satisfies
+    |sqrt(xi) - sqrt(x + 2 eps)| = sqrt(eps)|u|.
     """
     x, y = P
     u, v = Q
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps:g}")
+    coords = [("x", x), *((f"y{i + 2}", yi) for i, yi in enumerate(y)),
+              ("u", u), *((f"v{i + 2}", vi) for i, vi in enumerate(v))]
+    for name, value in coords:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if x < 0:
         raise ValueError("x must be nonnegative")
     if abs(u) > 1.0:

@@ -3,7 +3,7 @@ import filecmp
 import pytest
 
 import degenpde.cli
-from degenpde.cli import list_presets, main
+from degenpde.cli import bundled_spec_path, list_presets, main
 
 SMALL_SPEC = """\
 [experiment]
@@ -102,6 +102,20 @@ def test_an_out_path_that_is_a_file_exits_2_before_the_solve(tmp_path, capsys,
     assert main(["run", "model_manufactured", "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: --out: ")
     assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_coefficients_failing_on_the_grid_exit_2_before_the_out_directory(tmp_path, capsys):
+    spec = tmp_path / "huge_v.spec"
+    text = bundled_spec_path("model_manufactured").read_text()
+    spec.write_text(text.replace("coefficients = model:v=1\n",
+                                 "coefficients = model:v=1e300\n"))
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: [experiment] coefficients: coefficient conditions "
+                          "violated on the grid: bound_b margin -")
+    assert not out.exists()
 
 
 def test_invalid_nu_rejected(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import contextlib
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -387,6 +389,7 @@ def test_schauder_report_equals_the_per_field_search():
 
 
 def test_schauder_builds_one_pair_set_per_box(monkeypatch):
+    # the two boxes' walks run on two threads, so calls are counted per box
     f, inner = holder_case(2, 17)
     unit = ParabolicCube("B_eta", inner.base, 1.0)
     sizes = []
@@ -399,7 +402,9 @@ def test_schauder_builds_one_pair_set_per_box(monkeypatch):
     monkeypatch.setattr(fields, "_ratio_maxes", spy)
     monkeypatch.setattr(estimates, "_ratio_maxes", spy)
     estimates.schauder_ratio(f, random_coefficients(3, 2), 0.5, 0.5, inner.base)
-    assert sizes == [np.count_nonzero(cube_nodes(box, f.grid)) for box in (inner, unit)]
+    counts = [np.count_nonzero(cube_nodes(box, f.grid)) for box in (inner, unit)]
+    assert counts[0] != counts[1]
+    assert sorted(sizes) == sorted(counts)
 
 
 @pytest.mark.parametrize("n, nodes, count", HOLDER_REGIONS,
@@ -487,15 +492,74 @@ def test_each_region_takes_one_kernel_pass_over_its_varying_fields(monkeypatch):
     monkeypatch.setattr(fields, "_ratio_maxes", spy)
     monkeypatch.setattr(estimates, "_ratio_maxes", spy)
     n_inner, n_unit = (np.count_nonzero(cube_nodes(box, f.grid)) for box in (inner, unit))
+    assert n_inner != n_unit
     cs_norm_2_alpha(f, 0.5, inner)
     assert [rows.shape for rows in passes] == [(5, n_inner)]
     # the model coefficients are constant: only the data term is walked;
-    # of the random ones a12 = 0 is constant and a11, a22, b1, b2 are not
+    # of the random ones a12 = 0 is constant and a11, a22, b1, b2 are not.
+    # The two boxes' walks run on two threads, so each pass is keyed by its
+    # region's node count.
     for coeffs, walked in ((model_coefficients(1.0, 2), 1), (random_coefficients(3, 2), 5)):
         passes.clear()
         estimates.schauder_ratio(f, coeffs, 0.5, 0.5, inner.base)
-        assert [rows.shape for rows in passes] == [(5, n_inner), (walked, n_unit)]
-        assert np.all(np.ptp(passes[1], axis=1) > 0)
+        by_box = {}
+        for rows in passes:
+            by_box.setdefault(rows.shape[1], []).append(rows)
+        assert {k: [rows.shape for rows in v] for k, v in by_box.items()} == {
+            n_inner: [(5, n_inner)], n_unit: [(walked, n_unit)]}
+        assert np.all(np.ptp(by_box[n_unit][0], axis=1) > 0)
+
+
+def test_schauder_worker_thread_runs_only_the_unit_walk():
+    # the benchmark's tracer keeps one span stack: every function it wraps
+    # must run on the calling thread
+    f, inner = holder_case(2, 17)
+    caller = threading.get_ident()
+    seen = set()
+    lock = threading.Lock()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("degenpde") \
+                and threading.get_ident() != caller:
+            with lock:  # a comprehension is part of the function it sits in
+                seen.add(frame.f_code.co_qualname.split(".<locals>.")[0])
+
+    threading.setprofile(profile)
+    try:
+        estimates.schauder_ratio(f, random_coefficients(3, 2), 0.5, 0.5, inner.base)
+    finally:
+        threading.setprofile(None)
+    assert seen == {"_ratio_maxes", "_pair_blocks"}
+
+
+@pytest.mark.parametrize("n, failing, raised", [
+    (2, None, None), (3, None, ValueError), (2, "cs_norm_2_alpha", ArithmeticError),
+    (2, "_ratio_maxes", ArithmeticError),
+], ids=["passes", "unit_box_refused", "inner_norm_raises", "unit_walk_raises"])
+def test_schauder_leaves_no_thread_behind(monkeypatch, n, failing, raised):
+    f, inner = holder_case(2, 17)
+    if failing is not None:  # raised while the other box's work is under way
+        def fail(*args):
+            raise ArithmeticError(f"{failing} failed")
+        monkeypatch.setattr(estimates, failing, fail)
+    before = threading.active_count()
+    with pytest.raises(raised) if raised else contextlib.nullcontext():
+        estimates.schauder_ratio(f, random_coefficients(3, n), 0.5, 0.5, inner.base)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("alpha, base, message", [
+    (0.5, Point(0.0, [0.0], 1.0), "region touches grid edges (t)"),
+    (0.5, Point(0.0, [0.9], 0.9), "region touches grid edges (y2)"),
+    (1.0, Point(0.0, [0.0], 0.9), "alpha must lie in (0, 1), got 1.0"),
+    (0.5, Point(0.0, [1.6], 0.9), "region contains no grid nodes"),
+], ids=["t_edge", "y_edge", "alpha", "empty"])
+def test_schauder_refuses_the_inner_box_before_the_unit_box(alpha, base, message):
+    # the unit box fails too: the coefficients' dimension is not the grid's
+    f, _ = holder_case(2, 17)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimates.schauder_ratio(f, random_coefficients(3, 3), 0.5, alpha, base)
 
 
 def test_sampled_hoelder_walk_holds_no_per_pair_array_beyond_the_drawn_indices():
@@ -520,7 +584,7 @@ def test_sampled_hoelder_walk_holds_no_per_pair_array_beyond_the_drawn_indices()
                          ids=["sampled", "all_pairs_at_the_limit"])
 def test_hoelder_walk_working_set_does_not_grow_with_the_pair_count(shape, radius, count):
     # the 10^6 sampled pairs and the 1,999,000 pairs of 2000 nodes; their
-    # index arrays alone take 16 and 32 MB, a block of pairs 256 KB
+    # index arrays alone take 16 and 32 MB, a block of pairs 512 KB
     ns, ny, nt = shape
     g = Grid.uniform((0, 1, ns), [(-1, 1, ny)], (0, 1, nt))
     f = trig_field(g, ns)

@@ -43,6 +43,18 @@ def test_m_epsilon_refuses_a_tangential_displacement_outside_the_unit_box(v):
         m_epsilon((1.0, (0.0,) * len(v)), (0.0, v), 0.1)
 
 
+@pytest.mark.parametrize("P, Q, name", [
+    ((math.nan, (0.0,)), (0.0, (0.0,)), "x"),
+    ((math.inf, (0.0,)), (0.0, (0.0,)), "x"),
+    ((0.5, (0.0, -math.inf)), (0.0, (0.0, 0.0)), "y3"),
+    ((0.5, (0.0,)), (math.nan, (math.nan,)), "u"),
+    ((0.5, (0.0,)), (0.0, (math.nan,)), "v2"),
+], ids=["x_nan", "x_inf", "y3_inf", "u_nan", "v2_nan"])
+def test_m_epsilon_refuses_a_non_finite_coordinate_by_name(P, Q, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        m_epsilon(P, Q, 0.1)
+
+
 def test_displacement_identity():
     rng = np.random.default_rng(0)
     for _ in range(500):
