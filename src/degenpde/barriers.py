@@ -208,13 +208,6 @@ def _refuse_fractional_power(params: HarnackBarrierParams, rho: float, coords) -
         )
 
 
-def harnack_barrier_v(point: Point, t: float, params: HarnackBarrierParams) -> float:
-    """The unnormalized barrier at a half-space point and time t >= 0."""
-    coords = (point.x, *point.y, t)
-    _refuse_fractional_power(params, 1.0, coords)
-    return float(harnack_barrier_expression(params)(*coords))
-
-
 def harnack_region_grid(base, rho: float, n: int = 2, nodes: int = 33) -> Grid:
     """Uniform-s grid covering K = B x (0, 18 rho^2) around the base point."""
     x0, y0 = _base_pair(base)

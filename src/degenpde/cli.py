@@ -20,7 +20,7 @@ import numpy as np
 
 from . import estimates
 from .estimates import EstimateReport, write_series
-from .expressions import compile_expression
+from .expressions import CompiledExpression
 from .fields import Grid, ScalarField, sample
 from .geometry import Point
 from .operators import COEFFICIENT_PRESETS, parse_coefficient_preset, validate_coefficients
@@ -155,8 +155,8 @@ CHECKS = {
 
 _EXPERIMENT = {"name": (str, REQUIRED), "seed": (_int_at_least(0), 0),
                "nu": (float, REQUIRED), "coefficients": (str, REQUIRED)}
-_PROBLEM = {"solution": (compile_expression, REQUIRED),
-            "forcing": (compile_expression, compile_expression("0"))}
+_PROBLEM = {"solution": (CompiledExpression, REQUIRED),
+            "forcing": (CompiledExpression, CompiledExpression("0"))}
 
 
 def _section(parser, name):

@@ -248,7 +248,3 @@ class CompiledExpression:
 
     def __repr__(self):
         return f"CompiledExpression({self.text!r})"
-
-
-def compile_expression(text: str) -> CompiledExpression:
-    return CompiledExpression(text)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .expressions import compile_expression
+from .expressions import CompiledExpression
 from .fields import Grid, ScalarField, _d1, _d2, _real_array, _uniform_spacing, x_stencils
 from .fields import fd_derivatives  # noqa: F401 perfbench/tracing.py binds this name
 
@@ -300,7 +300,7 @@ def apply_L(coeffs: CoefficientField, field: ScalarField) -> ScalarField:
     quadratic in x past s-index 4 (inside, the transport blends in the
     forward difference).  Static coefficients take one matrix for all
     slices; time-dependent ones take one `operator_matrix` per slice, as the
-    march takes one per substep.
+    march takes one per step.
     """
     g = field.grid
     u = field.values.reshape(-1, len(g.t))  # a column per time slice
@@ -383,7 +383,7 @@ def coefficients_from_expressions(entries: dict, n: int = 2,
     for key in entries:
         if key not in known:
             raise ValueError(f"unknown coefficient key {key!r} (known: {', '.join(known)})")
-    exprs = {key: compile_expression(text) for key, text in entries.items()}
+    exprs = {key: CompiledExpression(text) for key, text in entries.items()}
     a = [[None] * n for _ in indices]
     for i in indices:
         for j in indices:
@@ -474,4 +474,4 @@ def manufactured_solutions(v) -> list:
              "tangential_quadratic": "y2^2 + 2*t",
              "forced_linear": "x"}
     return [ManufacturedSolution(name, f, exact_forcing(coeffs, f))
-            for name, f in zip(texts, map(compile_expression, texts.values()))]
+            for name, f in zip(texts, map(CompiledExpression, texts.values()))]

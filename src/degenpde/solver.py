@@ -29,11 +29,13 @@ terms are left to the Krylov iteration.
 One march serves a batch of problems that share an operator (the same
 coefficients and c): `solve_ivbp` is a batch of one, and the random
 ensemble marches all its members at once.  The batch is one array with a
-column per member, so each substep is one linear solve for the whole
-batch.  The coefficients are validated once per batch, and with static
-coefficients there is one step matrix per substep size up to relative
-rounding (12 significant digits), assembled and factored once and reused
-by every member and every step of that size.  Each member's data is
+column per member, so each step is one linear solve for the whole batch.
+The march takes one step per output slice, tau = t[k+1] - t[k]: the
+time grid is the step sequence, and the solver has no settings.  The
+coefficients are validated once per batch, and with static coefficients
+there is one step matrix per step size up to relative rounding (12
+significant digits), assembled and factored once and reused by every
+member and every step of that size.  Each member's data is
 evaluated where the march uses it: initial and forcing data on the full
 grid, lateral data on the Dirichlet nodes only.  Data given as an array of
 values on the spatial nodes is time-independent and is read once, before
@@ -59,15 +61,6 @@ from .operators import (CoefficientField, _axis_matrices, model_coefficients, op
 COMPATIBILITY_TOL = 1e-8
 KRYLOV_TOL = 1e-10  # relative residual of the n >= 3 iterative step solve
 KRYLOV_MAX_ITER = 5000  # BiCGStab iteration budget per column and step
-
-
-@dataclass
-class SolverConfig:
-    dt: float | None = None  # substep size between output slices; None = slice spacing
-
-    def __post_init__(self):
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclass
@@ -381,32 +374,31 @@ class SolvedField(ScalarField):
     """A solved space-time field and the residuals of the solve.
 
     step_residuals holds max |u_t - L_h u - c u - g| over the nodes of each
-    implicit-Euler substep, in time order.
+    implicit-Euler step, in time order: one per output slice after the first.
     """
 
     step_residuals: tuple = ()
 
 
-def _march(problems: list, grid: Grid,
-           config: SolverConfig | None = None) -> list:
+def _march(problems: list, grid: Grid) -> list:
     """March implicit Euler for problems that share one operator (coeffs and c).
 
     The coefficients are validated once, and the batch is one (N, members)
-    array with a contiguous column per member: each substep takes one
-    `StepMatrix.solve` for the whole batch, one residual product A U - RHS
-    and one finiteness check.  Static coefficients get one step matrix per
-    substep size tau up to relative rounding (tau to 12 significant
-    digits), assembled and factored with the first such tau; time-dependent
-    ones get one per substep.  Initial and forcing data are evaluated on
-    spatial meshes built once, lateral data only at the Dirichlet nodes;
-    array data is read once before the first step, so a substep evaluates
-    only the callable members' lateral and forcing data.
+    array with a contiguous column per member: each step, from t[k] to
+    t[k+1] with tau = t[k+1] - t[k], takes one `StepMatrix.solve` for the
+    whole batch, one residual product A U - RHS and one finiteness check.
+    Static coefficients get one step matrix per step size tau up to
+    relative rounding (tau to 12 significant digits), assembled and
+    factored with the first such tau; time-dependent ones get one per
+    step.  Initial and forcing data are evaluated on spatial meshes built
+    once, lateral data only at the Dirichlet nodes; array data is read once
+    before the first step, so a step evaluates only the callable members'
+    lateral and forcing data.
     A batch of one is the march `solve_ivbp` takes; in a larger batch the
     multi-column LU solve rounds differently from one solve per member, by
     a few units in the last place.  The members' values are slices of one
     array.
     """
-    config = config or SolverConfig()
     first = problems[0]
     if any(p.coeffs is not first.coeffs or p.c != first.c for p in problems[1:]):
         raise ValueError("a batch march needs one operator: the same coeffs and c")
@@ -451,7 +443,7 @@ def _march(problems: list, grid: Grid,
             )
     outs[..., 0] = U.T.reshape(outs.shape[:-1])
     residuals = []
-    # array data was read above; only callables are evaluated per substep
+    # array data was read above; only callables are evaluated per step
     timed_forcing = [i for i, p in enumerate(problems) if callable(p.forcing)]
     timed_lateral = [i for i, p in enumerate(problems) if callable(p.lateral)]
 
@@ -467,65 +459,54 @@ def _march(problems: list, grid: Grid,
         return cache[key]
 
     for k in range(len(grid.t) - 1):
-        T0, T1 = float(grid.t[k]), float(grid.t[k + 1])
-        span = T1 - T0
-        if config.dt is None:
-            nsub = 1
-        else:
-            nsub = max(1, int(math.ceil(span / config.dt - 1e-12)))
-        tau = span / nsub
-        for j in range(1, nsub + 1):
-            tn = T1 if j == nsub else T0 + j * tau
-            sm = step_matrix(tau, tn)
-            for i in timed_forcing:
-                forcing[:, i] = _eval_spatial(problems[i].forcing, "forcing", everywhere,
-                                              None, shape, tn)
-            for i in timed_lateral:
-                lateral[:, i] = _eval_spatial(problems[i].lateral, "lateral data",
-                                              on_dirichlet, dir_index, shape, tn)
-            rhs = U + tau * forcing
-            rhs[dir_index] = lateral
-            finite = np.isfinite(rhs)
-            if not finite.all():
-                member = np.flatnonzero(~finite.all(axis=0))[0]
-                bad = np.flatnonzero(~finite[:, member])[0]
-                raise _non_finite("lateral data" if dir_flat[bad] else "forcing",
-                                  grid, bad, tn)
-            U = sm.solve(rhs, x0=U)
-            if not np.isfinite(U).all():
-                raise RuntimeError(f"non-finite solution at step t={tn:g}")
-            residuals.append(np.max(np.abs(sm.A @ U - rhs), axis=0) / tau)
+        tn = float(grid.t[k + 1])
+        tau = tn - float(grid.t[k])
+        sm = step_matrix(tau, tn)
+        for i in timed_forcing:
+            forcing[:, i] = _eval_spatial(problems[i].forcing, "forcing", everywhere,
+                                          None, shape, tn)
+        for i in timed_lateral:
+            lateral[:, i] = _eval_spatial(problems[i].lateral, "lateral data",
+                                          on_dirichlet, dir_index, shape, tn)
+        rhs = U + tau * forcing
+        rhs[dir_index] = lateral
+        finite = np.isfinite(rhs)
+        if not finite.all():
+            member = np.flatnonzero(~finite.all(axis=0))[0]
+            bad = np.flatnonzero(~finite[:, member])[0]
+            raise _non_finite("lateral data" if dir_flat[bad] else "forcing", grid, bad, tn)
+        U = sm.solve(rhs, x0=U)
+        if not np.isfinite(U).all():
+            raise RuntimeError(f"non-finite solution at step t={tn:g}")
+        residuals.append(np.max(np.abs(sm.A @ U - rhs), axis=0) / tau)
         outs[..., k + 1] = U.T.reshape(outs.shape[:-1])
 
     per_member = np.array(residuals).reshape(-1, len(problems)).T.tolist()
     return [SolvedField(grid, out, tuple(r)) for out, r in zip(outs, per_member)]
 
 
-def solve_ivbp(problem: IVBProblem, grid: Grid,
-               config: SolverConfig | None = None) -> SolvedField:
-    """March implicit Euler over the grid's time axis.
+def solve_ivbp(problem: IVBProblem, grid: Grid) -> SolvedField:
+    """March implicit Euler over the grid's time axis, one step per output slice.
 
-    Returns the full space-time field with the residual of each substep
-    (`SolvedField.step_residuals`); a step between output slices takes
-    ceil(span / config.dt) substeps, one when config.dt is None.  Data given
+    Returns the full space-time field with the residual of each step
+    (`SolvedField.step_residuals`); a finer time step is a finer t-grid.  Data given
     as an array of values on the spatial nodes is read once, as
     time-independent data; an array of another shape is refused.  Data that
     is not finite where the march uses it is refused by name: initial data
     anywhere and lateral data on the Dirichlet nodes at t0, forcing and
-    lateral data in each substep's right-hand side.
+    lateral data in each step's right-hand side.
     """
-    return _march([problem], grid, config)[0]
+    return _march([problem], grid)[0]
 
 
-def solve_model(v, g, f0, boundary, grid: Grid,
-                config: SolverConfig | None = None, c: float = 0.0) -> SolvedField:
+def solve_model(v, g, f0, boundary, grid: Grid, c: float = 0.0) -> SolvedField:
     """`solve_ivbp` for the model operator, coeffs = `model_coefficients(v, grid.n)`.
 
     The model operator has a = I and b = (v, 0, ..., 0); c is optional.
     """
     problem = IVBProblem(coeffs=model_coefficients(v, grid.n), forcing=g,
                          initial=f0, lateral=boundary, c=c)
-    return solve_ivbp(problem, grid, config)
+    return solve_ivbp(problem, grid)
 
 
 def random_positive_solution_ensemble(seed: int, count: int, coeffs: CoefficientField,
@@ -538,9 +519,8 @@ def random_positive_solution_ensemble(seed: int, count: int, coeffs: Coefficient
     polynomial is evaluated once per member, on the spatial nodes, and that
     array of values is the member's data, which the march reads once.  The
     members share one operator, so they march together: one validation, one
-    assembly and factorization per substep size for the whole ensemble.
-    count must be an integer >= 1.  The march takes one step per output
-    slice, the default `SolverConfig`, and each member's values agree with
+    assembly and factorization per step size for the whole ensemble.
+    count must be an integer >= 1.  Each member's values agree with
     those of its own `solve_ivbp` to 1e-13: the multi-column LU solve rounds
     differently, by 3.3e-16 at most on the 20-member ensemble on 33 x 33
     nodes and 201 slices at seeds 1, 2, 3, 7, 11 and 20250823.  The discrete

@@ -25,7 +25,7 @@ from degenpde.estimates import (
     poly_approx_check,
     schauder_ratio,
 )
-from degenpde.expressions import compile_expression
+from degenpde.expressions import CompiledExpression
 from degenpde.fields import Grid, sample
 from degenpde.geometry import (
     ParabolicCube,
@@ -44,7 +44,6 @@ from degenpde.operators import (
 from degenpde.regularize import BumpKernel, smooth_field, smoothing_rate
 from degenpde.solver import (
     IVBProblem,
-    SolverConfig,
     random_positive_solution_ensemble,
     solve_ivbp,
     solve_model,
@@ -81,18 +80,15 @@ def test_criterion_02_convergence_order():
     v = 1.0
     f = caloric(v)
 
-    def final_err(grid, dt):
-        u = solve_model(v, None, f, f, grid, SolverConfig(dt=dt))
+    def final_err(ns, ny, t_nodes):
+        grid = Grid.uniform((0, 1, ns), [(-1, 1, ny)], (0, 1, t_nodes))
+        u = solve_model(v, None, f, f, grid)
         exact = sample(f, grid)
         return float(np.max(np.abs(u.values[..., -1] - exact.values[..., -1])))
 
-    g_t = Grid.uniform((0, 1, 65), [(-1, 1, 9)], (0, 1, 5))
-    t_ratio = final_err(g_t, 0.05) / final_err(g_t, 0.025)
-
-    def sgrid(ns):
-        return Grid.uniform((0, 1, ns), [(-1, 1, 9)], (0, 1, 3))
-
-    s_ratio = final_err(sgrid(17), 1e-4) / final_err(sgrid(33), 1e-4)
+    # steps of 0.05 and 0.025; then steps of 1e-4 on 17 and 33 s-nodes
+    t_ratio = final_err(65, 9, 21) / final_err(65, 9, 41)
+    s_ratio = final_err(17, 9, 10001) / final_err(33, 9, 10001)
     elapsed = time.time() - start
     verdict(2, "convergence order",
             t_ratio >= 1.8 and s_ratio >= 3.5 and elapsed < 120.0,
@@ -118,7 +114,7 @@ def test_criterion_02_convergence_order_for_the_class():
              ("random n=3", random_coefficients(3, 3), u3, (9, 17, 33))]
     details, ok = [], True
     for name, coeffs, text, nodes in cases:
-        u = compile_expression(text)
+        u = CompiledExpression(text)
         problem = IVBProblem(coeffs=coeffs, forcing=exact_forcing(coeffs, u),
                              initial=u, lateral=u)
         errs = []

@@ -23,7 +23,6 @@ from degenpde.barriers import (
     certify_harnack_barrier,
     compute_sup_offset,
     find_barrier_params,
-    harnack_barrier_v,
     harnack_region_grid,
     harnack_barrier_expression,
     lambda_kernel,
@@ -61,13 +60,13 @@ def test_omega_examples():
 
 def test_harnack_barrier_v_basic_properties():
     params = harnack_params(2)
+    v = harnack_barrier_expression(params)
     # on the far set at t = 0 the sup offset dominates by construction
-    assert harnack_barrier_v(Point(1.0, [0.0]), 0.0, params) <= 0.0
+    assert v(1.0, 0.0, 0.0) <= 0.0
     # positive at the base point at t = 0
-    assert harnack_barrier_v(Point(0.0, [0.0]), 0.0, params) > 0.0
+    assert v(0.0, 0.0, 0.0) > 0.0
     # decays to the negative offset for large time
-    assert harnack_barrier_v(Point(0.0, [0.0]), 200.0, params) == pytest.approx(
-        -params.M_tau0, abs=1e-280)
+    assert v(0.0, 0.0, 200.0) == pytest.approx(-params.M_tau0, abs=1e-280)
 
 
 @pytest.mark.parametrize("l", [2.0, 3.0, 4.0, 5.0])
@@ -83,8 +82,9 @@ def test_searched_barrier_is_nonpositive_just_outside_the_inner_set(n):
     # d_bar^2 = 0.2502 and 0.25020001 at t = 0; the sup offset sampled on
     # 129 points per axis lay 25% low, and v read +0.189 M_tau0 at both
     params = searched(n)
+    v = harnack_barrier_expression(params)
     for point in (Point(0.2502, [0.0] * (n - 1)), Point(0.0001, [0.5001] + [0.0] * (n - 2))):
-        assert harnack_barrier_v(point, 0.0, params) <= 0.0
+        assert v(point.x, *point.y, 0.0) <= 0.0
 
 
 # what the search returns for the model operator with v = 1
@@ -195,9 +195,6 @@ def test_harnack_certificate_refuses_a_fractional_power_of_a_negative_omega():
                                   (0.0, (0.0,)))
     with pytest.raises(ValueError, match="exponent l = 2.5 is not an integer"):
         certify_harnack_barrier(params, model_coefficients(1.0, 2), nodes=17)
-    assert math.isfinite(harnack_barrier_v(Point(1.0, [0.5]), 0.3, params))  # theta = 1.25
-    with pytest.raises(ValueError, match="exponent l = 2.5 is not an integer"):
-        harnack_barrier_v(Point(19.0, [0.0]), 0.3, params)
 
 
 def test_harnack_base_outside_the_half_space_is_refused():

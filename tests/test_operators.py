@@ -12,7 +12,7 @@ import sympy as sp
 from scipy import sparse
 
 import degenpde
-from degenpde.expressions import compile_expression
+from degenpde.expressions import CompiledExpression
 
 from degenpde.fields import Grid, ScalarField, _d1, fd_derivatives, sample
 from degenpde.operators import (
@@ -244,13 +244,13 @@ def test_catalog_forcing_equals_the_symbolic_one(v):
 def test_exact_forcing_equals_the_symbolic_one_for_the_class(n, entries, text):
     g = Grid.uniform((0, 1, 9), [(-1, 1, 9)] * (n - 1), (0, 1, 5))
     want = sp.lambdify([X_, Y2_, Y3_][:n] + [T_], _sympy_forcing(text, entries, n))
-    got = exact_forcing(coefficients_from_expressions(entries, n=n), compile_expression(text))
+    got = exact_forcing(coefficients_from_expressions(entries, n=n), CompiledExpression(text))
     assert np.allclose(sample(got, g).values, sample(want, g).values, rtol=1e-13, atol=1e-13)
 
 
 def test_exact_forcing_refuses_a_non_finite_coefficient_by_name():
     g = exact_forcing(coefficients_from_expressions({"a12": "1/x"}, n=2),
-                      compile_expression("x*y2"))
+                      CompiledExpression("x*y2"))
     with np.errstate(divide="ignore"), pytest.raises(
             ValueError, match=r"coefficient a12 is non-finite at node index \(0,"):
         g(np.array([0.0, 1.0]), 0.5, 0.0)

@@ -17,7 +17,6 @@ from degenpde.operators import (_axis_matrices, coefficients_from_expressions,
                                 validate_coefficients)
 from degenpde.solver import (
     IVBProblem,
-    SolverConfig,
     _march,
     assemble_step_matrix,
     random_positive_solution_ensemble,
@@ -33,8 +32,6 @@ def unit_grid(nodes=17, horizon=1.0, t_nodes=None):
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
 def test_a_step_size_that_is_not_finite_and_positive_is_refused(dt):
-    with pytest.raises(ValueError, match="dt must be finite and positive"):
-        SolverConfig(dt=dt)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         assemble_step_matrix(IVBProblem(coeffs=model_coefficients(1.0, 2)), unit_grid(5), dt)
 
@@ -377,15 +374,15 @@ def test_manufactured_linear_exact():
         assert np.max(np.abs(u.values - exact.values)) <= 1e-10
 
 
-def test_step_residuals_are_declared_one_per_substep():
-    g = unit_grid(17)  # 16 steps of 1/16 between output slices
+def test_step_residuals_are_declared_one_per_step():
     v = 1.0
     f = lambda x, y, t: x + v * t
-    u = solve_model(v, None, f, f, g, SolverConfig(dt=0.025))
-    assert "step_residuals" in {fld.name for fld in dataclasses.fields(u)}
-    assert len(u.step_residuals) == 3 * (len(g.t) - 1)  # ceil(0.0625 / 0.025)
-    assert all(math.isfinite(r) and r <= 1e-9 for r in u.step_residuals)
-    assert len(solve_model(v, None, f, f, g).step_residuals) == len(g.t) - 1
+    for t_nodes in (17, 41):  # steps of 1/16 and 0.025
+        g = unit_grid(17, t_nodes=t_nodes)
+        u = solve_model(v, None, f, f, g)
+        assert "step_residuals" in {fld.name for fld in dataclasses.fields(u)}
+        assert len(u.step_residuals) == len(g.t) - 1
+        assert all(math.isfinite(r) and r <= 1e-9 for r in u.step_residuals)
 
 
 def test_zeroth_order_term():
@@ -406,16 +403,15 @@ def test_zero_problem_stays_zero():
 
 
 def test_temporal_order():
-    g = Grid.uniform((0, 1, 65), [(-1, 1, 9)], (0, 1, 5))
     v = 1.0
     f = lambda x, y, t: x * x + 2 * (1 + v) * x * t + v * (1 + v) * t * t + 0 * y
-    exact = sample(f, g)
 
-    def final_err(dt):
-        u = solve_model(v, None, f, f, g, SolverConfig(dt=dt))
-        return float(np.max(np.abs(u.values[..., -1] - exact.values[..., -1])))
+    def final_err(t_nodes):
+        g = Grid.uniform((0, 1, 65), [(-1, 1, 9)], (0, 1, t_nodes))
+        u = solve_model(v, None, f, f, g)
+        return float(np.max(np.abs(u.values[..., -1] - sample(f, g).values[..., -1])))
 
-    assert final_err(0.05) / final_err(0.025) >= 1.8
+    assert final_err(21) / final_err(41) >= 1.8  # steps of 0.05 and 0.025
 
 
 def test_maximum_principle_random_coefficients():
@@ -607,19 +603,26 @@ BATCH_CASES = {
 }
 
 
+def refined(grid, dt):
+    """grid with its t-axis cut into steps of at most dt; the grid itself for None."""
+    if dt is None:
+        return grid
+    t = np.linspace(grid.t[0], grid.t[-1], math.ceil((grid.t[-1] - grid.t[0]) / dt) + 1)
+    return Grid(grid.s, grid.y, t)
+
+
 @pytest.mark.parametrize("dt", [None, 0.03])
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batch_march_equals_one_march_per_member(case, dt):
     coeffs, grid = BATCH_CASES[case]
-    config = SolverConfig(dt=dt)
+    grid = refined(grid, dt)  # dt = 0.03: 17 steps of 1/34 over t in [0, 0.5]
     problems = [IVBProblem(coeffs=coeffs, c=-0.5, **data) for data in members()]
-    batch = _march(problems, grid, config)
+    batch = _march(problems, grid)
     for prob, u in zip(problems, batch):
-        alone = solve_ivbp(prob, grid, config)
+        alone = solve_ivbp(prob, grid)
         assert np.array_equal(u.values, alone.values)
         assert u.step_residuals == alone.step_residuals
-    # dt = 0.03 splits each step of 1/16 into 3 substeps
-    assert len(batch[0].step_residuals) == (len(grid.t) - 1) * (1 if dt is None else 3)
+    assert len(batch[0].step_residuals) == len(grid.t) - 1
 
 
 def steady_members(grid):
@@ -657,9 +660,10 @@ def test_batch_of_array_and_callable_members_equals_one_march_per_member(case):
     # a time-dependent member, an array member, and one of mixed kinds
     data = [members()[1], arrays[1], {**called[2], "lateral": arrays[2]["lateral"]}]
     problems = [IVBProblem(coeffs=coeffs, c=-0.5, **d) for d in data]
-    batch = _march(problems, grid, SolverConfig(dt=0.03))
+    grid = refined(grid, 0.03)
+    batch = _march(problems, grid)
     for prob, u in zip(problems, batch, strict=True):
-        alone = solve_ivbp(prob, grid, SolverConfig(dt=0.03))
+        alone = solve_ivbp(prob, grid)
         assert np.array_equal(u.values, alone.values)
         assert u.step_residuals == alone.step_residuals
 
@@ -822,7 +826,7 @@ def test_step_sizes_share_a_matrix_only_to_12_significant_digits(monkeypatch):
 
 
 def test_lateral_data_is_evaluated_on_the_dirichlet_nodes_only():
-    grid = unit_grid(9)
+    grid = unit_grid(9, t_nodes=21)
     dirichlet = 2 * 9 + (9 - 2)  # both y-faces and s = s_max; s = 0 is free
     sizes = []
 
@@ -831,8 +835,7 @@ def test_lateral_data_is_evaluated_on_the_dirichlet_nodes_only():
         return x + t
 
     f = lambda x, y, t: x + t
-    u = solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), initial=f, lateral=lateral),
-                   grid, SolverConfig(dt=0.05))
+    u = solve_ivbp(IVBProblem(coeffs=model_coefficients(1.0, 2), initial=f, lateral=lateral), grid)
     assert sizes == [dirichlet] * (1 + len(u.step_residuals))
     assert np.max(np.abs(u.values - sample(f, grid).values)) <= 1e-10
 
