@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -11,6 +12,15 @@ from degenpde.regularize import (
     smooth_field,
     smoothing_rate,
 )
+
+
+def test_kernel_normalization():
+    for n in (2, 3):
+        k = BumpKernel(n)
+        assert np.all(k.weights > 0) and np.all(np.abs(k.nodes) < 1.0)
+        total = sum(math.prod(k.weights[list(idx)])
+                    for idx in itertools.product(range(k.nodes.size), repeat=n))
+        assert abs(total / k.normalization - 1.0) <= 1e-10
 
 
 def test_kernel_validation():
