@@ -4,7 +4,8 @@ Reads a declarative experiment file (sectioned key = value text), solves
 the configured initial/boundary-value problem, runs the requested
 verification checks, and writes deterministic reports and two-column plot
 data. Exit status 0 means every configured check passed, 1 that a check
-failed, 2 that the spec is malformed.
+failed, 2 that the spec is malformed or its grid cannot be marched (the
+solve turned non-finite).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import estimates
 from .estimates import EstimateReport, write_series
 from .expressions import CompiledExpression
-from .fields import Grid, ScalarField, sample
+from .fields import Grid, sample
 from .geometry import Point
 from .operators import COEFFICIENT_PRESETS, parse_coefficient_preset, validate_coefficients
 from .solver import IVBProblem, solve_ivbp
@@ -169,12 +170,13 @@ class ExperimentSpec:
     """Parsed experiment file: problem, grid, and the checks to run.
 
     The whole file is validated here, before any solve: every malformed
-    spec raises SpecError with one line naming the section and the key.
-    Arguments only an estimate can judge (a cube with no nodes, r >= rho)
-    are refused when the check runs.  The coefficients are validated on the
-    grid, and a failed margin is refused by name.  The solution and the
-    forcing are sampled on the whole grid (`exact`, `g_field`), which
-    refuses variables the grid lacks and non-finite values.
+    spec raises SpecError with one line naming the section and the key
+    (both keys for a holder_bound r >= rho).  Arguments only an estimate
+    can judge (a cube with no nodes) are refused when the check runs.  The
+    coefficients are validated on the grid, and a failed margin is refused
+    by name.  The solution and the forcing are sampled on the whole grid
+    (`exact`, `g_field`), which refuses variables the grid lacks and
+    non-finite values.
     """
 
     def __init__(self, path, seed_override=None):
@@ -239,6 +241,9 @@ class ExperimentSpec:
                                 f"(known: {', '.join(CHECKS)})")
             run, keys = CHECKS[kind]
             values = _read(parser[sec], sec, {"type": (str, REQUIRED), **keys})
+            if kind == "holder_bound" and not values["r"] < values["rho"]:
+                raise SpecError(f"[{sec}] r, rho: need r < rho, got r = {values['r']:g} "
+                                f"and rho = {values['rho']:g}")
             if "y0" in values:
                 if values["y0"] is None:
                     values["y0"] = [0.0] * (self.n - 1)
@@ -250,19 +255,18 @@ class ExperimentSpec:
             raise SpecError("experiment defines no checks")
 
 
-def _solve(spec: ExperimentSpec) -> ScalarField:
-    problem = IVBProblem(coeffs=spec.coefficients, forcing=spec.forcing,
-                         initial=spec.solution, lateral=spec.solution)
-    return solve_ivbp(problem, spec.grid)
-
-
 def run_experiment(spec: ExperimentSpec, out_dir) -> bool:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. an existing file; refused before the solve
         raise SpecError(f"--out: {exc}") from None
-    u = _solve(spec)
+    problem = IVBProblem(coeffs=spec.coefficients, forcing=spec.forcing,
+                         initial=spec.solution, lateral=spec.solution)
+    try:
+        u = solve_ivbp(problem, spec.grid)
+    except FloatingPointError as exc:  # a march that turns non-finite
+        raise SpecError(f"the spec's grid cannot be marched: {exc}") from None
 
     results = []
     for name, run, values in spec.checks:

@@ -32,9 +32,8 @@ from .geometry import (
     Point,
     WeightedMeasure,
     cube_nodes,
-    dual_edges,
+    node_measure,
     rho_nu,
-    weighted_volumes,
 )
 from .operators import (BLEND_END, CoefficientField, _check_dimension, apply_L0,
                         apply_parabolic)
@@ -498,8 +497,8 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
 
     mask = cube_nodes(sub_cube, grid, "sublevel cube")
     sub_mask = mask & (u.values <= K)
-    denom = _node_measure(grid, mask, nu)
-    fraction = _node_measure(grid, sub_mask, nu) / denom
+    mu = WeightedMeasure(nu)
+    fraction = node_measure(sub_mask, grid, mu) / node_measure(mask, grid, mu)
     rhs_components = {
         "hypothesis_inf": inf_q2,
         "hypothesis_forcing": forcing,
@@ -514,12 +513,6 @@ def growth_lemma_check(u: ScalarField, g, base, rho: float, K: float,
         margins = {"fraction_budget": fraction - k_min}
     return _finish("growth_lemma", fraction, rhs_components, fraction / k_min,
                    margins, grid, f"rho={rho:g} K={K:g} nu={nu:g}")
-
-
-def _node_measure(grid: Grid, mask: np.ndarray, nu: float) -> float:
-    """Weighted node-dual measure of a masked node set."""
-    w = weighted_volumes([dual_edges(ax) for ax in grid.axes], nu)
-    return float(np.sum(w * mask)) * nu / 2.0 ** grid.n
 
 
 # ---------------------------------------------------------------------------

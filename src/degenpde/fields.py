@@ -31,7 +31,10 @@ def _uniform_spacing(nodes: np.ndarray, name: str) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor grid: s-axis (nonnegative), n-1 tangential y-axes, time axis."""
+    """Tensor grid: s-axis (nonnegative), n-1 tangential y-axes, time axis.
+
+    An s-axis whose `x_stencils` weights on x = s^2 are not finite is refused.
+    """
 
     s: np.ndarray
     y: tuple
@@ -50,6 +53,10 @@ class Grid:
                 raise ValueError(f"axis {name} must be strictly increasing")
         if self.s[0] < 0:
             raise ValueError("s-axis must be nonnegative")
+        with np.errstate(all="ignore"):  # a non-finite weight is refused below
+            weights = x_stencils(self.x)[1:]
+        if not all(np.isfinite(w).all() for w in weights):
+            raise ValueError("axis s is too fine: its x-stencil weights on x = s^2 are not finite")
 
     @classmethod
     def uniform(cls, s_extent, y_extents, t_extent) -> "Grid":
@@ -427,11 +434,13 @@ def _ratio_maxes(grid: Grid, mask: np.ndarray, alpha: float, rows: np.ndarray) -
 
 
 def holder_seminorm(field: ScalarField, alpha: float, region: ParabolicCube) -> float:
-    """Hoelder-alpha seminorm |u(P)-u(Q)| / s_distance(P,Q)^alpha over node pairs.
+    """Hoelder-alpha seminorm |u(P) - u(Q)| / d(P, Q)^alpha over node pairs.
 
-    The supremum over all node pairs in the region up to 2000 nodes; above
-    that, the maximum over a fixed sample of 10^6 pairs, a lower bound of
-    the supremum.  A bool alpha is refused.
+    d(P, Q) = |s_P - s_Q| + |y_P - y_Q| + sqrt(|t_P - t_Q|), the parabolic
+    distance in s = sqrt(x), with |y_P - y_Q| Euclidean.  The supremum over
+    all node pairs in the region up to 2000 nodes; above that, the maximum
+    over a fixed sample of 10^6 pairs, a lower bound of the supremum.  A
+    bool alpha is refused.
     """
     if isinstance(alpha, bool) or not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")

@@ -10,7 +10,8 @@ the standard cube Q_rho(s0, y0, t0) has the closed form
 
 The closed form is the normalized density integrated over s in
 [max(s0 - rho, 0), s0 + rho] and slabs of half-width rho in every
-tangential coordinate and in time (normalization nu / 2^n).
+tangential coordinate and in time (normalization nu / 2^n).  On a grid the
+measure of a node set is the node-dual quadrature `node_measure`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ MEMBERSHIP_TOL = 1e-12
 
 
 def _as_y(y) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    return arr
+    return np.atleast_1d(np.asarray(y, dtype=float))
 
 
 def _require_finite(**coords):
@@ -67,37 +67,11 @@ class Point:
         return cls(s * s, y, t)
 
 
-def _check_pair(p: Point, q: Point):
-    if p.y.size != q.y.size:
-        raise ValueError("points have different tangential dimension")
-
-
-def d_gamma(p: Point, q: Point, gamma: float) -> float:
-    """Spatial distance d_gamma, with the degenerate direction measured in s.
-
-    d_gamma^2 = (sqrt(x_p) - sqrt(x_q))^2 + gamma^2 * sum (y_p - y_q)^2
-    """
-    _check_pair(p, q)
-    ds = math.sqrt(p.x) - math.sqrt(q.x)
-    dy = p.y - q.y
-    return math.sqrt(ds * ds + gamma * gamma * float(dy @ dy))
-
-
-def d_bar(p: Point, q: Point, gamma: float) -> float:
-    """Companion distance with (x_p - x_q)^2 / (x_p + x_q) in place of ds^2.
-
-    Comparable to d_gamma: d_gamma <= d_bar <= sqrt(2) d_gamma.  The first
-    term is defined as 0 when x_p = x_q = 0 (its limit value).
-    """
-    _check_pair(p, q)
-    val = d_bar_sq(p.x, list(p.y), q.x, q.y, gamma)
-    return math.sqrt(float(val))
-
-
 def d_bar_sq(x, y, x0: float, y0, gamma: float):
-    """Vectorized d_bar^2 between (x, y) and the fixed point (x0, y0).
+    """d_bar^2 = (x - x0)^2 / (x + x0) + gamma^2 |y - y0|^2 to the fixed point (x0, y0).
 
-    x: array; y: sequence of n-1 arrays broadcastable against x.
+    The first term is 0 at x = x0 = 0 (its limit).  x: array; y: sequence
+    of n-1 arrays broadcastable against x.
     """
     x = np.asarray(x, dtype=float)
     denom = x + x0
@@ -105,16 +79,6 @@ def d_bar_sq(x, y, x0: float, y0, gamma: float):
     first = np.where(denom > 0, (x - x0) ** 2 / safe, 0.0)
     dy2 = sum((np.asarray(yi, dtype=float) - y0i) ** 2 for yi, y0i in zip(y, y0))
     return first + gamma * gamma * dy2
-
-
-def s_distance(p: Point, q: Point) -> float:
-    """Parabolic distance |s_p - s_q| + |y_p - y_q| + sqrt(|t_p - t_q|)."""
-    _check_pair(p, q)
-    return (
-        abs(math.sqrt(p.x) - math.sqrt(q.x))
-        + float(np.linalg.norm(p.y - q.y))
-        + math.sqrt(abs(p.t - q.t))
-    )
 
 
 def rho_nu(s0: float, rho: float, nu: float) -> float:
@@ -248,26 +212,15 @@ def cube_measure(cube: ParabolicCube, mu: WeightedMeasure) -> float:
     return ((s0 + r) ** mu.nu - max(s0 - r, 0.0) ** mu.nu) * r ** cube.n
 
 
-def set_measure(indicator, grid, mu: WeightedMeasure) -> float:
-    """Weighted measure of the set marked by `indicator` on a grid.
+def node_measure(mask, grid, mu: WeightedMeasure) -> float:
+    """Weighted measure of the grid nodes marked by `mask`, by the node-dual quadrature.
 
-    The grid is decomposed into cells between consecutive nodes; a cell
-    belongs to the set when the indicator is true at its center.  The
-    singular weight s^(nu - 1) is integrated exactly over each cell's
-    s-extent; tangential and time extents contribute their lengths.  The
-    total carries the normalization nu / 2^n.
-
-    indicator: callable over broadcastable (s, y..., t) center coordinates
-    returning a boolean array.
+    Each node carries the exact integral of the density s^(nu - 1) over its
+    dual s-cell (`dual_edges`, clipped to the axis) times the dual lengths
+    of the other axes (`weighted_volumes`); the total carries the
+    normalization nu / 2^n.  Over a cube's nodes it is nu / 2^n times
+    `fields.lp_norm_weighted` of the constant 1, the quadrature every
+    estimate's forcing norm uses.  mask: boolean array of the grid's shape.
     """
-    axes = grid.axes
-    if any(len(ax) < 2 for ax in axes):
-        raise ValueError("set_measure needs at least one cell per axis")
-    n = len(axes) - 1  # spatial dimension (s plus tangential axes)
-    centers = [(ax[:-1] + ax[1:]) / 2.0 for ax in axes]
-    meshes = np.meshgrid(*centers, indexing="ij", sparse=True)
-    mask = np.asarray(indicator(meshes[0], meshes[1:-1], meshes[-1]))
-    mask = np.broadcast_to(mask, tuple(len(c) for c in centers))
-
-    w = weighted_volumes(axes, mu.nu)
-    return float(np.sum(w * mask)) * mu.nu / 2.0 ** n
+    w = weighted_volumes([dual_edges(ax) for ax in grid.axes], mu.nu)
+    return float(np.sum(w * mask)) * mu.nu / 2.0 ** grid.n

@@ -1,11 +1,11 @@
-"""Implicit finite-difference solver for u_t = Lu + c u + g on half-space boxes.
+"""Implicit finite-difference solver for u_t = Lu + g on half-space boxes.
 
 Space is a uniform-s tensor grid; time marches by implicit Euler,
 
-    (I - dt (L_h + c)) u^{m+1} = u^m + dt g^{m+1},
+    (I - dt L_h) u^{m+1} = u^m + dt g^{m+1},
 
 with Dirichlet rows on the lateral edges that `fields.Grid.interior_box`
-defines: M = I - dt P_free (L_h + c), P_free zeroing those rows, which
+defines: M = I - dt P_free L_h, P_free zeroing those rows, which
 are the one-sided edge rows of L_h.  L_h is `operators.operator_matrix`,
 the one discrete operator, which `operators.apply_L` applies too.  With
 diagonal coefficient matrices every row of M is an M-matrix row and the
@@ -26,8 +26,8 @@ copy.  It is exact for the model operator; for variable coefficients
 BiCGStab typically needs under ten iterations per step.  Mixed and cross
 terms are left to the Krylov iteration.
 
-One march serves a batch of problems that share an operator (the same
-coefficients and c): `solve_ivbp` is a batch of one, and the random
+One march serves a batch of problems that share an operator (one
+CoefficientField): `solve_ivbp` is a batch of one, and the random
 ensemble marches all its members at once.  The batch is one array with a
 column per member, so each step is one linear solve for the whole batch.
 The march takes one step per output slice, tau = t[k+1] - t[k]: the
@@ -46,7 +46,6 @@ data is refused by name.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -55,8 +54,8 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .fields import Grid, ScalarField, _real_array
-from .operators import (CoefficientField, _axis_matrices, model_coefficients, operator_matrix,
-                        plane_waves, validate_coefficients)
+from .operators import (CoefficientField, _axis_matrices, operator_matrix, plane_waves,
+                        validate_coefficients)
 
 COMPATIBILITY_TOL = 1e-8
 KRYLOV_TOL = 1e-10  # relative residual of the n >= 3 iterative step solve
@@ -65,7 +64,7 @@ KRYLOV_MAX_ITER = 5000  # BiCGStab iteration budget per column and step
 
 @dataclass
 class IVBProblem:
-    """Initial/boundary-value problem for u_t = Lu + c u + g.
+    """Initial/boundary-value problem for u_t = Lu + g.
 
     coeffs is the CoefficientField of L; the model operator with velocity v
     is `model_coefficients(v, n)`.  forcing/initial/lateral are each a
@@ -78,15 +77,11 @@ class IVBProblem:
     forcing: object = None
     initial: object = None
     lateral: object = None
-    c: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.coeffs, CoefficientField):
             raise TypeError(f"coeffs must be a CoefficientField, got "
                             f"{type(self.coeffs).__name__}; use model_coefficients(v, n)")
-        if (isinstance(self.c, bool) or not isinstance(self.c, numbers.Real)
-                or not math.isfinite(self.c)):
-            raise ValueError(f"c must be a finite real number, got {self.c!r}")
 
 
 def _eval_spatial(data, name: str, coords: list, nodes, shape: tuple,
@@ -137,7 +132,7 @@ def _dirichlet_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float, c: float):
+def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float):
     """Direct solver for the free-node step matrix of averaged coefficients.
 
     On the free box the operator with the y-averaged a11(s), b1(s) and the
@@ -194,7 +189,7 @@ def _fast_diagonalization(A: np.ndarray, B: np.ndarray, grid: Grid, dt: float, c
         lam = np.add.outer(lam, ev)
 
     lower, upper = -dt * sub, -dt * sup
-    diag = (1.0 - dt * c - dt * mid)[:, None] - dt * lam.ravel()
+    diag = (1.0 - dt * mid)[:, None] - dt * lam.ravel()
     inv = np.empty_like(diag)
     cp = np.empty_like(diag)
     inv[0] = 1.0 / diag[0]
@@ -277,14 +272,14 @@ class StepMatrix:
         return self._solve(rhs, x0)
 
 
-def _step_from_operator(L: sparse.csr_matrix, dt: float, free: np.ndarray, c: float):
-    """M = I - dt P_free (L + c) as canonical CSR, computed on L's arrays.
+def _step_from_operator(L: sparse.csr_matrix, dt: float, free: np.ndarray):
+    """M = I - dt P_free L as canonical CSR, computed on L's arrays.
 
-    Every entry is the one the sparse products and sums I - diag(dt P_free)
-    L - diag(dt c P_free) give, bitwise: -(dt L_ij) off the diagonal and
-    (1 - dt L_ii) - dt c on it in a free row, a row of L without a diagonal
-    entry taking L_ii = 0; a Dirichlet row is an identity row.  The zeros
-    those operations drop are dropped here too, and the rows are sorted.
+    Every entry is the one the sparse product and sum I - diag(dt P_free) L
+    gives, bitwise: -(dt L_ij) off the diagonal and 1 - dt L_ii on it in a
+    free row, a row of L without a diagonal entry taking L_ii = 0; a
+    Dirichlet row is an identity row.  The zeros those operations drop are
+    dropped here too, and the rows are sorted.
     """
     n = L.shape[0]
 
@@ -308,7 +303,7 @@ def _step_from_operator(L: sparse.csr_matrix, dt: float, free: np.ndarray, c: fl
     del row
     diag = data[on_diag]
     np.negative(data, out=data)
-    data[on_diag] = (1.0 - diag) - np.where(free, dt * c, 0.0)
+    data[on_diag] = 1.0 - diag
     M = sparse.csr_matrix((data, indices, indptr), shape=L.shape)
     M.eliminate_zeros()
     M.sort_indices()
@@ -339,7 +334,7 @@ def _m_matrix_flags(M: sparse.csr_matrix):
 
 def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
                          t_eval: float | None = None) -> StepMatrix:
-    """Assemble I - dt P_free (L_h + c), L_h of `operators.operator_matrix` at t_eval.
+    """Assemble I - dt P_free L_h, L_h of `operators.operator_matrix` at t_eval.
 
     M is formed on L_h's arrays (`_step_from_operator`), and L_h is released
     before the n >= 3 solver slices M's free-node block A_ff
@@ -353,12 +348,12 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
 
     L, A, B = operator_matrix(problem.coeffs, grid, t_eval)
     free = ~_dirichlet_mask(grid).ravel()
-    M = _step_from_operator(L, dt, free, problem.c)
+    M = _step_from_operator(L, dt, free)
     del L
     dominant, max_pos_off = _m_matrix_flags(M)
 
     if grid.n >= 3:
-        precond = _fast_diagonalization(A, B, grid, dt, problem.c)
+        precond = _fast_diagonalization(A, B, grid, dt)
         del A, B
         solve = _krylov_solver(M, free, precond)
     else:
@@ -373,7 +368,7 @@ def assemble_step_matrix(problem: IVBProblem, grid: Grid, dt: float,
 class SolvedField(ScalarField):
     """A solved space-time field and the residuals of the solve.
 
-    step_residuals holds max |u_t - L_h u - c u - g| over the nodes of each
+    step_residuals holds max |u_t - L_h u - g| over the nodes of each
     implicit-Euler step, in time order: one per output slice after the first.
     """
 
@@ -381,7 +376,7 @@ class SolvedField(ScalarField):
 
 
 def _march(problems: list, grid: Grid) -> list:
-    """March implicit Euler for problems that share one operator (coeffs and c).
+    """March implicit Euler for problems that share one operator (one CoefficientField).
 
     The coefficients are validated once, and the batch is one (N, members)
     array with a contiguous column per member: each step, from t[k] to
@@ -400,8 +395,8 @@ def _march(problems: list, grid: Grid) -> list:
     array.
     """
     first = problems[0]
-    if any(p.coeffs is not first.coeffs or p.c != first.c for p in problems[1:]):
-        raise ValueError("a batch march needs one operator: the same coeffs and c")
+    if any(p.coeffs is not first.coeffs for p in problems[1:]):
+        raise ValueError("a batch march needs one operator: one CoefficientField object")
     coeffs = first.coeffs
     report = validate_coefficients(coeffs, grid)
     if not report.passed:
@@ -477,7 +472,7 @@ def _march(problems: list, grid: Grid) -> list:
             raise _non_finite("lateral data" if dir_flat[bad] else "forcing", grid, bad, tn)
         U = sm.solve(rhs, x0=U)
         if not np.isfinite(U).all():
-            raise RuntimeError(f"non-finite solution at step t={tn:g}")
+            raise FloatingPointError(f"non-finite solution at step t={tn:g}")
         residuals.append(np.max(np.abs(sm.A @ U - rhs), axis=0) / tau)
         outs[..., k + 1] = U.T.reshape(outs.shape[:-1])
 
@@ -494,19 +489,10 @@ def solve_ivbp(problem: IVBProblem, grid: Grid) -> SolvedField:
     time-independent data; an array of another shape is refused.  Data that
     is not finite where the march uses it is refused by name: initial data
     anywhere and lateral data on the Dirichlet nodes at t0, forcing and
-    lateral data in each step's right-hand side.
+    lateral data in each step's right-hand side.  A solution that turns
+    non-finite raises FloatingPointError naming the step.
     """
     return _march([problem], grid)[0]
-
-
-def solve_model(v, g, f0, boundary, grid: Grid, c: float = 0.0) -> SolvedField:
-    """`solve_ivbp` for the model operator, coeffs = `model_coefficients(v, grid.n)`.
-
-    The model operator has a = I and b = (v, 0, ..., 0); c is optional.
-    """
-    problem = IVBProblem(coeffs=model_coefficients(v, grid.n), forcing=g,
-                         initial=f0, lateral=boundary, c=c)
-    return solve_ivbp(problem, grid)
 
 
 def random_positive_solution_ensemble(seed: int, count: int, coeffs: CoefficientField,

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from degenpde import fields
 from degenpde.barriers import (
     ModelBarrierParams,
     barrier_condition_residual,
@@ -26,13 +27,13 @@ from degenpde.estimates import (
     schauder_ratio,
 )
 from degenpde.expressions import CompiledExpression
-from degenpde.fields import Grid, sample
+from degenpde.fields import Grid, ScalarField, lp_norm_weighted, sample
 from degenpde.geometry import (
     ParabolicCube,
     Point,
     WeightedMeasure,
     cube_measure,
-    set_measure,
+    node_measure,
 )
 from degenpde.operators import (
     apply_L0,
@@ -46,7 +47,6 @@ from degenpde.solver import (
     IVBProblem,
     random_positive_solution_ensemble,
     solve_ivbp,
-    solve_model,
 )
 
 
@@ -67,7 +67,7 @@ def test_criterion_01_manufactured_exactness():
     grid = Grid.uniform((0, 1, 33), [(-1, 1, 33)], (0, 1, 33))
     for v in (0.25, 1.0, 4.0):
         f = lambda x, y, t: x + v * t
-        u = solve_model(v, None, f, f, grid)
+        u = solve_ivbp(IVBProblem(model_coefficients(v, 2), initial=f, lateral=f), grid)
         exact = sample(f, grid)
         worst = max(worst, float(np.max(np.abs(u.values - exact.values))))
     elapsed = time.time() - start
@@ -82,7 +82,7 @@ def test_criterion_02_convergence_order():
 
     def final_err(ns, ny, t_nodes):
         grid = Grid.uniform((0, 1, ns), [(-1, 1, ny)], (0, 1, t_nodes))
-        u = solve_model(v, None, f, f, grid)
+        u = solve_ivbp(IVBProblem(model_coefficients(v, 2), initial=f, lateral=f), grid)
         exact = sample(f, grid)
         return float(np.max(np.abs(u.values[..., -1] - exact.values[..., -1])))
 
@@ -145,8 +145,9 @@ def test_criterion_03_maximum_principle():
 
 def _abp_setup(nodes, t_nodes, scale):
     grid = Grid.uniform((0, 1, nodes), [(-1, 1, nodes)], (0, 1, t_nodes))
-    u = solve_model(1.0, lambda x, y, t: scale + 0 * x,
-                    lambda x, y, t: 0 * x, lambda x, y, t: 0 * x, grid)
+    zero = lambda x, y, t: 0 * x
+    u = solve_ivbp(IVBProblem(model_coefficients(1.0, 2), forcing=lambda x, y, t: scale + 0 * x,
+                              initial=zero, lateral=zero), grid)
     g = sample(lambda x, y, t: -scale + 0 * x, grid)
     cube = ParabolicCube("C_rho", Point(0.5, [0.0], 1.0), 1.0)
     return abp_check(u, g, cube, 0.5)
@@ -321,9 +322,7 @@ def test_criterion_11_measure_correctness():
                 grid = Grid.uniform(
                     (max(s0 - rho, 0.0), s0 + rho, 65),
                     [(-rho, rho, 65)], (-rho, rho, 65))
-                quad = set_measure(
-                    lambda s, ys, t: np.ones(np.broadcast(s, *ys, t).shape,
-                                             bool), grid, mu)
+                quad = node_measure(np.ones(grid.shape, bool), grid, mu)
                 worst = max(worst, abs(quad - analytic) / analytic)
     verdict(11, "measure correctness", worst <= 1e-6,
             f"worst relative deviation {worst:.2e} <= 1e-6 over 18 cases")
@@ -334,11 +333,11 @@ def test_criterion_11_disc_measure_converges():
 
     The Q_rho cube at n = 3 has a Euclidean y-disc, with closed-form measure
     (integral of s^(nu-1) ds) * pi r^2 * r^2 * nu / 2^3.  The grid spans its
-    s- and t-extents exactly, where `set_measure` integrates each cell
-    exactly, so the error is the disc's cells alone.  It must shrink with
-    every refinement of the y-axes and stay below 2 sqrt(2) h / r, the
-    annulus that holds every cell the circle crosses.  Measured: relative
-    errors 6.7e-3, 1.6e-3, 1.2e-3 at 33, 65, 129 cells, order 1.28.
+    s- and t-extents exactly, where `node_measure` integrates each dual cell
+    exactly, so the error is the disc's dual cells alone.  It must shrink
+    with every refinement of the y-axes and stay below 2 sqrt(2) h / r, the
+    annulus that holds every dual cell the circle crosses.  Measured:
+    relative errors 8.5e-3, 5.5e-3, 2.3e-3 at 33, 65, 129 cells, order 0.97.
     """
     nu, s0, r, t0 = 0.5, 1.0, 0.5, 1.0
     cube = ParabolicCube("Q_rho", Point.at_s(s0, [0.0, 0.0], t0), r)
@@ -347,7 +346,7 @@ def test_criterion_11_disc_measure_converges():
     errs = []
     for k in cells:
         grid = Grid.uniform((s0 - r, s0 + r, 9), [(-r, r, k + 1)] * 2, (t0 - r * r, t0, 9))
-        quad = set_measure(cube.contains_s, grid, WeightedMeasure(nu))
+        quad = node_measure(cube.node_mask(grid), grid, WeightedMeasure(nu))
         errs.append(abs(quad - exact) / exact)
     order = math.log(errs[0] / errs[-1]) / math.log(cells[-1] / cells[0])
     bounded = all(e <= 2.0 * math.sqrt(2.0) * (2.0 * r / k) / r for e, k in zip(errs, cells))
@@ -356,6 +355,28 @@ def test_criterion_11_disc_measure_converges():
             "relative errors " + ", ".join(f"{e:.2e}" for e in errs)
             + f" at {cells} cells per y-axis shrink, order {order:.2f}, "
             "each below the annulus bound 2 sqrt(2) h / r")
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.5])
+@pytest.mark.parametrize("shape, blocks", [((33, 33, 33), 1), ((97, 97, 9), 2),
+                                           ((17, 17, 17, 17), 2), ((33, 33, 33, 9), 6)],
+                         ids=["33^3", "97^2x9", "17^4", "33^3x9"])
+def test_criterion_11_measure_is_the_forcing_norms_quadrature(shape, blocks, nu):
+    """node_measure over a cube is nu / 2^n times lp_norm_weighted of 1, bitwise.
+
+    Criterion 11 holds `node_measure` to the closed form; every estimate's
+    forcing norm integrates with `lp_norm_weighted`, which applies the same
+    node-dual weights `blocks` runs of whole s-rows at a time.
+    """
+    n = len(shape) - 1
+    grid = Grid.uniform((0, 1, shape[0]), [(-1, 1, k) for k in shape[1:-1]], (0, 1, shape[-1]))
+    assert math.ceil(shape[0] / (fields._LP_BLOCK // math.prod(shape[1:]))) == blocks
+    mu = WeightedMeasure(nu)
+    one = ScalarField(grid, np.ones(grid.shape))
+    for cube in (ParabolicCube("Q_rho", Point.at_s(0.5, [0.0] * (n - 1), 0.75), 0.4),
+                 ParabolicCube("B_eta", Point(0.25, [0.25] * (n - 1), 1.0), 0.8)):
+        quad = lp_norm_weighted(one, 1, cube, mu) * mu.nu / 2.0 ** n
+        assert node_measure(cube.node_mask(grid), grid, mu) == quad
 
 
 def test_criterion_12_cli_determinism(tmp_path):

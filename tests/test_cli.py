@@ -177,11 +177,14 @@ def test_list_presets_function():
     ("x + t", "x + (-1)^0.5", "[problem]", "solution: 'x + (-1)^0.5' takes a complex value"),
     ("x + t", "(" * 300 + "x" + ")" * 300, "[problem]", "too many nested parentheses"),
     ("x + t", "-" * 3000 + "x", "[problem]", "solution: expression is nested too deeply"),
+    ("s = 0 1 9", "s = 0 1e-300 9", "[grid]", "axis s is too fine"),
+    ("s = 0 1 9", "s = 0 1e-100 9", "[grid]", "axis s is too fine"),
 ], ids=["missing_key", "non_numeric", "unknown_variable", "axis_beyond_n",
         "bad_preset", "bad_grid_triple", "unknown_grid_axis", "misspelled_key",
         "y0_length", "empty_cube", "non_finite_solution", "nan_axis", "inf_axis",
         "infinite_velocity", "nan_t0", "fractional_seed", "negative_seed",
-        "complex_solution", "nested_parentheses", "nested_minus_signs"])
+        "complex_solution", "nested_parentheses", "nested_minus_signs",
+        "underflowing_s_axis", "too_fine_s_axis"])
 def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
                                                        old, new, where, key):
     assert old in SMALL_SPEC
@@ -191,6 +194,32 @@ def test_malformed_spec_exits_2_naming_section_and_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert where in err and key in err
+
+
+@pytest.mark.parametrize("r, rho", [("0.5", "0.4"), ("0.4", "0.4")])
+def test_holder_r_not_below_rho_exits_2_before_the_out_directory(tmp_path, capsys, r, rho):
+    # it was refused by the estimate, after the solve, with --out made
+    spec = tmp_path / "holder.spec"
+    spec.write_text(SMALL_SPEC + f"\n[check hb]\ntype = holder_bound\ns0 = 0.5\nt0 = 1.0\n"
+                                 f"r = {r}\nrho = {rho}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: [check hb] r, rho: need r < rho, "
+                                       f"got r = {r} and rho = {rho}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, step", [
+    ("t = 0 1 9", "t = 0 1e300 9", "1.25e+299"),
+    ("x + t\n", "x + t\nforcing = 1e308\n", "0.25"),
+], ids=["huge_t_axis", "huge_forcing"])
+def test_a_march_that_turns_non_finite_exits_2_with_one_line(tmp_path, capsys, old, new, step):
+    # it ended in a traceback, exit 1
+    spec = tmp_path / "huge.spec"
+    spec.write_text(SMALL_SPEC.replace(old, new))
+    assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: the spec's grid cannot be marched: "
+                                       f"non-finite solution at step t={step}\n")
 
 
 @pytest.mark.parametrize("key", ["solution", "forcing"])

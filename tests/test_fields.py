@@ -35,6 +35,21 @@ def test_grid_refuses_a_non_finite_axis_by_name(axis, bad):
         Grid(axes["s"], (axes["y2"],), axes["t"])
 
 
+@pytest.mark.parametrize("s_hi", [1e-300, 1e-160, 1e-150, 1e-100])
+def test_grid_refuses_an_s_axis_whose_x_stencils_are_not_finite(s_hi):
+    # at 1e-300 every x = s^2 underflows to 0, and the step matrix died in
+    # SuperLU as "Factor is exactly singular"; above, the products of the
+    # x-spacings in the weights' denominators underflow
+    with pytest.raises(ValueError, match=re.escape(
+            "axis s is too fine: its x-stencil weights on x = s^2 are not finite")):
+        Grid.uniform((0, s_hi, 9), [(-1, 1, 9)], (0, 1, 3))
+
+
+def test_grid_accepts_a_fine_s_axis_whose_x_stencils_are_finite():
+    grid = Grid.uniform((0, 1e-50, 9), [(-1, 1, 9)], (0, 1, 3))
+    assert all(np.isfinite(w).all() for w in fields.x_stencils(grid.x)[1:])
+
+
 def test_sample_examples():
     g = unit_grid()
     assert np.all(sample(lambda x, y, t: 1.0 + 0 * x, g).values == 1.0)

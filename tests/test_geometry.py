@@ -9,11 +9,8 @@ from degenpde.geometry import (
     Point,
     WeightedMeasure,
     cube_measure,
-    d_bar,
-    d_gamma,
+    node_measure,
     rho_nu,
-    s_distance,
-    set_measure,
 )
 
 
@@ -44,38 +41,6 @@ def test_spoint_round_trip():
     q = Point.at_s(1.7, [0.3], 2.0)
     assert q.x == 1.7 * 1.7
     assert q.s == pytest.approx(1.7, abs=1e-15)
-
-
-def test_d_gamma_examples():
-    assert d_gamma(Point(1.0, [0.0]), Point(4.0, [0.0]), 1.0) == pytest.approx(1.0)
-    p = Point(2.0, [0.5])
-    assert d_gamma(p, p, 3.0) == 0.0
-    assert d_gamma(Point(0.0, [0.3]), Point(0.0, [0.7]), 2.0) == pytest.approx(0.8)
-
-
-def test_d_bar_examples():
-    assert d_bar(Point(1.0, [0.0]), Point(4.0, [0.0]), 1.0) == pytest.approx(
-        math.sqrt(9.0 / 5.0))
-    p = Point(0.0, [1.0])
-    assert d_bar(p, p, 1.0) == 0.0
-
-
-def test_distance_equivalence_random_pairs():
-    rng = np.random.default_rng(7)
-    for _ in range(10000):
-        p = Point(rng.uniform(0, 5), rng.uniform(-3, 3, size=2))
-        q = Point(rng.uniform(0, 5), rng.uniform(-3, 3, size=2))
-        gamma = rng.uniform(0.2, 4.0)
-        dg = d_gamma(p, q, gamma)
-        db = d_bar(p, q, gamma)
-        assert dg <= db + 1e-12
-        assert db <= math.sqrt(2.0) * dg + 1e-12
-
-
-def test_s_distance_examples():
-    assert s_distance(Point(1, [0], 0), Point(1, [0], 1)) == pytest.approx(1.0)
-    assert s_distance(Point(0, [0], 0), Point(4, [0], 0)) == pytest.approx(2.0)
-    assert s_distance(Point(1, [3], 0), Point(4, [7], 0)) == pytest.approx(5.0)
 
 
 def test_rho_nu_examples():
@@ -109,15 +74,15 @@ def test_cube_measure_examples():
 
 
 @pytest.mark.parametrize("nodes", [9, 65])
-def test_set_measure_of_the_slab_equals_the_closed_form(nodes):
+def test_node_measure_of_the_slab_equals_the_closed_form(nodes):
     # the slab s in [0.5, 1.5], |y - 0.5| <= 0.5, |t| <= 0.5 the closed form
-    # integrates; the weight is integrated exactly per cell, so the node
-    # count does not matter
+    # integrates; the weight is integrated exactly per dual cell, and the
+    # dual cells of all nodes tile the grid's box, so the node count does
+    # not matter
     mu = WeightedMeasure(0.25)
     c = ParabolicCube("Q_rho", Point.at_s(1.0, [0.5], 0.0), 0.5)
     grid = Grid.uniform((0.5, 1.5, nodes), [(0.0, 1.0, nodes)], (-0.5, 0.5, nodes))
-    quad = set_measure(lambda s, ys, t: np.ones(np.broadcast(s, *ys, t).shape, bool),
-                       grid, mu)
+    quad = node_measure(np.ones(grid.shape, bool), grid, mu)
     closed = cube_measure(c, mu)
     assert abs(quad - closed) <= 1e-12 * closed
 
@@ -129,21 +94,21 @@ def test_cube_measure_refuses_a_cube_that_is_not_q_rho():
         cube_measure(cube, WeightedMeasure(0.5))
 
 
-def test_set_measure_full_cube_and_symmetry():
+def test_node_measure_full_cube_and_symmetry():
     mu = WeightedMeasure(0.5)
     cube = ParabolicCube("Q_rho", Point.at_s(1.0, [0.0], 0.0), 0.5)
     grid = Grid.uniform((0.5, 1.5, 64), [(-0.5, 0.5, 65)], (-0.5, 0.5, 64))
-    def shape(s, ys, t):
-        return np.broadcast(s, *ys, t).shape
-
-    full = set_measure(lambda s, ys, t: np.ones(shape(s, ys, t), bool), grid, mu)
+    y = grid.meshes()[1]
+    full = node_measure(np.ones(grid.shape, bool), grid, mu)
     assert abs(full - cube_measure(cube, mu)) <= 1e-6 * full
-    half = set_measure(
-        lambda s, ys, t: np.broadcast_to(ys[0] >= 0, shape(s, ys, t)), grid, mu)
-    assert half == pytest.approx(full / 2.0, rel=1e-6)
-    empty = set_measure(lambda s, ys, t: np.zeros(shape(s, ys, t), bool),
-                        grid, mu)
-    assert empty == 0.0
+    # the y = 0 row of nodes carries the middle dual cell; the halves
+    # either side of it mirror each other
+    upper, lower, middle = (node_measure(np.broadcast_to(side, grid.shape), grid, mu)
+                            for side in (y > 0, y < 0, y == 0))
+    assert upper == pytest.approx(lower, rel=1e-12)
+    assert upper + middle + lower == pytest.approx(full, rel=1e-12)
+    assert middle == pytest.approx(full / 64, rel=1e-12)
+    assert node_measure(np.zeros(grid.shape, bool), grid, mu) == 0.0
 
 
 def test_cube_membership_kinds():

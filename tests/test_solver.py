@@ -21,7 +21,6 @@ from degenpde.solver import (
     assemble_step_matrix,
     random_positive_solution_ensemble,
     solve_ivbp,
-    solve_model,
 )
 
 
@@ -42,15 +41,6 @@ def test_a_problem_refuses_coefficients_that_are_not_a_field(coeffs, kind):
     with pytest.raises(TypeError, match=re.escape(
             f"coeffs must be a CoefficientField, got {kind}; use model_coefficients(v, n)")):
         IVBProblem(coeffs=coeffs)
-
-
-@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, "x", None, True])
-def test_a_problem_refuses_a_c_that_is_not_a_finite_real(c):
-    # before the refusal nan and inf died in SuperLU as "Factor is exactly
-    # singular", and "x" was accepted at construction
-    match = re.escape(f"c must be a finite real number, got {c!r}")
-    with pytest.raises(ValueError, match=match):
-        IVBProblem(coeffs=model_coefficients(1.0, 2), c=c)
 
 
 @pytest.mark.parametrize("coeffs_n, grid_n", [(3, 2), (2, 3)])
@@ -80,8 +70,8 @@ def test_step_matrix_refuses_a_non_uniform_s_axis():
         assemble_step_matrix(IVBProblem(coeffs=model_coefficients(1.0, 2)), grid, 0.1)
 
 
-def loop_step_matrix(coeffs, grid, dt, c, t_eval):
-    """Reference for assemble_step_matrix: I - dt (L_h + c), built row by row.
+def loop_step_matrix(coeffs, grid, dt, t_eval):
+    """Reference for assemble_step_matrix: I - dt L_h, built row by row.
 
     Each free node's row of L_h sums, in this order: x a11 u_xx with the
     weights of `fields.x_stencils`; b1 u_x as w times the central weights
@@ -149,7 +139,6 @@ def loop_step_matrix(coeffs, grid, dt, c, t_eval):
         r = lin[node]
         for col, value in row.items():
             M[r, col] -= dt * value
-        M[r, r] -= dt * c
     return M
 
 
@@ -164,9 +153,9 @@ def test_step_matrix_equals_the_per_node_loop(n, nodes, case, s_lo):
     grid = Grid.uniform((s_lo, 1, nodes), [(-1, 1, nodes)] * (n - 1), (0, 1, 5))
     coeffs = (random_coefficients(11, n) if case == "diagonal"
               else coefficients_from_expressions(CROSS_TERMS[n], n, lam=0.3))
-    dt, c = 0.37, -0.5
-    A = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.5).A
-    want = loop_step_matrix(coeffs, grid, dt, c, 0.5)
+    dt = 0.37
+    A = assemble_step_matrix(IVBProblem(coeffs=coeffs), grid, dt, t_eval=0.5).A
+    want = loop_step_matrix(coeffs, grid, dt, 0.5)
     assert A.has_canonical_format and np.all(A.data != 0)
     assert A.nnz == np.count_nonzero(want)
     if n == 2 and case == "diagonal":
@@ -220,17 +209,16 @@ def sparse_algebra_operator(coeffs, grid, t):
     return L
 
 
-def sparse_algebra_step(coeffs, grid, dt, c, t_eval):
+def sparse_algebra_step(coeffs, grid, dt, t_eval):
     """Reference for assemble_step_matrix: (M, diagonally_dominant, max_positive_offdiag).
 
-    M = I - diags(dt P_free) @ L - diags(dt c P_free) by sparse algebra, and
-    the flags from the off-diagonal matrix M - diags(diag M).
+    M = I - diags(dt P_free) @ L by sparse algebra, and the flags from the
+    off-diagonal matrix M - diags(diag M).
     """
     L = sparse_algebra_operator(coeffs, grid, t_eval)
     free = ~solver._dirichlet_mask(grid).ravel()
     scale = sparse.diags(np.where(free, dt, 0.0))
-    M = (sparse.identity(free.size, format="csr") - scale @ L
-         - sparse.diags(np.where(free, dt * c, 0.0)))
+    M = sparse.identity(free.size, format="csr") - scale @ L
     M.sum_duplicates()
     diag = M.diagonal()
     off = M - sparse.diags(diag)
@@ -262,13 +250,18 @@ ASSEMBLY_CASES = {
 }
 
 
-@pytest.mark.parametrize("dt, c", [(0.37, 0.0), (1 / 16, -0.5)])
+# (step size, shift of every y-axis off [-1, 1])
+STEPS_AND_SHIFTS = [(0.37, 0.0), (1 / 16, -0.5)]
+
+
+@pytest.mark.parametrize("dt, y_shift", STEPS_AND_SHIFTS)
 @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
-def test_step_matrix_equals_the_sparse_algebra_bitwise(case, dt, c):
+def test_step_matrix_equals_the_sparse_algebra_bitwise(case, dt, y_shift):
     coeffs, (ns, ny), s_lo = ASSEMBLY_CASES[case]
-    grid = Grid.uniform((s_lo, 1, ns), [(-1, 1, ny)] * (coeffs.n - 1), (0, 1, 5))
-    step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.75)
-    M, dominant, max_pos_off = sparse_algebra_step(coeffs, grid, dt, c, 0.75)
+    grid = Grid.uniform((s_lo, 1, ns), [(y_shift - 1, y_shift + 1, ny)] * (coeffs.n - 1),
+                        (0, 1, 5))
+    step = assemble_step_matrix(IVBProblem(coeffs=coeffs), grid, dt, t_eval=0.75)
+    M, dominant, max_pos_off = sparse_algebra_step(coeffs, grid, dt, 0.75)
     assert same_csr(step.A, M)
     assert step.diagonally_dominant is dominant
     assert np.array_equal(step.max_positive_offdiag, max_pos_off)
@@ -278,15 +271,15 @@ def test_step_matrix_equals_the_sparse_algebra_bitwise(case, dt, c):
 
 
 
-@pytest.mark.parametrize("dt, c", [(0.37, 0.0), (1 / 16, -0.5)])
-def test_step_matrix_of_rows_without_a_diagonal_entry_is_the_sparse_algebras(dt, c):
+@pytest.mark.parametrize("dt, y_shift", STEPS_AND_SHIFTS)
+def test_step_matrix_of_rows_without_a_diagonal_entry_is_the_sparse_algebras(dt, y_shift):
     # a22 = b1 = 0: at s = 0 every diagonal contribution is zero, so those
     # rows of L_h store no diagonal entry and M's diagonal is put in
     coeffs = coefficients_from_expressions({"a22": "0", "b1": "0", "b2": "y2"}, 2)
-    grid = Grid.uniform((0, 1, 9), [(-1, 1, 9)], (0, 1, 5))
+    grid = Grid.uniform((0, 1, 9), [(y_shift - 1, y_shift + 1, 9)], (0, 1, 5))
     assert np.count_nonzero(operator_matrix(coeffs, grid, 0.5)[0].diagonal() == 0) == 7
-    step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.5)
-    M, dominant, max_pos_off = sparse_algebra_step(coeffs, grid, dt, c, 0.5)
+    step = assemble_step_matrix(IVBProblem(coeffs=coeffs), grid, dt, t_eval=0.5)
+    M, dominant, max_pos_off = sparse_algebra_step(coeffs, grid, dt, 0.5)
     assert same_csr(step.A, M)
     assert (step.diagonally_dominant, step.max_positive_offdiag) == (dominant, max_pos_off)
 
@@ -328,8 +321,8 @@ def test_krylov_step_solve_is_bicgstab_on_the_sliced_free_rows_bitwise(case):
     # moves the Dirichlet values to the right side through A_fd
     coeffs, (ns, ny), s_lo = ASSEMBLY_CASES[case]
     grid = Grid.uniform((s_lo, 1, ns), [(-1, 1, ny)] * 2, (0, 1, 5))
-    dt, c = 1 / 16, -0.5
-    step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), grid, dt, t_eval=0.75)
+    dt = 1 / 16
+    step = assemble_step_matrix(IVBProblem(coeffs=coeffs), grid, dt, t_eval=0.75)
     free = ~solver._dirichlet_mask(grid).ravel()
     rng = np.random.default_rng(5)
     rhs, x0 = rng.uniform(-1, 1, (2, free.size, 3))  # nonzero Dirichlet values
@@ -337,7 +330,7 @@ def test_krylov_step_solve_is_bicgstab_on_the_sliced_free_rows_bitwise(case):
 
     _, A, B = operator_matrix(coeffs, grid, 0.75)
     P = LinearOperator((np.count_nonzero(free),) * 2, dtype=float,
-                       matvec=solver._fast_diagonalization(A, B, grid, dt, c))
+                       matvec=solver._fast_diagonalization(A, B, grid, dt))
     rows = step.A[free]
     A_ff, A_fd = rows[:, free], rows[:, ~free]
     want = rhs.copy()
@@ -352,7 +345,7 @@ def test_krylov_step_solve_is_bicgstab_on_the_sliced_free_rows_bitwise(case):
 def test_constant_is_fixed_point():
     g = unit_grid(17)
     one = lambda x, y, t: 1.0 + 0 * x
-    u = solve_model(1.0, None, one, one, g)
+    u = solve_ivbp(IVBProblem(model_coefficients(1.0, 2), initial=one, lateral=one), g)
     assert np.max(np.abs(u.values - 1.0)) <= 1e-10
 
 
@@ -369,7 +362,7 @@ def test_manufactured_linear_exact():
     g = unit_grid(33)
     for v in (0.25, 1.0, 4.0):
         f = lambda x, y, t: x + v * t
-        u = solve_model(v, None, f, f, g)
+        u = solve_ivbp(IVBProblem(model_coefficients(v, 2), initial=f, lateral=f), g)
         exact = sample(f, g)
         assert np.max(np.abs(u.values - exact.values)) <= 1e-10
 
@@ -379,26 +372,16 @@ def test_step_residuals_are_declared_one_per_step():
     f = lambda x, y, t: x + v * t
     for t_nodes in (17, 41):  # steps of 1/16 and 0.025
         g = unit_grid(17, t_nodes=t_nodes)
-        u = solve_model(v, None, f, f, g)
+        u = solve_ivbp(IVBProblem(model_coefficients(v, 2), initial=f, lateral=f), g)
         assert "step_residuals" in {fld.name for fld in dataclasses.fields(u)}
         assert len(u.step_residuals) == len(g.t) - 1
         assert all(math.isfinite(r) and r <= 1e-9 for r in u.step_residuals)
 
 
-def test_zeroth_order_term():
-    g = unit_grid(21)
-    v, c = 1.0, 1.0
-    f = lambda x, y, t: x + v * t
-    forcing = lambda x, y, t: c * (x + v * t)
-    u = solve_model(v, forcing, f, f, g, c=-c)
-    exact = sample(f, g)
-    assert np.max(np.abs(u.values - exact.values)) <= 1e-9
-
-
 def test_zero_problem_stays_zero():
     g = unit_grid(9)
     zero = lambda x, y, t: 0.0 * x
-    u = solve_model(2.0, None, zero, zero, g)
+    u = solve_ivbp(IVBProblem(model_coefficients(2.0, 2), initial=zero, lateral=zero), g)
     assert np.max(np.abs(u.values)) == 0.0
 
 
@@ -408,7 +391,7 @@ def test_temporal_order():
 
     def final_err(t_nodes):
         g = Grid.uniform((0, 1, 65), [(-1, 1, 9)], (0, 1, t_nodes))
-        u = solve_model(v, None, f, f, g)
+        u = solve_ivbp(IVBProblem(model_coefficients(v, 2), initial=f, lateral=f), g)
         return float(np.max(np.abs(u.values[..., -1] - sample(f, g).values[..., -1])))
 
     assert final_err(21) / final_err(41) >= 1.8  # steps of 0.05 and 0.025
@@ -428,8 +411,8 @@ def test_maximum_principle_random_coefficients():
 def test_incompatible_data_rejected():
     g = unit_grid(9)
     with pytest.raises(ValueError):
-        solve_model(1.0, None, lambda x, y, t: 1.0 + 0 * x,
-                    lambda x, y, t: 0.0 * x, g)
+        solve_ivbp(IVBProblem(model_coefficients(1.0, 2), initial=lambda x, y, t: 1.0 + 0 * x,
+                              lateral=lambda x, y, t: 0.0 * x), g)
 
 
 def test_ensemble_deterministic_and_nonnegative():
@@ -453,7 +436,7 @@ def cube_grid(nodes, s_lo=0.0, t_nodes=5):
 def test_clipped_box_low_s_face_is_dirichlet(n):
     g = Grid.uniform((0.5, 1, 13), [(-1, 1, 13)] * (n - 1), (0, 1, 5))
     f = lambda x, *coords: x + coords[-1]
-    u = solve_model(1.0, None, f, f, g)
+    u = solve_ivbp(IVBProblem(model_coefficients(1.0, n), initial=f, lateral=f), g)
     assert np.max(np.abs(u.values - sample(f, g).values)) <= 1e-10
 
 
@@ -461,7 +444,7 @@ def test_clipped_box_low_s_face_is_dirichlet(n):
 def test_manufactured_linear_exact_n3(v):
     g = cube_grid(13, t_nodes=9)
     f = lambda x, y2, y3, t: x + v * t
-    u = solve_model(v, None, f, f, g)
+    u = solve_ivbp(IVBProblem(model_coefficients(v, 3), initial=f, lateral=f), g)
     assert np.max(np.abs(u.values - sample(f, g).values)) <= 1e-10
 
 
@@ -477,22 +460,21 @@ def test_maximum_principle_random_coefficients_n3(seed):
 
 
 STEP_CASES = {
-    "random_c": (random_coefficients(5, 3), -1.0),
-    "time_dependent": (coefficients_from_expressions(
-        {"a11": "1 + 0.5*t", "b1": "1 + t*y2", "b3": "0.5*t - 0.2"}, 3), 0.5),
-    "cross_terms": (coefficients_from_expressions(
-        {"a23": "0.3 + 0.1*y2", "a12": "0.1", "b2": "0.4"}, 3), 0.0),
+    "random_c": random_coefficients(5, 3),
+    "time_dependent": coefficients_from_expressions(
+        {"a11": "1 + 0.5*t", "b1": "1 + t*y2", "b3": "0.5*t - 0.2"}, 3),
+    "cross_terms": coefficients_from_expressions(
+        {"a23": "0.3 + 0.1*y2", "a12": "0.1", "b2": "0.4"}, 3),
     # |b2| h >= 2 a22 on 9 nodes: the preconditioner drops the y2-drift
-    "strong_y_drift": (coefficients_from_expressions(
-        {"a22": "0.1", "b2": "0.9"}, 3, lam=0.05), 0.0),
+    "strong_y_drift": coefficients_from_expressions(
+        {"a22": "0.1", "b2": "0.9"}, 3, lam=0.05),
 }
 
 
 @pytest.mark.parametrize("nodes", [9, 13])
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_step_solve_matches_sparse_direct_solve_n3(case, nodes):
-    coeffs, c = STEP_CASES[case]
-    step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=c), cube_grid(nodes),
+    step = assemble_step_matrix(IVBProblem(coeffs=STEP_CASES[case]), cube_grid(nodes),
                                 dt=1 / 16, t_eval=0.75)
     rhs = np.random.default_rng(nodes).uniform(-1, 1, step.A.shape[0])
     u = step.solve(rhs, x0=np.zeros_like(rhs))
@@ -510,7 +492,7 @@ def test_preconditioner_is_exact_for_the_model_operator(monkeypatch):
         for coeffs, max_iter in ((model_coefficients(2.0, n), 1),
                                  (random_coefficients(7, n), 15)):
             monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", max_iter)
-            step = assemble_step_matrix(IVBProblem(coeffs=coeffs, c=-0.5), g, dt=1 / 16)
+            step = assemble_step_matrix(IVBProblem(coeffs=coeffs), g, dt=1 / 16)
             u = step.solve(rhs, x0=np.zeros_like(rhs))
             assert np.max(np.abs(step.A @ u - rhs)) <= 1e-8, nodes
 
@@ -616,7 +598,7 @@ def refined(grid, dt):
 def test_batch_march_equals_one_march_per_member(case, dt):
     coeffs, grid = BATCH_CASES[case]
     grid = refined(grid, dt)  # dt = 0.03: 17 steps of 1/34 over t in [0, 0.5]
-    problems = [IVBProblem(coeffs=coeffs, c=-0.5, **data) for data in members()]
+    problems = [IVBProblem(coeffs=coeffs, **data) for data in members()]
     batch = _march(problems, grid)
     for prob, u in zip(problems, batch):
         alone = solve_ivbp(prob, grid)
@@ -646,9 +628,9 @@ def steady_members(grid):
 def test_array_data_marches_bitwise_as_its_time_independent_callable(case, which):
     coeffs, grid = BATCH_CASES[case]
     (called, *_), (arrays, *_) = steady_members(grid)
-    given = solve_ivbp(IVBProblem(coeffs=coeffs, c=-0.5, **{**called, which: arrays[which]}),
+    given = solve_ivbp(IVBProblem(coeffs=coeffs, **{**called, which: arrays[which]}),
                        grid)
-    evaluated = solve_ivbp(IVBProblem(coeffs=coeffs, c=-0.5, **called), grid)
+    evaluated = solve_ivbp(IVBProblem(coeffs=coeffs, **called), grid)
     assert np.array_equal(given.values, evaluated.values)
     assert given.step_residuals == evaluated.step_residuals
 
@@ -659,7 +641,7 @@ def test_batch_of_array_and_callable_members_equals_one_march_per_member(case):
     called, arrays = steady_members(grid)
     # a time-dependent member, an array member, and one of mixed kinds
     data = [members()[1], arrays[1], {**called[2], "lateral": arrays[2]["lateral"]}]
-    problems = [IVBProblem(coeffs=coeffs, c=-0.5, **d) for d in data]
+    problems = [IVBProblem(coeffs=coeffs, **d) for d in data]
     grid = refined(grid, 0.03)
     batch = _march(problems, grid)
     for prob, u in zip(problems, batch, strict=True):
@@ -724,7 +706,7 @@ def test_array_lateral_data_is_read_on_the_dirichlet_nodes_only():
     assert np.max(np.abs(u.values - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("other", [dict(coeffs=model_coefficients(2.0, 2)), dict(c=-0.5),
+@pytest.mark.parametrize("other", [dict(coeffs=model_coefficients(2.0, 2)),
                                    dict(coeffs=model_coefficients(1.0, 2))])
 def test_batch_march_refuses_a_second_operator(other):
     # one operator is one CoefficientField object: an equal copy is refused too
