@@ -707,6 +707,7 @@ def test_array_lateral_data_is_read_on_the_dirichlet_nodes_only():
 
 
 @pytest.mark.parametrize("other", [dict(coeffs=model_coefficients(2.0, 2)),
+                                   dict(coeffs=coefficients_from_expressions(CROSS_TERMS[2], 2, lam=0.3)),
                                    dict(coeffs=model_coefficients(1.0, 2))])
 def test_batch_march_refuses_a_second_operator(other):
     # one operator is one CoefficientField object: an equal copy is refused too
