@@ -9,7 +9,9 @@ SHA-256 of each item below, on inputs seeded by the run (seed r + 1): every
 file that `degenpde run model_manufactured --seed <seed>` writes; the
 values and the step residuals of each member of the benchmark's ensemble_n2
 ensemble (20 members, model operator v = 1, n = 2, 33 x 33 nodes, 201
-slices over t in [0, 0.5]); and the values, the step residuals and the
+slices over t in [0, 0.5]) and the `to_text()` of the reports that
+workload's op takes on each member (`harnack_quotient` at rho = 0.1, 0.2
+and 0.4, and `oscillation_decay`); and the values, the step residuals and the
 `abp_check` report text of both n3_abp solves (random n = 3 coefficients of
 the seed, forcing 1, zero data, 33^3 and 49^3 nodes on 17 slices over
 [0, 1], the B_eta cube at (0.5, 0, 0, 1) of radius 1, nu = 0.5).  Each run's
@@ -28,6 +30,7 @@ import numpy as np
 import ab
 
 MEMBERS, ENSEMBLE_NODES, N3_NODES, N3_SLICES = 20, 33, (33, 49), 17
+HARNACK_RADII = (0.1, 0.2, 0.4)
 
 
 def digest(*arrays) -> str:
@@ -36,6 +39,11 @@ def digest(*arrays) -> str:
     for array in arrays:
         h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def text_digest(report) -> str:
+    """SHA-256 of an estimate report's text."""
+    return hashlib.sha256(report.to_text().encode()).hexdigest()
 
 
 def measure(src: str, run: int, work: Path) -> dict:
@@ -61,6 +69,13 @@ def measure(src: str, run: int, work: Path) -> dict:
     for i, u in enumerate(members):
         hashes[f"ensemble_n2/member_{i:02d}/values"] = digest(u.values)
         hashes[f"ensemble_n2/member_{i:02d}/step_residuals"] = digest(u.step_residuals)
+        reports = {f"harnack_rho_{rho:g}":
+                   estimates.harnack_quotient(u, None, 0.5, [0.0], 0.5, rho, 0.5)
+                   for rho in HARNACK_RADII}
+        reports["oscillation_decay"] = estimates.oscillation_decay(
+            u, (0.5, [0.0], 0.5), 0.4, 2, None, 0.5)
+        for name, report in reports.items():
+            hashes[f"ensemble_n2/member_{i:02d}/{name}"] = text_digest(report)
     del members
 
     def constant(value):
@@ -75,7 +90,7 @@ def measure(src: str, run: int, work: Path) -> dict:
         report = estimates.abp_check(u, ScalarField(grid, np.full(grid.shape, -1.0)), cube, 0.5)
         hashes[f"n3_abp/{k}^3/values"] = digest(u.values)
         hashes[f"n3_abp/{k}^3/step_residuals"] = digest(u.step_residuals)
-        hashes[f"n3_abp/{k}^3/abp_report"] = hashlib.sha256(report.to_text().encode()).hexdigest()
+        hashes[f"n3_abp/{k}^3/abp_report"] = text_digest(report)
         del u
     return {"hashes": hashes}
 

@@ -16,9 +16,12 @@ solves and coefficient validations are counted by wrapping
 (`data_evals`) and timed (`data_eval_s`) by wrapping `solver._eval_spatial`.
 `lu_solves` counts `StepMatrix.solve` calls: a march that solves for all
 members in one call makes 200 per op, one that solves member by member
-4000.  `data_evals` is 2 per member when the march reads each member's
-initial and lateral data once, 202 per member when it evaluates the lateral
-data again at each of the 200 steps.  Times are medians over runs; the
+4000.  `lu_solve_s` is the time inside those calls, and `march_other_s` =
+`ensemble_s` - `lu_solve_s` is the rest of the ensemble: validation,
+assembly and factorization, data reads and the march's own bookkeeping.
+`data_evals` is 2 per member when the march reads each member's initial
+and lateral data once, 202 per member when it evaluates the lateral data
+again at each of the 200 steps.  Times are medians over runs; the
 accuracy figures travel with them: the largest |u_after - u_before| over
 every member's space-time grid, the largest step residual, whether the
 Harnack and oscillation report texts are identical, and each process's
@@ -39,8 +42,9 @@ import ab
 
 MEMBERS, NODES, HARNACK_RADII = 20, 33, (0.1, 0.2, 0.4)
 COUNTED = ("assemble_step_matrix", "splu", "validate_coefficients")
-KEYS = ("op_s", "ensemble_s", "estimates_s", "data_eval_s", "data_evals", "assemblies",
-        "factorizations", "lu_solves", "validations", "residual_max", "peak_rss_mb")
+KEYS = ("op_s", "ensemble_s", "lu_solve_s", "march_other_s", "estimates_s", "data_eval_s",
+        "data_evals", "assemblies", "factorizations", "lu_solves", "validations",
+        "residual_max", "peak_rss_mb")
 
 
 def measure(src: str, run: int, work: Path) -> dict:
@@ -51,7 +55,7 @@ def measure(src: str, run: int, work: Path) -> dict:
     from degenpde.operators import model_coefficients
 
     seen = {name: 0 for name in COUNTED + ("solve", "data_evals")}
-    seen["data_eval_s"] = 0.0
+    seen["data_eval_s"] = seen["lu_solve_s"] = 0.0
 
     def counted(name):
         original = getattr(solver, name)
@@ -66,8 +70,11 @@ def measure(src: str, run: int, work: Path) -> dict:
     solve, eval_spatial = solver.StepMatrix.solve, solver._eval_spatial
 
     def counted_solve(self, rhs, x0):
+        start = perf_counter()
+        out = solve(self, rhs, x0)
+        seen["lu_solve_s"] += perf_counter() - start
         seen["solve"] += 1
-        return solve(self, rhs, x0)
+        return out
 
     def timed_eval(*args, **kwargs):
         start = perf_counter()
@@ -92,6 +99,7 @@ def measure(src: str, run: int, work: Path) -> dict:
     np.savez(work / "values.npz", *(u.values for u in members))
     return {
         "op_s": done - start, "ensemble_s": solved - start, "estimates_s": done - solved,
+        "lu_solve_s": seen["lu_solve_s"], "march_other_s": solved - start - seen["lu_solve_s"],
         "data_eval_s": seen["data_eval_s"], "data_evals": seen["data_evals"],
         "assemblies": seen["assemble_step_matrix"], "factorizations": seen["splu"],
         "lu_solves": seen["solve"], "validations": seen["validate_coefficients"],
@@ -126,7 +134,8 @@ def summarize(results: dict, rows: list) -> dict:
         "per_seed": rows,
     }
     report["speedup"] = {key: report["before"][key] / report["after"][key]
-                         for key in ("op_s", "ensemble_s", "data_eval_s")}
+                         for key in ("op_s", "ensemble_s", "march_other_s", "estimates_s",
+                                     "data_eval_s")}
     return report
 
 

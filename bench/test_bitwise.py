@@ -27,7 +27,8 @@ def test_measure_hashes_every_item_of_this_checkout(tmp_path):
     assert "summary.txt" in reports
     assert sorted(name for name in hashes if name.startswith("cli/")) == [
         f"cli/{name}" for name in reports]
-    assert sum(name.startswith("ensemble_n2/") for name in hashes) == 2 * bitwise.MEMBERS
+    # values, step residuals and four report texts per member
+    assert sum(name.startswith("ensemble_n2/") for name in hashes) == 6 * bitwise.MEMBERS
     assert sum(name.startswith("n3_abp/") for name in hashes) == 3 * len(bitwise.N3_NODES)
     assert all(len(value) == 64 for value in hashes.values())
     # the members differ, so their hashes do

@@ -257,10 +257,25 @@ class ExperimentSpec:
 
 def run_experiment(spec: ExperimentSpec, out_dir) -> bool:
     out = Path(out_dir)
+    made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. an existing file; refused before the solve
         raise SpecError(f"--out: {exc}") from None
+    try:
+        return _write_reports(spec, out)
+    except BaseException:
+        # a refusal after the solve starts leaves no directory this run made
+        # and wrote nothing into
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
+
+
+def _write_reports(spec: ExperimentSpec, out: Path) -> bool:
     problem = IVBProblem(coeffs=spec.coefficients, forcing=spec.forcing,
                          initial=spec.solution, lateral=spec.solution)
     try:

@@ -31,6 +31,7 @@ from .geometry import (
     ParabolicCube,
     Point,
     WeightedMeasure,
+    cube_box,
     cube_nodes,
     node_measure,
     rho_nu,
@@ -159,7 +160,7 @@ def _forcing(g, grid: Grid, cube: ParabolicCube, nu: float, s0: float,
     n = grid.n
     scale = rho ** (n / (n + 1.0)) * rho_nu(s0, rho, nu) ** (1.0 / (n + 1.0))
     if g is None:
-        cube_nodes(cube, grid)
+        cube_box(cube, grid)
         return scale, 0.0
     return scale, lp_norm_weighted(_on_grid(g, grid), n + 1, cube, WeightedMeasure(nu))
 
@@ -445,7 +446,8 @@ def harnack_quotient(u: ScalarField, g, s0: float, y0, t0: float, rho: float,
         "Q_rho", Point.at_s(s0, y0, t0 - 3.0 * rho * rho / 4.0), rho / 2.0)
     on_cubes = []
     for cube in (earlier, later):
-        vals = u.values[cube_nodes(cube, grid)]
+        box, inside = cube_box(cube, grid)
+        vals = u.values[box][inside]
         umin = float(np.min(vals))
         if umin < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):
             raise ValueError(f"u must be nonnegative on the cubes (min {umin:g})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ParabolicCube, WeightedMeasure, cube_nodes, dual_edges,
+from .geometry import (ParabolicCube, WeightedMeasure, cube_box, cube_nodes, dual_edges,
                        weighted_volumes)
 
 
@@ -320,7 +320,8 @@ def fd_derivatives(field: ScalarField, rows: slice = slice(None)) -> FieldDeriva
 
 def osc(field: ScalarField, cube: ParabolicCube) -> float:
     """max - min of the field over grid nodes inside the cube."""
-    vals = field.values[cube_nodes(cube, field.grid)]
+    box, inside = cube_box(cube, field.grid)
+    vals = field.values[box][inside]
     return float(np.max(vals) - np.min(vals))
 
 

@@ -12,6 +12,12 @@ The closed form is the normalized density integrated over s in
 [max(s0 - rho, 0), s0 + rho] and slabs of half-width rho in every
 tangential coordinate and in time (normalization nu / 2^n).  On a grid the
 measure of a node set is the node-dual quadrature `node_measure`.
+
+Cube membership has one implementation, `ParabolicCube.contains_s`.  On a
+grid, `ParabolicCube.box_nodes` evaluates it over the cube's index box only,
+the box each axis's own condition bounds; `node_mask` and `cube_nodes`
+build their full-grid mask from that box, and `cube_box` hands it to
+readers that take values[box][inside].
 """
 
 from __future__ import annotations
@@ -137,6 +143,30 @@ class ParabolicCube:
     def time_interval(self) -> tuple[float, float]:
         return (self.base.t - self.radius ** 2, self.base.t)
 
+    def _s_in(self, s):
+        """The cube's condition on s alone (x = s * s for B_eta and C_rho)."""
+        x0, s0, r, tol = self.base.x, self.base.s, self.radius, MEMBERSHIP_TOL
+        if self.kind == "B_eta":
+            return np.abs(s * s - x0) <= r * r + tol
+        if self.kind == "C_rho":
+            return np.abs(s * s - x0) <= r + tol
+        return np.abs(s - s0) <= r + tol
+
+    def _y_in(self, i: int, yi):
+        """The cube's condition on y_i alone; for C_rho and Q_rho only a necessary one.
+
+        B_eta bounds each |y_i - y0_i|; the other kinds bound the sum of the
+        squares, and a rounded sum of nonnegative terms is at least each term.
+        """
+        d = yi - self.base.y[i]
+        if self.kind == "B_eta":
+            return np.abs(d) <= self.radius + MEMBERSHIP_TOL
+        return d ** 2 <= self.radius * self.radius + MEMBERSHIP_TOL
+
+    def _t_in(self, t):
+        t_lo, t_hi = self.time_interval()
+        return (t >= t_lo - MEMBERSHIP_TOL) & (t <= t_hi + MEMBERSHIP_TOL)
+
     def contains_s(self, s, y, t):
         """Vectorized membership for coordinates given in (s, y, t) form.
 
@@ -147,36 +177,63 @@ class ParabolicCube:
         ys = [np.asarray(yi, dtype=float) for yi in y]
         if len(ys) != self.base.y.size:
             raise ValueError("tangential dimension mismatch")
-        x = s * s
-        x0, s0, y0 = self.base.x, self.base.s, self.base.y
-        r, tol = self.radius, MEMBERSHIP_TOL
-
+        inside = self._s_in(s)
         if self.kind == "B_eta":
-            spatial = np.abs(x - x0) <= r * r + tol
-            for yi, y0i in zip(ys, y0):
-                spatial = spatial & (np.abs(yi - y0i) <= r + tol)
+            for i, yi in enumerate(ys):
+                inside = inside & self._y_in(i, yi)
         else:
-            dy2 = sum((yi - y0i) ** 2 for yi, y0i in zip(ys, y0))
-            if self.kind == "C_rho":
-                spatial = (np.abs(x - x0) <= r + tol) & (dy2 <= r * r + tol)
-            else:  # Q_rho
-                spatial = (np.abs(s - s0) <= r + tol) & (dy2 <= r * r + tol)
+            dy2 = sum((yi - y0i) ** 2 for yi, y0i in zip(ys, self.base.y))
+            inside = inside & (dy2 <= self.radius * self.radius + MEMBERSHIP_TOL)
+        return inside & self._t_in(t)
 
-        t_lo, t_hi = self.time_interval()
-        return spatial & (t >= t_lo - tol) & (t <= t_hi + tol)
+    def box_nodes(self, grid) -> tuple:
+        """The cube's grid nodes as (box, inside): an index box and a mask over it.
+
+        The box spans, on each axis, the nodes that meet the cube's condition
+        on that axis alone (`_s_in`, `_y_in`, `_t_in`), each necessary for
+        membership, so no node outside the box is in the cube.  inside is
+        `contains_s` on the box's sparse sub-meshes, the same arithmetic per
+        node as on the full meshes, so values[box][inside] are the cube's
+        values in C order.  An empty cube has an empty box.
+        """
+        if len(grid.y) != self.base.y.size:
+            raise ValueError("tangential dimension mismatch")
+        tests = [self._s_in(grid.s), *(self._y_in(i, yi) for i, yi in enumerate(grid.y)),
+                 self._t_in(grid.t)]
+        box = tuple(slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+                    for idx in map(np.flatnonzero, tests))
+        s, *ys, t = np.meshgrid(*(ax[sl] for ax, sl in zip(grid.axes, box)),
+                                indexing="ij", sparse=True)
+        return box, self.contains_s(s, ys, t)
 
     def node_mask(self, grid) -> np.ndarray:
-        """Boolean mask of grid nodes inside the cube, full grid shape."""
-        s, *ys, t = grid.meshes()
-        return np.broadcast_to(self.contains_s(s, ys, t), grid.shape).copy()
+        """Boolean mask of grid nodes inside the cube, full grid shape (from `box_nodes`)."""
+        box, inside = self.box_nodes(grid)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[box] = inside
+        return mask
+
+
+def _require_nodes(inside: np.ndarray, label: str):
+    if not np.any(inside):
+        raise ValueError(f"{label} contains no grid nodes")
 
 
 def cube_nodes(cube: ParabolicCube, grid, label: str = "cube") -> np.ndarray:
     """The cube's node mask, refused when it selects no node of the grid."""
     mask = cube.node_mask(grid)
-    if not np.any(mask):
-        raise ValueError(f"{label} contains no grid nodes")
+    _require_nodes(mask, label)
     return mask
+
+
+def cube_box(cube: ParabolicCube, grid, label: str = "cube") -> tuple:
+    """The cube's (box, inside) of `ParabolicCube.box_nodes`, refused like `cube_nodes`.
+
+    values[box][inside] reads the cube's values without a full-grid mask.
+    """
+    box, inside = cube.box_nodes(grid)
+    _require_nodes(inside, label)
+    return box, inside
 
 
 def dual_edges(nodes: np.ndarray) -> np.ndarray:

@@ -60,6 +60,12 @@ from .operators import (CoefficientField, _axis_matrices, operator_matrix, plane
 COMPATIBILITY_TOL = 1e-8
 KRYLOV_TOL = 1e-10  # relative residual of the n >= 3 iterative step solve
 KRYLOV_MAX_ITER = 5000  # BiCGStab iteration budget per column and step
+# the march copies its output into the (..., t) array a block of steps at a
+# time: at most _BLOCK_STEPS steps, and at most _BLOCK_BYTES of them.  A
+# 2 MiB budget raised the n3_abp benchmark's peak RSS by 16 MB, where 1 MiB
+# left it unchanged and kept most of the ensemble's gain (6 steps a block)
+_BLOCK_STEPS = 16
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -392,7 +398,12 @@ def _march(problems: list, grid: Grid) -> list:
     A batch of one is the march `solve_ivbp` takes; in a larger batch the
     multi-column LU solve rounds differently from one solve per member, by
     a few units in the last place.  The members' values are slices of one
-    array.
+    array.  Time is its last axis, so one step's values lie one per row of
+    it; each step is copied into a step-major block buffer instead, and
+    every B steps, and at the last step, the block goes into the output at
+    once, B contiguous time values per row.  B = min(_BLOCK_STEPS, steps,
+    _BLOCK_BYTES // bytes per step), at least 1: the buffer's fixed budget
+    is 1 MiB.
     """
     first = problems[0]
     if any(p.coeffs is not first.coeffs for p in problems[1:]):
@@ -442,6 +453,11 @@ def _march(problems: list, grid: Grid) -> list:
     timed_forcing = [i for i, p in enumerate(problems) if callable(p.forcing)]
     timed_lateral = [i for i, p in enumerate(problems) if callable(p.lateral)]
 
+    steps = len(grid.t) - 1
+    block = max(1, min(_BLOCK_STEPS, steps, _BLOCK_BYTES // U.nbytes))
+    buffer = np.empty((block,) + U.T.shape)
+    rows = outs.reshape(-1, len(grid.t))  # a view: one row per member and node
+
     static = not coeffs.time_dependent
     cache: dict[str, StepMatrix] = {}
 
@@ -453,7 +469,7 @@ def _march(problems: list, grid: Grid) -> list:
             cache[key] = assemble_step_matrix(first, grid, tau, t_next)
         return cache[key]
 
-    for k in range(len(grid.t) - 1):
+    for k in range(steps):
         tn = float(grid.t[k + 1])
         tau = tn - float(grid.t[k])
         sm = step_matrix(tau, tn)
@@ -474,7 +490,10 @@ def _march(problems: list, grid: Grid) -> list:
         if not np.isfinite(U).all():
             raise FloatingPointError(f"non-finite solution at step t={tn:g}")
         residuals.append(np.max(np.abs(sm.A @ U - rhs), axis=0) / tau)
-        outs[..., k + 1] = U.T.reshape(outs.shape[:-1])
+        j = k % block
+        buffer[j] = U.T
+        if j == block - 1 or k == steps - 1:
+            rows[:, k - j + 1:k + 2] = buffer[:j + 1].reshape(j + 1, -1).T
 
     per_member = np.array(residuals).reshape(-1, len(problems)).T.tolist()
     return [SolvedField(grid, out, tuple(r)) for out, r in zip(outs, per_member)]

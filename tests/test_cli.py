@@ -222,6 +222,34 @@ def test_a_march_that_turns_non_finite_exits_2_with_one_line(tmp_path, capsys, o
                                        f"non-finite solution at step t={step}\n")
 
 
+@pytest.mark.parametrize("old, new, err", [
+    ("t = 0 1 9", "t = 0 1e300 9", "error: the spec's grid cannot be marched: "
+                                   "non-finite solution at step t=1.25e+299\n"),
+    ("x + t\n", "x + t - 5\n", "error: [check harnack]: u must be nonnegative on the "
+                               "cubes (min -3.98438)\n"),
+], ids=["march", "estimate"])
+@pytest.mark.parametrize("nested", [False, True], ids=["out", "out_and_parents"])
+def test_a_refusal_after_the_out_directory_is_made_leaves_none_behind(tmp_path, capsys, old,
+                                                                     new, err, nested):
+    # the directories --out made were left behind, empty
+    spec = tmp_path / "refused.spec"
+    spec.write_text(SMALL_SPEC.replace(old, new))
+    out = tmp_path / "a" / "b" / "out" if nested else tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["refused.spec"]
+
+
+def test_a_refusal_keeps_an_out_directory_it_did_not_make(tmp_path, capsys):
+    spec = tmp_path / "refused.spec"
+    spec.write_text(SMALL_SPEC.replace("t = 0 1 9", "t = 0 1e300 9"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: the spec's grid cannot be marched")
+    assert out.is_dir() and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("key", ["solution", "forcing"])
 @pytest.mark.parametrize("text", [
     "x**2", "+x", "x // 2", "~x", "x < t", "x if t else 1", "1_0 + x", "0x1", "1j", "True",

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from degenpde import estimates
+from degenpde import estimates, fields
 from degenpde.estimates import (
     CONTACT_TOL,
     _forcing,
@@ -621,10 +621,34 @@ def test_missing_forcing_on_an_empty_cube_is_refused():
     u = sample(lambda x, y, t: 1.0 + 0 * x, g)
     after_the_grid = ParabolicCube("Q_rho", Point.at_s(0.5, [0.0], 3.0), 0.4)
     for forcing in (None, ScalarField(g, np.zeros(g.shape))):
-        with pytest.raises(ValueError, match="cube contains no grid nodes"):
+        with pytest.raises(ValueError, match="^cube contains no grid nodes$"):
             _forcing(forcing, g, after_the_grid, 0.5, 0.5, 0.4)
-        with pytest.raises(ValueError, match="cube contains no grid nodes"):
+        with pytest.raises(ValueError, match="^cube contains no grid nodes$"):
             harnack_quotient(u, forcing, 0.5, [0.0], 3.0, 0.4, 0.5)
+        with pytest.raises(ValueError, match="^cube contains no grid nodes$"):
+            oscillation_decay(u, (0.5, [0.0], 3.0), 0.4, 2, forcing, 0.5)
+
+
+def full_mask_box(cube, grid, label="cube"):
+    """cube_box's (box, inside) as the whole grid and the full mask of cube_nodes."""
+    return (slice(None),) * len(grid.shape), cube_nodes(cube, grid, label)
+
+
+@pytest.mark.parametrize("s0, rho", [(0.5, 0.4), (0.05, 0.8), (0.95, 0.8), (0.5, 1.2)])
+def test_box_reads_give_the_reports_of_full_mask_reads(monkeypatch, s0, rho):
+    # the cubes at s0 = 0.05 and 0.95 cross an s-edge; at rho = 1.2 the
+    # largest crosses every edge of the grid
+    g = Grid.uniform((0, 1, 21), [(-1, 1, 19)], (-1, 1, 41))
+    u = sample(lambda x, y, t: 2.0 + x + np.sin(3 * y) ** 2 + t * x * y * y, g)
+
+    def reports():
+        return [harnack_quotient(u, None, s0, [0.1], 1.0, rho, 0.5).to_text(),
+                oscillation_decay(u, (s0, [0.1], 1.0), rho, 2, None, 0.5).to_text()]
+
+    read = reports()
+    monkeypatch.setattr(estimates, "cube_box", full_mask_box)
+    monkeypatch.setattr(fields, "cube_box", full_mask_box)
+    assert read == reports()
 
 
 def test_gradient_bound_examples():

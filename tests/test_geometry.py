@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenpde.fields import Grid
 from degenpde.geometry import (
+    MEMBERSHIP_TOL,
     ParabolicCube,
     Point,
     WeightedMeasure,
+    cube_box,
     cube_measure,
+    cube_nodes,
     node_measure,
     rho_nu,
 )
@@ -128,3 +133,78 @@ def test_cube_time_orientation():
     # every cube looks backward in time from its base
     cube = ParabolicCube("Q_rho", Point(1.0, [0.0], 1.0), 0.5)
     assert cube.time_interval() == (0.75, 1.0)
+
+
+@st.composite
+def cubes_on_grids(draw):
+    """A random grid and a cube of any kind on it.
+
+    The radius is any, one past every edge of the grid, or one that puts a
+    face on a node within a few MEMBERSHIP_TOL.  For a face on a node, the
+    base is that node moved along one axis (s, one y-axis or t), and the
+    face is the cube's condition on that axis, so the node sits on the
+    box's edge; otherwise the base is a node or any point around the grid.
+    """
+    n = draw(st.sampled_from([2, 3]))
+
+    def axis(lo_min, lo_max):
+        lo = draw(st.floats(lo_min, lo_max))
+        return lo, lo + draw(st.floats(0.1, 2.0)), draw(st.integers(3, 9))
+
+    grid = Grid.uniform(axis(0, 1), [axis(-1, 1) for _ in range(n - 1)], axis(-1, 1))
+    kind = draw(st.sampled_from(["B_eta", "C_rho", "Q_rho"]))
+    how = draw(st.sampled_from(["any", "past_every_edge", "face_on_node"]))
+    node = grid.node([draw(st.integers(0, len(ax) - 1)) for ax in grid.axes])
+    if how == "face_on_node":
+        along = draw(st.integers(0, n))  # s, y2.., t
+        base = list(node)
+        base[along] += draw(st.floats(-1, 1))
+        base[0] = abs(base[0])
+        s0, *y0, t0 = base
+    elif draw(st.booleans()):
+        s0, *y0, t0 = node
+    else:
+        s0 = draw(st.floats(0, grid.s[-1] + 1))
+        y0 = [draw(st.floats(y[0] - 1, y[-1] + 1)) for y in grid.y]
+        t0 = draw(st.floats(grid.t[0] - 1, grid.t[-1] + 1))
+    if how == "past_every_edge":
+        t0 = grid.t[-1] + draw(st.floats(0, 1))
+    base = Point.at_s(s0, y0, t0)
+    if how == "any":
+        r = draw(st.floats(0.01, 1.5))
+    elif how == "past_every_edge":
+        r = draw(st.floats(20, 30))
+    else:
+        s, *ys, t = node
+        if along == 0:
+            r = {"B_eta": math.sqrt(abs(s * s - base.x)), "C_rho": abs(s * s - base.x),
+                 "Q_rho": abs(s - base.s)}[kind]
+        elif along < n:
+            r = abs(ys[along - 1] - base.y[along - 1])
+        else:
+            r = math.sqrt(abs(base.t - t))
+        r += draw(st.sampled_from([-2, -1, -0.5, 0, 0.5, 1, 2])) * MEMBERSHIP_TOL
+        if not r > 0:
+            r = MEMBERSHIP_TOL
+    return grid, ParabolicCube(kind, base, r)
+
+
+# tier-1 cost: 300 derandomized examples on grids of at most 9^4 nodes, about 1.5 s
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cubes_on_grids())
+def test_cube_nodes_are_contains_s_over_the_full_meshes(grid_and_cube):
+    grid, cube = grid_and_cube
+    s, *ys, t = grid.meshes()
+    expected = np.broadcast_to(cube.contains_s(s, ys, t), grid.shape)
+    assert np.array_equal(cube.node_mask(grid), expected)
+    if not expected.any():
+        with pytest.raises(ValueError, match="^cube contains no grid nodes$"):
+            cube_nodes(cube, grid)
+        with pytest.raises(ValueError, match="^inner box contains no grid nodes$"):
+            cube_box(cube, grid, "inner box")
+        return
+    assert np.array_equal(cube_nodes(cube, grid), expected)
+    # the box read gives the full-mask read's values, in the same order
+    values = np.arange(expected.size, dtype=float).reshape(grid.shape)
+    box, inside = cube_box(cube, grid)
+    assert np.array_equal(values[box][inside], values[expected])

@@ -728,6 +728,73 @@ def test_batch_march_refuses_non_finite_data_of_a_later_member():
         _march([good, bad, good], unit_grid(9))
 
 
+def march_step_by_step(coeffs, data, grid):
+    """Oracle of the march for members of array data: one step at a time, written out.
+
+    One `assemble_step_matrix` for the grid's one step size, then per step
+    the right side formed as the march forms it, one `StepMatrix.solve` for
+    all members and the residual max |A U - rhs| / tau; every step's
+    solution is kept.  Returns (values, step_residuals) per member.
+    """
+    dirichlet = solver._dirichlet_mask(grid).ravel()
+    U = np.empty((dirichlet.size, len(data)), order="F")
+    forcing = np.zeros_like(U)
+    for i, d in enumerate(data):
+        U[:, i] = d["initial"].ravel()
+        forcing[:, i] = d["forcing"].ravel()
+    lateral = U[dirichlet]
+    tau = grid.t[1] - grid.t[0]
+    sm = assemble_step_matrix(IVBProblem(coeffs=coeffs), grid, tau, float(grid.t[1]))
+    slices, residuals = [U], []
+    for k in range(len(grid.t) - 1):
+        assert grid.t[k + 1] - grid.t[k] == tau
+        rhs = U + tau * forcing
+        rhs[dirichlet] = lateral
+        U = sm.solve(rhs, x0=U)
+        residuals.append(np.max(np.abs(sm.A @ U - rhs), axis=0) / tau)
+        slices.append(U)
+    values = np.stack(slices, axis=-1)  # (nodes, members, t)
+    return [(values[:, i].reshape(grid.shape), tuple(float(r[i]) for r in residuals))
+            for i in range(len(data))]
+
+
+def dyadic_steps(grid, steps):
+    """grid's spatial axes with `steps` steps of exactly 1/64 from t = 0."""
+    return Grid(grid.s, grid.y, np.arange(steps + 1) / 64)
+
+
+def block_steps(grid, members):
+    """The march's block length B on grid for a batch of `members`, before the step cap."""
+    per_step = math.prod(grid.shape[:-1]) * members * 8
+    return max(1, min(solver._BLOCK_STEPS, solver._BLOCK_BYTES // per_step))
+
+
+def assert_marches_as_the_oracle(coeffs, grid, members):
+    data = steady_members(grid)[1][:members]
+    problems = [IVBProblem(coeffs=coeffs, **d) for d in data]
+    marched = _march(problems, grid) if members > 1 else [solve_ivbp(problems[0], grid)]
+    for u, (values, residuals) in zip(marched, march_step_by_step(coeffs, data, grid),
+                                      strict=True):
+        assert np.array_equal(u.values, values)
+        assert u.step_residuals == residuals
+
+
+# a grid needs 3 time nodes, so 2 steps is the fewest; B = 16 on these grids
+@pytest.mark.parametrize("steps", [2, 15, 16, 17, 35])
+@pytest.mark.parametrize("members", [1, 3])
+def test_the_march_copies_every_block_of_steps_as_the_per_step_oracle(steps, members):
+    coeffs, grid = BATCH_CASES["n2_lu"]
+    assert block_steps(grid, members) == 16
+    assert_marches_as_the_oracle(coeffs, dyadic_steps(grid, steps), members)
+
+
+def test_the_march_copies_blocks_the_byte_budget_caps_as_the_per_step_oracle():
+    grid = Grid.uniform((0, 1, 9), [(-1, 1, 31)] * 2, (0, 1, 3))
+    block = block_steps(grid, 3)
+    assert block < 16
+    assert_marches_as_the_oracle(model_coefficients(1.0, 3), dyadic_steps(grid, 2 * block + 3), 3)
+
+
 def counting(monkeypatch, name):
     calls = []
     original = getattr(solver, name)
